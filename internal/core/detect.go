@@ -439,6 +439,14 @@ func (a *Analyzer) detectCrossProcess() error {
 type collector struct {
 	report *Report
 	vindex map[string]*Violation
+
+	// fold maps the interned identity of each cross-process violation the
+	// shadow engine reported into this collector to its survivor in
+	// vindex, so a repeated occurrence is counted without being built.
+	fold map[crossKey]*Violation
+	// shadow is the shadow engine's tables (detect_shadow.go), created on
+	// first use and handed on to every later collector of the same worker.
+	shadow *shadowTables
 }
 
 func (c *collector) add(v *Violation) { c.report.add(c.vindex, v) }
@@ -449,9 +457,11 @@ func (c *collector) add(v *Violation) { c.report.add(c.vindex, v) }
 // scope gets a private collector on a worker pool and the per-scope
 // results merge into the report in scope index order via addCounted, so
 // the violations, their dedup counts, and the first error reported are
-// identical to the serial run. Each scope's check is recorded as a span
-// on opts.Trace (track names the detector, lanes name the workers); the
-// scope string is only built when tracing is on.
+// identical to the serial run. The shadow engine's tables live as long as
+// the serial collector, or are handed from scope to scope within a
+// worker. Each scope's check is recorded as a span on opts.Trace (track
+// names the detector, lanes name the workers); the scope string is only
+// built when tracing is on.
 func (a *Analyzer) parallelCollect(n int, track string, scope func(i int) string,
 	check func(i int, col *collector) error) error {
 	tr := a.opts.Trace
@@ -493,15 +503,17 @@ func (a *Analyzer) parallelCollect(n int, track string, scope func(i int) string
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			var shadow *shadowTables
 			for i := range work {
 				if err := a.opts.ctxErr(); err != nil {
 					results[i] = result{col: &collector{report: &Report{}}, err: err}
 					continue // keep draining so the feeder never blocks
 				}
-				col := &collector{report: &Report{}, vindex: map[string]*Violation{}}
+				col := &collector{report: &Report{}, vindex: map[string]*Violation{}, shadow: shadow}
 				sp := startSpan(w, i)
 				err := check(i, col)
 				sp.End()
+				shadow = col.shadow
 				results[i] = result{col: col, err: err}
 			}
 		}(w)
@@ -654,53 +666,59 @@ func (a *Analyzer) forEachLocalAccess(rg dag.Region,
 func (a *Analyzer) checkLocalAgainstVectors(rg dag.Region, vectors map[winTarget][]storedOp,
 	ev *trace.Event, cls Op, fp model.Footprint, storeRuleApplies bool, col *collector) {
 	for _, iv := range fp.Intervals {
-		wi, ok := a.m.WindowAt(fp.Rank, iv)
-		if !ok {
+		for _, wi := range a.m.WindowsAt(fp.Rank, iv) {
+			a.checkLocalAgainstVector(rg, wi.ID, vectors[winTarget{win: wi.ID, tw: fp.Rank}],
+				ev, cls, fp, storeRuleApplies, col)
+		}
+	}
+}
+
+// checkLocalAgainstVector is checkLocalAgainstVectors for the vector of
+// one window win at the local operation's process.
+func (a *Analyzer) checkLocalAgainstVector(rg dag.Region, win int32, vector []storedOp,
+	ev *trace.Event, cls Op, fp model.Footprint, storeRuleApplies bool, col *collector) {
+	for i := range vector {
+		op := &vector[i]
+		if op.ev.Rank == ev.Rank {
 			continue
 		}
-		for i := range vectors[winTarget{win: wi.ID, tw: fp.Rank}] {
-			op := &vectors[winTarget{win: wi.ID, tw: fp.Rank}][i]
-			if op.ev.Rank == ev.Rank {
-				continue
-			}
-			if !a.d.Concurrent(op.ev.ID(), ev.ID()) {
-				continue
-			}
-			opCls, _ := OpOf(op.ev.Kind)
-			cell := Table(opCls, cls)
-			var overlapIv memory.Interval
-			conflict := false
-			switch cell {
-			case Both:
-				continue
-			case NonOverlap:
-				overlapIv, conflict = fp.Overlaps(op.target)
-			case Error:
-				// Store vs Put/Acc: erroneous without overlap — but only
-				// for true local stores, not Get origin-buffer writes.
-				if storeRuleApplies {
-					conflict = true
-					overlapIv, _ = fp.Overlaps(op.target)
-				} else {
-					overlapIv, conflict = fp.Overlaps(op.target)
-				}
-			}
-			if !conflict {
-				continue
-			}
-			rule := fmt.Sprintf("local %s at the target process conflicts with a concurrent remote %s",
-				cls, op.ev.Kind)
-			if cell == Error && overlapIv.Empty() {
-				rule = fmt.Sprintf("local %s to window %d while a concurrent remote %s updates the window (erroneous even without overlap)",
-					cls, wi.ID, op.ev.Kind)
-			}
-			a.addCross(col, rg, op.epoch, a.opEpoch[ev.ID()], &Violation{
-				Severity: a.localPairSeverity(op),
-				Class:    AcrossProcesses,
-				Rule:     rule,
-				A:        *op.ev, B: *ev, Win: wi.ID, Overlap: overlapIv, Region: rg.Index,
-			})
+		if !a.d.Concurrent(op.ev.ID(), ev.ID()) {
+			continue
 		}
+		opCls, _ := OpOf(op.ev.Kind)
+		cell := Table(opCls, cls)
+		var overlapIv memory.Interval
+		conflict := false
+		switch cell {
+		case Both:
+			continue
+		case NonOverlap:
+			overlapIv, conflict = fp.Overlaps(op.target)
+		case Error:
+			// Store vs Put/Acc: erroneous without overlap — but only
+			// for true local stores, not Get origin-buffer writes.
+			if storeRuleApplies {
+				conflict = true
+				overlapIv, _ = fp.Overlaps(op.target)
+			} else {
+				overlapIv, conflict = fp.Overlaps(op.target)
+			}
+		}
+		if !conflict {
+			continue
+		}
+		rule := fmt.Sprintf("local %s at the target process conflicts with a concurrent remote %s",
+			cls, op.ev.Kind)
+		if cell == Error && overlapIv.Empty() {
+			rule = fmt.Sprintf("local %s to window %d while a concurrent remote %s updates the window (erroneous even without overlap)",
+				cls, win, op.ev.Kind)
+		}
+		a.addCross(col, rg, op.epoch, a.opEpoch[ev.ID()], &Violation{
+			Severity: a.localPairSeverity(op),
+			Class:    AcrossProcesses,
+			Rule:     rule,
+			A:        *op.ev, B: *ev, Win: win, Overlap: overlapIv, Region: rg.Index,
+		})
 	}
 }
 

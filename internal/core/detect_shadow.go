@@ -28,7 +28,11 @@ package core
 //   - the store emits matches in vector insertion order, which keeps
 //     the first recorded instance of every dedup key — and therefore
 //     the surviving representative fields and witness — identical to
-//     the pairwise scan.
+//     the pairwise scan;
+//   - dedup runs before a Violation exists: each match folds through a
+//     map keyed by interned operand and rule IDs (crossKey), so a repeat
+//     of an already reported pair costs one integer-keyed lookup and a
+//     count, and only the first occurrence builds the Violation.
 import (
 	"fmt"
 
@@ -46,9 +50,9 @@ type opClassKey struct {
 	targetType int32
 }
 
-// localRuleKey caches the step-2 rule strings per (local class, remote
-// kind); the no-overlap variant additionally names the window (window
-// IDs start at 0, so the variant needs its own flag, not a sentinel).
+// localRuleKey caches the step-2 rule IDs per (local class, remote kind);
+// the no-overlap variant additionally names the window (window IDs start
+// at 0, so the variant needs its own flag, not a sentinel).
 type localRuleKey struct {
 	cls       Op
 	kind      trace.Kind
@@ -56,11 +60,21 @@ type localRuleKey struct {
 	noOverlap bool
 }
 
-// shadowRegion is the per-region state of the shadow engine: the store,
-// the stored-op payload arena, and the interning tables (operation
-// classes, access sites, rule strings) that keep the emit path free of
-// fmt.Sprintf calls.
-type shadowRegion struct {
+// crossKey is a cross-process violation's dedup identity over interned
+// IDs: the unordered operand pair (lower ID first), the rule and the
+// window. Operands and rules are interned by their rendered text, so two
+// crossKeys are equal exactly when the violations' key() strings are.
+type crossKey struct {
+	opLo, opHi, rule, win int32
+}
+
+// shadowTables is the shadow engine's state. The store and the stored-op
+// arena are reset between regions but keep their capacity; the interning
+// tables (access sites, operand strings, operation classes, rule texts)
+// keep growing. One table set serves a whole serial analysis, or one
+// worker of a parallel one, so every site, class and rule is interned and
+// rendered at most once there.
+type shadowTables struct {
 	a  *Analyzer
 	st *shadow.Store
 
@@ -68,76 +82,140 @@ type shadowRegion struct {
 	opSite []shadow.SiteID // site of each stored op, parallel to ops
 
 	depot   *shadow.Depot
-	siteOps []string // rendered operand (operandString short=false) per SiteID
+	siteOp  []int32          // operand ID per SiteID
+	opIndex map[string]int32 // operand string (operandString short=false) → operand ID
+	opText  []string         // operand ID → operand string
 
 	classIdx map[opClassKey]int32
 	classRep []*trace.Event // representative event per class
 
-	pairRules  map[[2]trace.Kind]string
-	localRules map[localRuleKey]string
+	pairRules  map[[2]trace.Kind]int32
+	localRules map[localRuleKey]int32
+	ruleIndex  map[string]int32 // rule text → rule ID
+	ruleText   []string         // rule ID → rule text
 }
 
-func newShadowRegion(a *Analyzer) *shadowRegion {
+func newShadowTables(a *Analyzer) *shadowTables {
 	depot := shadow.NewDepot()
-	return &shadowRegion{
+	return &shadowTables{
 		a:          a,
 		st:         shadow.NewStore(depot),
 		depot:      depot,
+		opIndex:    map[string]int32{},
 		classIdx:   map[opClassKey]int32{},
-		pairRules:  map[[2]trace.Kind]string{},
-		localRules: map[localRuleKey]string{},
+		pairRules:  map[[2]trace.Kind]int32{},
+		localRules: map[localRuleKey]int32{},
+		ruleIndex:  map[string]int32{},
 	}
 }
 
-// siteOf interns an event's access site, rendering its operand string
-// (shared by dedup-key presetting and witness/report rendering) once.
-func (sr *shadowRegion) siteOf(ev *trace.Event) shadow.SiteID {
-	id, fresh := sr.depot.Intern(uint8(ev.Kind), ev.File, ev.Line, ev.Func)
+// reset empties the per-region state, keeping its capacity.
+func (t *shadowTables) reset() {
+	t.st.Reset()
+	clear(t.ops)
+	t.ops = t.ops[:0]
+	t.opSite = t.opSite[:0]
+}
+
+// siteOf interns an event's access site, rendering and interning its
+// operand string (shared by dedup keys and witness/report rendering) once.
+func (t *shadowTables) siteOf(ev *trace.Event) shadow.SiteID {
+	id, fresh := t.depot.Intern(uint8(ev.Kind), ev.File, ev.Line, ev.Func)
 	if fresh {
-		sr.siteOps = append(sr.siteOps, operandString(ev, false))
+		op := operandString(ev, false)
+		opID, ok := t.opIndex[op]
+		if !ok {
+			opID = int32(len(t.opText))
+			t.opIndex[op] = opID
+			t.opText = append(t.opText, op)
+		}
+		t.siteOp = append(t.siteOp, opID)
 	}
 	return id
 }
 
 // classOf interns an event's operation class.
-func (sr *shadowRegion) classOf(ev *trace.Event) int32 {
+func (t *shadowTables) classOf(ev *trace.Event) int32 {
 	k := opClassKey{kind: ev.Kind, accOp: ev.AccOp, targetType: ev.TargetType}
-	if id, ok := sr.classIdx[k]; ok {
+	if id, ok := t.classIdx[k]; ok {
 		return id
 	}
-	id := int32(len(sr.classRep))
-	sr.classIdx[k] = id
-	sr.classRep = append(sr.classRep, ev)
+	id := int32(len(t.classRep))
+	t.classIdx[k] = id
+	t.classRep = append(t.classRep, ev)
 	return id
 }
 
-func (sr *shadowRegion) pairRule(prev, cur trace.Kind) string {
+// internRule returns the ID of a rule text.
+func (t *shadowTables) internRule(r string) int32 {
+	if id, ok := t.ruleIndex[r]; ok {
+		return id
+	}
+	id := int32(len(t.ruleText))
+	t.ruleIndex[r] = id
+	t.ruleText = append(t.ruleText, r)
+	return id
+}
+
+func (t *shadowTables) pairRule(prev, cur trace.Kind) int32 {
 	k := [2]trace.Kind{prev, cur}
-	if r, ok := sr.pairRules[k]; ok {
+	if r, ok := t.pairRules[k]; ok {
 		return r
 	}
-	r := fmt.Sprintf("concurrent %s and %s from different processes overlap in the target window", prev, cur)
-	sr.pairRules[k] = r
+	r := t.internRule(fmt.Sprintf("concurrent %s and %s from different processes overlap in the target window", prev, cur))
+	t.pairRules[k] = r
 	return r
 }
 
-func (sr *shadowRegion) localRule(cls Op, kind trace.Kind, win int32, noOverlap bool) string {
+func (t *shadowTables) localRule(cls Op, kind trace.Kind, win int32, noOverlap bool) int32 {
 	k := localRuleKey{cls: cls, kind: kind, noOverlap: noOverlap}
 	if noOverlap {
 		k.win = win
 	}
-	if r, ok := sr.localRules[k]; ok {
+	if r, ok := t.localRules[k]; ok {
 		return r
 	}
-	var r string
+	var text string
 	if noOverlap {
-		r = fmt.Sprintf("local %s to window %d while a concurrent remote %s updates the window (erroneous even without overlap)",
+		text = fmt.Sprintf("local %s to window %d while a concurrent remote %s updates the window (erroneous even without overlap)",
 			cls, win, kind)
 	} else {
-		r = fmt.Sprintf("local %s at the target process conflicts with a concurrent remote %s", cls, kind)
+		text = fmt.Sprintf("local %s at the target process conflicts with a concurrent remote %s", cls, kind)
 	}
-	sr.localRules[k] = r
+	r := t.internRule(text)
+	t.localRules[k] = r
 	return r
+}
+
+// keyOf interns the identity of a violation between the stored op at
+// payload and an event of site cur.
+func (t *shadowTables) keyOf(payload int32, cur shadow.SiteID, rule, win int32) crossKey {
+	a, b := t.siteOp[t.opSite[payload]], t.siteOp[cur]
+	if b < a {
+		a, b = b, a
+	}
+	return crossKey{opLo: a, opHi: b, rule: rule, win: win}
+}
+
+// seen counts one more occurrence of k if col already reported it.
+func (col *collector) seen(k crossKey) bool {
+	if v := col.fold[k]; v != nil {
+		v.Count++
+		return true
+	}
+	return false
+}
+
+// report records the first occurrence of k: v gets its dedup key preset
+// from the interned operand strings and its witness attached, and the
+// survivor it folds into is remembered under k.
+func (t *shadowTables) report(col *collector, k crossKey, rg dag.Region, aEpoch, bEpoch *Epoch, v *Violation) {
+	presetKey(v, t.opText[k.opLo], t.opText[k.opHi])
+	t.a.addCross(col, rg, aEpoch, bEpoch, v)
+	if col.fold == nil {
+		col.fold = map[crossKey]*Violation{}
+	}
+	col.fold[k] = col.vindex[v.key()]
 }
 
 // detectCrossProcessShadow is detectCrossProcess with the shadow engine
@@ -147,35 +225,38 @@ func (a *Analyzer) detectCrossProcessShadow() error {
 	a.report.Regions = len(regions)
 	scope := func(i int) string { return fmt.Sprintf("region %d", i) }
 	return a.parallelCollect(len(regions), "detect_cross", scope, func(i int, col *collector) error {
-		return a.checkRegionShadow(regions[i], col)
+		if col.shadow == nil {
+			col.shadow = newShadowTables(a)
+		}
+		return col.shadow.checkRegion(regions[i], col)
 	})
 }
 
-func (a *Analyzer) checkRegionShadow(rg dag.Region, col *collector) error {
-	sr := newShadowRegion(a)
+func (t *shadowTables) checkRegion(rg dag.Region, col *collector) error {
+	t.reset()
 
 	// Step 1: remote one-sided operations. Each is checked against the
 	// store (same check-then-insert discipline as the pairwise vector
 	// scan, so an operation never matches itself or its successors).
-	if err := sr.matchRMA(rg, col); err != nil {
+	if err := t.matchRMA(rg, col); err != nil {
 		return err
 	}
 
 	// Step 2: local operations at each target process, via the walker
 	// shared with the pairwise engine.
-	return a.forEachLocalAccess(rg, func(ev *trace.Event, cls Op, fp model.Footprint, storeRule bool) error {
-		sr.checkLocal(rg, ev, cls, fp, storeRule, col)
+	return t.a.forEachLocalAccess(rg, func(ev *trace.Event, cls Op, fp model.Footprint, storeRule bool) error {
+		t.checkLocal(rg, ev, cls, fp, storeRule, col)
 		return nil
 	})
 }
 
-func (sr *shadowRegion) matchRMA(rg dag.Region, col *collector) error {
-	a := sr.a
+func (t *shadowTables) matchRMA(rg dag.Region, col *collector) error {
+	a := t.a
 	for r := 0; r < a.m.Set.Ranks(); r++ {
-		t := a.m.Set.Traces[r]
+		tr := a.m.Set.Traces[r]
 		lo, hi := rg.Span(int32(r))
 		for seq := lo; seq < hi; seq++ {
-			ev := &t.Events[seq]
+			ev := &tr.Events[seq]
 			if !ev.Kind.IsRMAComm() {
 				continue
 			}
@@ -186,39 +267,41 @@ func (sr *shadowRegion) matchRMA(rg dag.Region, col *collector) error {
 			id := ev.ID()
 			key := shadow.VectorKey{Win: ev.Win, Target: target.Rank}
 			cur := storedOp{ev: ev, target: target, epoch: a.opEpoch[id]}
-			curSite := sr.siteOf(ev)
+			curSite := t.siteOf(ev)
 			clock := a.d.ClockRef(id)
 
-			sr.st.Query(key, shadow.Query{Rank: ev.Rank, Seq: id.Seq, Clock: clock},
+			t.st.Query(key, shadow.Query{Rank: ev.Rank, Seq: id.Seq, Clock: clock},
 				target.Intervals,
 				func(rank, class int32) shadow.Mode {
 					if rank == ev.Rank {
 						// Same-process pairs are the intra-epoch detector's job.
 						return shadow.ModeSkip
 					}
-					if EffectiveCompat(sr.classRep[class], ev) == Both {
+					if EffectiveCompat(t.classRep[class], ev) == Both {
 						return shadow.ModeSkip
 					}
 					return shadow.ModeOverlap
 				},
 				func(payload int32) {
-					prev := &sr.ops[payload]
+					prev := &t.ops[payload]
+					k := t.keyOf(payload, curSite, t.pairRule(prev.ev.Kind, ev.Kind), ev.Win)
+					if col.seen(k) {
+						return
+					}
 					iv, _ := target.Overlaps(prev.target)
-					v := &Violation{
+					t.report(col, k, rg, prev.epoch, cur.epoch, &Violation{
 						Severity: a.rmaPairSeverity(prev, &cur),
 						Class:    AcrossProcesses,
-						Rule:     sr.pairRule(prev.ev.Kind, ev.Kind),
+						Rule:     t.ruleText[k.rule],
 						A:        *prev.ev, B: *ev, Win: ev.Win, Overlap: iv, Region: rg.Index,
-					}
-					presetKey(v, sr.siteOps[sr.opSite[payload]], sr.siteOps[curSite])
-					a.addCross(col, rg, prev.epoch, cur.epoch, v)
+					})
 				})
 
-			payload := int32(len(sr.ops))
-			sr.ops = append(sr.ops, cur)
-			sr.opSite = append(sr.opSite, curSite)
-			sr.st.Insert(key, shadow.Access{
-				Payload: payload, Rank: ev.Rank, Class: sr.classOf(ev), Site: curSite,
+			payload := int32(len(t.ops))
+			t.ops = append(t.ops, cur)
+			t.opSite = append(t.opSite, curSite)
+			t.st.Insert(key, shadow.Access{
+				Payload: payload, Rank: ev.Rank, Class: t.classOf(ev), Site: curSite,
 				Seq: id.Seq, Clock: clock, Target: target.Intervals,
 			})
 		}
@@ -231,56 +314,57 @@ func (sr *shadowRegion) matchRMA(rg dag.Region, col *collector) error {
 // the pairwise scan's conflict test uses the whole footprint too, and
 // its per-interval vector rescans (which multiply dedup counts) are
 // reproduced by issuing one store query per hit.
-func (sr *shadowRegion) checkLocal(rg dag.Region, ev *trace.Event, cls Op,
+func (t *shadowTables) checkLocal(rg dag.Region, ev *trace.Event, cls Op,
 	fp model.Footprint, storeRule bool, col *collector) {
-	a := sr.a
+	a := t.a
 	id := ev.ID()
 	evEpoch := a.opEpoch[id]
 	q := shadow.Query{Rank: ev.Rank, Seq: id.Seq, Clock: a.d.ClockRef(id)}
 	evSite := shadow.SiteID(-1)
 
 	for _, iv := range fp.Intervals {
-		wi, ok := a.m.WindowAt(fp.Rank, iv)
-		if !ok {
-			continue
-		}
-		sr.st.Query(shadow.VectorKey{Win: wi.ID, Target: fp.Rank}, q, fp.Intervals,
-			func(rank, class int32) shadow.Mode {
-				if rank == ev.Rank {
-					return shadow.ModeSkip
-				}
-				opCls, _ := OpOf(sr.classRep[class].Kind)
-				switch Table(opCls, cls) {
-				case Both:
-					return shadow.ModeSkip
-				case Error:
-					// Store vs Put/Acc: erroneous without overlap — but only
-					// for true local stores, not Get origin-buffer writes.
-					if storeRule {
-						return shadow.ModeAll
+		for _, wi := range a.m.WindowsAt(fp.Rank, iv) {
+			win := wi.ID
+			t.st.Query(shadow.VectorKey{Win: win, Target: fp.Rank}, q, fp.Intervals,
+				func(rank, class int32) shadow.Mode {
+					if rank == ev.Rank {
+						return shadow.ModeSkip
 					}
-					return shadow.ModeOverlap
-				default: // NonOverlap
-					return shadow.ModeOverlap
-				}
-			},
-			func(payload int32) {
-				op := &sr.ops[payload]
-				overlapIv, _ := fp.Overlaps(op.target)
-				opCls, _ := OpOf(op.ev.Kind)
-				noOverlap := Table(opCls, cls) == Error && overlapIv.Empty()
-				if evSite < 0 {
-					evSite = sr.siteOf(ev)
-				}
-				v := &Violation{
-					Severity: a.localPairSeverity(op),
-					Class:    AcrossProcesses,
-					Rule:     sr.localRule(cls, op.ev.Kind, wi.ID, noOverlap),
-					A:        *op.ev, B: *ev, Win: wi.ID, Overlap: overlapIv, Region: rg.Index,
-				}
-				presetKey(v, sr.siteOps[sr.opSite[payload]], sr.siteOps[evSite])
-				a.addCross(col, rg, op.epoch, evEpoch, v)
-			})
+					opCls, _ := OpOf(t.classRep[class].Kind)
+					switch Table(opCls, cls) {
+					case Both:
+						return shadow.ModeSkip
+					case Error:
+						// Store vs Put/Acc: erroneous without overlap — but only
+						// for true local stores, not Get origin-buffer writes.
+						if storeRule {
+							return shadow.ModeAll
+						}
+						return shadow.ModeOverlap
+					default: // NonOverlap
+						return shadow.ModeOverlap
+					}
+				},
+				func(payload int32) {
+					op := &t.ops[payload]
+					overlapIv, _ := fp.Overlaps(op.target)
+					opCls, _ := OpOf(op.ev.Kind)
+					noOverlap := Table(opCls, cls) == Error && overlapIv.Empty()
+					if evSite < 0 {
+						evSite = t.siteOf(ev)
+					}
+					k := t.keyOf(payload, evSite, t.localRule(cls, op.ev.Kind, win, noOverlap), win)
+					if col.seen(k) {
+						return
+					}
+					t.report(col, k, rg, op.epoch, evEpoch, &Violation{
+						Severity: a.localPairSeverity(op),
+						Class:    AcrossProcesses,
+						Rule:     t.ruleText[k.rule],
+						A:        *op.ev, B: *ev, Win: win, Overlap: overlapIv, Region: rg.Index,
+					})
+				})
+		}
 	}
 }
 

@@ -230,6 +230,50 @@ func TestFigure2d(t *testing.T) {
 	}
 }
 
+// Two windows expose the same buffer; the remote Put goes through the
+// second one. The local store must be checked against every window it
+// touches, so every engine and the all-pairs oracle report the conflict
+// on every run, not only when the second window happens to be found
+// first.
+func TestOverlappingWindowsLocalConflict(t *testing.T) {
+	b := testutil.NewTraceBuilder(2)
+	b.WinCreate(1, 0x1000, 64)
+	b.WinCreate(2, 0x1000, 64)
+	b.Add(1, loc(trace.Event{Kind: trace.KindWinLock, Win: 2, Target: 0, Lock: trace.LockShared}, 60))
+	put := putEv(0, 0x500, 0, 61)
+	put.Win = 2
+	b.Add(1, put)
+	b.Add(1, loc(trace.Event{Kind: trace.KindWinUnlock, Win: 2, Target: 0}, 62))
+	b.Add(0, loc(trace.Event{Kind: trace.KindStore, Addr: 0x1000, Size: 4}, 63))
+	set := b.Set()
+
+	check := func(name string, rep *Report) {
+		t.Helper()
+		if len(rep.Violations) != 1 {
+			t.Fatalf("%s: violations = %d:\n%s", name, len(rep.Violations), rep)
+		}
+		v := rep.Violations[0]
+		if v.Class != AcrossProcesses || v.A.Kind != trace.KindPut || v.B.Kind != trace.KindStore || v.Win != 2 {
+			t.Fatalf("%s: violation = %v", name, v)
+		}
+	}
+	for run := 0; run < 50; run++ {
+		for _, engine := range []Engine{EngineShadow, EnginePairwise, EngineDifferential} {
+			rep, err := AnalyzeWith(set, Options{CrossProcess: true, Engine: engine})
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(engine.String(), rep)
+		}
+		m, d := buildPipeline(t, set)
+		quad, err := QuadraticCrossProcess(m, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("all-pairs", quad)
+	}
+}
+
 // The store rule fires even without byte overlap when the store touches
 // the exposed window (paper §IV-C-4).
 func TestStoreRuleWithoutOverlap(t *testing.T) {

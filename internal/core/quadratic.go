@@ -146,14 +146,7 @@ func (a *Analyzer) checkSitePair(rg dag.Region, x, y *site) {
 	if y.fp.Rank != x.fp.Rank {
 		return
 	}
-	inWindow := false
-	for _, iv := range y.fp.Intervals {
-		if wi, ok := a.m.WindowAt(y.fp.Rank, iv); ok && wi.ID == x.ev.Win {
-			inWindow = true
-			break
-		}
-	}
-	if !inWindow {
+	if !a.inWindow(y.fp, x.ev.Win) {
 		return
 	}
 	opCls, _ := OpOf(x.ev.Kind)
@@ -189,4 +182,17 @@ func (a *Analyzer) checkSitePair(rg dag.Region, x, y *site) {
 		Rule:     rule,
 		A:        *x.ev, B: *y.ev, Win: x.ev.Win, Overlap: overlapIv, Region: rg.Index,
 	})
+}
+
+// inWindow reports whether any interval of fp lies in window win's local
+// buffer at fp.Rank.
+func (a *Analyzer) inWindow(fp model.Footprint, win int32) bool {
+	for _, iv := range fp.Intervals {
+		for _, wi := range a.m.WindowsAt(fp.Rank, iv) {
+			if wi.ID == win {
+				return true
+			}
+		}
+	}
+	return false
 }

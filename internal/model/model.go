@@ -7,7 +7,10 @@
 package model
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
+	"sort"
 	"strconv"
 
 	"repro/internal/memory"
@@ -58,6 +61,21 @@ type Model struct {
 	Comms map[int32]*CommInfo
 	Wins  map[int32]*WinInfo
 	types map[typeKey]memory.DataMap
+
+	// winSpans[r] lists the non-empty window buffers of world rank r by
+	// base address, for WindowsAt; winList holds their windows.
+	winSpans [][]winSpan
+	winList  []*WinInfo
+}
+
+// winSpan is one window's local buffer at one rank; win indexes
+// Model.winList. maxHi is the largest end address of this span and every
+// span before it in the rank's base-ordered list, so a backward scan can
+// stop at the first span whose maxHi cannot reach the probed interval.
+type winSpan struct {
+	iv    memory.Interval
+	maxHi uint64
+	win   int
 }
 
 type typeKey struct {
@@ -140,7 +158,44 @@ func BuildWorkersTraced(set *trace.Set, workers int, tr *tracing.Recorder) (*Mod
 			}
 		}
 	}
+	m.indexWindows(defs)
 	return m, nil
+}
+
+// indexWindows builds winSpans from the window definitions of each rank
+// (defs as collected by the build sweep): each rank's non-empty window
+// buffers sorted by base address, all in one backing array.
+func (m *Model) indexWindows(defs [][]*trace.Event) {
+	n := 0
+	for _, rankDefs := range defs {
+		for _, ev := range rankDefs {
+			if ev.Kind == trace.KindWinCreate && ev.WinSize > 0 {
+				n++
+			}
+		}
+	}
+	spans := make([]winSpan, 0, n)
+	m.winList = make([]*WinInfo, 0, n)
+	byBase := func(a, b winSpan) int { return cmp.Compare(a.iv.Lo, b.iv.Lo) }
+	m.winSpans = make([][]winSpan, len(defs))
+	for r, rankDefs := range defs {
+		lo := len(spans)
+		for _, ev := range rankDefs {
+			if ev.Kind != trace.KindWinCreate || ev.WinSize == 0 {
+				continue
+			}
+			spans = append(spans, winSpan{iv: memory.Iv(ev.WinBase, ev.WinSize), win: len(m.winList)})
+			m.winList = append(m.winList, m.Wins[ev.Win])
+		}
+		rs := spans[lo:len(spans):len(spans)]
+		slices.SortFunc(rs, byBase)
+		var maxHi uint64
+		for i := range rs {
+			maxHi = max(maxHi, rs[i].iv.Hi)
+			rs[i].maxHi = maxHi
+		}
+		m.winSpans[r] = rs
+	}
 }
 
 func (m *Model) addComm(ev *trace.Event) error {
@@ -301,13 +356,30 @@ func AccessFootprint(ev *trace.Event) Footprint {
 	return Footprint{Rank: ev.Rank, Intervals: []memory.Interval{memory.Iv(ev.Addr, ev.Size)}}
 }
 
-// WindowAt returns the window (if any) whose local buffer at the given
-// world rank contains the address interval.
-func (m *Model) WindowAt(rank int32, iv memory.Interval) (*WinInfo, bool) {
-	for _, wi := range m.Wins {
-		if local, ok := wi.Locals[rank]; ok && local.Interval().Overlaps(iv) {
-			return wi, true
+// WindowsAt returns every window whose local buffer at the given world
+// rank overlaps the address interval, in window ID order. MPI lets several
+// windows expose the same memory, so a local access may touch more than
+// one. The result is shared and must not be modified.
+func (m *Model) WindowsAt(rank int32, iv memory.Interval) []*WinInfo {
+	if iv.Empty() || rank < 0 || int(rank) >= len(m.winSpans) {
+		return nil
+	}
+	spans := m.winSpans[rank]
+	// Spans from j on start at or after iv.Hi and cannot overlap.
+	j := sort.Search(len(spans), func(i int) bool { return spans[i].iv.Lo >= iv.Hi })
+	var hit []*WinInfo
+	for i := j - 1; i >= 0 && spans[i].maxHi > iv.Lo; i-- {
+		if !spans[i].iv.Overlaps(iv) {
+			continue
+		}
+		if k := spans[i].win; hit == nil {
+			hit = m.winList[k : k+1 : k+1] // shared; capacity 1, so a later append copies
+		} else {
+			hit = append(hit, m.winList[k])
 		}
 	}
-	return nil, false
+	if len(hit) > 1 {
+		slices.SortFunc(hit, func(a, b *WinInfo) int { return cmp.Compare(a.ID, b.ID) })
+	}
+	return hit
 }

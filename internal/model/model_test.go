@@ -1,6 +1,7 @@
 package model
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/memory"
@@ -158,12 +159,52 @@ func TestAccessFootprintAndWindowAt(t *testing.T) {
 	if f.Rank != 1 || f.Intervals[0] != memory.Iv(0x4010, 8) {
 		t.Errorf("access footprint = %+v", f)
 	}
-	wi, ok := m.WindowAt(1, f.Intervals[0])
-	if !ok || wi.ID != 3 {
-		t.Errorf("WindowAt = %v %v", wi, ok)
+	if wins := m.WindowsAt(1, f.Intervals[0]); len(wins) != 1 || wins[0].ID != 3 {
+		t.Errorf("WindowsAt = %v", wins)
 	}
-	if _, ok := m.WindowAt(1, memory.Iv(0x9000, 4)); ok {
-		t.Error("address outside windows matched")
+	if wins := m.WindowsAt(1, memory.Iv(0x9000, 4)); wins != nil {
+		t.Errorf("address outside windows matched %v", wins)
+	}
+}
+
+// Windows may expose the same memory: WindowsAt returns every window the
+// interval touches, in ID order, whatever the creation or address order.
+func TestWindowsAtOverlappingWindows(t *testing.T) {
+	b := testutil.NewTraceBuilder(2)
+	b.WinCreate(7, 0x4000, 64)
+	b.WinCreate(2, 0x4000, 64)
+	b.WinCreate(5, 0x4020, 64) // overlaps the upper half of the first two
+	b.WinCreate(9, 0x3000, 16) // ends far below, must not stop the scan early
+	b.WinCreate(4, 0x8000, 0)  // empty: overlaps nothing
+	m, err := Build(b.Set())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := func(iv memory.Interval) []int32 {
+		var out []int32
+		for _, wi := range m.WindowsAt(1, iv) {
+			out = append(out, wi.ID)
+		}
+		return out
+	}
+	for _, c := range []struct {
+		iv   memory.Interval
+		want []int32
+	}{
+		{memory.Iv(0x4000, 8), []int32{2, 7}},
+		{memory.Iv(0x4030, 4), []int32{2, 5, 7}},
+		{memory.Iv(0x4050, 4), []int32{5}},
+		{memory.Iv(0x3008, 4), []int32{9}},
+		{memory.Iv(0x3ff0, 0x20), []int32{2, 7}},
+		{memory.Iv(0x8000, 4), nil},
+		{memory.Iv(0x4000, 0), nil},
+	} {
+		if got := ids(c.iv); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("WindowsAt(%v) = %v, want %v", c.iv, got, c.want)
+		}
+	}
+	if got := m.WindowsAt(5, memory.Iv(0x4000, 8)); got != nil {
+		t.Errorf("rank outside the set matched %v", got)
 	}
 }
 

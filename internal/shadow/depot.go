@@ -17,7 +17,10 @@ type siteKey struct {
 // Depot interns access sites so a shadow member carries a 4-byte site ID
 // instead of three strings, and so everything derived from a site (its
 // rendered operand string, per-site statistics) is computed at most once
-// per region. The zero Depot is not ready; use NewDepot.
+// per depot. The cross-process detector keeps one depot for a whole
+// analysis (one per worker when regions run in parallel), so a site seen
+// in many regions is interned once. The zero Depot is not ready; use
+// NewDepot.
 type Depot struct {
 	index map[siteKey]SiteID
 }

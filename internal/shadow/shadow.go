@@ -34,6 +34,7 @@
 package shadow
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/memory"
@@ -191,10 +192,26 @@ func (v *vector) group(rank, class int32) *group {
 	if g, ok := v.gindex[k]; ok {
 		return g
 	}
-	g := &group{rank: rank, class: class}
+	var g *group
+	if n := len(v.groups); n < cap(v.groups) && v.groups[:n+1][n] != nil {
+		// Reuse a group retired by Reset.
+		g = v.groups[:n+1][n]
+		*g = group{rank: rank, class: class, all: g.all[:0]}
+		v.groups = v.groups[:n+1]
+	} else {
+		g = &group{rank: rank, class: class}
+		v.groups = append(v.groups, g)
+	}
 	v.gindex[k] = g
-	v.groups = append(v.groups, g)
 	return g
+}
+
+// reset empties the vector, keeping its cell and group allocations.
+func (v *vector) reset() {
+	clear(v.cells)
+	v.cells = v.cells[:0]
+	v.groups = v.groups[:0]
+	clear(v.gindex)
 }
 
 func (v *vector) insertCell(i int, c cell) {
@@ -252,8 +269,10 @@ func (v *vector) cover(iv memory.Interval, g *group, id int32) {
 }
 
 // Store is the shadow map of one concurrent region: every vector's cell
-// partition plus a shared member arena. Not safe for concurrent use;
-// the detector builds one store per region scope.
+// partition plus a shared member arena. Not safe for concurrent use. The
+// detector keeps one store per analysis (or per worker) and calls Reset
+// between regions, so the arena, query scratch and vector slices are
+// allocated once and reused.
 type Store struct {
 	depot   *Depot
 	vectors map[VectorKey]*vector
@@ -266,6 +285,17 @@ type Store struct {
 // its own site bookkeeping.
 func NewStore(depot *Depot) *Store {
 	return &Store{depot: depot, vectors: make(map[VectorKey]*vector)}
+}
+
+// Reset empties the store, keeping its allocations for the next region:
+// the member arena, the query scratch, and each vector with its cell and
+// group slices. Members inserted before Reset are never emitted again.
+func (s *Store) Reset() {
+	clear(s.arena) // drop the footprint and clock references
+	s.arena = s.arena[:0]
+	for _, v := range s.vectors {
+		v.reset()
+	}
 }
 
 // Depot returns the depot the store was built with (may be nil).
@@ -401,7 +431,7 @@ func (s *Store) Query(key VectorKey, q Query, fp []memory.Interval,
 
 	// Arena indexes increase in insertion order, so sorting the matches
 	// restores exactly the order a pairwise vector scan reports pairs in.
-	sort.Slice(s.scratch, func(i, j int) bool { return s.scratch[i] < s.scratch[j] })
+	slices.Sort(s.scratch)
 	for _, id := range s.scratch {
 		emit(s.arena[id].payload)
 	}

@@ -1,6 +1,7 @@
 package shadow
 
 import (
+	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
@@ -200,40 +201,167 @@ func TestCellSplitAliasing(t *testing.T) {
 	}
 }
 
-// concurrentRange against a brute-force reference over random-ish
-// monotone clock histories.
-func TestConcurrentRangeMatchesBruteForce(t *testing.T) {
+// usedStore returns a store that has been filled (including the vector
+// and the (rank, class) group the caller fills next, with payloads from
+// 1000 up), queried and Reset, so a test can check that a reset store
+// answers like a fresh one.
+func usedStore() *Store {
 	st := NewStore(nil)
 	key := VectorKey{Win: 1, Target: 0}
-	// Rank 1's history: clocks (knowledge of rank 0) only grow.
-	type m struct {
-		seq   int64
-		knows int64 // clock[0]
+	for i := int32(0); i < 6; i++ {
+		st.Insert(key, Access{Payload: 1000 + i, Rank: 1 + i%2, Class: i % 3, Seq: int64(3 * i),
+			Clock: clock(int64(i), -1, -1), Target: []memory.Interval{{Lo: uint64(4 * i), Hi: uint64(4*i + 12)}}})
 	}
-	hist := []m{{0, -1}, {2, -1}, {4, 3}, {6, 3}, {8, 7}, {10, 12}}
-	for i, h := range hist {
-		st.Insert(key, Access{Payload: int32(i), Rank: 1, Class: 0, Seq: h.seq,
-			Clock: clock(h.knows, -1), Target: []memory.Interval{{Lo: 0, Hi: 8}}})
-	}
-	for _, q := range []Query{
-		{Rank: 0, Seq: 0, Clock: clock(-1, -1)},
-		{Rank: 0, Seq: 5, Clock: clock(-1, 2)},
-		{Rank: 0, Seq: 8, Clock: clock(-1, 6)},
-		{Rank: 0, Seq: 13, Clock: clock(-1, 10)},
-		{Rank: 0, Seq: 4, Clock: clock(-1, 11)},
-	} {
-		var want []int32
+	st.Insert(VectorKey{Win: 2, Target: 0}, Access{Payload: 1006, Rank: 1, Seq: 1,
+		Clock: clock(-1, -1, -1), Target: []memory.Interval{{Lo: 0, Hi: 64}}})
+	collectQuery(st, key, Query{Rank: 0, Seq: 50, Clock: clock(-1, -1, -1)},
+		[]memory.Interval{{Lo: 0, Hi: 64}}, ModeOverlap, nil)
+	st.Reset()
+	return st
+}
+
+// concurrentRange against a brute-force reference over random-ish
+// monotone clock histories, on a fresh store and on a reset one.
+func TestConcurrentRangeMatchesBruteForce(t *testing.T) {
+	for _, st := range []*Store{NewStore(nil), usedStore()} {
+		key := VectorKey{Win: 1, Target: 0}
+		// Rank 1's history: clocks (knowledge of rank 0) only grow.
+		type m struct {
+			seq   int64
+			knows int64 // clock[0]
+		}
+		hist := []m{{0, -1}, {2, -1}, {4, 3}, {6, 3}, {8, 7}, {10, 12}}
 		for i, h := range hist {
-			storedBeforeQ := q.Clock[1] >= h.seq
-			qBeforeStored := h.knows >= q.Seq
-			if !storedBeforeQ && !qBeforeStored {
-				want = append(want, int32(i))
+			st.Insert(key, Access{Payload: int32(i), Rank: 1, Class: 0, Seq: h.seq,
+				Clock: clock(h.knows, -1), Target: []memory.Interval{{Lo: 0, Hi: 8}}})
+		}
+		for _, q := range []Query{
+			{Rank: 0, Seq: 0, Clock: clock(-1, -1)},
+			{Rank: 0, Seq: 5, Clock: clock(-1, 2)},
+			{Rank: 0, Seq: 8, Clock: clock(-1, 6)},
+			{Rank: 0, Seq: 13, Clock: clock(-1, 10)},
+			{Rank: 0, Seq: 4, Clock: clock(-1, 11)},
+		} {
+			var want []int32
+			for i, h := range hist {
+				storedBeforeQ := q.Clock[1] >= h.seq
+				qBeforeStored := h.knows >= q.Seq
+				if !storedBeforeQ && !qBeforeStored {
+					want = append(want, int32(i))
+				}
+			}
+			for _, mode := range []Mode{ModeOverlap, ModeAll} {
+				got := collectQuery(st, key, q, []memory.Interval{{Lo: 0, Hi: 8}}, mode, nil)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("query %+v mode %d: got %v want %v", q, mode, got, want)
+				}
 			}
 		}
-		got := collectQuery(st, key, q, []memory.Interval{{Lo: 0, Hi: 8}}, ModeOverlap, nil)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("query %+v: got %v want %v", q, got, want)
+		if st.Members() != len(hist) || st.Cells(key) != 1 || st.Groups(key) != 1 {
+			t.Fatalf("members=%d cells=%d groups=%d, want %d 1 1",
+				st.Members(), st.Cells(key), st.Groups(key), len(hist))
 		}
+		if st.Cells(VectorKey{Win: 2, Target: 0}) != 0 {
+			t.Fatal("a vector filled only before Reset kept its cells")
+		}
+	}
+}
+
+// randomAccess is one insert of a randomized store workload.
+type randomAccess struct {
+	key VectorKey
+	acc Access
+}
+
+// randomAccesses draws n accesses over two vectors, three origin ranks
+// and three classes, with ascending seqs and monotone clocks per rank and
+// one- or two-interval footprints, payloads numbered from base.
+func randomAccesses(rng *rand.Rand, n int, base int32) []randomAccess {
+	const ranks = 4
+	seq := make([]int64, ranks)
+	clk := make([][]int64, ranks)
+	for r := range clk {
+		clk[r] = []int64{-1, -1, -1, -1}
+	}
+	iv := func() memory.Interval {
+		lo := uint64(rng.Intn(120))
+		return memory.Interval{Lo: lo, Hi: lo + 1 + uint64(rng.Intn(24))}
+	}
+	out := make([]randomAccess, n)
+	for i := range out {
+		r := 1 + rng.Intn(ranks-1)
+		seq[r] += 1 + int64(rng.Intn(3))
+		next := append([]int64(nil), clk[r]...)
+		next[rng.Intn(ranks)] += int64(rng.Intn(4))
+		clk[r] = next
+		fp := []memory.Interval{iv()}
+		if rng.Intn(3) == 0 {
+			if second := iv(); second.Lo >= fp[0].Hi {
+				fp = append(fp, second)
+			}
+		}
+		out[i] = randomAccess{
+			key: VectorKey{Win: int32(rng.Intn(2)), Target: 0},
+			acc: Access{Payload: base + int32(i), Rank: int32(r), Class: int32(rng.Intn(3)),
+				Seq: seq[r], Clock: next, Target: fp},
+		}
+	}
+	return out
+}
+
+// Filling, resetting and refilling a store must answer every query like
+// a fresh store filled the same way, and never emit a member inserted
+// before the reset — across several reset cycles with vectors and groups
+// that come and go.
+func TestResetMatchesFreshStore(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	reused := NewStore(nil)
+	for cycle := 0; cycle < 5; cycle++ {
+		stale := int32(100000 * (cycle + 1))
+		for _, ra := range randomAccesses(rng, 20+rng.Intn(60), stale) {
+			reused.Insert(ra.key, ra.acc)
+		}
+		collectQuery(reused, VectorKey{Win: 0}, Query{Rank: 0, Seq: 1, Clock: clock(-1, -1, -1, -1)},
+			[]memory.Interval{{Lo: 0, Hi: 200}}, ModeOverlap, nil)
+		reused.Reset()
+		if reused.Members() != 0 {
+			t.Fatalf("cycle %d: %d members after Reset", cycle, reused.Members())
+		}
+
+		fresh := NewStore(nil)
+		for _, ra := range randomAccesses(rng, 10+rng.Intn(80), 0) {
+			fresh.Insert(ra.key, ra.acc)
+			reused.Insert(ra.key, ra.acc)
+		}
+		for qi := 0; qi < 200; qi++ {
+			key := VectorKey{Win: int32(rng.Intn(3)), Target: 0}
+			lo := uint64(rng.Intn(140))
+			fp := []memory.Interval{{Lo: lo, Hi: lo + 1 + uint64(rng.Intn(30))}}
+			q := Query{Rank: 0, Seq: int64(rng.Intn(60)),
+				Clock: clock(-1, int64(rng.Intn(80)-1), int64(rng.Intn(80)-1), int64(rng.Intn(80)-1))}
+			modes := map[int32]Mode{}
+			for r := int32(1); r < 4; r++ {
+				modes[r] = Mode(rng.Intn(3))
+			}
+			want := collectQuery(fresh, key, q, fp, ModeOverlap, modes)
+			got := collectQuery(reused, key, q, fp, ModeOverlap, modes)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("cycle %d query %d %+v on %v: reset store got %v, fresh store %v",
+					cycle, qi, q, fp, got, want)
+			}
+			for _, p := range got {
+				if p >= stale {
+					t.Fatalf("cycle %d: member %d inserted before Reset was emitted", cycle, p)
+				}
+			}
+		}
+		for _, key := range []VectorKey{{Win: 0}, {Win: 1}} {
+			if fresh.Cells(key) != reused.Cells(key) || fresh.Groups(key) != reused.Groups(key) {
+				t.Fatalf("cycle %d vector %v: cells/groups %d/%d, fresh store %d/%d", cycle, key,
+					reused.Cells(key), reused.Groups(key), fresh.Cells(key), fresh.Groups(key))
+			}
+		}
+		reused.Reset()
 	}
 }
 

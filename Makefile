@@ -15,22 +15,24 @@ test:
 
 # Full gate: vet, the test suite under the race detector, the determinism
 # soak, the static-checker golden report, the auto-repair gate, and the
-# shadow/pairwise differential gate.
+# cross-process reference gate.
 check: soak staticcheck fix-smoke shadow-smoke
 	$(GO) vet ./...
 	$(GO) test -race ./...
 
-# Shadow-engine differential gate: the shadow cross-process engine must
-# render byte-identical reports to the pairwise reference over every
-# bundled bug case and every injection pattern (at 1 and GOMAXPROCS
-# workers), and the differential engine must pass on the benchmark's
-# multi-origin worst-case region (exercised via the experiments suite).
+# Cross-process reference gate, under the race detector: the production
+# cross-process detector (the shadow engine) must render byte-identical
+# reports to the pairwise reference and report the same signatures as the
+# all-pairs oracle over every bundled bug case and every injection pattern
+# (at 1 and GOMAXPROCS workers), and match the pairwise reference byte for
+# byte on the benchmark's multi-origin worst-case region.
 shadow-smoke:
 	$(GO) test -race -run 'TestShadowPairwiseDifferentialSweep' .
 	$(GO) test -race -run 'TestBenchShadowAgreement' ./internal/experiments
 
-# Fuzz the shadow engine against the pairwise oracle on generated RMA
-# programs: any disagreement between the two engines is a crasher.
+# Fuzz the production cross-process detector on generated RMA programs
+# against the pairwise reference (byte-level) and the all-pairs oracle
+# (signatures): any disagreement is a crasher.
 fuzz-shadow:
 	$(GO) test -fuzz FuzzShadowDifferential -fuzztime 30s .
 

@@ -111,6 +111,8 @@ func BenchmarkFig9LU(b *testing.B) {
 
 // --- §IV-C-4 ablation: linear vs quadratic cross-process detection -------
 
+// BenchmarkAblationLinearVsQuadratic times the production cross-process
+// detector (linear/*) against the all-pairs baseline (quadratic/*).
 func BenchmarkAblationLinearVsQuadratic(b *testing.B) {
 	for _, ops := range []int{256, 1024, 4096} {
 		set := experiments.SyntheticRegion(16, ops)

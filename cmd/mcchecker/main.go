@@ -8,7 +8,7 @@
 //	    List the bundled applications (the paper's bug suite).
 //
 //	mcchecker run -app NAME [-fixed] [-ranks N] [-trace DIR] [-full] [-intra-only]
-//	              [-engine shadow|pairwise|differential] [-online] [-json] [-stats] [-stats-format text|prom|json]
+//	              [-online] [-json] [-stats] [-stats-format text|prom|json]
 //	              [-faults PLAN] [-failstop] [-timeout D] [-soak N]
 //	    Run an application on the simulated MPI with the Profiler attached
 //	    and analyze the trace. By default the buggy variant runs with the
@@ -38,7 +38,7 @@
 //	    yields), pct (rank priorities with change points), delay
 //	    (delay-bounded completion steps).
 //
-//	mcchecker analyze [-trace timeline.json] [-intra-only] [-engine E] [-json] [-stats]
+//	mcchecker analyze [-trace timeline.json] [-intra-only] [-json] [-stats]
 //	              [-stats-format F] [-cpuprofile FILE] [-memprofile FILE] [-stats-listen ADDR] DIR
 //	    Run DN-Analyzer offline over per-rank trace files. With a
 //	    positional DIR (flags first), -trace names a Chrome trace JSON timeline of the
@@ -81,7 +81,7 @@
 //	    exits 3.
 //
 //	mcchecker serve [-addr HOST:PORT] [-workers N] [-queue N] [-job-timeout D]
-//	                [-max-attempts N] [-retry-backoff D] [-analyze-workers N] [-engine E] [-drain-timeout D]
+//	                [-max-attempts N] [-retry-backoff D] [-analyze-workers N] [-drain-timeout D]
 //	    Run the analysis daemon (internal/serve): clients POST trace sets
 //	    to /jobs (inline uploads or a server-local directory) and poll
 //	    /jobs/{id} for the report. Admission is bounded by -queue (excess
@@ -150,7 +150,7 @@ func commands() []command {
 			name:    "run",
 			summary: "run one application with the Profiler attached and analyze the trace",
 			synopsis: []string{
-				"mcchecker run -app NAME [-fixed] [-ranks N] [-trace DIR|timeline.json] [-full] [-intra-only] [-engine shadow|pairwise|differential] [-online] [-json] [-stats] [-stats-format text|prom|json]",
+				"mcchecker run -app NAME [-fixed] [-ranks N] [-trace DIR|timeline.json] [-full] [-intra-only] [-online] [-json] [-stats] [-stats-format text|prom|json]",
 				"              [-faults PLAN] [-failstop] [-timeout D] [-soak N] [-stats-listen ADDR]",
 			},
 			run: runCmd,
@@ -160,7 +160,7 @@ func commands() []command {
 			summary: "sweep the schedule space and deduplicate violations by signature",
 			synopsis: []string{
 				"mcchecker explore -app NAME [-fixed] [-n N] [-schedules N] [-strategy sweep|walk|pct|delay] [-jobs K] [-budget D] [-seed N]",
-				"              [-minimize] [-minimize-runs N] [-static-seed] [-full] [-intra-only] [-engine E] [-json] [-stats] [-stats-format text|prom|json] [-timeout D]",
+				"              [-minimize] [-minimize-runs N] [-static-seed] [-full] [-intra-only] [-json] [-stats] [-stats-format text|prom|json] [-timeout D]",
 				"              [-trace timeline.json] [-stats-listen ADDR]",
 			},
 			run: exploreCmd,
@@ -169,7 +169,7 @@ func commands() []command {
 			name:    "analyze",
 			summary: "run DN-Analyzer offline over trace files, or cross-validate the static checker",
 			synopsis: []string{
-				"mcchecker analyze [-trace timeline.json] [-intra-only] [-engine shadow|pairwise|differential] [-json] [-stats] [-stats-format text|prom|json]",
+				"mcchecker analyze [-trace timeline.json] [-intra-only] [-json] [-stats] [-stats-format text|prom|json]",
 				"              [-cpuprofile FILE] [-memprofile FILE] [-stats-listen ADDR] DIR",
 				"mcchecker analyze -trace DIR [...]          (legacy spelling, no timeline)",
 				"mcchecker analyze -static [-app NAME] [-fixed] [-min-confidence low|medium|high] [-json] [-stats]",
@@ -197,7 +197,7 @@ func commands() []command {
 			summary: "run the analysis daemon (POST trace sets to /jobs)",
 			synopsis: []string{
 				"mcchecker serve [-addr HOST:PORT] [-workers N] [-queue N] [-job-timeout D] [-max-attempts N]",
-				"              [-retry-backoff D] [-analyze-workers N] [-engine E] [-drain-timeout D]",
+				"              [-retry-backoff D] [-analyze-workers N] [-drain-timeout D]",
 			},
 			run: serveCmd,
 		},
@@ -288,7 +288,6 @@ type runConfig struct {
 	n         int
 	rel       profiler.Relevance
 	intraOnly bool
-	engine    core.Engine
 	plan      *faults.Plan
 	failstop  bool
 	timeout   time.Duration
@@ -307,7 +306,6 @@ func runCmd(args []string) error {
 	statsListen := fs.String("stats-listen", "", "serve /metrics and /debug/pprof on this address while running (e.g. :6060)")
 	full := fs.Bool("full", false, "instrument every buffer (no static analysis)")
 	intraOnly := fs.Bool("intra-only", false, "intra-epoch detection only (SyncChecker baseline)")
-	engineName := fs.String("engine", "shadow", "cross-process detector: shadow, pairwise, or differential")
 	online := fs.Bool("online", false, "analyze regions while the program runs (streaming mode)")
 	jsonOut := fs.Bool("json", false, "print the report as JSON")
 	stats := fs.Bool("stats", false, "collect and print run metrics")
@@ -330,10 +328,6 @@ func runCmd(args []string) error {
 		reg = obs.NewRegistry()
 	}
 	plan, err := faults.Parse(*faultsFlag)
-	if err != nil {
-		return err
-	}
-	engine, err := core.ParseEngine(*engineName)
 	if err != nil {
 		return err
 	}
@@ -375,7 +369,7 @@ func runCmd(args []string) error {
 	}
 	defer closeStats()
 	cfg := runConfig{
-		body: body, n: n, rel: rel, intraOnly: *intraOnly, engine: engine,
+		body: body, n: n, rel: rel, intraOnly: *intraOnly,
 		plan: plan, failstop: *failstop, timeout: *timeout,
 		traceDir: outDir, tl: tl, reg: reg, progress: progress,
 	}
@@ -397,7 +391,6 @@ func runCmd(args []string) error {
 			fmt.Fprintf(progress, "[online] %s\n", v)
 		})
 		sc.SetObs(reg)
-		sc.SetEngine(engine)
 		sc.SetTolerant(cfg.tolerant())
 		pr := profiler.NewObs(sc, rel, reg)
 		var notes []string
@@ -458,7 +451,6 @@ func exploreCmd(args []string) error {
 	staticSeed := fs.Bool("static-seed", false, "seed the sweep from static-checker diagnostics (delay the ranks they name first)")
 	full := fs.Bool("full", false, "instrument every buffer (no static analysis)")
 	intraOnly := fs.Bool("intra-only", false, "intra-epoch detection only (SyncChecker baseline)")
-	engineName := fs.String("engine", "shadow", "cross-process detector: shadow, pairwise, or differential")
 	jsonOut := fs.Bool("json", false, "print the result as JSON")
 	stats := fs.Bool("stats", false, "collect and print run metrics")
 	statsFormat := fs.String("stats-format", "text", "stats output format: text, prom, or json")
@@ -478,10 +470,6 @@ func exploreCmd(args []string) error {
 		reg = obs.NewRegistry()
 	}
 	strat, err := explore.ParseStrategy(*strategyName)
-	if err != nil {
-		return err
-	}
-	engine, err := core.ParseEngine(*engineName)
 	if err != nil {
 		return err
 	}
@@ -533,7 +521,7 @@ func exploreCmd(args []string) error {
 	res, err := explore.Explore(explore.Config{
 		Runner: &explore.Runner{
 			Body: body, Ranks: n, Rel: rel,
-			Timeout: *timeout, IntraOnly: *intraOnly, Engine: engine, Obs: reg,
+			Timeout: *timeout, IntraOnly: *intraOnly, Obs: reg,
 		},
 		Strategy:     strat,
 		Schedules:    *schedules,
@@ -791,7 +779,7 @@ func (cfg *runConfig) runner() *explore.Runner {
 	r := &explore.Runner{
 		Body: cfg.body, Ranks: cfg.n, Rel: cfg.rel,
 		Timeout: cfg.timeout, Failstop: cfg.failstop,
-		IntraOnly: cfg.intraOnly, Engine: cfg.engine, Obs: cfg.reg,
+		IntraOnly: cfg.intraOnly, Obs: cfg.reg,
 		Trace: cfg.tl.recorder(),
 	}
 	if cfg.traceDir != "" {
@@ -1033,7 +1021,6 @@ func analyzeCmd(args []string) error {
 	fixed := fs.Bool("fixed", false, "with -static: cross-validate the fixed variants")
 	minConf := fs.String("min-confidence", "low", "with -static: consider only diagnostics at or above this confidence")
 	intraOnly := fs.Bool("intra-only", false, "intra-epoch detection only")
-	engineName := fs.String("engine", "shadow", "cross-process detector: shadow, pairwise, or differential")
 	jsonOut := fs.Bool("json", false, "print the report as JSON")
 	stats := fs.Bool("stats", false, "collect and print analysis metrics")
 	statsFormat := fs.String("stats-format", "text", "stats output format: text, prom, or json")
@@ -1092,15 +1079,10 @@ func analyzeCmd(args []string) error {
 	}
 	defer closeStats()
 	tl := newTimeline(timelinePath)
-	engine, err := core.ParseEngine(*engineName)
-	if err != nil {
-		return err
-	}
 	opts := core.DefaultOptions()
 	if *intraOnly {
 		opts.CrossProcess = false
 	}
-	opts.Engine = engine
 	opts.Obs = reg
 	opts.Trace = tl.recorder()
 

@@ -4,10 +4,14 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/apps"
+	"repro/internal/baseline"
 	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/gen"
 	"repro/internal/mpi"
 	"repro/internal/profiler"
@@ -117,40 +121,23 @@ func genCase(pattern string, seed uint64) (*gen.Program, error) {
 	return nil, lastErr
 }
 
-// checkEngineAgreement asserts that the pairwise and shadow engines
-// render byte-identical reports on the set at the given worker count and
-// that the differential engine (which re-derives both and compares
-// violation identities internally) accepts the trace.
+// checkEngineAgreement asserts that the production cross-process detector
+// renders reports byte-identical to the pairwise reference on the set at
+// the given worker count, in text and JSON, and reports the same set of
+// cross-process signatures as the all-pairs oracle.
 func checkEngineAgreement(t *testing.T, set *trace.Set, workers int) {
 	t.Helper()
-	run := func(engine core.Engine) (string, []byte) {
-		opts := core.DefaultOptions()
-		opts.Workers = workers
-		opts.Engine = engine
-		rep, err := core.AnalyzeWith(set, opts)
-		if err != nil {
-			t.Fatalf("workers=%d engine=%s: %v", workers, engine, err)
-		}
-		js, err := rep.JSON()
-		if err != nil {
-			t.Fatalf("workers=%d engine=%s: %v", workers, engine, err)
-		}
-		return rep.String(), js
+	rep, err := experiments.CheckPairwise(set, workers)
+	if err != nil {
+		t.Fatal(err)
 	}
-	pText, pJSON := run(core.EnginePairwise)
-	sText, sJSON := run(core.EngineShadow)
-	if sText != pText {
-		t.Errorf("workers=%d: shadow report diverged from pairwise\n--- pairwise ---\n%s\n--- shadow ---\n%s",
-			workers, pText, sText)
+	quad, err := baseline.QuadraticAnalyze(set)
+	if err != nil {
+		t.Fatalf("all-pairs: %v", err)
 	}
-	if !bytes.Equal(sJSON, pJSON) {
-		t.Errorf("workers=%d: shadow JSON diverged from pairwise", workers)
-	}
-	opts := core.DefaultOptions()
-	opts.Workers = workers
-	opts.Engine = core.EngineDifferential
-	if _, err := core.AnalyzeWith(set, opts); err != nil {
-		t.Errorf("workers=%d: differential engine: %v", workers, err)
+	if got, want := experiments.CrossSignatures(rep), experiments.CrossSignatures(quad); !slices.Equal(got, want) {
+		t.Errorf("workers=%d: cross-process signatures differ from the all-pairs oracle\n--- all-pairs ---\n%s\n--- production ---\n%s",
+			workers, strings.Join(want, "\n"), strings.Join(got, "\n"))
 	}
 }
 
@@ -167,13 +154,14 @@ func repeatBody(body func(p *mpi.Proc) error, times int) func(p *mpi.Proc) error
 	}
 }
 
-// TestShadowPairwiseDifferentialSweep is the cross-engine contract: over
-// every registry case but schedrace (buggy and fixed, each body repeated
-// 8 times with ranks capped at 8, so the same site pairs conflict again
-// in region after region and the shadow engine's dedup folds them) and
-// one injected generator program per bug pattern, the shadow engine must
-// render byte-identical reports to the pairwise reference at every worker
-// count, and the differential engine must find no disagreement.
+// TestShadowPairwiseDifferentialSweep is the cross-process detector's
+// contract: over every registry case but schedrace (buggy and fixed, each
+// body repeated 8 times with ranks capped at 8, so the same site pairs
+// conflict again in region after region and the shadow engine's dedup
+// folds them) and one injected generator program per bug pattern, the
+// production detector must render byte-identical reports to the pairwise
+// reference at every worker count, and report the all-pairs oracle's set
+// of cross-process signatures.
 func TestShadowPairwiseDifferentialSweep(t *testing.T) {
 	workerCounts := []int{1, runtime.GOMAXPROCS(0)}
 
@@ -222,9 +210,10 @@ func TestShadowPairwiseDifferentialSweep(t *testing.T) {
 	}
 }
 
-// FuzzShadowDifferential drives the differential engine over generated
-// RMA programs: any seed/pattern combination on which the shadow engine
-// disagrees with the pairwise reference is a crasher.
+// FuzzShadowDifferential drives checkEngineAgreement over generated RMA
+// programs: any seed/pattern combination on which the production detector
+// disagrees with the pairwise reference (bytes) or the all-pairs oracle
+// (signatures) is a crasher.
 func FuzzShadowDifferential(f *testing.F) {
 	for pi := range gen.Patterns() {
 		f.Add(uint64(500+17*pi), uint8(pi))

@@ -1,21 +1,21 @@
 package core
 
-// The shadow cross-process engine: the same detection semantics as
-// checkRegion (detect.go), restated over internal/shadow's shadow-memory
-// store so the per-vector cost drops from O(ops²) pairwise scans to
-// interval-keyed cell lookups plus vector-clock binary searches
-// (FastTrack, Flanagan & Freund, PLDI 2009, transposed to MC-Checker's
-// epoch model). The contract is byte-identical reports — every
-// violation, dedup count, representative instance, and witness chain
-// must match the pairwise engine exactly; EngineDifferential and the
-// differential test sweep enforce it.
+// The shadow cross-process engine, the detector Analyzer runs: the
+// semantics of the pairwise reference scan (pairwise.go), restated over
+// internal/shadow's shadow-memory store so the per-vector cost drops from
+// O(ops²) pairwise scans to interval-keyed cell lookups plus vector-clock
+// binary searches (FastTrack, Flanagan & Freund, PLDI 2009, transposed to
+// MC-Checker's epoch model). The contract is byte-identical reports —
+// every violation, dedup count, representative instance, and witness
+// chain must match PairwiseCrossProcess exactly; the differential test
+// sweep and fuzz target enforce it.
 //
 // How the semantics map onto the store:
 //
 //   - group classification replaces the per-pair guards. Stored
 //     accesses are grouped by (origin rank, operation class) where a
 //     class interns (Kind, AccOp, TargetType) — exactly the fields
-//     EffectiveCompat and Table read — so "same rank" and
+//     EffectiveCompat and localMode read — so "same rank" and
 //     "compatibility BOTH" skip whole groups once per query instead of
 //     once per pair;
 //   - the DAG Concurrent() calls become the store's concurrent-range
@@ -28,14 +28,12 @@ package core
 //   - the store emits matches in vector insertion order, which keeps
 //     the first recorded instance of every dedup key — and therefore
 //     the surviving representative fields and witness — identical to
-//     the pairwise scan;
+//     the pairwise reference;
 //   - dedup runs before a Violation exists: each match folds through a
 //     map keyed by interned operand and rule IDs (crossKey), so a repeat
 //     of an already reported pair costs one integer-keyed lookup and a
 //     count, and only the first occurrence builds the Violation.
 import (
-	"fmt"
-
 	"repro/internal/dag"
 	"repro/internal/model"
 	"repro/internal/shadow"
@@ -162,7 +160,7 @@ func (t *shadowTables) pairRule(prev, cur trace.Kind) int32 {
 	if r, ok := t.pairRules[k]; ok {
 		return r
 	}
-	r := t.internRule(fmt.Sprintf("concurrent %s and %s from different processes overlap in the target window", prev, cur))
+	r := t.internRule(rmaRuleText(prev, cur))
 	t.pairRules[k] = r
 	return r
 }
@@ -175,14 +173,7 @@ func (t *shadowTables) localRule(cls Op, kind trace.Kind, win int32, noOverlap b
 	if r, ok := t.localRules[k]; ok {
 		return r
 	}
-	var text string
-	if noOverlap {
-		text = fmt.Sprintf("local %s to window %d while a concurrent remote %s updates the window (erroneous even without overlap)",
-			cls, win, kind)
-	} else {
-		text = fmt.Sprintf("local %s at the target process conflicts with a concurrent remote %s", cls, kind)
-	}
-	r := t.internRule(text)
+	r := t.internRule(localRuleText(cls, kind, win, noOverlap))
 	t.localRules[k] = r
 	return r
 }
@@ -218,20 +209,6 @@ func (t *shadowTables) report(col *collector, k crossKey, rg dag.Region, aEpoch,
 	col.fold[k] = col.vindex[v.key()]
 }
 
-// detectCrossProcessShadow is detectCrossProcess with the shadow engine
-// per region; the parallelization and merge order are identical.
-func (a *Analyzer) detectCrossProcessShadow() error {
-	regions := a.d.Regions()
-	a.report.Regions = len(regions)
-	scope := func(i int) string { return fmt.Sprintf("region %d", i) }
-	return a.parallelCollect(len(regions), "detect_cross", scope, func(i int, col *collector) error {
-		if col.shadow == nil {
-			col.shadow = newShadowTables(a)
-		}
-		return col.shadow.checkRegion(regions[i], col)
-	})
-}
-
 func (t *shadowTables) checkRegion(rg dag.Region, col *collector) error {
 	t.reset()
 
@@ -243,7 +220,7 @@ func (t *shadowTables) checkRegion(rg dag.Region, col *collector) error {
 	}
 
 	// Step 2: local operations at each target process, via the walker
-	// shared with the pairwise engine.
+	// shared with the pairwise reference.
 	return t.a.forEachLocalAccess(rg, func(ev *trace.Event, cls Op, fp model.Footprint, storeRule bool) error {
 		t.checkLocal(rg, ev, cls, fp, storeRule, col)
 		return nil
@@ -309,11 +286,9 @@ func (t *shadowTables) matchRMA(rg dag.Region, col *collector) error {
 	return nil
 }
 
-// checkLocal is checkLocalAgainstVectors over the store: one query per
-// (footprint interval → window) hit, probing with the full footprint —
-// the pairwise scan's conflict test uses the whole footprint too, and
-// its per-interval vector rescans (which multiply dedup counts) are
-// reproduced by issuing one store query per hit.
+// checkLocal checks one local access against the store: one query per
+// distinct window the footprint touches, probing with the full footprint
+// as the pairwise reference's conflict test does.
 func (t *shadowTables) checkLocal(rg dag.Region, ev *trace.Event, cls Op,
 	fp model.Footprint, storeRule bool, col *collector) {
 	a := t.a
@@ -322,117 +297,32 @@ func (t *shadowTables) checkLocal(rg dag.Region, ev *trace.Event, cls Op,
 	q := shadow.Query{Rank: ev.Rank, Seq: id.Seq, Clock: a.d.ClockRef(id)}
 	evSite := shadow.SiteID(-1)
 
-	for _, iv := range fp.Intervals {
-		for _, wi := range a.m.WindowsAt(fp.Rank, iv) {
-			win := wi.ID
-			t.st.Query(shadow.VectorKey{Win: win, Target: fp.Rank}, q, fp.Intervals,
-				func(rank, class int32) shadow.Mode {
-					if rank == ev.Rank {
-						return shadow.ModeSkip
-					}
-					opCls, _ := OpOf(t.classRep[class].Kind)
-					switch Table(opCls, cls) {
-					case Both:
-						return shadow.ModeSkip
-					case Error:
-						// Store vs Put/Acc: erroneous without overlap — but only
-						// for true local stores, not Get origin-buffer writes.
-						if storeRule {
-							return shadow.ModeAll
-						}
-						return shadow.ModeOverlap
-					default: // NonOverlap
-						return shadow.ModeOverlap
-					}
-				},
-				func(payload int32) {
-					op := &t.ops[payload]
-					overlapIv, _ := fp.Overlaps(op.target)
-					opCls, _ := OpOf(op.ev.Kind)
-					noOverlap := Table(opCls, cls) == Error && overlapIv.Empty()
-					if evSite < 0 {
-						evSite = t.siteOf(ev)
-					}
-					k := t.keyOf(payload, evSite, t.localRule(cls, op.ev.Kind, win, noOverlap), win)
-					if col.seen(k) {
-						return
-					}
-					t.report(col, k, rg, op.epoch, evEpoch, &Violation{
-						Severity: a.localPairSeverity(op),
-						Class:    AcrossProcesses,
-						Rule:     t.ruleText[k.rule],
-						A:        *op.ev, B: *ev, Win: win, Overlap: overlapIv, Region: rg.Index,
-					})
+	a.forEachWindow(fp, func(win int32) {
+		t.st.Query(shadow.VectorKey{Win: win, Target: fp.Rank}, q, fp.Intervals,
+			func(rank, class int32) shadow.Mode {
+				if rank == ev.Rank {
+					return shadow.ModeSkip
+				}
+				return localMode(t.classRep[class].Kind, cls, storeRule)
+			},
+			func(payload int32) {
+				op := &t.ops[payload]
+				overlapIv, _ := fp.Overlaps(op.target)
+				if evSite < 0 {
+					evSite = t.siteOf(ev)
+				}
+				// A ModeOverlap match proves overlap, so an empty one comes
+				// from a ModeAll group: the no-overlap store rule.
+				k := t.keyOf(payload, evSite, t.localRule(cls, op.ev.Kind, win, overlapIv.Empty()), win)
+				if col.seen(k) {
+					return
+				}
+				t.report(col, k, rg, op.epoch, evEpoch, &Violation{
+					Severity: a.localPairSeverity(op),
+					Class:    AcrossProcesses,
+					Rule:     t.ruleText[k.rule],
+					A:        *op.ev, B: *ev, Win: win, Overlap: overlapIv, Region: rg.Index,
 				})
-		}
-	}
-}
-
-// detectCrossDifferential runs the pairwise oracle and the shadow engine
-// on private sub-analyzers, fails if their sorted cross-process reports
-// differ in any violation, count, or rendered byte, and merges the
-// shadow result into the main report.
-func (a *Analyzer) detectCrossDifferential() error {
-	a.report.Regions = len(a.d.Regions())
-	run := func(engine Engine) (*Report, error) {
-		opts := a.opts
-		opts.Engine = engine
-		if engine == EnginePairwise {
-			// The oracle run is redundant work; keep it off the causal
-			// timeline so span lanes reflect the production engine only.
-			opts.Trace = nil
-		}
-		sub := NewAnalyzer(a.m, a.d, a.epochs, a.opEpoch, opts)
-		var err error
-		if engine == EnginePairwise {
-			err = sub.detectCrossProcess()
-		} else {
-			err = sub.detectCrossProcessShadow()
-		}
-		if err != nil {
-			return nil, err
-		}
-		sub.report.Sort()
-		return sub.report, nil
-	}
-	pw, err := run(EnginePairwise)
-	if err != nil {
-		return err
-	}
-	sh, err := run(EngineShadow)
-	if err != nil {
-		return err
-	}
-	if err := diffCrossReports(pw, sh); err != nil {
-		return err
-	}
-	for _, v := range sh.Violations {
-		a.report.addCounted(a.vindex, v)
-	}
-	return nil
-}
-
-// diffCrossReports compares two sorted cross-process reports for byte
-// identity: same violations, same dedup counts, same renderings.
-func diffCrossReports(pw, sh *Report) error {
-	if len(pw.Violations) != len(sh.Violations) {
-		return fmt.Errorf("differential engine mismatch: pairwise reports %d violation(s), shadow %d",
-			len(pw.Violations), len(sh.Violations))
-	}
-	for i := range pw.Violations {
-		p, s := pw.Violations[i], sh.Violations[i]
-		if p.key() != s.key() {
-			return fmt.Errorf("differential engine mismatch at violation %d: pairwise key %q, shadow key %q",
-				i, p.key(), s.key())
-		}
-		if p.Count != s.Count {
-			return fmt.Errorf("differential engine mismatch at violation %d (%s): pairwise count %d, shadow count %d",
-				i, p.key(), p.Count, s.Count)
-		}
-		if ps, ss := p.String(), s.String(); ps != ss {
-			return fmt.Errorf("differential engine mismatch at violation %d: renderings differ\npairwise:\n%s\nshadow:\n%s",
-				i, ps, ss)
-		}
-	}
-	return nil
+			})
+	})
 }

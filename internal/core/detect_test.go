@@ -232,9 +232,9 @@ func TestFigure2d(t *testing.T) {
 
 // Two windows expose the same buffer; the remote Put goes through the
 // second one. The local store must be checked against every window it
-// touches, so every engine and the all-pairs oracle report the conflict
-// on every run, not only when the second window happens to be found
-// first.
+// touches, so the production detector and both reference detectors report
+// the conflict on every run, not only when the second window happens to be
+// found first.
 func TestOverlappingWindowsLocalConflict(t *testing.T) {
 	b := testutil.NewTraceBuilder(2)
 	b.WinCreate(1, 0x1000, 64)
@@ -258,19 +258,64 @@ func TestOverlappingWindowsLocalConflict(t *testing.T) {
 		}
 	}
 	for run := 0; run < 50; run++ {
-		for _, engine := range []Engine{EngineShadow, EnginePairwise, EngineDifferential} {
-			rep, err := AnalyzeWith(set, Options{CrossProcess: true, Engine: engine})
-			if err != nil {
-				t.Fatal(err)
+		for name, rep := range crossDetectors(t, set) {
+			check(name, rep)
+		}
+	}
+}
+
+// crossDetectors runs the production cross-process detector and both
+// reference detectors over set, keyed by name.
+func crossDetectors(t *testing.T, set *trace.Set) map[string]*Report {
+	t.Helper()
+	prod, err := AnalyzeWith(set, Options{CrossProcess: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, d := buildPipeline(t, set)
+	pw, err := PairwiseCrossProcess(m, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	quad, err := QuadraticCrossProcess(m, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string]*Report{"production": prod, "pairwise": pw, "all-pairs": quad}
+}
+
+// A Get whose strided origin buffer (four 8-byte blocks) lies inside its
+// own window races a remote Put covering the whole window. The origin
+// footprint has four intervals in one window, yet the access is one
+// occurrence: every detector must count it once.
+func TestStridedOriginCountedOnce(t *testing.T) {
+	b := testutil.NewTraceBuilder(2)
+	b.WinCreate(1, 0x1000, 64)
+	b.Add(0, loc(trace.Event{Kind: trace.KindTypeCreate, TypeID: trace.TypeUserBase,
+		TypeMap: stridedMap()}, 1))
+	b.Fence(1)
+	b.Add(0, loc(trace.Event{Kind: trace.KindGet, Win: 1, Target: 1,
+		OriginAddr: 0x1000, OriginType: trace.TypeUserBase, OriginCount: 1,
+		TargetDisp: 0, TargetType: trace.TypeInt32, TargetCount: 1}, 10))
+	b.Add(1, loc(trace.Event{Kind: trace.KindPut, Win: 1, Target: 0,
+		OriginAddr: 0x500, OriginType: trace.TypeByte, OriginCount: 64,
+		TargetDisp: 0, TargetType: trace.TypeByte, TargetCount: 64}, 11))
+	b.Fence(1)
+	set := b.Set()
+
+	for name, rep := range crossDetectors(t, set) {
+		var local *Violation
+		for _, v := range rep.Violations {
+			if v.A.Kind == trace.KindPut && v.B.Kind == trace.KindGet {
+				local = v
 			}
-			check(engine.String(), rep)
 		}
-		m, d := buildPipeline(t, set)
-		quad, err := QuadraticCrossProcess(m, d)
-		if err != nil {
-			t.Fatal(err)
+		if local == nil {
+			t.Fatalf("%s: the Get origin buffer conflict is missing:\n%s", name, rep)
 		}
-		check("all-pairs", quad)
+		if local.Count != 1 {
+			t.Errorf("%s: count = %d, want 1:\n%s", name, local.Count, rep)
+		}
 	}
 }
 

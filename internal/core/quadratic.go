@@ -1,11 +1,9 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/dag"
-	"repro/internal/memory"
 	"repro/internal/model"
+	"repro/internal/shadow"
 	"repro/internal/trace"
 )
 
@@ -15,25 +13,13 @@ import (
 // Unfortunately, the time complexity is combinatorial with respect to the
 // total number of operations within one concurrent region."
 //
-// It reports the same conflicts as Analyzer's linear detector (same rules,
-// same deduplication) and exists as the ablation baseline for the
-// linear-vs-quadratic benchmark.
+// It reports the same conflicts as Analyzer's per-vector detector (same
+// rules, same deduplication) and exists as the ablation baseline for the
+// linear-vs-quadratic benchmark and as the all-pairs oracle tests compare
+// signatures against. Its counts and representative instances follow its
+// own pair order, so only the set of signatures is comparable.
 func QuadraticCrossProcess(m *model.Model, d *dag.DAG) (*Report, error) {
-	epochs, opEpoch, err := ExtractEpochs(m)
-	if err != nil {
-		return nil, err
-	}
-	a := NewAnalyzer(m, d, epochs, opEpoch, Options{})
-	a.report.EventsAnalyzed = m.Set.TotalEvents()
-	regions := d.Regions()
-	a.report.Regions = len(regions)
-	for _, rg := range regions {
-		if err := a.quadraticRegion(rg); err != nil {
-			return nil, err
-		}
-	}
-	a.report.Sort()
-	return a.report, nil
+	return referenceScan(m, d, (*Analyzer).quadraticRegion)
 }
 
 // site is one memory operation occurrence considered by the all-pairs scan.
@@ -48,7 +34,7 @@ type site struct {
 	storeRule bool
 }
 
-func (a *Analyzer) quadraticRegion(rg dag.Region) error {
+func (a *Analyzer) quadraticRegion(rg dag.Region, col *collector) error {
 	var sites []site
 	for r := 0; r < a.m.Set.Ranks(); r++ {
 		t := a.m.Set.Traces[r]
@@ -96,13 +82,13 @@ func (a *Analyzer) quadraticRegion(rg dag.Region) error {
 	// All pairs — the combinatorial scan.
 	for i := 0; i < len(sites); i++ {
 		for j := i + 1; j < len(sites); j++ {
-			a.checkSitePair(rg, &sites[i], &sites[j])
+			a.checkSitePair(rg, &sites[i], &sites[j], col)
 		}
 	}
 	return nil
 }
 
-func (a *Analyzer) checkSitePair(rg dag.Region, x, y *site) {
+func (a *Analyzer) checkSitePair(rg dag.Region, x, y *site, col *collector) {
 	if x.ev.Rank == y.ev.Rank {
 		return // same-process pairs belong to the intra-epoch detector
 	}
@@ -131,12 +117,11 @@ func (a *Analyzer) checkSitePair(rg dag.Region, x, y *site) {
 		}
 		sx := storedOp{ev: x.ev, target: x.fp, epoch: x.epoch}
 		sy := storedOp{ev: y.ev, target: y.fp, epoch: y.epoch}
-		a.addCross(&collector{report: a.report, vindex: a.vindex}, rg, x.epoch, y.epoch, &Violation{
+		a.addCross(col, rg, x.epoch, y.epoch, &Violation{
 			Severity: a.rmaPairSeverity(&sx, &sy),
 			Class:    AcrossProcesses,
-			Rule: fmt.Sprintf("concurrent %s and %s from different processes overlap in the target window",
-				x.ev.Kind, y.ev.Kind),
-			A: *x.ev, B: *y.ev, Win: x.ev.Win, Overlap: iv, Region: rg.Index,
+			Rule:     rmaRuleText(x.ev.Kind, y.ev.Kind),
+			A:        *x.ev, B: *y.ev, Win: x.ev.Win, Overlap: iv, Region: rg.Index,
 		})
 		return
 	}
@@ -149,37 +134,19 @@ func (a *Analyzer) checkSitePair(rg dag.Region, x, y *site) {
 	if !a.inWindow(y.fp, x.ev.Win) {
 		return
 	}
-	opCls, _ := OpOf(x.ev.Kind)
-	cell := Table(opCls, y.cls)
-	var overlapIv memory.Interval
-	conflict := false
-	switch cell {
-	case Both:
-		return
-	case NonOverlap:
-		overlapIv, conflict = y.fp.Overlaps(x.fp)
-	case Error:
-		if y.storeRule {
-			conflict = true
-			overlapIv, _ = y.fp.Overlaps(x.fp)
-		} else {
-			overlapIv, conflict = y.fp.Overlaps(x.fp)
-		}
-	}
-	if !conflict {
+	mode := localMode(x.ev.Kind, y.cls, y.storeRule)
+	if mode == shadow.ModeSkip {
 		return
 	}
-	rule := fmt.Sprintf("local %s at the target process conflicts with a concurrent remote %s",
-		y.cls, x.ev.Kind)
-	if cell == Error && overlapIv.Empty() {
-		rule = fmt.Sprintf("local %s to window %d while a concurrent remote %s updates the window (erroneous even without overlap)",
-			y.cls, x.ev.Win, x.ev.Kind)
+	overlapIv, overlap := y.fp.Overlaps(x.fp)
+	if !overlap && mode != shadow.ModeAll {
+		return
 	}
 	sx := storedOp{ev: x.ev, target: x.fp, epoch: x.epoch}
-	a.addCross(&collector{report: a.report, vindex: a.vindex}, rg, x.epoch, y.epoch, &Violation{
+	a.addCross(col, rg, x.epoch, y.epoch, &Violation{
 		Severity: a.localPairSeverity(&sx),
 		Class:    AcrossProcesses,
-		Rule:     rule,
+		Rule:     localRuleText(y.cls, x.ev.Kind, x.ev.Win, overlapIv.Empty()),
 		A:        *x.ev, B: *y.ev, Win: x.ev.Win, Overlap: overlapIv, Region: rg.Index,
 	})
 }

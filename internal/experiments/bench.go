@@ -79,7 +79,7 @@ type BenchPhase struct {
 	EventsPerSec float64 `json:"events_per_sec,omitempty"`
 }
 
-// BenchCross compares the linear cross-process detector against the
+// BenchCross compares the production cross-process detector against the
 // quadratic baseline on one synthetic region.
 type BenchCross struct {
 	Ops       int       `json:"ops"`
@@ -91,8 +91,8 @@ type BenchCross struct {
 // BenchShadow compares the shadow cross-process engine against the
 // pairwise reference on an amplified multi-origin region — the shape
 // where the pairwise per-vector scan is O(ops²). Agreement records that
-// the differential engine verified byte-identical reports on the same
-// trace before either engine was timed.
+// the two rendered byte-identical reports on the same trace before either
+// was timed.
 type BenchShadow struct {
 	Ops       int       `json:"ops"`
 	Ranks     int       `json:"ranks"`
@@ -130,7 +130,7 @@ type BenchConfig struct {
 	// comparison (the quadratic baseline is O(ops²)).
 	CrossOps int
 	// ShadowOps sizes the amplified multi-origin region of the
-	// shadow-vs-pairwise comparison (the pairwise engine's per-vector
+	// shadow-vs-pairwise comparison (the pairwise reference's per-vector
 	// scan is O(ops²) there). Default 4096.
 	ShadowOps int
 	// Trace, when non-nil, records the instrumented phase pass (the one
@@ -376,16 +376,15 @@ func benchPhases(sets []*trace.Set, tr *tracing.Recorder) ([]BenchPhase, error) 
 	return phases, nil
 }
 
-// benchCross times the linear cross-process detector against the
-// quadratic baseline on one synthetic concurrent region. The engine is
-// pinned to pairwise so this section keeps measuring the original linear
-// detector; the shadow engine has its own section.
+// benchCross times the production cross-process detector (the shadow
+// engine) against the quadratic baseline on one synthetic concurrent
+// region.
 func benchCross(ops int, out *BenchCross) error {
 	set := SyntheticRegion(16, ops)
 	linear := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := core.AnalyzeWith(set, core.Options{CrossProcess: true, Engine: core.EnginePairwise}); err != nil {
+			if _, err := core.AnalyzeWith(set, core.Options{CrossProcess: true}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -409,30 +408,31 @@ func benchCross(ops int, out *BenchCross) error {
 
 // benchShadow times the shadow engine against the pairwise reference on
 // the multi-origin region where every operation shares one (window,
-// target) vector. The differential engine runs once first: if the two
-// engines' reports are not byte-identical on this trace the harness fails
-// instead of publishing a speedup for a detector that disagrees with its
-// reference.
+// target) vector. Both reports are compared first: if they are not
+// byte-identical on this trace the harness fails instead of publishing a
+// speedup for a detector that disagrees with its reference.
 func benchShadow(ops int, out *BenchShadow) error {
 	const ranks = 8
 	set := ShadowSyntheticRegion(ranks, ops)
-	if _, err := core.AnalyzeWith(set, core.Options{CrossProcess: true, Engine: core.EngineDifferential}); err != nil {
-		return fmt.Errorf("bench: shadow/pairwise disagreement: %w", err)
+	if _, err := CheckPairwise(set, 1); err != nil {
+		return fmt.Errorf("bench: %w", err)
 	}
 	out.Agreement = true
 
-	run := func(engine core.Engine) testing.BenchmarkResult {
+	run := func(analyze func(*trace.Set) (*core.Report, error)) testing.BenchmarkResult {
 		return testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.AnalyzeWith(set, core.Options{CrossProcess: true, Engine: engine}); err != nil {
+				if _, err := analyze(set); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 	}
-	shadow := run(core.EngineShadow)
-	pairwise := run(core.EnginePairwise)
+	shadow := run(func(set *trace.Set) (*core.Report, error) {
+		return core.AnalyzeWith(set, core.Options{CrossProcess: true})
+	})
+	pairwise := run(baseline.PairwiseAnalyze)
 
 	out.Ops = ops
 	out.Ranks = ranks
@@ -443,4 +443,35 @@ func benchShadow(ops int, out *BenchShadow) error {
 		out.Speedup = out.Pairwise.NsPerOp / out.Shadow.NsPerOp
 	}
 	return nil
+}
+
+// CheckPairwise analyzes set with the production cross-process detector at
+// the given worker count and with the pairwise reference, and fails unless
+// the two reports render byte-identically in text and JSON. It returns the
+// production report.
+func CheckPairwise(set *trace.Set, workers int) (*core.Report, error) {
+	rep, err := core.AnalyzeWith(set, core.Options{CrossProcess: true, Workers: workers})
+	if err != nil {
+		return nil, err
+	}
+	ref, err := baseline.PairwiseAnalyze(set)
+	if err != nil {
+		return nil, err
+	}
+	if got, want := rep.String(), ref.String(); got != want {
+		return nil, fmt.Errorf("workers=%d: report diverged from the pairwise reference\n--- pairwise ---\n%s\n--- production ---\n%s",
+			workers, want, got)
+	}
+	js, err := rep.JSON()
+	if err != nil {
+		return nil, err
+	}
+	refJS, err := ref.JSON()
+	if err != nil {
+		return nil, err
+	}
+	if !bytes.Equal(js, refJS) {
+		return nil, fmt.Errorf("workers=%d: JSON report diverged from the pairwise reference", workers)
+	}
+	return rep, nil
 }

@@ -6,6 +6,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/apps"
@@ -337,13 +338,14 @@ func WeakScaling(cellsPerRank, steps int, ranksList []int, repeats int) ([]Scali
 	return rows, nil
 }
 
-// AblationRow compares the linear cross-process detector against the
-// quadratic baseline on a synthetic region with a given operation count.
+// AblationRow compares the production cross-process detector (Linear:
+// the shadow engine's per-target-window scan) against the quadratic
+// baseline on a synthetic region with a given operation count.
 type AblationRow struct {
 	Ops        int
 	Linear     time.Duration
 	Quadratic  time.Duration
-	Agreement  bool // both report the same number of violations
+	Agreement  bool // both report the same set of cross-process signatures
 	Violations int
 }
 
@@ -375,11 +377,26 @@ func Ablation(opCounts []int) ([]AblationRow, error) {
 
 		rows = append(rows, AblationRow{
 			Ops: ops, Linear: linT, Quadratic: quadT,
-			Agreement:  len(lin.Violations) == len(quad.Violations),
+			Agreement:  slices.Equal(CrossSignatures(lin), CrossSignatures(quad)),
 			Violations: len(lin.Violations),
 		})
 	}
 	return rows, nil
+}
+
+// CrossSignatures returns the sorted, distinct signatures of rep's
+// cross-process violations: what the all-pairs baseline is compared on,
+// since its dedup counts and representative instances follow its own pair
+// order.
+func CrossSignatures(rep *core.Report) []string {
+	var out []string
+	for _, v := range rep.Violations {
+		if v.Class == core.AcrossProcesses {
+			out = append(out, v.Signature())
+		}
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // SyncRow is one row of the SyncChecker comparison (paper §VII).

@@ -133,16 +133,17 @@ func TestSyntheticRegion(t *testing.T) {
 }
 
 // TestBenchShadowAgreement runs the shadow-vs-pairwise benchmark's
-// differential gate on its worst-case multi-origin region (sized down —
-// the gate, not the timing, is what CI needs).
+// byte-identity gate against the pairwise reference on its worst-case
+// multi-origin region (sized down — the gate, not the timing, is what CI
+// needs).
 func TestBenchShadowAgreement(t *testing.T) {
 	set := ShadowSyntheticRegion(8, 512)
 	if set.Ranks() != 8 {
 		t.Fatalf("ranks = %d", set.Ranks())
 	}
-	rep, err := core.AnalyzeWith(set, core.Options{CrossProcess: true, Engine: core.EngineDifferential})
+	rep, err := CheckPairwise(set, 1)
 	if err != nil {
-		t.Fatalf("shadow/pairwise disagreement: %v", err)
+		t.Fatal(err)
 	}
 	if len(rep.Violations) == 0 {
 		t.Error("multi-origin region should report its planted conflict")

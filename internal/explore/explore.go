@@ -55,9 +55,6 @@ type Runner struct {
 	Failstop bool
 	// IntraOnly disables cross-process detection (SyncChecker baseline).
 	IntraOnly bool
-	// Engine selects the cross-process detector implementation; the zero
-	// value is the shadow engine (core.EngineShadow).
-	Engine core.Engine
 	// Obs receives run metrics; nil disables the accounting.
 	Obs *obs.Registry
 	// Trace, when non-nil, records the analysis pipeline's span timeline
@@ -131,7 +128,6 @@ func (r *Runner) Run(plan *faults.Plan) (*core.Report, error) {
 
 	opts := core.DefaultOptions()
 	opts.CrossProcess = !r.IntraOnly
-	opts.Engine = r.Engine
 	opts.Obs = r.Obs
 	opts.Trace = r.Trace
 	if plan.Active() || len(notes) > 0 {

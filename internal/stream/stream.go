@@ -178,14 +178,6 @@ func (c *Checker) SetTolerant(v bool) {
 	c.tolerant = v
 }
 
-// SetEngine selects the cross-process detector implementation used for
-// slab analysis (default: the shadow engine). Call before the first Emit.
-func (c *Checker) SetEngine(e core.Engine) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.opts.Engine = e
-}
-
 // Emit implements trace.Sink. It is safe for concurrent use by the rank
 // goroutines; slab analysis runs inline in the emitting goroutine that
 // completes a boundary (the online analysis cost the paper's future-work

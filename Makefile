@@ -15,24 +15,26 @@ test:
 
 # Full gate: vet, the test suite under the race detector, the determinism
 # soak, the static-checker golden report, the auto-repair gate, and the
-# cross-process reference gate.
+# detectors' reference gate.
 check: soak staticcheck fix-smoke shadow-smoke
 	$(GO) vet ./...
 	$(GO) test -race ./...
 
-# Cross-process reference gate, under the race detector: the production
-# cross-process detector (the shadow engine) must render byte-identical
-# reports to the pairwise reference and report the same signatures as the
-# all-pairs oracle over every bundled bug case and every injection pattern
-# (at 1 and GOMAXPROCS workers), and match the pairwise reference byte for
-# byte on the benchmark's multi-origin worst-case region.
+# Reference gate for both detectors, under the race detector: over every
+# bundled bug case and every injection pattern (at 1 and GOMAXPROCS
+# workers), the production cross-process detector (the shadow engine) and
+# the production within-epoch detector (the indexed scan) must each render
+# byte-identical reports to their pairwise references, and the
+# cross-process detector must report the same signatures as the all-pairs
+# oracle; both must also match their pairwise references byte for byte on
+# the benchmark's multi-origin worst-case region.
 shadow-smoke:
 	$(GO) test -race -run 'TestShadowPairwiseDifferentialSweep' .
 	$(GO) test -race -run 'TestBenchShadowAgreement' ./internal/experiments
 
-# Fuzz the production cross-process detector on generated RMA programs
-# against the pairwise reference (byte-level) and the all-pairs oracle
-# (signatures): any disagreement is a crasher.
+# Fuzz both production detectors on generated RMA programs against their
+# pairwise references (byte-level), and the cross-process detector against
+# the all-pairs oracle (signatures): any disagreement is a crasher.
 fuzz-shadow:
 	$(GO) test -fuzz FuzzShadowDifferential -fuzztime 30s .
 

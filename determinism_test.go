@@ -121,10 +121,11 @@ func genCase(pattern string, seed uint64) (*gen.Program, error) {
 	return nil, lastErr
 }
 
-// checkEngineAgreement asserts that the production cross-process detector
-// renders reports byte-identical to the pairwise reference on the set at
-// the given worker count, in text and JSON, and reports the same set of
-// cross-process signatures as the all-pairs oracle.
+// checkEngineAgreement asserts that both production detectors render
+// reports byte-identical to their pairwise references on the set at the
+// given worker count, in text and JSON, and that the cross-process
+// detector reports the same set of cross-process signatures as the
+// all-pairs oracle.
 func checkEngineAgreement(t *testing.T, set *trace.Set, workers int) {
 	t.Helper()
 	rep, err := experiments.CheckPairwise(set, workers)
@@ -154,14 +155,15 @@ func repeatBody(body func(p *mpi.Proc) error, times int) func(p *mpi.Proc) error
 	}
 }
 
-// TestShadowPairwiseDifferentialSweep is the cross-process detector's
-// contract: over every registry case but schedrace (buggy and fixed, each
-// body repeated 8 times with ranks capped at 8, so the same site pairs
-// conflict again in region after region and the shadow engine's dedup
-// folds them) and one injected generator program per bug pattern, the
-// production detector must render byte-identical reports to the pairwise
-// reference at every worker count, and report the all-pairs oracle's set
-// of cross-process signatures.
+// TestShadowPairwiseDifferentialSweep is the detectors' contract: over
+// every registry case but schedrace (buggy and fixed, each body repeated
+// 8 times with ranks capped at 8, so the same site pairs conflict again in
+// region after region and the shadow engine's dedup folds them) and one
+// injected generator program per bug pattern, the production cross-process
+// and within-epoch detectors must each render byte-identical reports to
+// their pairwise references at every worker count, and the cross-process
+// detector must report the all-pairs oracle's set of cross-process
+// signatures.
 func TestShadowPairwiseDifferentialSweep(t *testing.T) {
 	workerCounts := []int{1, runtime.GOMAXPROCS(0)}
 
@@ -211,9 +213,9 @@ func TestShadowPairwiseDifferentialSweep(t *testing.T) {
 }
 
 // FuzzShadowDifferential drives checkEngineAgreement over generated RMA
-// programs: any seed/pattern combination on which the production detector
-// disagrees with the pairwise reference (bytes) or the all-pairs oracle
-// (signatures) is a crasher.
+// programs: any seed/pattern combination on which a production detector
+// disagrees with its pairwise reference (bytes), or the cross-process
+// detector with the all-pairs oracle (signatures), is a crasher.
 func FuzzShadowDifferential(f *testing.F) {
 	for pi := range gen.Patterns() {
 		f.Add(uint64(500+17*pi), uint8(pi))

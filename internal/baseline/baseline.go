@@ -10,7 +10,9 @@
 //     matter, and as the all-pairs oracle for violation signatures.
 //
 //   - Pairwise: the §IV-C-4 per-target-window scan written out directly,
-//     whose reports the production shadow engine must match byte for byte.
+//     whose reports the production shadow engine must match byte for byte,
+//     and the §IV-C-3 within-epoch scan over every pending pair, whose
+//     reports the production indexed detector must match byte for byte.
 //
 //   - SyncChecker: the related tool of §VII that detects only errors
 //     occurring within an epoch, missing conflicts across processes.
@@ -45,6 +47,18 @@ func QuadraticAnalyze(set *trace.Set) (*core.Report, error) {
 // count.
 func PairwiseAnalyze(set *trace.Set) (*core.Report, error) {
 	return crossOnly(set, core.PairwiseCrossProcess)
+}
+
+// PairwiseIntraAnalyze detects within-epoch conflicts with the reference
+// scan over every pending pair. Its text and JSON reports are
+// byte-identical to core.AnalyzeWith(set, core.Options{IntraEpoch: true})
+// at any worker count.
+func PairwiseIntraAnalyze(set *trace.Set) (*core.Report, error) {
+	m, err := model.Build(set)
+	if err != nil {
+		return nil, err
+	}
+	return core.PairwiseIntraEpoch(m)
 }
 
 // crossOnly builds the pipeline for set and runs one reference

@@ -166,187 +166,6 @@ func (a *Analyzer) messageBufferClass(ev *trace.Event) (Op, bool) {
 	return 0, false
 }
 
-// detectIntraEpoch finds conflicts inside single epochs (paper §IV-C-3,
-// error class 1; Figures 1 and 2a). Within an epoch, issued one-sided
-// operations are unordered with everything that follows them up to the
-// closing synchronization call, so:
-//
-//   - a local access overlapping the origin buffer of an issued Get
-//     conflicts (the Get may complete at any time up to the close);
-//   - a local store overlapping the origin buffer of an issued Put or
-//     Accumulate conflicts (the transfer may read the buffer at any time);
-//   - two issued operations conflict if their origin buffers overlap with
-//     at least one writer, or if their target regions at the same target
-//     process overlap incompatibly per Table I.
-//
-// Epochs are checked independently (each scan reads only its own rank's
-// events), so with Options.Workers > 1 they are checked concurrently and
-// merged in epoch order — the same order the serial loop produces.
-func (a *Analyzer) detectIntraEpoch() error {
-	a.report.EpochsChecked += len(a.epochs)
-	scope := func(i int) string {
-		e := a.epochs[i]
-		return fmt.Sprintf("epoch %d (rank %d, %s)", i, e.Rank, e.Kind)
-	}
-	return a.parallelCollect(len(a.epochs), "detect_intra", scope, func(i int, col *collector) error {
-		return a.checkEpoch(a.epochs[i], col)
-	})
-}
-
-// localSide is one origin-process buffer an issued operation touches: the
-// origin buffer (read by Put/Acc-family, written by Get) and, for fetching
-// atomics, the result buffer (written at completion).
-type localSide struct {
-	fp    model.Footprint
-	write bool
-	role  string // "origin" or "result", for diagnostics
-}
-
-type issuedOp struct {
-	ev     *trace.Event
-	locals []localSide
-	target model.Footprint
-	tw     int32
-	// localDone is set by Win_flush_local: the operation's local buffers
-	// are complete, so later local accesses are ordered after them.
-	localDone bool
-}
-
-func (a *Analyzer) localSidesOf(ev *trace.Event) ([]localSide, error) {
-	origin, err := a.m.OriginFootprint(ev)
-	if err != nil {
-		return nil, err
-	}
-	sides := []localSide{{fp: origin, write: ev.Kind == trace.KindGet, role: "origin"}}
-	if ev.ResultCount > 0 {
-		result, err := a.m.ResultFootprint(ev)
-		if err != nil {
-			return nil, err
-		}
-		sides = append(sides, localSide{fp: result, write: true, role: "result"})
-	}
-	return sides, nil
-}
-
-// checkEpoch finds conflicts inside one epoch, reporting into col.
-// Win_flush completes all pending operations to its target (removing them
-// from consideration); Win_flush_local completes only their local buffers.
-func (a *Analyzer) checkEpoch(e *Epoch, col *collector) error {
-	t := a.m.Set.Traces[e.Rank]
-	var ops []issuedOp
-	opSet := make(map[trace.ID]bool, len(e.Ops))
-	for _, id := range e.Ops {
-		opSet[id] = true
-	}
-	flushTargetWorld := func(ev *trace.Event) (int32, bool, error) {
-		if ev.Target < 0 {
-			return 0, true, nil // flush_all
-		}
-		tw, err := lockTargetWorld(a.m, ev)
-		return tw, false, err
-	}
-
-	for seq := e.Start + 1; seq < e.End && seq < int64(len(t.Events)); seq++ {
-		ev := &t.Events[seq]
-		switch {
-		case ev.Kind == trace.KindWinFlush && ev.Win == e.Win:
-			tw, all, err := flushTargetWorld(ev)
-			if err != nil {
-				return err
-			}
-			kept := ops[:0]
-			for _, o := range ops {
-				if !all && o.tw != tw {
-					kept = append(kept, o)
-				}
-			}
-			ops = kept
-		case ev.Kind == trace.KindWinFlushLocal && ev.Win == e.Win:
-			tw, all, err := flushTargetWorld(ev)
-			if err != nil {
-				return err
-			}
-			for i := range ops {
-				if all || ops[i].tw == tw {
-					ops[i].localDone = true
-				}
-			}
-		case ev.Kind.IsLocalAccess():
-			acc := model.AccessFootprint(ev)
-			accWrite := ev.Kind == trace.KindStore
-			for i := range ops {
-				o := &ops[i]
-				if o.localDone {
-					continue
-				}
-				for _, side := range o.locals {
-					iv, overlap := acc.Overlaps(side.fp)
-					if !overlap || (!accWrite && !side.write) {
-						continue
-					}
-					a.addIntra(col, e, &Violation{
-						Severity: SevError,
-						Class:    WithinEpoch,
-						Rule: fmt.Sprintf("local %s overlaps the %s buffer of a pending %s in the same epoch",
-							ev.Kind, side.role, o.ev.Kind),
-						A: *o.ev, B: *ev, Win: e.Win, Overlap: iv,
-					})
-				}
-			}
-		case opSet[ev.ID()]:
-			locals, err := a.localSidesOf(ev)
-			if err != nil {
-				return err
-			}
-			target, err := a.m.TargetFootprint(ev)
-			if err != nil {
-				return err
-			}
-			tw := target.Rank
-			for i := range ops {
-				o := &ops[i]
-				// Local-side pairs: conflict when overlapping with at
-				// least one writer, unless the older op's local buffers
-				// were completed by a flush_local.
-				if !o.localDone {
-					for _, os := range o.locals {
-						for _, ns := range locals {
-							if !os.write && !ns.write {
-								continue
-							}
-							if iv, ok := ns.fp.Overlaps(os.fp); ok {
-								a.addIntra(col, e, &Violation{
-									Severity: SevError,
-									Class:    WithinEpoch,
-									Rule: fmt.Sprintf("%s buffer of %s overlaps the %s buffer of %s within one epoch",
-										ns.role, ev.Kind, os.role, o.ev.Kind),
-									A: *o.ev, B: *ev, Win: e.Win, Overlap: iv,
-								})
-							}
-						}
-					}
-				}
-				// Target-target at the same target process.
-				if o.tw == tw {
-					if iv, ok := target.Overlaps(o.target); ok {
-						if EffectiveCompat(o.ev, ev) != Both {
-							a.addIntra(col, e, &Violation{
-								Severity: SevError,
-								Class:    WithinEpoch,
-								Rule: fmt.Sprintf("%s and %s to overlapping target regions within one epoch",
-									o.ev.Kind, ev.Kind),
-								A: *o.ev, B: *ev, Win: e.Win, Overlap: iv,
-							})
-						}
-					}
-				}
-			}
-			ops = append(ops, issuedOp{ev: ev, locals: locals, target: target, tw: tw})
-		}
-	}
-	return nil
-}
-
 // storedOp is one remote one-sided operation recorded in a window vector
 // during cross-process detection (paper §IV-C-4).
 type storedOp struct {
@@ -388,9 +207,11 @@ type collector struct {
 	// shadow engine reported into this collector to its survivor in
 	// vindex, so a repeated occurrence is counted without being built.
 	fold map[crossKey]*Violation
-	// shadow is the shadow engine's tables (detect_shadow.go), created on
+	// shadow is the shadow engine's tables (detect_shadow.go) and intra
+	// the within-epoch detector's index (detect_intra.go), each created on
 	// first use and handed on to every later collector of the same worker.
 	shadow *shadowTables
+	intra  *intraIndex
 }
 
 func (c *collector) add(v *Violation) { c.report.add(c.vindex, v) }
@@ -401,11 +222,12 @@ func (c *collector) add(v *Violation) { c.report.add(c.vindex, v) }
 // scope gets a private collector on a worker pool and the per-scope
 // results merge into the report in scope index order via addCounted, so
 // the violations, their dedup counts, and the first error reported are
-// identical to the serial run. The shadow engine's tables live as long as
-// the serial collector, or are handed from scope to scope within a
-// worker. Each scope's check is recorded as a span on opts.Trace (track
-// names the detector, lanes name the workers); the scope string is only
-// built when tracing is on.
+// identical to the serial run. The detectors' reusable state (the shadow
+// engine's tables, the within-epoch index) lives as long as the serial
+// collector, or is handed from scope to scope within a worker. Each
+// scope's check is recorded as a span on opts.Trace (track names the
+// detector, lanes name the workers); the scope string is only built when
+// tracing is on.
 func (a *Analyzer) parallelCollect(n int, track string, scope func(i int) string,
 	check func(i int, col *collector) error) error {
 	tr := a.opts.Trace
@@ -447,17 +269,20 @@ func (a *Analyzer) parallelCollect(n int, track string, scope func(i int) string
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			var shadow *shadowTables
+			var (
+				shadow *shadowTables
+				intra  *intraIndex
+			)
 			for i := range work {
 				if err := a.opts.ctxErr(); err != nil {
 					results[i] = result{col: &collector{report: &Report{}}, err: err}
 					continue // keep draining so the feeder never blocks
 				}
-				col := &collector{report: &Report{}, vindex: map[string]*Violation{}, shadow: shadow}
+				col := &collector{report: &Report{}, vindex: map[string]*Violation{}, shadow: shadow, intra: intra}
 				sp := startSpan(w, i)
 				err := check(i, col)
 				sp.End()
-				shadow = col.shadow
+				shadow, intra = col.shadow, col.intra
 				results[i] = result{col: col, err: err}
 			}
 		}(w)

@@ -47,7 +47,9 @@ type Epoch struct {
 	Target int32 // world rank locked (lock epochs only); -1 otherwise
 	Start  int64 // seq of the opening sync event
 	End    int64 // seq of the closing sync event (len(trace) if truncated)
-	Ops    []trace.ID
+	// Ops lists the RMA operations issued in the epoch, in ascending seq
+	// order (program order at Rank).
+	Ops []trace.ID
 }
 
 func (e *Epoch) String() string {

@@ -7,6 +7,89 @@ import (
 	"repro/internal/trace"
 )
 
+// PairwiseIntraEpoch is the within-epoch detector written out directly:
+// every local access and every newly issued operation of an epoch is
+// compared with every operation still pending in it, a Win_flush removes
+// the completed operations from the pending list and a Win_flush_local
+// marks their local buffers complete. Each pair is decided by the same
+// rule bodies Analyzer's indexed detector runs (detect_intra.go). It
+// finds the epoch's operations by ID rather than by walking Epoch.Ops in
+// order, so it does not share the indexed detector's reliance on that
+// order.
+//
+// It is a test reference, not a production path: Analyzer's reports of a
+// within-epoch-only analysis — violations, dedup counts, representative
+// instances and witnesses — must be byte-identical to this scan's. Epochs
+// run serially.
+func PairwiseIntraEpoch(m *model.Model) (*Report, error) {
+	epochs, opEpoch, err := ExtractEpochs(m)
+	if err != nil {
+		return nil, err
+	}
+	a := NewAnalyzer(m, nil, epochs, opEpoch, Options{})
+	a.report.EventsAnalyzed = m.Set.TotalEvents()
+	a.report.EpochsChecked = len(epochs)
+	col := &collector{report: a.report, vindex: a.vindex}
+	for _, e := range epochs {
+		if err := a.pairwiseEpoch(e, col); err != nil {
+			return nil, err
+		}
+	}
+	a.report.Sort()
+	return a.report, nil
+}
+
+func (a *Analyzer) pairwiseEpoch(e *Epoch, col *collector) error {
+	t := a.m.Set.Traces[e.Rank]
+	var ops []pendingOp
+	opSet := make(map[trace.ID]bool, len(e.Ops))
+	for _, id := range e.Ops {
+		opSet[id] = true
+	}
+	for seq := e.Start + 1; seq < e.End && seq < int64(len(t.Events)); seq++ {
+		ev := &t.Events[seq]
+		switch {
+		case ev.Kind == trace.KindWinFlush && ev.Win == e.Win:
+			tw, all, err := a.flushTarget(ev)
+			if err != nil {
+				return err
+			}
+			kept := ops[:0]
+			for _, o := range ops {
+				if !all && o.tw != tw {
+					kept = append(kept, o)
+				}
+			}
+			ops = kept
+		case ev.Kind == trace.KindWinFlushLocal && ev.Win == e.Win:
+			tw, all, err := a.flushTarget(ev)
+			if err != nil {
+				return err
+			}
+			for i := range ops {
+				if all || ops[i].tw == tw {
+					ops[i].localDone = true
+				}
+			}
+		case ev.Kind.IsLocalAccess():
+			acc := model.AccessFootprint(ev)
+			for i := range ops {
+				a.checkLocalVsPending(col, e, ev, acc, &ops[i])
+			}
+		case opSet[ev.ID()]:
+			n, _, err := a.newPendingOp(ev, nil)
+			if err != nil {
+				return err
+			}
+			for i := range ops {
+				a.checkOpVsPending(col, e, &n, &ops[i])
+			}
+			ops = append(ops, n)
+		}
+	}
+	return nil
+}
+
 // PairwiseCrossProcess is the per-vector pairwise cross-process detector:
 // the paper's two-step §IV-C-4 scan written out directly. For each
 // concurrent region it records all one-sided operations per (window,

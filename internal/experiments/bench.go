@@ -408,9 +408,10 @@ func benchCross(ops int, out *BenchCross) error {
 
 // benchShadow times the shadow engine against the pairwise reference on
 // the multi-origin region where every operation shares one (window,
-// target) vector. Both reports are compared first: if they are not
-// byte-identical on this trace the harness fails instead of publishing a
-// speedup for a detector that disagrees with its reference.
+// target) vector. The reports are compared first (CheckPairwise, which
+// also checks the within-epoch detector): if they are not byte-identical
+// on this trace the harness fails instead of publishing a speedup for a
+// detector that disagrees with its reference.
 func benchShadow(ops int, out *BenchShadow) error {
 	const ranks = 8
 	set := ShadowSyntheticRegion(ranks, ops)
@@ -445,33 +446,51 @@ func benchShadow(ops int, out *BenchShadow) error {
 	return nil
 }
 
-// CheckPairwise analyzes set with the production cross-process detector at
-// the given worker count and with the pairwise reference, and fails unless
-// the two reports render byte-identically in text and JSON. It returns the
-// production report.
+// CheckPairwise analyzes set with each production detector at the given
+// worker count and with its pairwise reference — the cross-process
+// detector against baseline.PairwiseAnalyze, the within-epoch detector
+// against baseline.PairwiseIntraAnalyze — and fails unless each pair of
+// reports renders byte-identically in text and JSON. It returns the
+// production cross-process report.
 func CheckPairwise(set *trace.Set, workers int) (*core.Report, error) {
-	rep, err := core.AnalyzeWith(set, core.Options{CrossProcess: true, Workers: workers})
+	cross, err := checkAgainst(set, core.Options{CrossProcess: true, Workers: workers},
+		baseline.PairwiseAnalyze, "pairwise reference")
 	if err != nil {
 		return nil, err
 	}
-	ref, err := baseline.PairwiseAnalyze(set)
+	if _, err := checkAgainst(set, core.Options{IntraEpoch: true, Workers: workers},
+		baseline.PairwiseIntraAnalyze, "within-epoch pairwise reference"); err != nil {
+		return nil, err
+	}
+	return cross, nil
+}
+
+// checkAgainst analyzes set with opts and with the reference detector ref,
+// and fails unless the two reports render byte-identically in text and
+// JSON. It returns the production report.
+func checkAgainst(set *trace.Set, opts core.Options, ref func(*trace.Set) (*core.Report, error), name string) (*core.Report, error) {
+	rep, err := core.AnalyzeWith(set, opts)
 	if err != nil {
 		return nil, err
 	}
-	if got, want := rep.String(), ref.String(); got != want {
-		return nil, fmt.Errorf("workers=%d: report diverged from the pairwise reference\n--- pairwise ---\n%s\n--- production ---\n%s",
-			workers, want, got)
+	refRep, err := ref(set)
+	if err != nil {
+		return nil, err
+	}
+	if got, want := rep.String(), refRep.String(); got != want {
+		return nil, fmt.Errorf("workers=%d: report diverged from the %s\n--- reference ---\n%s\n--- production ---\n%s",
+			opts.Workers, name, want, got)
 	}
 	js, err := rep.JSON()
 	if err != nil {
 		return nil, err
 	}
-	refJS, err := ref.JSON()
+	refJS, err := refRep.JSON()
 	if err != nil {
 		return nil, err
 	}
 	if !bytes.Equal(js, refJS) {
-		return nil, fmt.Errorf("workers=%d: JSON report diverged from the pairwise reference", workers)
+		return nil, fmt.Errorf("workers=%d: JSON report diverged from the %s", opts.Workers, name)
 	}
 	return rep, nil
 }

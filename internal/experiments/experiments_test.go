@@ -133,9 +133,9 @@ func TestSyntheticRegion(t *testing.T) {
 }
 
 // TestBenchShadowAgreement runs the shadow-vs-pairwise benchmark's
-// byte-identity gate against the pairwise reference on its worst-case
-// multi-origin region (sized down — the gate, not the timing, is what CI
-// needs).
+// byte-identity gate — both detectors against their pairwise references —
+// on its worst-case multi-origin region (sized down — the gate, not the
+// timing, is what CI needs).
 func TestBenchShadowAgreement(t *testing.T) {
 	set := ShadowSyntheticRegion(8, 512)
 	if set.Ranks() != 8 {

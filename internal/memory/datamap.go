@@ -1,7 +1,9 @@
 package memory
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -82,23 +84,58 @@ func (dm DataMap) Normalize() DataMap {
 }
 
 // Tile instantiates count elements of the datatype at simulated address
-// base and returns the touched byte intervals in ascending order.
-// Intervals of adjacent elements are coalesced when contiguous.
+// base and returns the touched byte intervals in ascending order; it is
+// AppendTile(nil, base, count).
 func (dm DataMap) Tile(base uint64, count int) []Interval {
+	return dm.AppendTile(nil, base, count)
+}
+
+// AppendTile appends the byte intervals of count elements of the datatype
+// at simulated address base to dst and returns the extended slice. The
+// appended intervals are in ascending order: intervals of adjacent
+// elements are coalesced when contiguous, and a map whose segments are
+// out of order, or whose extent is smaller than its span, is sorted and
+// merged so that no appended interval starts below the end of the one
+// before it.
+func (dm DataMap) AppendTile(dst []Interval, base uint64, count int) []Interval {
 	if count <= 0 || len(dm.Segments) == 0 {
-		return nil
+		return dst
 	}
-	out := make([]Interval, 0, count*len(dm.Segments))
+	start := len(dst)
+	dst = slices.Grow(dst, count*len(dm.Segments))
+	ordered := true
 	for e := 0; e < count; e++ {
 		origin := base + uint64(e)*dm.Extent
 		for _, s := range dm.Segments {
 			iv := Iv(origin+s.Disp, s.Len)
-			if n := len(out); n > 0 && out[n-1].Hi == iv.Lo {
-				out[n-1].Hi = iv.Hi // coalesce
-				continue
+			if n := len(dst); n > start {
+				if prev := &dst[n-1]; prev.Hi == iv.Lo {
+					prev.Hi = iv.Hi // coalesce
+					continue
+				} else if iv.Lo < prev.Hi {
+					ordered = false
+				}
 			}
-			out = append(out, iv)
+			dst = append(dst, iv)
 		}
+	}
+	if !ordered {
+		dst = dst[:start+len(mergeSorted(dst[start:]))]
+	}
+	return dst
+}
+
+// mergeSorted sorts ivs by start and merges overlapping or adjacent
+// intervals in place, returning the merged prefix.
+func mergeSorted(ivs []Interval) []Interval {
+	slices.SortFunc(ivs, func(a, b Interval) int { return cmp.Compare(a.Lo, b.Lo) })
+	out := ivs[:1]
+	for _, iv := range ivs[1:] {
+		if top := &out[len(out)-1]; iv.Lo <= top.Hi {
+			top.Hi = max(top.Hi, iv.Hi)
+			continue
+		}
+		out = append(out, iv)
 	}
 	return out
 }

@@ -168,3 +168,55 @@ func TestTileInvariant(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// A map whose segments are out of order, or whose extent is smaller than
+// its span, still tiles into ascending, disjoint intervals, so a merge
+// walk over two footprints finds every overlap.
+func TestAppendTileOrdersUnsortedMaps(t *testing.T) {
+	narrow := DataMap{Segments: []Segment{{0, 4}, {12, 4}}, Extent: 8}
+	// Element 1's (0,4) segment [0x508,0x50c) starts below the end of
+	// element 0's (12,4) segment [0x50c,0x510): the two merge.
+	want := []Interval{Iv(0x500, 4), Iv(0x508, 8), Iv(0x514, 4)}
+	if got := narrow.Tile(0x500, 2); !reflect.DeepEqual(got, want) {
+		t.Errorf("narrow extent: Tile = %v, want %v", got, want)
+	}
+	if _, ok := TilesOverlap(narrow, 0x500, 2, Contig(4), 0x508, 1); !ok {
+		t.Error("narrow extent: the overlap at 0x508 is missed")
+	}
+
+	reversed := DataMap{Segments: []Segment{{8, 4}, {0, 2}}, Extent: 16}
+	want = []Interval{Iv(0, 2), Iv(8, 4), Iv(16, 2), Iv(24, 4)}
+	if got := reversed.Tile(0, 2); !reflect.DeepEqual(got, want) {
+		t.Errorf("reversed segments: Tile = %v, want %v", got, want)
+	}
+
+	// AppendTile leaves what dst already holds alone, even when that
+	// ends above the appended intervals.
+	dst := []Interval{Iv(0x900, 4)}
+	got := narrow.AppendTile(dst, 0x500, 2)
+	if want := append([]Interval{Iv(0x900, 4)}, narrow.Tile(0x500, 2)...); !reflect.DeepEqual(got, want) {
+		t.Errorf("AppendTile = %v, want %v", got, want)
+	}
+}
+
+// Tile is AppendTile onto nil, and appending never disturbs the prefix.
+func TestAppendTileMatchesTile(t *testing.T) {
+	f := func(disp1, len1, disp2, len2, ext uint8, base uint16, count uint8) bool {
+		dm := DataMap{Segments: []Segment{{uint64(disp1), uint64(len1%16 + 1)}, {uint64(disp2), uint64(len2%16 + 1)}},
+			Extent: uint64(ext)}
+		n := int(count % 6)
+		tile := dm.Tile(uint64(base), n)
+		for i := 1; i < len(tile); i++ {
+			if tile[i].Lo < tile[i-1].Hi {
+				return false // not ascending and disjoint
+			}
+		}
+		prefix := []Interval{Iv(1, 1), Iv(7, 3)}
+		got := dm.AppendTile(append([]Interval(nil), prefix...), uint64(base), n)
+		return reflect.DeepEqual(got[:2], prefix) && reflect.DeepEqual(got[2:], tile) ||
+			len(tile) == 0 && len(got) == 2
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}

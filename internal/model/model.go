@@ -304,51 +304,85 @@ func (m *Model) TargetWorld(ev *trace.Event) (int32, error) {
 // TargetFootprint computes the window-buffer bytes an RMA operation touches
 // at the target.
 func (m *Model) TargetFootprint(ev *trace.Event) (Footprint, error) {
+	fp, _, err := m.AppendTargetFootprint(nil, ev)
+	return fp, err
+}
+
+// AppendTargetFootprint is TargetFootprint with the footprint's intervals
+// appended to dst: it returns the footprint, whose Intervals are the
+// appended part, and the extended slice.
+func (m *Model) AppendTargetFootprint(dst []memory.Interval, ev *trace.Event) (Footprint, []memory.Interval, error) {
 	if !ev.Kind.IsRMAComm() {
-		return Footprint{}, fmt.Errorf("model: %v is not an RMA operation", ev.Kind)
+		return Footprint{}, dst, fmt.Errorf("model: %v is not an RMA operation", ev.Kind)
 	}
 	wi, err := m.Win(ev.Win)
 	if err != nil {
-		return Footprint{}, err
+		return Footprint{}, dst, err
 	}
 	tw, err := m.TargetWorld(ev)
 	if err != nil {
-		return Footprint{}, err
+		return Footprint{}, dst, err
 	}
 	local, ok := wi.Locals[tw]
 	if !ok {
-		return Footprint{}, fmt.Errorf("model: window %d has no local buffer at rank %d", ev.Win, tw)
+		return Footprint{}, dst, fmt.Errorf("model: window %d has no local buffer at rank %d", ev.Win, tw)
 	}
 	dm, err := m.Type(ev.Rank, ev.TargetType)
 	if err != nil {
-		return Footprint{}, err
+		return Footprint{}, dst, err
 	}
 	base := local.Base + ev.TargetDisp*uint64(local.DispUnit)
-	return Footprint{Rank: tw, Intervals: dm.Tile(base, int(ev.TargetCount))}, nil
+	fp, dst := appendTile(dst, tw, dm, base, ev.TargetCount)
+	return fp, dst, nil
 }
 
 // OriginFootprint computes the local-buffer bytes an RMA operation (or a
 // p2p/collective call) touches at the origin rank.
 func (m *Model) OriginFootprint(ev *trace.Event) (Footprint, error) {
+	fp, _, err := m.AppendOriginFootprint(nil, ev)
+	return fp, err
+}
+
+// AppendOriginFootprint is OriginFootprint in the append form of
+// AppendTargetFootprint.
+func (m *Model) AppendOriginFootprint(dst []memory.Interval, ev *trace.Event) (Footprint, []memory.Interval, error) {
 	dm, err := m.Type(ev.Rank, ev.OriginType)
 	if err != nil {
-		return Footprint{}, err
+		return Footprint{}, dst, err
 	}
-	return Footprint{Rank: ev.Rank, Intervals: dm.Tile(ev.OriginAddr, int(ev.OriginCount))}, nil
+	fp, dst := appendTile(dst, ev.Rank, dm, ev.OriginAddr, ev.OriginCount)
+	return fp, dst, nil
 }
 
 // ResultFootprint computes the local result-buffer bytes a fetching atomic
 // (Get_accumulate, Fetch_and_op, Compare_and_swap) writes at completion.
 // It returns an empty footprint for operations without a result buffer.
 func (m *Model) ResultFootprint(ev *trace.Event) (Footprint, error) {
+	fp, _, err := m.AppendResultFootprint(nil, ev)
+	return fp, err
+}
+
+// AppendResultFootprint is ResultFootprint in the append form of
+// AppendTargetFootprint.
+func (m *Model) AppendResultFootprint(dst []memory.Interval, ev *trace.Event) (Footprint, []memory.Interval, error) {
 	if ev.ResultCount <= 0 {
-		return Footprint{Rank: ev.Rank}, nil
+		return Footprint{Rank: ev.Rank}, dst, nil
 	}
 	dm, err := m.Type(ev.Rank, ev.ResultType)
 	if err != nil {
-		return Footprint{}, err
+		return Footprint{}, dst, err
 	}
-	return Footprint{Rank: ev.Rank, Intervals: dm.Tile(ev.ResultAddr, int(ev.ResultCount))}, nil
+	fp, dst := appendTile(dst, ev.Rank, dm, ev.ResultAddr, ev.ResultCount)
+	return fp, dst, nil
+}
+
+// appendTile tiles count elements of dm at base onto dst and returns them
+// as a footprint in rank's address space. The footprint's Intervals have
+// no spare capacity, so appending to them never writes into dst.
+func appendTile(dst []memory.Interval, rank int32, dm memory.DataMap, base uint64, count int32) (Footprint, []memory.Interval) {
+	start := len(dst)
+	dst = dm.AppendTile(dst, base, int(count))
+	return Footprint{Rank: rank, Intervals: dst[start:len(dst):len(dst)]}, dst
 }
 
 // AccessFootprint computes the bytes a local load/store touches.

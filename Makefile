@@ -111,8 +111,13 @@ serve-bench:
 microbench:
 	$(GO) test -bench=. -benchmem ./...
 
+# Fuzz the trace codec: the strict decoder, the salvage decoder, and the
+# encode/decode round trip. -fuzz takes one target per run, so each name
+# is anchored.
 fuzz:
-	$(GO) test -fuzz FuzzReadTrace -fuzztime 30s ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzReadTrace$$' -fuzztime 30s ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzReadTraceSalvage$$' -fuzztime 30s ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzRoundTrip$$' -fuzztime 30s ./internal/trace
 
 # Fuzz the seeded RMA program generator: any seed must yield a program
 # that simulates without deadlock and round-trips the trace codec.

@@ -356,6 +356,7 @@ func BenchmarkProfilerEmitCost(b *testing.B) {
 	// cost that Figure 8's overhead consists of.
 	run := func(b *testing.B, hook mpi.Hook) {
 		b.Helper()
+		b.ReportAllocs()
 		err := mpi.Run(1, mpi.Options{Hook: hook}, func(p *mpi.Proc) error {
 			buf := p.AllocFloat64(8, "hot")
 			for i := 0; i < b.N; i++ {

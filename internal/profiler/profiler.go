@@ -10,11 +10,14 @@
 // — the "no static analysis" configuration whose overhead the paper
 // contrasts with the selective one (§VII-B).
 //
-// The hot path is engineered like real instrumentation: source locations
-// resolve through a per-PC cache (static knowledge in the original), and
-// sequence numbers are per-rank counters touched only by the rank's own
-// goroutine, so emitting an event costs on the order of the instrumented
-// access itself.
+// The original instruments at compile time, so each event's source site
+// is static knowledge. Here memory.CallerLoc finds the site at run time:
+// it walks the stack to the site's program counter and looks the counter
+// up in a cache of resolved file, line and function, filled on the site's
+// first call. Sequence numbers are per-rank counters touched only by the
+// rank's own goroutine. A warm site allocates nothing, but an observed
+// access still costs an order of magnitude more than the access itself
+// (BenchmarkProfilerEmitCost).
 package profiler
 
 import (

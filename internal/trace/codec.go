@@ -44,12 +44,16 @@ const (
 	maxPreallocEvents = 1 << 16
 )
 
-// Writer encodes one rank's events to an io.Writer.
+// Writer encodes one rank's events to an io.Writer. Each record is
+// appended to a byte slice the Writer owns and reuses, and the slice goes
+// to the buffered writer once per Emit, so an event whose strings are
+// already interned is encoded without allocating.
 type Writer struct {
 	w       *bufio.Writer
 	rank    int32
 	nextSeq int64
 	strs    map[string]uint64
+	buf     []byte
 	err     error
 }
 
@@ -66,52 +70,27 @@ func NewWriter(w io.Writer, rank int32) (*Writer, error) {
 // stream header. events <= 0 writes 0 ("unknown"); the hint is advisory
 // only — emitting more or fewer events than hinted is legal.
 func NewWriterHint(w io.Writer, rank int32, events int) (*Writer, error) {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(codecMagic); err != nil {
-		return nil, err
+	wr := &Writer{w: bufio.NewWriter(w), rank: rank, strs: map[string]uint64{"": 0}}
+	wr.buf = append(wr.buf, codecMagic...)
+	wr.buf = append(wr.buf, codecVersion)
+	wr.buf = binary.AppendVarint(wr.buf, int64(rank))
+	wr.buf = binary.AppendUvarint(wr.buf, uint64(max(events, 0)))
+	if wr.flushRecord(); wr.err != nil {
+		return nil, wr.err
 	}
-	if err := bw.WriteByte(codecVersion); err != nil {
-		return nil, err
-	}
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutVarint(tmp[:], int64(rank))
-	if _, err := bw.Write(tmp[:n]); err != nil {
-		return nil, err
-	}
-	if events < 0 {
-		events = 0
-	}
-	n = binary.PutUvarint(tmp[:], uint64(events))
-	if _, err := bw.Write(tmp[:n]); err != nil {
-		return nil, err
-	}
-	return &Writer{w: bw, rank: rank, strs: map[string]uint64{"": 0}}, nil
+	return wr, nil
 }
 
-func (w *Writer) uvarint(v uint64) {
-	if w.err != nil {
-		return
-	}
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], v)
-	_, w.err = w.w.Write(tmp[:n])
+// flushRecord hands the encoded bytes to the buffered writer and empties
+// the slice, keeping its capacity. A write error sticks in w.err.
+func (w *Writer) flushRecord() {
+	_, w.err = w.w.Write(w.buf)
+	w.buf = w.buf[:0]
 }
 
-func (w *Writer) varint(v int64) {
-	if w.err != nil {
-		return
-	}
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutVarint(tmp[:], v)
-	_, w.err = w.w.Write(tmp[:n])
-}
-
-func (w *Writer) byte1(b byte) {
-	if w.err != nil {
-		return
-	}
-	w.err = w.w.WriteByte(b)
-}
+func (w *Writer) uvarint(v uint64) { w.buf = binary.AppendUvarint(w.buf, v) }
+func (w *Writer) varint(v int64)   { w.buf = binary.AppendVarint(w.buf, v) }
+func (w *Writer) byte1(b byte)     { w.buf = append(w.buf, b) }
 
 func (w *Writer) internString(s string) uint64 {
 	if id, ok := w.strs[s]; ok {
@@ -122,9 +101,7 @@ func (w *Writer) internString(s string) uint64 {
 	w.byte1(recStrDef)
 	w.uvarint(id)
 	w.uvarint(uint64(len(s)))
-	if w.err == nil {
-		_, w.err = w.w.WriteString(s)
-	}
+	w.buf = append(w.buf, s...)
 	return id
 }
 
@@ -186,12 +163,16 @@ func (w *Writer) Emit(ev Event) {
 	w.uvarint(ev.WinBase)
 	w.uvarint(ev.WinSize)
 	w.uvarint(uint64(ev.DispUnit))
+	w.flushRecord()
 }
 
 // Close terminates and flushes the stream.
 func (w *Writer) Close() error {
-	w.byte1(recEnd)
 	if w.err != nil {
+		return w.err
+	}
+	w.byte1(recEnd)
+	if w.flushRecord(); w.err != nil {
 		return w.err
 	}
 	return w.w.Flush()

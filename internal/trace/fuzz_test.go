@@ -3,7 +3,10 @@ package trace
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
+
+	"repro/internal/memory"
 )
 
 // FuzzReadTrace hardens the binary decoder against corrupt and adversarial
@@ -166,10 +169,14 @@ func TestSalvageEveryTruncationBoundary(t *testing.T) {
 }
 
 // FuzzRoundTrip: any event assembled from fuzzed fields must survive
-// encode/decode unchanged.
+// encode/decode unchanged. The fields cover every kind of value the
+// encoder writes: interned strings, signed and unsigned varints, a
+// datatype segment, a communicator member and the window's unit.
 func FuzzRoundTrip(f *testing.F) {
-	f.Add(uint8(3), int32(1), int32(2), int64(99), uint64(0x1000), "file.go")
-	f.Fuzz(func(t *testing.T, kind uint8, comm, target int32, disp int64, addr uint64, file string) {
+	f.Add(uint8(3), int32(1), int32(2), int64(99), uint64(0x1000), "file.go",
+		"main.main", int32(-7), uint64(4), uint64(8), int32(5), uint32(8))
+	f.Fuzz(func(t *testing.T, kind uint8, comm, target int32, disp int64, addr uint64, file string,
+		fn string, line int32, segDisp, segLen uint64, member int32, dispUnit uint32) {
 		k := Kind(kind)
 		if k == KindInvalid || k >= kindMax {
 			return
@@ -177,9 +184,15 @@ func FuzzRoundTrip(f *testing.F) {
 		if disp < 0 {
 			disp = -disp
 		}
+		if line > 0 {
+			line = -line
+		}
 		ev := Event{
-			Kind: k, Rank: 5, Seq: 0, File: file, Comm: comm, Target: target,
+			Kind: k, Rank: 5, Seq: 0, File: file, Func: fn, Line: line, Comm: comm, Target: target,
 			TargetDisp: uint64(disp), Addr: addr,
+			TypeMap:  memory.DataMap{Segments: []memory.Segment{{Disp: segDisp, Len: segLen}}, Extent: segDisp + segLen},
+			Members:  []int32{member},
+			DispUnit: dispUnit,
 		}
 		var buf bytes.Buffer
 		w, err := NewWriter(&buf, 5)
@@ -197,10 +210,8 @@ func FuzzRoundTrip(f *testing.F) {
 		if len(got.Events) != 1 {
 			t.Fatalf("decoded %d events", len(got.Events))
 		}
-		d := got.Events[0]
-		if d.Kind != k || d.Comm != comm || d.Target != target ||
-			d.TargetDisp != uint64(disp) || d.Addr != addr || d.File != file {
-			t.Fatalf("mismatch: %+v vs input", d)
+		if !reflect.DeepEqual(got.Events[0], ev) {
+			t.Fatalf("mismatch:\n got %+v\nwant %+v", got.Events[0], ev)
 		}
 	})
 }

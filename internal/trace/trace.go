@@ -135,24 +135,28 @@ func (m *MemorySink) Emit(ev Event) {
 	rs.mu.Unlock()
 }
 
-// Set assembles the collected events into a Set covering ranks [0, n) where
-// n is one past the highest rank seen (or 0 for an empty sink). The
-// per-rank event slices are copies, independent of the sink's buffers.
+// Set returns the collected events and empties the sink. The returned
+// Set covers ranks [0, n), where n is one past the highest rank seen (0
+// for a sink that never saw an event). Each rank's event slice is handed
+// over, not copied: the sink forgets it, so later emits start a fresh
+// slice and the returned Set stays valid for as long as the caller keeps
+// it. Call Set once, after the run; a second call returns only the events
+// emitted since the first.
 func (m *MemorySink) Set() *Set {
 	return m.assemble(true)
 }
 
-// TakeSet is Set without the copy: the returned Set's per-rank event
-// slices alias the sink's internal buffers. It exists for run-recycling
-// callers (internal/explore) that analyze the set, keep only value
-// copies of events out of it, and then Reset the sink for the next run —
-// which invalidates the aliased slices. Use Set when the result must
-// outlive the sink.
+// TakeSet returns the collected events without emptying the sink: the
+// returned Set's per-rank event slices alias the sink's buffers. It exists
+// for run-recycling callers (internal/explore) that analyze the set, keep
+// only value copies of events out of it, and then Reset the sink for the
+// next run, which reuses the buffers and so invalidates the aliased
+// slices. Use Set when the result must outlive the sink.
 func (m *MemorySink) TakeSet() *Set {
 	return m.assemble(false)
 }
 
-func (m *MemorySink) assemble(copyEvents bool) *Set {
+func (m *MemorySink) assemble(handOver bool) *Set {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	maxRank := int32(-1)
@@ -164,10 +168,9 @@ func (m *MemorySink) assemble(copyEvents bool) *Set {
 	s := NewSet(int(maxRank + 1))
 	for r, rs := range m.byRank {
 		rs.mu.Lock()
-		if copyEvents {
-			s.Traces[r].Events = append([]Event(nil), rs.evs...)
-		} else {
-			s.Traces[r].Events = rs.evs
+		s.Traces[r].Events = rs.evs
+		if handOver {
+			rs.evs = nil
 		}
 		rs.mu.Unlock()
 	}

@@ -73,6 +73,38 @@ func TestMemorySinkConcurrent(t *testing.T) {
 	}
 }
 
+// TestMemorySinkSetHandsOver: Set returns what was emitted since the last
+// Set and empties the sink, and a handed-over Set is not disturbed by
+// later emits.
+func TestMemorySinkSetHandsOver(t *testing.T) {
+	if s := NewMemorySink().Set(); s.Ranks() != 0 || s.TotalEvents() != 0 {
+		t.Fatalf("empty sink: ranks=%d events=%d", s.Ranks(), s.TotalEvents())
+	}
+	sink := NewMemorySink()
+	for i := 0; i < 3; i++ {
+		sink.Emit(Event{Kind: KindLoad, Rank: 0, Seq: int64(i), Addr: uint64(i)})
+	}
+	first := sink.Set()
+	if n := first.TotalEvents(); n != 3 {
+		t.Fatalf("first Set: %d events, want 3", n)
+	}
+	for i := 0; i < 2; i++ {
+		sink.Emit(Event{Kind: KindStore, Rank: 0, Seq: int64(i), Addr: uint64(100 + i)})
+	}
+	second := sink.Set()
+	if n := second.TotalEvents(); n != 2 {
+		t.Fatalf("second Set: %d events, want only the 2 emitted since the first", n)
+	}
+	for i, ev := range first.Traces[0].Events {
+		if ev.Kind != KindLoad || ev.Addr != uint64(i) {
+			t.Fatalf("first Set's event %d changed to %+v after later emits", i, ev)
+		}
+	}
+	if n := sink.Set().TotalEvents(); n != 0 {
+		t.Fatalf("Set on an emptied sink: %d events, want 0", n)
+	}
+}
+
 func TestCountingSink(t *testing.T) {
 	c := NewCountingSink(nil)
 	for _, k := range []Kind{KindLoad, KindStore, KindPut, KindWinFence, KindSend, KindBarrier, KindTypeCreate, KindWaitReq} {

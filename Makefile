@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test check staticcheck race cover bench bench-smoke microbench fuzz fuzz-gen fuzz-shadow soak explore experiments table2 fig8 fig9 trace-smoke serve-smoke serve-bench corpus corpus-smoke fix-smoke shadow-smoke clean
+.PHONY: all build test check fmt-check staticcheck race cover bench bench-smoke microbench fuzz fuzz-gen fuzz-shadow soak explore experiments table2 fig8 fig9 trace-smoke serve-smoke serve-bench corpus corpus-smoke fix-smoke shadow-smoke clean
 
 all: build test check
 
@@ -13,12 +13,16 @@ build:
 test:
 	$(GO) test ./...
 
-# Full gate: vet, the test suite under the race detector, the determinism
-# soak, the static-checker golden report, the auto-repair gate, and the
-# detectors' reference gate.
-check: soak staticcheck fix-smoke shadow-smoke
+# Full gate: formatting, vet, the test suite under the race detector, the
+# determinism soak, the static-checker golden report, the auto-repair gate,
+# and the detectors' reference gate.
+check: fmt-check soak staticcheck fix-smoke shadow-smoke
 	$(GO) vet ./...
 	$(GO) test -race ./...
+
+# Formatting gate: fails, listing the files, when gofmt would change any.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l . lists:"; echo "$$out"; exit 1; fi
 
 # Reference gate for both detectors, under the race detector: over every
 # bundled bug case and every injection pattern (at 1 and GOMAXPROCS

@@ -15,10 +15,10 @@
 //	mcbench -exp bench [-json BENCH.json] [-benchtime T] [-amplify M] [-trace timeline.json]
 //	mcbench -exp serve [-json BENCH.json] [-clients N] [-serve-jobs N] [-serve-queue N] [-fault-frac F]
 //	mcbench -exp corpus [-json BENCH.json] [-corpus-programs N] [-corpus-clean N] [-seed N]
+//	mcbench -exp all
 //
 // Global flags: -cpuprofile FILE and -memprofile FILE write pprof
 // profiles of the whole invocation.
-//	mcbench -exp all
 //
 // Absolute times are machine-local; the reproduction targets are the
 // paper's shapes: which configuration wins, by roughly what factor, and in

@@ -79,22 +79,6 @@ func amplifiedCorpus(tb testing.TB) []crossInput {
 	return out
 }
 
-// BenchmarkDetectCross measures the cross-process detector alone, one op
-// being one pass over the amplified corpus with every earlier phase
-// prebuilt.
-func BenchmarkDetectCross(b *testing.B) {
-	inputs := amplifiedCorpus(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, in := range inputs {
-			if _, err := NewAnalyzer(in.m, in.d, in.epochs, in.opEpoch, Options{CrossProcess: true}).Run(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
 // fatEpochInput is one trace in the shape of the benchmark's fat-region
 // workload, built without the simulator: rank 0 exposes a window of
 // 7×585 float64 words and each of ranks 1–7 puts one word from the same
@@ -140,16 +124,30 @@ func fatEpochInput(tb testing.TB) crossInput {
 	return crossInput{m: m, d: d, epochs: epochs, opEpoch: opEpoch}
 }
 
+// BenchmarkDetectCross measures the cross-process detector alone with
+// every earlier phase prebuilt: corpus is one pass over the amplified
+// corpus, fat one pass over fatEpochInput, whose Puts all land in one
+// (window, target) vector of one concurrent region.
+func BenchmarkDetectCross(b *testing.B) {
+	benchDetector(b, Options{CrossProcess: true}, "fat")
+}
+
 // BenchmarkDetectIntra measures the within-epoch detector alone with
 // every earlier phase prebuilt: corpus is one pass over the amplified
 // corpus, fat-epoch one pass over fatEpochInput.
 func BenchmarkDetectIntra(b *testing.B) {
+	benchDetector(b, Options{IntraEpoch: true}, "fat-epoch")
+}
+
+// benchDetector runs the detectors opts enables as two sub-benchmarks,
+// corpus and fat (named fatName), one op being one pass over the inputs.
+func benchDetector(b *testing.B, opts Options, fatName string) {
 	for _, bc := range []struct {
 		name   string
 		inputs func(testing.TB) []crossInput
 	}{
 		{"corpus", amplifiedCorpus},
-		{"fat-epoch", func(tb testing.TB) []crossInput { return []crossInput{fatEpochInput(tb)} }},
+		{fatName, func(tb testing.TB) []crossInput { return []crossInput{fatEpochInput(tb)} }},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			inputs := bc.inputs(b)
@@ -157,7 +155,7 @@ func BenchmarkDetectIntra(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for _, in := range inputs {
-					if _, err := NewAnalyzer(in.m, in.d, in.epochs, in.opEpoch, Options{IntraEpoch: true}).Run(); err != nil {
+					if _, err := NewAnalyzer(in.m, in.d, in.epochs, in.opEpoch, opts).Run(); err != nil {
 						b.Fatal(err)
 					}
 				}

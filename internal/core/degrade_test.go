@@ -7,6 +7,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/mpi"
 	"repro/internal/profiler"
+	"repro/internal/testutil"
 	"repro/internal/trace"
 )
 
@@ -111,5 +112,31 @@ func TestAnalyzeDegradedEmptyFallback(t *testing.T) {
 	joined := strings.Join(rep.Degraded, "\n")
 	if !strings.Contains(joined, "salvage") {
 		t.Fatalf("fallback notes missing salvage diagnostics: %v", rep.Degraded)
+	}
+}
+
+// The degraded report quotes the strict run's matching error, so it must
+// name the same unmatched channel on every run: rank 0 sends to ranks 1
+// and 2, and neither receive was traced.
+func TestAnalyzeDegradedUnmatchedIsDeterministic(t *testing.T) {
+	b := testutil.NewTraceBuilder(3)
+	b.Add(0, trace.Event{Kind: trace.KindSend, Comm: 0, Peer: 1, Tag: 0, File: "app.go", Line: 1})
+	b.Add(0, trace.Event{Kind: trace.KindSend, Comm: 0, Peer: 2, Tag: 0, File: "app.go", Line: 2})
+	set := b.Set()
+	var first string
+	for i := 0; i < 200; i++ {
+		rep, err := AnalyzeDegraded(set, DefaultOptions(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := strings.Join(rep.Degraded, "\n")
+		if i == 0 {
+			first = got
+			if !strings.Contains(got, "to rank 1") {
+				t.Fatalf("degraded notes name the wrong channel:\n%s", got)
+			}
+		} else if got != first {
+			t.Fatalf("run %d degraded notes differ:\n%s\nfirst run:\n%s", i, got, first)
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"repro/internal/dag"
+	"repro/internal/memory"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/obs/tracing"
@@ -75,11 +76,17 @@ type Analyzer struct {
 	opEpoch map[trace.ID]*Epoch
 	opts    Options
 
+	// epochOf is opEpoch indexed densely by rank, then seq: nil where the
+	// event is no RMA operation. The cross-process detector builds it once
+	// (indexEpochs) before its regions fan out, so workers only read it.
+	epochOf [][]*Epoch
+
 	report *Report
 	vindex map[string]*Violation
 }
 
-// NewAnalyzer assembles an analyzer from the pipeline pieces.
+// NewAnalyzer assembles an analyzer from the pipeline pieces; epochs and
+// opEpoch are what one ExtractEpochs call returned.
 func NewAnalyzer(m *model.Model, d *dag.DAG, epochs []*Epoch, opEpoch map[trace.ID]*Epoch, opts Options) *Analyzer {
 	return &Analyzer{
 		m: m, d: d, epochs: epochs, opEpoch: opEpoch, opts: opts,
@@ -189,6 +196,7 @@ type storedOp struct {
 func (a *Analyzer) detectCrossProcess() error {
 	regions := a.d.Regions()
 	a.report.Regions = len(regions)
+	a.indexEpochs()
 	scope := func(i int) string { return fmt.Sprintf("region %d", i) }
 	return a.parallelCollect(len(regions), "detect_cross", scope, func(i int, col *collector) error {
 		if col.shadow == nil {
@@ -196,6 +204,29 @@ func (a *Analyzer) detectCrossProcess() error {
 		}
 		return col.shadow.checkRegion(regions[i], col)
 	})
+}
+
+// indexEpochs builds epochOf from the epochs' Ops, the lists ExtractEpochs
+// fills opEpoch from, so the two hold the same assignment; walking the
+// lists skips hashing every operation. model.Build rejects any event
+// whose Seq is not its index in the rank's trace, so every operation has
+// a slot.
+func (a *Analyzer) indexEpochs() {
+	traces := a.m.Set.Traces
+	total := 0
+	for _, t := range traces {
+		total += len(t.Events)
+	}
+	slots := make([]*Epoch, total)
+	a.epochOf = make([][]*Epoch, len(traces))
+	for r, t := range traces {
+		a.epochOf[r], slots = slots[:len(t.Events):len(t.Events)], slots[len(t.Events):]
+	}
+	for _, e := range a.epochs {
+		for _, id := range e.Ops {
+			a.epochOf[id.Rank][id.Seq] = e
+		}
+	}
 }
 
 // collector receives the violations of one analysis scope.
@@ -313,8 +344,17 @@ func (a *Analyzer) parallelCollect(n int, track string, scope func(i int) string
 // point-to-point and collective calls ("all MPI calls performed to a
 // local buffer"). Shared by the shadow engine and the pairwise reference
 // so the two cannot drift on what counts as a local access.
-func (a *Analyzer) forEachLocalAccess(rg dag.Region,
-	visit func(ev *trace.Event, cls Op, fp model.Footprint, storeRuleApplies bool) error) error {
+//
+// Every visited footprint is built in buf, which the next footprint
+// overwrites: visit must not keep fp's intervals after it returns. The
+// walk returns buf, grown as needed, for the caller to pass to the next
+// walk.
+func (a *Analyzer) forEachLocalAccess(rg dag.Region, buf []memory.Interval,
+	visit func(ev *trace.Event, cls Op, fp model.Footprint, storeRuleApplies bool) error) ([]memory.Interval, error) {
+	var (
+		fp  model.Footprint
+		err error
+	)
 	for r := 0; r < a.m.Set.Ranks(); r++ {
 		t := a.m.Set.Traces[r]
 		lo, hi := rg.Span(int32(r))
@@ -326,47 +366,45 @@ func (a *Analyzer) forEachLocalAccess(rg dag.Region,
 				if ev.Kind == trace.KindStore {
 					cls = OpStore
 				}
-				if err := visit(ev, cls, model.AccessFootprint(ev), true); err != nil {
-					return err
+				buf = append(buf[:0], memory.Iv(ev.Addr, ev.Size))
+				if err = visit(ev, cls, model.Footprint{Rank: ev.Rank, Intervals: buf}, true); err != nil {
+					return buf, err
 				}
 			case ev.Kind.IsRMAComm():
 				// The origin buffer access of an RMA call is treated as a
 				// local load (Put/Acc) or store (Get); the no-overlap store
 				// rule explicitly does not apply to it (paper §IV-C-4).
-				origin, err := a.m.OriginFootprint(ev)
-				if err != nil {
-					return err
+				if fp, buf, err = a.m.AppendOriginFootprint(buf[:0], ev); err != nil {
+					return buf, err
 				}
-				if err := visit(ev, originClass(ev.Kind), origin, false); err != nil {
-					return err
+				if err = visit(ev, originClass(ev.Kind), fp, false); err != nil {
+					return buf, err
 				}
 				if ev.ResultCount > 0 {
 					// The result buffer of a fetching atomic is written at
 					// completion: a store-class local access.
-					result, err := a.m.ResultFootprint(ev)
-					if err != nil {
-						return err
+					if fp, buf, err = a.m.AppendResultFootprint(buf[:0], ev); err != nil {
+						return buf, err
 					}
-					if err := visit(ev, OpStore, result, false); err != nil {
-						return err
+					if err = visit(ev, OpStore, fp, false); err != nil {
+						return buf, err
 					}
 				}
 			default:
 				// Point-to-point and collective calls access local buffers
 				// too ("all MPI calls performed to a local buffer").
 				if cls, ok := a.messageBufferClass(ev); ok {
-					fp, err := a.m.OriginFootprint(ev)
-					if err != nil {
-						return err
+					if fp, buf, err = a.m.AppendOriginFootprint(buf[:0], ev); err != nil {
+						return buf, err
 					}
-					if err := visit(ev, cls, fp, false); err != nil {
-						return err
+					if err = visit(ev, cls, fp, false); err != nil {
+						return buf, err
 					}
 				}
 			}
 		}
 	}
-	return nil
+	return buf, nil
 }
 
 // forEachWindow visits each distinct window whose local buffer at fp.Rank

@@ -34,7 +34,10 @@ package core
 //     of an already reported pair costs one integer-keyed lookup and a
 //     count, and only the first occurrence builds the Violation.
 import (
+	"slices"
+
 	"repro/internal/dag"
+	"repro/internal/memory"
 	"repro/internal/model"
 	"repro/internal/shadow"
 	"repro/internal/trace"
@@ -66,18 +69,20 @@ type crossKey struct {
 	opLo, opHi, rule, win int32
 }
 
-// shadowTables is the shadow engine's state. The store and the stored-op
-// arena are reset between regions but keep their capacity; the interning
-// tables (access sites, operand strings, operation classes, rule texts)
-// keep growing. One table set serves a whole serial analysis, or one
-// worker of a parallel one, so every site, class and rule is interned and
-// rendered at most once there.
+// shadowTables is the shadow engine's state. The store, the stored-op
+// arena and the footprint buffers are reset between regions but keep
+// their capacity; the interning tables (access sites, operand strings,
+// operation classes, rule texts) keep growing. One table set serves a
+// whole serial analysis, or one worker of a parallel one, so every site,
+// class and rule is interned and rendered at most once there.
 type shadowTables struct {
 	a  *Analyzer
 	st *shadow.Store
 
-	ops    []storedOp      // arena: Access.Payload indexes this
-	opSite []shadow.SiteID // site of each stored op, parallel to ops
+	ops    []storedOp        // arena: Access.Payload indexes this
+	opSite []shadow.SiteID   // site of each stored op, parallel to ops
+	tgt    []memory.Interval // the region's target footprints, which ops point into
+	local  []memory.Interval // forEachLocalAccess's footprint buffer
 
 	depot   *shadow.Depot
 	siteOp  []int32          // operand ID per SiteID
@@ -113,6 +118,7 @@ func (t *shadowTables) reset() {
 	clear(t.ops)
 	t.ops = t.ops[:0]
 	t.opSite = t.opSite[:0]
+	t.tgt = t.tgt[:0]
 }
 
 // siteOf interns an event's access site, rendering and interning its
@@ -221,14 +227,33 @@ func (t *shadowTables) checkRegion(rg dag.Region, col *collector) error {
 
 	// Step 2: local operations at each target process, via the walker
 	// shared with the pairwise reference.
-	return t.a.forEachLocalAccess(rg, func(ev *trace.Event, cls Op, fp model.Footprint, storeRule bool) error {
+	var err error
+	t.local, err = t.a.forEachLocalAccess(rg, t.local, func(ev *trace.Event, cls Op, fp model.Footprint, storeRule bool) error {
 		t.checkLocal(rg, ev, cls, fp, storeRule, col)
 		return nil
 	})
+	return err
 }
 
+// matchRMA checks and stores the region's remote one-sided operations.
+// It counts them first, so the stored-op arena and the store's member
+// arena grow once per region rather than by appends.
 func (t *shadowTables) matchRMA(rg dag.Region, col *collector) error {
 	a := t.a
+	n := 0
+	for r := 0; r < a.m.Set.Ranks(); r++ {
+		events := a.m.Set.Traces[r].Events
+		lo, hi := rg.Span(int32(r))
+		for seq := lo; seq < hi; seq++ {
+			if events[seq].Kind.IsRMAComm() {
+				n++
+			}
+		}
+	}
+	t.ops = slices.Grow(t.ops, n)
+	t.opSite = slices.Grow(t.opSite, n)
+	t.st.Grow(n)
+
 	for r := 0; r < a.m.Set.Ranks(); r++ {
 		tr := a.m.Set.Traces[r]
 		lo, hi := rg.Span(int32(r))
@@ -237,13 +262,17 @@ func (t *shadowTables) matchRMA(rg dag.Region, col *collector) error {
 			if !ev.Kind.IsRMAComm() {
 				continue
 			}
-			target, err := a.m.TargetFootprint(ev)
+			var (
+				target model.Footprint
+				err    error
+			)
+			target, t.tgt, err = a.m.AppendTargetFootprint(t.tgt, ev)
 			if err != nil {
 				return err
 			}
 			id := ev.ID()
 			key := shadow.VectorKey{Win: ev.Win, Target: target.Rank}
-			cur := storedOp{ev: ev, target: target, epoch: a.opEpoch[id]}
+			cur := storedOp{ev: ev, target: target, epoch: a.epochOf[id.Rank][id.Seq]}
 			curSite := t.siteOf(ev)
 			clock := a.d.ClockRef(id)
 
@@ -278,7 +307,7 @@ func (t *shadowTables) matchRMA(rg dag.Region, col *collector) error {
 			t.ops = append(t.ops, cur)
 			t.opSite = append(t.opSite, curSite)
 			t.st.Insert(key, shadow.Access{
-				Payload: payload, Rank: ev.Rank, Class: t.classOf(ev), Site: curSite,
+				Payload: payload, Rank: ev.Rank, Class: t.classOf(ev),
 				Seq: id.Seq, Clock: clock, Target: target.Intervals,
 			})
 		}
@@ -288,12 +317,13 @@ func (t *shadowTables) matchRMA(rg dag.Region, col *collector) error {
 
 // checkLocal checks one local access against the store: one query per
 // distinct window the footprint touches, probing with the full footprint
-// as the pairwise reference's conflict test does.
+// as the pairwise reference's conflict test does. It keeps nothing of fp
+// after it returns.
 func (t *shadowTables) checkLocal(rg dag.Region, ev *trace.Event, cls Op,
 	fp model.Footprint, storeRule bool, col *collector) {
 	a := t.a
 	id := ev.ID()
-	evEpoch := a.opEpoch[id]
+	evEpoch := a.epochOf[id.Rank][id.Seq]
 	q := shadow.Query{Rank: ev.Rank, Seq: id.Seq, Clock: a.d.ClockRef(id)}
 	evSite := shadow.SiteID(-1)
 

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strconv"
 
 	"repro/internal/model"
@@ -68,9 +70,9 @@ func ExtractEpochs(m *model.Model) ([]*Epoch, map[trace.ID]*Epoch, error) {
 
 // ExtractEpochsWorkers is ExtractEpochs with the per-rank scans fanned
 // out over a worker pool. Epoch matching never crosses ranks, so each
-// rank's epochs and op→epoch assignments are computed independently and
-// concatenated in rank order — the exact sequence the serial walk
-// produces, keeping every downstream consumer byte-identical.
+// rank's epochs are computed independently and concatenated in rank
+// order — the exact sequence the serial walk produces, keeping every
+// downstream consumer byte-identical.
 func ExtractEpochsWorkers(m *model.Model, workers int) ([]*Epoch, map[trace.ID]*Epoch, error) {
 	return ExtractEpochsWorkersTraced(m, workers, nil)
 }
@@ -81,17 +83,17 @@ func ExtractEpochsWorkers(m *model.Model, workers int) ([]*Epoch, map[trace.ID]*
 func ExtractEpochsWorkersTraced(m *model.Model, workers int, tr *tracing.Recorder) ([]*Epoch, map[trace.ID]*Epoch, error) {
 	n := len(m.Set.Traces)
 	type rankResult struct {
-		epochs  []*Epoch
-		opEpoch map[trace.ID]*Epoch
+		epochs []*Epoch
+		ops    int
 	}
 	per := make([]rankResult, n)
 	scope := func(r int) string { return fmt.Sprintf("rank %d", r) }
 	err := par.RanksTraced(n, workers, tr, "epochs", scope, func(r int, sp *tracing.Span) error {
-		epochs, opEpoch, err := extractRankEpochs(m, m.Set.Traces[r])
-		per[r] = rankResult{epochs: epochs, opEpoch: opEpoch}
+		epochs, ops, err := extractRankEpochs(m, m.Set.Traces[r])
+		per[r] = rankResult{epochs: epochs, ops: ops}
 		if sp != nil {
 			sp.Annotate("epochs", strconv.Itoa(len(epochs)))
-			sp.Annotate("ops", strconv.Itoa(len(opEpoch)))
+			sp.Annotate("ops", strconv.Itoa(ops))
 		}
 		return err
 	})
@@ -102,29 +104,31 @@ func ExtractEpochsWorkersTraced(m *model.Model, workers int, tr *tracing.Recorde
 	total, totalOps := 0, 0
 	for r := range per {
 		total += len(per[r].epochs)
-		totalOps += len(per[r].opEpoch)
+		totalOps += per[r].ops
 	}
 	epochs := make([]*Epoch, 0, total)
 	opEpoch := make(map[trace.ID]*Epoch, totalOps)
 	for r := range per {
-		epochs = append(epochs, per[r].epochs...)
-		for id, e := range per[r].opEpoch {
-			opEpoch[id] = e
+		for _, e := range per[r].epochs {
+			epochs = append(epochs, e)
+			for _, id := range e.Ops {
+				opEpoch[id] = e
+			}
 		}
 	}
 	return epochs, opEpoch, nil
 }
 
 // extractRankEpochs matches the synchronization calls of one rank's
-// trace. It reads only the (immutable after Build) model registries and
+// trace and returns its epochs and the number of RMA operations they
+// hold. It reads only the (immutable after Build) model registries and
 // the rank's own events, so ranks may run concurrently.
-func extractRankEpochs(m *model.Model, t *trace.Trace) ([]*Epoch, map[trace.ID]*Epoch, error) {
+func extractRankEpochs(m *model.Model, t *trace.Trace) ([]*Epoch, int, error) {
 	rank := t.Rank
 	var epochs []*Epoch
-	opEpoch := make(map[trace.ID]*Epoch)
+	ops := 0
 	// Per-window open-epoch state for this rank.
 	fence := map[int32]*Epoch{}    // win → open fence epoch
-	fenceSeen := map[int32]bool{}  // win → at least one fence seen
 	locks := map[[2]int32]*Epoch{} // (win, targetWorld) → open lock epoch
 	pscw := map[int32]*Epoch{}     // win → open access (start) epoch
 	lockAll := map[int32]*Epoch{}  // win → open lock_all epoch
@@ -143,11 +147,10 @@ func extractRankEpochs(m *model.Model, t *trace.Trace) ([]*Epoch, map[trace.ID]*
 				closeEpoch(open, seq)
 			}
 			fence[ev.Win] = &Epoch{Kind: EpochFence, Rank: rank, Win: ev.Win, Target: -1, Start: seq}
-			fenceSeen[ev.Win] = true
 		case trace.KindWinLock:
 			tw, err := lockTargetWorld(m, ev)
 			if err != nil {
-				return nil, nil, err
+				return nil, 0, err
 			}
 			kind := EpochLockShared
 			if ev.Lock == trace.LockExclusive {
@@ -155,47 +158,47 @@ func extractRankEpochs(m *model.Model, t *trace.Trace) ([]*Epoch, map[trace.ID]*
 			}
 			key := [2]int32{ev.Win, tw}
 			if locks[key] != nil {
-				return nil, nil, fmt.Errorf("core: rank %d double-locks win %d target %d at %s",
+				return nil, 0, fmt.Errorf("core: rank %d double-locks win %d target %d at %s",
 					rank, ev.Win, tw, ev.Loc())
 			}
 			locks[key] = &Epoch{Kind: kind, Rank: rank, Win: ev.Win, Target: tw, Start: seq}
 		case trace.KindWinUnlock:
 			tw, err := lockTargetWorld(m, ev)
 			if err != nil {
-				return nil, nil, err
+				return nil, 0, err
 			}
 			key := [2]int32{ev.Win, tw}
 			open := locks[key]
 			if open == nil {
-				return nil, nil, fmt.Errorf("core: rank %d unlocks win %d target %d without lock at %s",
+				return nil, 0, fmt.Errorf("core: rank %d unlocks win %d target %d without lock at %s",
 					rank, ev.Win, tw, ev.Loc())
 			}
 			closeEpoch(open, seq)
 			delete(locks, key)
 		case trace.KindWinStart:
 			if pscw[ev.Win] != nil {
-				return nil, nil, fmt.Errorf("core: rank %d nested Win_start on win %d at %s",
+				return nil, 0, fmt.Errorf("core: rank %d nested Win_start on win %d at %s",
 					rank, ev.Win, ev.Loc())
 			}
 			pscw[ev.Win] = &Epoch{Kind: EpochPSCW, Rank: rank, Win: ev.Win, Target: -1, Start: seq}
 		case trace.KindWinComplete:
 			open := pscw[ev.Win]
 			if open == nil {
-				return nil, nil, fmt.Errorf("core: rank %d Win_complete without Win_start at %s",
+				return nil, 0, fmt.Errorf("core: rank %d Win_complete without Win_start at %s",
 					rank, ev.Loc())
 			}
 			closeEpoch(open, seq)
 			delete(pscw, ev.Win)
 		case trace.KindWinLockAll:
 			if lockAll[ev.Win] != nil {
-				return nil, nil, fmt.Errorf("core: rank %d nested Win_lock_all on win %d at %s",
+				return nil, 0, fmt.Errorf("core: rank %d nested Win_lock_all on win %d at %s",
 					rank, ev.Win, ev.Loc())
 			}
 			lockAll[ev.Win] = &Epoch{Kind: EpochLockAll, Rank: rank, Win: ev.Win, Target: -1, Start: seq}
 		case trace.KindWinUnlockAll:
 			open := lockAll[ev.Win]
 			if open == nil {
-				return nil, nil, fmt.Errorf("core: rank %d Win_unlock_all without Win_lock_all at %s",
+				return nil, 0, fmt.Errorf("core: rank %d Win_unlock_all without Win_lock_all at %s",
 					rank, ev.Loc())
 			}
 			closeEpoch(open, seq)
@@ -204,7 +207,7 @@ func extractRankEpochs(m *model.Model, t *trace.Trace) ([]*Epoch, map[trace.ID]*
 			trace.KindGetAccumulate, trace.KindFetchOp, trace.KindCompareSwap:
 			tw, err := m.TargetWorld(ev)
 			if err != nil {
-				return nil, nil, err
+				return nil, 0, err
 			}
 			var e *Epoch
 			switch {
@@ -217,31 +220,36 @@ func extractRankEpochs(m *model.Model, t *trace.Trace) ([]*Epoch, map[trace.ID]*
 			case fence[ev.Win] != nil:
 				e = fence[ev.Win]
 			default:
-				return nil, nil, fmt.Errorf("core: rank %d issues %s outside any epoch at %s",
+				return nil, 0, fmt.Errorf("core: rank %d issues %s outside any epoch at %s",
 					rank, ev.Kind, ev.Loc())
 			}
 			e.Ops = append(e.Ops, ev.ID())
-			opEpoch[ev.ID()] = e
+			ops++
 		}
 	}
 
-	// Close epochs truncated by the end of the trace.
-	end := int64(len(t.Events))
+	// Close epochs truncated by the end of the trace, in the order they
+	// opened: two of them can report violations under one dedup key, and
+	// the first checked supplies the reported instance.
+	var open []*Epoch
 	for _, e := range fence {
-		if e != nil {
-			closeEpoch(e, end)
-		}
+		open = append(open, e)
 	}
 	for _, e := range locks {
-		closeEpoch(e, end)
+		open = append(open, e)
 	}
 	for _, e := range pscw {
-		closeEpoch(e, end)
+		open = append(open, e)
 	}
 	for _, e := range lockAll {
+		open = append(open, e)
+	}
+	slices.SortFunc(open, func(x, y *Epoch) int { return cmp.Compare(x.Start, y.Start) })
+	end := int64(len(t.Events))
+	for _, e := range open {
 		closeEpoch(e, end)
 	}
-	return epochs, opEpoch, nil
+	return epochs, ops, nil
 }
 
 func lockTargetWorld(m *model.Model, ev *trace.Event) (int32, error) {

@@ -151,3 +151,43 @@ func TestTruncatedEpochClosedAtTraceEnd(t *testing.T) {
 		t.Errorf("truncated epoch end = %d", e.End)
 	}
 }
+
+// Epochs left open at the end of a truncated trace close in the order
+// they opened. Here two lock epochs of rank 0 on one window stay open,
+// each with a Get and a load of its origin buffer from the same source
+// lines, so their within-epoch violations share a dedup key and the
+// epoch checked first supplies the reported instance: every run must
+// report the same one.
+func TestTruncatedEpochsCloseInOpeningOrder(t *testing.T) {
+	b := testutil.NewTraceBuilder(3)
+	b.WinCreate(1, 0x1000, 64)
+	for _, target := range []int32{1, 2} {
+		origin := 0x500 + 0x100*uint64(target)
+		b.Add(0, trace.Event{Kind: trace.KindWinLock, Win: 1, Target: target, Lock: trace.LockShared,
+			File: "app.go", Line: 1})
+		b.Add(0, trace.Event{Kind: trace.KindGet, Win: 1, Target: target,
+			OriginAddr: origin, OriginType: trace.TypeInt32, OriginCount: 1,
+			TargetType: trace.TypeInt32, TargetCount: 1, File: "app.go", Line: 2})
+		b.Add(0, trace.Event{Kind: trace.KindLoad, Addr: origin, Size: 4, File: "app.go", Line: 3})
+	}
+	set := b.Set()
+	var first string
+	for i := 0; i < 200; i++ {
+		rep, err := AnalyzeWith(set, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Violations) != 1 || rep.Violations[0].Count != 2 {
+			t.Fatalf("want one violation seen twice, got:\n%s", rep)
+		}
+		if v := rep.Violations[0]; v.Overlap.Lo != 0x600 {
+			t.Fatalf("reported the instance of the later epoch (overlap %v)", v.Overlap)
+		}
+		got := rep.String()
+		if i == 0 {
+			first = got
+		} else if got != first {
+			t.Fatalf("run %d report differs:\n%s\nfirst run:\n%s", i, got, first)
+		}
+	}
+}

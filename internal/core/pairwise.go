@@ -180,18 +180,20 @@ func (a *Analyzer) pairwiseRegion(rg dag.Region, col *collector) error {
 
 	// Step 2: local operations at each process against the stored remote
 	// operations on that process's window buffers.
-	return a.forEachLocalAccess(rg, func(ev *trace.Event, cls Op, fp model.Footprint, storeRule bool) error {
+	_, err := a.forEachLocalAccess(rg, nil, func(ev *trace.Event, cls Op, fp model.Footprint, storeRule bool) error {
 		a.forEachWindow(fp, func(win int32) {
 			a.checkLocalAgainstVector(rg, win, vectors[winTarget{win: win, tw: fp.Rank}],
 				ev, cls, fp, storeRule, col)
 		})
 		return nil
 	})
+	return err
 }
 
 // checkLocalAgainstVector compares one local operation of process fp.Rank
 // against the remote one-sided operations stored for window win at that
-// process, deciding each pair with localMode.
+// process, deciding each pair with localMode. It keeps nothing of fp
+// after it returns.
 func (a *Analyzer) checkLocalAgainstVector(rg dag.Region, win int32, vector []storedOp,
 	ev *trace.Event, cls Op, fp model.Footprint, storeRule bool, col *collector) {
 	for i := range vector {

@@ -447,25 +447,32 @@ func (mt *matcher) processWait(ev *trace.Event) error {
 }
 
 // finish validates that nothing is left unmatched; a correct trace of a
-// completed run matches everything.
+// completed run matches everything. Where several collectives or
+// channels are left over, it names the one whose first event has the
+// smallest (rank, seq), so the error does not depend on map order.
 func (mt *matcher) finish() error {
-	for key, pc := range mt.pending {
+	var (
+		pkey scopeKey
+		pc   *pendingColl
+	)
+	for key, p := range mt.pending {
+		if pc == nil || idLess(p.events[0], pc.events[0]) {
+			pkey, pc = key, p
+		}
+	}
+	if pc != nil {
 		return fmt.Errorf("match: collective %s on scope %c%d instance %d matched only %d of %d ranks",
-			pc.kind, key.class, key.id, key.seq, len(pc.events), pc.expected)
+			pc.kind, pkey.class, pkey.id, pkey.seq, len(pc.events), pc.expected)
 	}
-	for key, q := range mt.sendQ {
-		if len(q) > 0 {
-			ev := mt.m.Set.Get(q[0])
-			return fmt.Errorf("match: %d unreceived message(s) from rank %d to rank %d tag %d (first sent at %s)",
-				len(q), key.src, key.dst, key.tag, ev.Loc())
-		}
+	if key, q := firstQueued(mt.sendQ); q != nil {
+		ev := mt.m.Set.Get(q[0])
+		return fmt.Errorf("match: %d unreceived message(s) from rank %d to rank %d tag %d (first sent at %s)",
+			len(q), key.src, key.dst, key.tag, ev.Loc())
 	}
-	for key, q := range mt.recvQ {
-		if len(q) > 0 {
-			ev := mt.m.Set.Get(q[0])
-			return fmt.Errorf("match: %d receive(s) at rank %d from rank %d tag %d never matched (first at %s)",
-				len(q), key.dst, key.src, key.tag, ev.Loc())
-		}
+	if key, q := firstQueued(mt.recvQ); q != nil {
+		ev := mt.m.Set.Get(q[0])
+		return fmt.Errorf("match: %d receive(s) at rank %d from rank %d tag %d never matched (first at %s)",
+			len(q), key.dst, key.src, key.tag, ev.Loc())
 	}
 	if len(mt.posts) > 0 || len(mt.starts) > 0 {
 		return fmt.Errorf("match: %d post(s) and %d start(s) unmatched", len(mt.posts), len(mt.starts))
@@ -479,4 +486,24 @@ func (mt *matcher) finish() error {
 		return fmt.Errorf("match: %d Win_complete(s) unmatched", len(mt.completes))
 	}
 	return nil
+}
+
+// firstQueued returns the channel of queues whose non-empty queue starts
+// with the smallest (rank, seq), or a nil queue if every queue is empty.
+func firstQueued(queues map[chanKey][]trace.ID) (chanKey, []trace.ID) {
+	var (
+		first chanKey
+		fq    []trace.ID
+	)
+	for key, q := range queues {
+		if len(q) > 0 && (fq == nil || idLess(q[0], fq[0])) {
+			first, fq = key, q
+		}
+	}
+	return first, fq
+}
+
+// idLess orders event IDs by rank, then seq.
+func idLess(a, b trace.ID) bool {
+	return a.Rank < b.Rank || a.Rank == b.Rank && a.Seq < b.Seq
 }

@@ -225,6 +225,30 @@ func TestMatchDetectsUnmatchedSend(t *testing.T) {
 	}
 }
 
+// With several channels left unmatched, the error names the one whose
+// first event has the smallest (rank, seq), however the matcher's maps
+// iterate.
+func TestMatchUnmatchedReportIsDeterministic(t *testing.T) {
+	for _, tc := range []struct {
+		kind trace.Kind
+		want string
+	}{
+		{trace.KindSend, "from rank 0 to rank 1"},
+		{trace.KindRecv, "at rank 0 from rank 1"},
+	} {
+		b := testutil.NewTraceBuilder(3)
+		b.Add(0, trace.Event{Kind: tc.kind, Comm: 0, Peer: 1, Tag: 0})
+		b.Add(0, trace.Event{Kind: tc.kind, Comm: 0, Peer: 2, Tag: 0})
+		m := build(t, b)
+		for i := 0; i < 200; i++ {
+			_, err := Run(m)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("%s, run %d: err = %v, want it to name %q", tc.kind, i, err, tc.want)
+			}
+		}
+	}
+}
+
 func TestMatchDetectsIncompleteBarrier(t *testing.T) {
 	b := testutil.NewTraceBuilder(2)
 	b.Add(0, trace.Event{Kind: trace.KindBarrier, Comm: 0})

@@ -230,5 +230,5 @@ type countingHook struct {
 	onCall func(rank int32)
 }
 
-func (h countingHook) MPICall(p *Proc, ev trace.Event)          { h.onCall(ev.Rank) }
+func (h countingHook) MPICall(p *Proc, ev trace.Event)           { h.onCall(ev.Rank) }
 func (h countingHook) BufferAllocated(p *Proc, b *memory.Buffer) {}

@@ -23,8 +23,14 @@
 //     non-decreasing, so the members of a group that are concurrent with
 //     a query form one contiguous range found by two binary searches —
 //     no per-member happens-before calls;
-//   - sites are interned in a Depot (see depot.go) so a member stays a
-//     few words and per-site work is done once.
+//   - cells and their group entries hold no pointers: a vector keeps
+//     its entries in one arena, each cell chains its own through int32
+//     links, and a group spills to a list in the vector's spill table.
+//     Inserting a cell shifts plain memory the garbage collector never
+//     scans, and a fresh cell allocates nothing once Reset has kept the
+//     arenas of an earlier region;
+//   - sites are interned in a Depot (see depot.go) so per-site work is
+//     done once.
 //
 // The store knows nothing about MPI semantics: the caller classifies
 // groups (skip / overlap-filtered / unconditional) and receives matches
@@ -58,9 +64,6 @@ type Access struct {
 	// decisions the caller makes in a Query classify callback must be a
 	// pure function of (Rank, Class) plus the query itself.
 	Class int32
-	// Site is the access's interned site (informational; kept on the
-	// member so callers can render operands without re-interning).
-	Site SiteID
 	// Seq is the event sequence number within the origin rank.
 	Seq int64
 	// Clock is the vector clock of the access's DAG segment, read-only.
@@ -68,8 +71,9 @@ type Access struct {
 	// non-decreasing clocks (true of segment clocks along program order).
 	Clock []int64
 	// Target is the access's byte footprint: ascending, disjoint
-	// intervals. May be empty; the member is then reachable only through
-	// ModeAll group matches, never through overlap filtering.
+	// intervals, read only during Insert. May be empty; the member is then
+	// reachable only through ModeAll group matches, never through overlap
+	// filtering.
 	Target []memory.Interval
 }
 
@@ -97,10 +101,8 @@ const (
 
 type member struct {
 	payload int32
-	site    SiteID
 	seq     int64
 	clock   []int64
-	target  []memory.Interval
 	stamp   uint64
 }
 
@@ -115,65 +117,26 @@ type group struct {
 	qmode  Mode
 }
 
-// cellGroup is one group's slice of a cell. The single-member case is
-// inlined (solo) — FastTrack's one-epoch summary — and spills to an
-// index list only when a second member of the same (rank, class) lands
-// on the same bytes.
+// cellGroup is one group's slice of a cell, an entry of its vector's
+// ents arena. The single-member case is inlined (solo) — FastTrack's
+// one-epoch summary — and spills to a member list in the vector's spills
+// only when a second member of the same (rank, class) lands on the same
+// bytes. A cell's entries form a chain through next.
 type cellGroup struct {
-	g    *group
-	solo int32
-	idxs []int32 // nil while the group has one member in this cell
-}
-
-func (cg *cellGroup) size() int {
-	if cg.idxs == nil {
-		return 1
-	}
-	return len(cg.idxs)
-}
-
-func (cg *cellGroup) at(i int) int32 {
-	if cg.idxs == nil {
-		return cg.solo
-	}
-	return cg.idxs[i]
-}
-
-func (cg *cellGroup) add(id int32) {
-	if cg.idxs == nil {
-		cg.idxs = append(make([]int32, 0, 4), cg.solo, id)
-		return
-	}
-	cg.idxs = append(cg.idxs, id)
+	group int32 // index into vector.groups
+	solo  int32 // the member while spill < 0
+	spill int32 // index into vector.spills, or -1 while the group has one member here
+	next  int32 // next entry of the same cell, or -1
 }
 
 // cell is one byte interval [lo, hi) of a vector with the members whose
-// footprints cover it, partitioned by group.
+// footprints cover it, partitioned by group: head is the first of its
+// entries in the vector's ents arena. Neither cells nor entries hold a
+// pointer, so shifting cells is a plain memmove and the garbage
+// collector never scans them.
 type cell struct {
-	lo, hi  uint64
-	entries []cellGroup
-}
-
-func (c *cell) add(g *group, id int32) {
-	for i := range c.entries {
-		if c.entries[i].g == g {
-			c.entries[i].add(id)
-			return
-		}
-	}
-	c.entries = append(c.entries, cellGroup{g: g, solo: id})
-}
-
-// cloneEntries deep-copies a cell's group slices for a split: the index
-// lists share backing arrays capped at their current length, so a later
-// append to either half reallocates instead of clobbering the other.
-func cloneEntries(es []cellGroup) []cellGroup {
-	out := make([]cellGroup, len(es))
-	for i, e := range es {
-		e.idxs = e.idxs[:len(e.idxs):len(e.idxs)]
-		out[i] = e
-	}
-	return out
+	lo, hi uint64
+	head   int32
 }
 
 type groupKey struct {
@@ -182,34 +145,36 @@ type groupKey struct {
 }
 
 type vector struct {
-	cells  []cell // sorted by lo, pairwise disjoint
-	groups []*group
-	gindex map[groupKey]*group
+	cells  []cell      // sorted by lo, pairwise disjoint
+	ents   []cellGroup // every cell's entries
+	spills [][]int32   // spilled member lists, arena indexes in insertion order
+	groups []group
+	gindex map[groupKey]int32 // (rank, class) → index into groups
 }
 
-func (v *vector) group(rank, class int32) *group {
+func (v *vector) group(rank, class int32) int32 {
 	k := groupKey{rank: rank, class: class}
 	if g, ok := v.gindex[k]; ok {
 		return g
 	}
-	var g *group
-	if n := len(v.groups); n < cap(v.groups) && v.groups[:n+1][n] != nil {
-		// Reuse a group retired by Reset.
-		g = v.groups[:n+1][n]
-		*g = group{rank: rank, class: class, all: g.all[:0]}
-		v.groups = v.groups[:n+1]
+	g := int32(len(v.groups))
+	if len(v.groups) < cap(v.groups) {
+		// Reuse the member list of a group retired by Reset.
+		v.groups = v.groups[:g+1]
+		v.groups[g] = group{rank: rank, class: class, all: v.groups[g].all[:0]}
 	} else {
-		g = &group{rank: rank, class: class}
-		v.groups = append(v.groups, g)
+		v.groups = append(v.groups, group{rank: rank, class: class})
 	}
 	v.gindex[k] = g
 	return g
 }
 
-// reset empties the vector, keeping its cell and group allocations.
+// reset empties the vector, keeping its cell, entry and group slices.
 func (v *vector) reset() {
-	clear(v.cells)
 	v.cells = v.cells[:0]
+	v.ents = v.ents[:0]
+	clear(v.spills)
+	v.spills = v.spills[:0]
 	v.groups = v.groups[:0]
 	clear(v.gindex)
 }
@@ -220,10 +185,68 @@ func (v *vector) insertCell(i int, c cell) {
 	v.cells[i] = c
 }
 
+// newEntry appends a one-member entry of group g and returns its index.
+func (v *vector) newEntry(g, id int32) int32 {
+	e := int32(len(v.ents))
+	v.ents = append(v.ents, cellGroup{group: g, solo: id, spill: -1, next: -1})
+	return e
+}
+
+// add appends member id of group g to the cell c.
+func (v *vector) add(c *cell, g, id int32) {
+	last := int32(-1)
+	for e := c.head; e >= 0; e = v.ents[e].next {
+		cg := &v.ents[e]
+		if cg.group != g {
+			last = e
+			continue
+		}
+		if cg.spill < 0 {
+			cg.spill = int32(len(v.spills))
+			v.spills = append(v.spills, append(make([]int32, 0, 4), cg.solo, id))
+		} else {
+			v.spills[cg.spill] = append(v.spills[cg.spill], id)
+		}
+		return
+	}
+	e := v.newEntry(g, id)
+	if last < 0 {
+		c.head = e
+	} else {
+		v.ents[last].next = e
+	}
+}
+
+// cloneEntries copies the entry chain starting at head for a split and
+// returns the copy's head. A copied spilled list shares its backing
+// array, capped at its current length, so a later append to either half
+// reallocates instead of clobbering the other.
+func (v *vector) cloneEntries(head int32) int32 {
+	first, last := int32(-1), int32(-1)
+	for e := head; e >= 0; e = v.ents[e].next {
+		cg := v.ents[e]
+		if cg.spill >= 0 {
+			list := v.spills[cg.spill]
+			cg.spill = int32(len(v.spills))
+			v.spills = append(v.spills, list[:len(list):len(list)])
+		}
+		cg.next = -1
+		n := int32(len(v.ents))
+		v.ents = append(v.ents, cg)
+		if last < 0 {
+			first = n
+		} else {
+			v.ents[last].next = n
+		}
+		last = n
+	}
+	return first
+}
+
 // cover registers member id of group g over interval iv: boundary cells
 // are split so the covered cells tile iv exactly, gaps get fresh cells,
 // and the member is appended to every covered cell.
-func (v *vector) cover(iv memory.Interval, g *group, id int32) {
+func (v *vector) cover(iv memory.Interval, g, id int32) {
 	lo := iv.Lo
 	if lo >= iv.Hi {
 		return
@@ -232,22 +255,21 @@ func (v *vector) cover(iv memory.Interval, g *group, id int32) {
 	for lo < iv.Hi {
 		if i == len(v.cells) || v.cells[i].lo >= iv.Hi {
 			// No existing cell before iv.Hi: one fresh cell for the rest.
-			v.insertCell(i, cell{lo: lo, hi: iv.Hi, entries: []cellGroup{{g: g, solo: id}}})
+			v.insertCell(i, cell{lo: lo, hi: iv.Hi, head: v.newEntry(g, id)})
 			return
 		}
 		c := &v.cells[i]
 		if c.lo > lo {
 			// Gap before the next cell.
-			v.insertCell(i, cell{lo: lo, hi: c.lo, entries: []cellGroup{{g: g, solo: id}}})
+			v.insertCell(i, cell{lo: lo, hi: c.lo, head: v.newEntry(g, id)})
 			i++
 			lo = v.cells[i].lo
 			continue
 		}
 		if c.lo < lo {
 			// Split off the uncovered left part [c.lo, lo).
-			left := cell{lo: c.lo, hi: lo, entries: c.entries}
-			right := cell{lo: lo, hi: c.hi, entries: cloneEntries(c.entries)}
-			v.cells[i] = left
+			right := cell{lo: lo, hi: c.hi, head: v.cloneEntries(c.head)}
+			c.hi = lo
 			v.insertCell(i+1, right)
 			i++
 			continue
@@ -255,14 +277,13 @@ func (v *vector) cover(iv memory.Interval, g *group, id int32) {
 		// c.lo == lo.
 		if c.hi > iv.Hi {
 			// Split off the uncovered right part [iv.Hi, c.hi).
-			left := cell{lo: c.lo, hi: iv.Hi, entries: cloneEntries(c.entries)}
-			right := cell{lo: iv.Hi, hi: c.hi, entries: c.entries}
-			v.cells[i] = left
+			right := cell{lo: iv.Hi, hi: c.hi, head: c.head}
+			c.hi, c.head = iv.Hi, v.cloneEntries(c.head)
 			v.insertCell(i+1, right)
 			c = &v.cells[i]
 		}
 		// Cell is now a subset of iv.
-		c.add(g, id)
+		v.add(c, g, id)
 		lo = c.hi
 		i++
 	}
@@ -288,14 +309,21 @@ func NewStore(depot *Depot) *Store {
 }
 
 // Reset empties the store, keeping its allocations for the next region:
-// the member arena, the query scratch, and each vector with its cell and
-// group slices. Members inserted before Reset are never emitted again.
+// the member arena, the query scratch, and each vector with its cell,
+// entry and group slices. Members inserted before Reset are never
+// emitted again.
 func (s *Store) Reset() {
-	clear(s.arena) // drop the footprint and clock references
+	clear(s.arena) // drop the clock references
 	s.arena = s.arena[:0]
 	for _, v := range s.vectors {
 		v.reset()
 	}
+}
+
+// Grow makes room for n more inserted accesses in the member arena, so a
+// caller that knows a region's size grows it once instead of by appends.
+func (s *Store) Grow(n int) {
+	s.arena = slices.Grow(s.arena, n)
 }
 
 // Depot returns the depot the store was built with (may be nil).
@@ -327,15 +355,13 @@ func (s *Store) Groups(key VectorKey) int {
 func (s *Store) Insert(key VectorKey, a Access) {
 	v := s.vectors[key]
 	if v == nil {
-		v = &vector{gindex: make(map[groupKey]*group)}
+		v = &vector{gindex: make(map[groupKey]int32)}
 		s.vectors[key] = v
 	}
 	g := v.group(a.Rank, a.Class)
 	id := int32(len(s.arena))
-	s.arena = append(s.arena, member{
-		payload: a.Payload, site: a.Site, seq: a.Seq, clock: a.Clock, target: a.Target,
-	})
-	g.all = append(g.all, id)
+	s.arena = append(s.arena, member{payload: a.Payload, seq: a.Seq, clock: a.Clock})
+	v.groups[g].all = append(v.groups[g].all, id)
 	for _, iv := range a.Target {
 		v.cover(iv, g, id)
 	}
@@ -396,7 +422,8 @@ func (s *Store) Query(key VectorKey, q Query, fp []memory.Interval,
 
 	// Unconditional groups: the whole concurrent range of the vector-wide
 	// list matches, byte overlap or not.
-	for _, g := range v.groups {
+	for gi := range v.groups {
+		g := &v.groups[gi]
 		if mode(g) != ModeAll {
 			continue
 		}
@@ -415,15 +442,23 @@ func (s *Store) Query(key VectorKey, q Query, fp []memory.Interval,
 		}
 		i := sort.Search(len(v.cells), func(i int) bool { return v.cells[i].hi > iv.Lo })
 		for ; i < len(v.cells) && v.cells[i].lo < iv.Hi; i++ {
-			c := &v.cells[i]
-			for j := range c.entries {
-				cg := &c.entries[j]
-				if mode(cg.g) != ModeOverlap {
+			for e := v.cells[i].head; e >= 0; e = v.ents[e].next {
+				cg := &v.ents[e]
+				g := &v.groups[cg.group]
+				if mode(g) != ModeOverlap {
 					continue
 				}
-				lo, hi := s.concurrentRangeCell(cg, q)
-				for k := lo; k < hi; k++ {
-					collect(cg.at(k))
+				if cg.spill < 0 {
+					m := &s.arena[cg.solo]
+					if m.seq > q.Clock[g.rank] && m.clock[q.Rank] < q.Seq {
+						collect(cg.solo)
+					}
+					continue
+				}
+				list := v.spills[cg.spill]
+				lo, hi := s.concurrentRange(list, g.rank, q)
+				for _, id := range list[lo:hi] {
+					collect(id)
 				}
 			}
 		}
@@ -435,23 +470,4 @@ func (s *Store) Query(key VectorKey, q Query, fp []memory.Interval,
 	for _, id := range s.scratch {
 		emit(s.arena[id].payload)
 	}
-}
-
-// concurrentRangeCell is concurrentRange over a cellGroup's (possibly
-// inlined) member list.
-func (s *Store) concurrentRangeCell(cg *cellGroup, q Query) (int, int) {
-	if cg.idxs == nil {
-		m := &s.arena[cg.solo]
-		if m.seq > q.Clock[cg.g.rank] && m.clock[q.Rank] < q.Seq {
-			return 0, 1
-		}
-		return 0, 0
-	}
-	known := q.Clock[cg.g.rank]
-	lo := sort.Search(len(cg.idxs), func(i int) bool { return s.arena[cg.idxs[i]].seq > known })
-	hi := sort.Search(len(cg.idxs), func(i int) bool { return s.arena[cg.idxs[i]].clock[q.Rank] >= q.Seq })
-	if hi < lo {
-		hi = lo
-	}
-	return lo, hi
 }

@@ -173,11 +173,11 @@ func TestCellGroupSpill(t *testing.T) {
 }
 
 // After a split, appending to one half must not clobber the other
-// (the cloneEntries capacity cap).
+// (the cloneEntries capacity cap on copied spilled lists).
 func TestCellSplitAliasing(t *testing.T) {
 	st := NewStore(nil)
 	key := VectorKey{Win: 1, Target: 0}
-	// Two members of one group share a cell → spilled idxs slice.
+	// Two members of one group share a cell → a spilled member list.
 	st.Insert(key, Access{Payload: 0, Rank: 1, Class: 0, Seq: 0,
 		Clock: clock(-1, -1, -1, -1), Target: []memory.Interval{{Lo: 0, Hi: 100}}})
 	st.Insert(key, Access{Payload: 1, Rank: 1, Class: 0, Seq: 1,
@@ -186,7 +186,7 @@ func TestCellSplitAliasing(t *testing.T) {
 	st.Insert(key, Access{Payload: 2, Rank: 2, Class: 0, Seq: 0,
 		Clock: clock(-1, -1, -1, -1), Target: []memory.Interval{{Lo: 50, Hi: 100}}})
 	// And one more of group (1,0) to the right half: if the split aliased
-	// the idxs slices, this append would corrupt the left half's list.
+	// the spilled lists, this append would corrupt the left half's list.
 	st.Insert(key, Access{Payload: 3, Rank: 1, Class: 0, Seq: 2,
 		Clock: clock(-1, -1, -1, -1), Target: []memory.Interval{{Lo: 50, Hi: 100}}})
 
@@ -382,23 +382,48 @@ func TestCoverInvariants(t *testing.T) {
 			Seq: int64(i), Clock: clock(-1, -1, -1), Target: fp})
 	}
 	v := st.vectors[key]
+	// Every entry belongs to exactly one cell's chain, and a cell holds
+	// at most one entry per group.
+	owner := make([]int, len(v.ents))
 	for i := range v.cells {
-		if v.cells[i].lo >= v.cells[i].hi {
-			t.Fatalf("cell %d empty: [%d,%d)", i, v.cells[i].lo, v.cells[i].hi)
+		c := &v.cells[i]
+		if c.lo >= c.hi {
+			t.Fatalf("cell %d empty: [%d,%d)", i, c.lo, c.hi)
 		}
-		if i > 0 && v.cells[i-1].hi > v.cells[i].lo {
+		if i > 0 && v.cells[i-1].hi > c.lo {
 			t.Fatalf("cells %d,%d overlap or unsorted", i-1, i)
 		}
+		if c.head < 0 {
+			t.Fatalf("cell %d has no entries", i)
+		}
+		groups := map[int32]bool{}
+		for e := c.head; e >= 0; e = v.ents[e].next {
+			if owner[e] != 0 {
+				t.Fatalf("entry %d chained from cells %d and %d", e, owner[e]-1, i)
+			}
+			owner[e] = i + 1
+			if g := v.ents[e].group; groups[g] {
+				t.Fatalf("cell %d holds group %d twice", i, g)
+			} else {
+				groups[g] = true
+			}
+		}
+	}
+	// members lists a cell entry's members, inlined or spilled.
+	members := func(cg *cellGroup) []int32 {
+		if cg.spill < 0 {
+			return []int32{cg.solo}
+		}
+		return v.spills[cg.spill]
 	}
 	// Every member's footprint is exactly tiled by the cells that hold it.
 	for id := int32(0); id < int32(len(ivs)); id++ {
 		var covered []memory.Interval
 		for i := range v.cells {
 			c := &v.cells[i]
-			for j := range c.entries {
-				cg := &c.entries[j]
-				for k := 0; k < cg.size(); k++ {
-					if cg.at(k) == id {
+			for e := c.head; e >= 0; e = v.ents[e].next {
+				for _, m := range members(&v.ents[e]) {
+					if m == id {
 						covered = append(covered, memory.Interval{Lo: c.lo, Hi: c.hi})
 					}
 				}
@@ -459,5 +484,36 @@ func TestClassifyOncePerGroup(t *testing.T) {
 		func(int32) {})
 	if calls != 2 {
 		t.Fatalf("classify called %d times across two queries, want 2", calls)
+	}
+}
+
+// A reset store refills a region of fresh cells without allocating: the
+// cells, their entries, the member arena and the group lists are all
+// kept by Reset.
+func TestRefillAfterResetAllocatesNothing(t *testing.T) {
+	const n = 4096
+	key := VectorKey{Win: 1, Target: 0}
+	order := rand.New(rand.NewSource(1)).Perm(n)
+	clk := clock(-1, -1)
+	fps := make([][]memory.Interval, n)
+	for i, w := range order {
+		fps[i] = []memory.Interval{memory.Iv(uint64(8*w), 8)}
+	}
+	st := NewStore(nil)
+	fill := func() {
+		for i, fp := range fps {
+			st.Insert(key, Access{Payload: int32(i), Rank: 1, Seq: int64(i), Clock: clk, Target: fp})
+		}
+	}
+	fill()
+	if got := st.Cells(key); got != n {
+		t.Fatalf("cells=%d, want %d", got, n)
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		st.Reset()
+		fill()
+	})
+	if allocs != 0 {
+		t.Fatalf("refilling a reset store allocated %.0f times, want 0", allocs)
 	}
 }

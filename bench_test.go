@@ -216,71 +216,6 @@ func BenchmarkSyncMatching(b *testing.B) {
 	})
 }
 
-// Multithreaded DN-Analyzer (§VI planned work): serial vs parallel
-// cross-process detection over many regions. Regions are embarrassingly
-// parallel, so on a multicore machine workers4 approaches a linear speedup;
-// on single-core machines (like some CI hosts) the two variants tie, which
-// is itself the correct result. Equivalence of results is asserted
-// separately in TestParallelAnalysisEquivalence.
-func BenchmarkParallelRegions(b *testing.B) {
-	sink := trace.NewMemorySink()
-	pr := profiler.New(sink, nil)
-	body := func(p *mpi.Proc) error {
-		win := p.Alloc(512, "win")
-		w := p.WinCreate(win, 1, p.CommWorld())
-		p.Barrier(p.CommWorld())
-		src := p.Alloc(64, "src")
-		for i := 0; i < 40; i++ {
-			for k := 0; k < 6; k++ {
-				target := (p.Rank() + 1 + k) % p.Size()
-				w.Lock(mpi.LockShared, target)
-				w.Put(src, 0, 8, mpi.Float64, target, uint64(p.Rank())*64, 8, mpi.Float64)
-				w.Unlock(target)
-			}
-			p.Barrier(p.CommWorld())
-		}
-		w.Free()
-		return nil
-	}
-	if err := mpi.Run(8, mpi.Options{Hook: pr}, body); err != nil {
-		b.Fatal(err)
-	}
-	set := sink.Set()
-	// Build the pipeline once; benchmark only the detection phase that
-	// Workers parallelizes.
-	m, err := model.Build(set)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ms, err := match.Run(m)
-	if err != nil {
-		b.Fatal(err)
-	}
-	d, err := dag.Build(m, ms)
-	if err != nil {
-		b.Fatal(err)
-	}
-	epochs, opEpoch, err := core.ExtractEpochs(m)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, workers := range []int{1, 4} {
-		workers := workers
-		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				opts := core.Options{CrossProcess: true, Workers: workers}
-				rep, err := core.NewAnalyzer(m, d, epochs, opEpoch, opts).Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(rep.Violations) != 0 {
-					b.Fatal("race-free pattern flagged")
-				}
-			}
-		})
-	}
-}
-
 // --- §VII comparison: SyncChecker baseline -------------------------------
 
 func BenchmarkSyncCheckerBaseline(b *testing.B) {

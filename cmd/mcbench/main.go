@@ -331,15 +331,13 @@ func bench(jsonPath, benchTime string, amplify int, tracePath string) error {
 	line("decode (pooled)", res.Decode.Pooled)
 	line("decode (pool off)", res.Decode.Unpooled)
 	line("signature", res.Signature)
-	line("analyze (workers=1)", res.Analyze.Workers1)
-	line(fmt.Sprintf("analyze (workers=%d)", res.Analyze.MaxWorkers), res.Analyze.WorkersMax)
 	line("cross-process linear", res.Cross.Linear)
 	line("cross-process quadratic", res.Cross.Quadratic)
 	line("cross-process shadow", res.Shadow.Shadow)
 	line("cross-process pairwise", res.Shadow.Pairwise)
 	w.Flush()
-	fmt.Printf("decode alloc reduction: %.1f%% (ns/op %+.1f%%)  analyze speedup: %.2fx (GOMAXPROCS=%d, cpus=%d)  linear vs quadratic: %.1fx\n",
-		res.Decode.AllocReductionPct, res.Decode.NsPerOpDeltaPct, res.Analyze.Speedup, res.GOMAXPROCS, res.NumCPU, res.Cross.Speedup)
+	fmt.Printf("decode alloc reduction: %.1f%% (ns/op %+.1f%%)  linear vs quadratic: %.1fx (GOMAXPROCS=%d, cpus=%d)\n",
+		res.Decode.AllocReductionPct, res.Decode.NsPerOpDeltaPct, res.Cross.Speedup, res.GOMAXPROCS, res.NumCPU)
 	fmt.Printf("shadow vs pairwise: %.1fx on %d ops across %d ranks (agreement=%v)\n",
 		res.Shadow.Speedup, res.Shadow.Ops, res.Shadow.Ranks, res.Shadow.Agreement)
 	if err := mergeBenchJSON(jsonPath, res, "serve", "corpus"); err != nil {
@@ -412,7 +410,7 @@ func serveLoad(jsonPath string, clients, jobs, queue int, faultFrac float64) err
 		return fmt.Errorf("daemon failed to drain")
 	}
 	if err := mergeBenchJSON(jsonPath, map[string]any{"serve": res},
-		"corpus", "gomaxprocs", "num_cpu", "amplify", "benchtime", "decode", "signature", "analyze", "phases", "cross_process", "shadow_vs_pairwise"); err != nil {
+		"corpus", "gomaxprocs", "num_cpu", "amplify", "benchtime", "decode", "signature", "phases", "cross_process", "shadow_vs_pairwise"); err != nil {
 		return err
 	}
 	fmt.Printf("wrote serve section to %s\n", jsonPath)
@@ -435,7 +433,7 @@ func corpusScore(jsonPath string, programs, clean int, seed uint64) error {
 			res.AppsCaught, res.AppsFixedClean, res.GeneratedCaught, res.CleanOK)
 	}
 	if err := mergeBenchJSON(jsonPath, map[string]any{"corpus": res},
-		"serve", "gomaxprocs", "num_cpu", "amplify", "benchtime", "decode", "signature", "analyze", "phases", "cross_process", "shadow_vs_pairwise"); err != nil {
+		"serve", "gomaxprocs", "num_cpu", "amplify", "benchtime", "decode", "signature", "phases", "cross_process", "shadow_vs_pairwise"); err != nil {
 		return err
 	}
 	fmt.Printf("wrote corpus section to %s\n", jsonPath)

@@ -42,10 +42,11 @@
 //	              [-stats-format F] [-cpuprofile FILE] [-memprofile FILE] [-stats-listen ADDR] DIR
 //	    Run DN-Analyzer offline over per-rank trace files. With a
 //	    positional DIR (flags first), -trace names a Chrome trace JSON timeline of the
-//	    pipeline (per-worker decode/model/epochs/detect lanes plus one
-//	    track per violation's happens-before witness chain; open it in
-//	    ui.perfetto.dev). The legacy `analyze -trace DIR` spelling, with
-//	    no positional argument, still reads DIR and records no timeline.
+//	    pipeline (per-worker decode lanes, phase and per-epoch/per-region
+//	    detect spans, plus one track per violation's happens-before
+//	    witness chain; open it in ui.perfetto.dev). The legacy
+//	    `analyze -trace DIR` spelling, with no positional argument, still
+//	    reads DIR and records no timeline.
 //	    -cpuprofile/-memprofile write pprof profiles; -stats-listen
 //	    serves /metrics and /debug/pprof while the analysis runs.
 //
@@ -81,7 +82,7 @@
 //	    exits 3.
 //
 //	mcchecker serve [-addr HOST:PORT] [-workers N] [-queue N] [-job-timeout D]
-//	                [-max-attempts N] [-retry-backoff D] [-analyze-workers N] [-drain-timeout D]
+//	                [-max-attempts N] [-retry-backoff D] [-drain-timeout D]
 //	    Run the analysis daemon (internal/serve): clients POST trace sets
 //	    to /jobs (inline uploads or a server-local directory) and poll
 //	    /jobs/{id} for the report. Admission is bounded by -queue (excess
@@ -197,7 +198,7 @@ func commands() []command {
 			summary: "run the analysis daemon (POST trace sets to /jobs)",
 			synopsis: []string{
 				"mcchecker serve [-addr HOST:PORT] [-workers N] [-queue N] [-job-timeout D] [-max-attempts N]",
-				"              [-retry-backoff D] [-analyze-workers N] [-drain-timeout D]",
+				"              [-retry-backoff D] [-drain-timeout D]",
 			},
 			run: serveCmd,
 		},
@@ -1079,12 +1080,12 @@ func analyzeCmd(args []string) error {
 	}
 	defer closeStats()
 	tl := newTimeline(timelinePath)
+	sc := obs.Scope{Obs: reg, Trace: tl.recorder()}
 	opts := core.DefaultOptions()
+	opts.Scope = sc
 	if *intraOnly {
 		opts.CrossProcess = false
 	}
-	opts.Obs = reg
-	opts.Trace = tl.recorder()
 
 	// finish flushes everything that must not be lost to the findings
 	// exit inside printReport: profiles, witness tracks, the timeline.
@@ -1100,13 +1101,13 @@ func analyzeCmd(args []string) error {
 		return printReport(rep, *jsonOut, printReg, *statsFormat)
 	}
 
-	set, err := trace.ReadDirTraced(inputDir, reg, tl.recorder())
+	set, err := trace.ReadDirWith(inputDir, sc)
 	if err != nil {
 		// Strict reading failed (truncated or damaged files): salvage the
 		// valid per-rank prefixes and produce a degraded report instead of
 		// nothing.
 		fmt.Fprintf(os.Stderr, "mcchecker: strict trace read failed (%v); salvaging\n", err)
-		salvaged, notes, serr := trace.ReadDirSalvageTraced(inputDir, reg, tl.recorder())
+		salvaged, notes, serr := trace.ReadDirSalvage(inputDir, sc)
 		if serr != nil {
 			return serr
 		}

@@ -26,7 +26,6 @@ func serveCmd(args []string) error {
 	jobTimeout := fs.Duration("job-timeout", 30*time.Second, "per-attempt watchdog deadline")
 	maxAttempts := fs.Int("max-attempts", 3, "attempts before a failing job is quarantined")
 	retryBackoff := fs.Duration("retry-backoff", 100*time.Millisecond, "base retry backoff, doubled per attempt")
-	analyzeWorkers := fs.Int("analyze-workers", 1, "core pipeline workers per job")
 	drainTimeout := fs.Duration("drain-timeout", time.Minute, "max wait for in-flight jobs on shutdown")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -37,13 +36,12 @@ func serveCmd(args []string) error {
 
 	reg := obs.NewRegistry()
 	srv := serve.New(serve.Config{
-		Workers:        *workers,
-		QueueBudget:    *queue,
-		JobTimeout:     *jobTimeout,
-		MaxAttempts:    *maxAttempts,
-		RetryBackoff:   *retryBackoff,
-		AnalyzeWorkers: *analyzeWorkers,
-		Obs:            reg,
+		Workers:      *workers,
+		QueueBudget:  *queue,
+		JobTimeout:   *jobTimeout,
+		MaxAttempts:  *maxAttempts,
+		RetryBackoff: *retryBackoff,
+		Obs:          reg,
 	})
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

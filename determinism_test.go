@@ -3,7 +3,6 @@ package mcchecker
 import (
 	"bytes"
 	"fmt"
-	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -19,12 +18,11 @@ import (
 )
 
 // TestReportsByteIdenticalAcrossWorkers is the contract behind the
-// pipeline-parallel front end: for every bundled bug case, analyzing the
-// same trace set at any worker count — and analyzing it again after a
-// WriteDir → ReadDir round trip through the concurrent decoder — must
-// produce byte-identical text and JSON reports.
+// concurrent decode pool, the one worker pool left on the offline path:
+// for every bundled bug case, analyzing a trace set in memory and again
+// after a WriteDir → ReadDir round trip, whose rank files decode on
+// GOMAXPROCS workers, must produce byte-identical text and JSON reports.
 func TestReportsByteIdenticalAcrossWorkers(t *testing.T) {
-	workerCounts := []int{1, 4, runtime.GOMAXPROCS(0)}
 	for _, bc := range apps.BugCases() {
 		bc := bc
 		t.Run(bc.Name, func(t *testing.T) {
@@ -32,48 +30,31 @@ func TestReportsByteIdenticalAcrossWorkers(t *testing.T) {
 			if ranks > 8 {
 				ranks = 8
 			}
-			sink := trace.NewMemorySink()
 			var rel profiler.Relevance
 			if bc.RelevantBuffers != nil {
 				rel = profiler.FromNames(bc.RelevantBuffers)
 			}
-			pr := profiler.New(sink, rel)
-			if err := mpi.Run(ranks, mpi.Options{Hook: pr}, bc.Buggy); err != nil {
+			set, err := simulate(ranks, rel, bc.Buggy)
+			if err != nil {
 				t.Fatal(err)
 			}
-			set := sink.Set()
 
-			analyze := func(s *trace.Set, workers int) (string, []byte) {
-				opts := core.DefaultOptions()
-				opts.Workers = workers
-				rep, err := core.AnalyzeWith(s, opts)
+			analyze := func(s *trace.Set) (string, []byte) {
+				rep, err := core.AnalyzeWith(s, core.DefaultOptions())
 				if err != nil {
-					t.Fatalf("workers=%d: %v", workers, err)
+					t.Fatal(err)
 				}
 				js, err := rep.JSON()
 				if err != nil {
-					t.Fatalf("workers=%d: %v", workers, err)
+					t.Fatal(err)
 				}
 				return rep.String(), js
 			}
 
-			baseText, baseJSON := analyze(set, workerCounts[0])
+			baseText, baseJSON := analyze(set)
 			if baseText == "" {
 				t.Fatal("empty report text")
 			}
-			for _, w := range workerCounts[1:] {
-				text, js := analyze(set, w)
-				if text != baseText {
-					t.Errorf("workers=%d: report text diverged\n--- workers=1 ---\n%s\n--- workers=%d ---\n%s",
-						w, baseText, w, text)
-				}
-				if !bytes.Equal(js, baseJSON) {
-					t.Errorf("workers=%d: report JSON diverged", w)
-				}
-			}
-
-			// File round trip: the concurrent per-rank decode must hand the
-			// analyzer the identical set.
 			dir := t.TempDir()
 			if err := trace.WriteDir(dir, set); err != nil {
 				t.Fatal(err)
@@ -82,7 +63,7 @@ func TestReportsByteIdenticalAcrossWorkers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			text, js := analyze(loaded, runtime.GOMAXPROCS(0))
+			text, js := analyze(loaded)
 			if text != baseText {
 				t.Errorf("after ReadDir: report text diverged\n--- in-memory ---\n%s\n--- decoded ---\n%s",
 					baseText, text)
@@ -122,13 +103,12 @@ func genCase(pattern string, seed uint64) (*gen.Program, error) {
 }
 
 // checkEngineAgreement asserts that both production detectors render
-// reports byte-identical to their pairwise references on the set at the
-// given worker count, in text and JSON, and that the cross-process
-// detector reports the same set of cross-process signatures as the
-// all-pairs oracle.
-func checkEngineAgreement(t *testing.T, set *trace.Set, workers int) {
+// reports byte-identical to their pairwise references on the set, in text
+// and JSON, and that the cross-process detector reports the same set of
+// cross-process signatures as the all-pairs oracle.
+func checkEngineAgreement(t *testing.T, set *trace.Set) {
 	t.Helper()
-	rep, err := experiments.CheckPairwise(set, workers)
+	rep, err := experiments.CheckPairwise(set)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,8 +117,8 @@ func checkEngineAgreement(t *testing.T, set *trace.Set, workers int) {
 		t.Fatalf("all-pairs: %v", err)
 	}
 	if got, want := experiments.CrossSignatures(rep), experiments.CrossSignatures(quad); !slices.Equal(got, want) {
-		t.Errorf("workers=%d: cross-process signatures differ from the all-pairs oracle\n--- all-pairs ---\n%s\n--- production ---\n%s",
-			workers, strings.Join(want, "\n"), strings.Join(got, "\n"))
+		t.Errorf("cross-process signatures differ from the all-pairs oracle\n--- all-pairs ---\n%s\n--- production ---\n%s",
+			strings.Join(want, "\n"), strings.Join(got, "\n"))
 	}
 }
 
@@ -161,12 +141,9 @@ func repeatBody(body func(p *mpi.Proc) error, times int) func(p *mpi.Proc) error
 // region after region and the shadow engine's dedup folds them) and one
 // injected generator program per bug pattern, the production cross-process
 // and within-epoch detectors must each render byte-identical reports to
-// their pairwise references at every worker count, and the cross-process
-// detector must report the all-pairs oracle's set of cross-process
-// signatures.
+// their pairwise references, and the cross-process detector must report
+// the all-pairs oracle's set of cross-process signatures.
 func TestShadowPairwiseDifferentialSweep(t *testing.T) {
-	workerCounts := []int{1, runtime.GOMAXPROCS(0)}
-
 	type sweepCase struct {
 		name  string
 		ranks int
@@ -205,9 +182,7 @@ func TestShadowPairwiseDifferentialSweep(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, w := range workerCounts {
-				checkEngineAgreement(t, set, w)
-			}
+			checkEngineAgreement(t, set)
 		})
 	}
 }
@@ -235,7 +210,6 @@ func FuzzShadowDifferential(f *testing.F) {
 		if err != nil {
 			t.Skip(fmt.Sprintf("simulate: %v", err))
 		}
-		checkEngineAgreement(t, set, 1)
-		checkEngineAgreement(t, set, runtime.GOMAXPROCS(0))
+		checkEngineAgreement(t, set)
 	})
 }

@@ -43,16 +43,14 @@ func QuadraticAnalyze(set *trace.Set) (*core.Report, error) {
 
 // PairwiseAnalyze detects cross-process conflicts with the pairwise
 // per-vector reference scan. Its text and JSON reports are byte-identical
-// to core.AnalyzeWith(set, core.Options{CrossProcess: true}) at any worker
-// count.
+// to core.AnalyzeWith(set, core.Options{CrossProcess: true}).
 func PairwiseAnalyze(set *trace.Set) (*core.Report, error) {
 	return crossOnly(set, core.PairwiseCrossProcess)
 }
 
 // PairwiseIntraAnalyze detects within-epoch conflicts with the reference
 // scan over every pending pair. Its text and JSON reports are
-// byte-identical to core.AnalyzeWith(set, core.Options{IntraEpoch: true})
-// at any worker count.
+// byte-identical to core.AnalyzeWith(set, core.Options{IntraEpoch: true}).
 func PairwiseIntraAnalyze(set *trace.Set) (*core.Report, error) {
 	m, err := model.Build(set)
 	if err != nil {

@@ -26,79 +26,37 @@ import (
 	"repro/internal/trace"
 )
 
-// PhaseSpanName is the span family under which the pipeline phases record
-// their wall time, one sample per phase label: model, match, dag, epochs,
-// detect_intra, detect_cross.
-const PhaseSpanName = "mcchecker_phase_seconds"
-
 // Analyze runs the full MC-Checker offline pipeline on a trace set.
 func Analyze(set *trace.Set) (*Report, error) {
 	return AnalyzeWith(set, DefaultOptions())
 }
 
-// AnalyzeWith runs the pipeline with explicit detector options. With
-// opts.Obs set, each phase (model build, sync matching, DAG construction,
-// epoch extraction, detection) records a wall-time span — the per-phase
-// breakdown of the paper's evaluation (§VII).
-//
-// opts.Workers also parallelizes the per-rank front-end phases (trace
-// validation, model build, epoch extraction); sync matching and DAG
-// construction are inherently cross-rank and stay serial. The report is
-// byte-identical for every worker count.
-//
-// opts.Ctx, when non-nil, cancels the pipeline cooperatively at phase
-// boundaries (and, inside the detectors, between epochs/regions): a
-// serving watchdog can reclaim a stuck analysis without killing the
+// AnalyzeWith runs the pipeline with explicit detector options. Each
+// phase (model build, sync matching, DAG construction, epoch extraction,
+// detection) runs through opts.Phase: with opts.Obs set it records a
+// wall-time span, the per-phase breakdown of the paper's evaluation
+// (§VII), and opts.Ctx, when non-nil, cancels the pipeline cooperatively
+// before each phase (and, inside the detectors, between epochs/regions):
+// a serving watchdog can reclaim a stuck analysis without killing the
 // process.
 func AnalyzeWith(set *trace.Set, opts Options) (*Report, error) {
-	reg := opts.Obs
-	tr := opts.Trace
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1
+	var (
+		m       *model.Model
+		ms      *match.Matches
+		d       *dag.DAG
+		epochs  []*Epoch
+		opEpoch map[trace.ID]*Epoch
+	)
+	err := opts.Phase("model", func() (err error) { m, err = model.Build(set); return })
+	if err == nil {
+		err = opts.Phase("match", func() (err error) { ms, err = match.Run(m); return })
 	}
-	if err := opts.ctxErr(); err != nil {
-		return nil, err
+	if err == nil {
+		err = opts.Phase("dag", func() (err error) { d, err = dag.Build(m, ms); return })
 	}
-	reg.Gauge("mcchecker_pipeline_front_end_workers").Set(int64(workers))
-	sp := reg.StartSpan(PhaseSpanName, "phase", "model")
-	psp := tr.Start("pipeline", "main", "model")
-	m, err := model.BuildWorkersTraced(set, workers, tr)
-	psp.End()
-	sp.End()
-	if err != nil {
-		return nil, err
+	if err == nil {
+		err = opts.Phase("epochs", func() (err error) { epochs, opEpoch, err = ExtractEpochs(m); return })
 	}
-	if err := opts.ctxErr(); err != nil {
-		return nil, err
-	}
-	sp = reg.StartSpan(PhaseSpanName, "phase", "match")
-	psp = tr.Start("pipeline", "main", "match")
-	ms, err := match.Run(m)
-	psp.End()
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	if err := opts.ctxErr(); err != nil {
-		return nil, err
-	}
-	sp = reg.StartSpan(PhaseSpanName, "phase", "dag")
-	psp = tr.Start("pipeline", "main", "dag")
-	d, err := dag.Build(m, ms)
-	psp.End()
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	if err := opts.ctxErr(); err != nil {
-		return nil, err
-	}
-	sp = reg.StartSpan(PhaseSpanName, "phase", "epochs")
-	psp = tr.Start("pipeline", "main", "epochs")
-	epochs, opEpoch, err := ExtractEpochsWorkersTraced(m, workers, tr)
-	psp.End()
-	sp.End()
 	if err != nil {
 		return nil, err
 	}

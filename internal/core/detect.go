@@ -1,10 +1,8 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"slices"
-	"sync"
 
 	"repro/internal/dag"
 	"repro/internal/memory"
@@ -18,45 +16,20 @@ import (
 // Options selects which detectors run; the defaults (via Analyze) run both.
 // Disabling one reproduces the baselines the paper compares against:
 // SyncChecker detects only within-epoch errors (§VII).
+//
+// The embedded Scope carries the cancellation context, the metrics
+// registry and the timeline recorder; all three may be nil.
 type Options struct {
 	IntraEpoch   bool
 	CrossProcess bool
 
-	// Workers parallelizes the cross-process detection across concurrent
-	// regions (regions are independent by construction) — the
-	// multithreaded analyzer the paper names as planned work (§VI: the
-	// offline analyzer "is implemented as a single-threaded application
-	// ... We plan to further improve it by using multithreaded
-	// programming"). 0 or 1 analyzes serially; results are identical and
-	// deterministically ordered either way.
-	Workers int
-
-	// Obs, when non-nil, receives per-phase wall-time spans and analysis
-	// volume counters (events, regions, epochs). Nil disables the
-	// accounting entirely.
-	Obs *obs.Registry
-
-	// Trace, when non-nil, records the pipeline's causal timeline: one
-	// span per phase on the "pipeline" track and one span per unit of
-	// work (rank decode, epoch check, region check) on the per-stage
-	// tracks, with per-worker lanes. Nil disables span recording.
-	Trace *tracing.Recorder
-
-	// Ctx, when non-nil, cancels the analysis cooperatively: the
-	// pipeline checks it between phases and between per-epoch /
-	// per-region detection scopes, returning an error wrapping the
-	// context's cause. This is how a serving watchdog reclaims a worker
-	// from a stuck or oversized job. Nil never cancels.
-	Ctx context.Context
+	obs.Scope
 }
 
 // ctxErr reports the cancellation state of the analysis context; a nil
 // Ctx never cancels.
 func (o *Options) ctxErr() error {
-	if o.Ctx == nil {
-		return nil
-	}
-	if err := o.Ctx.Err(); err != nil {
+	if err := o.Err(); err != nil {
 		return fmt.Errorf("analysis canceled: %w", err)
 	}
 	return nil
@@ -78,7 +51,7 @@ type Analyzer struct {
 
 	// epochOf is opEpoch indexed densely by rank, then seq: nil where the
 	// event is no RMA operation. The cross-process detector builds it once
-	// (indexEpochs) before its regions fan out, so workers only read it.
+	// (indexEpochs) before it walks the regions.
 	epochOf [][]*Epoch
 
 	report *Report
@@ -96,30 +69,19 @@ func NewAnalyzer(m *model.Model, d *dag.DAG, epochs []*Epoch, opEpoch map[trace.
 
 // Run executes the enabled detectors and returns the report.
 func (a *Analyzer) Run() (*Report, error) {
-	reg := a.opts.Obs
-	tr := a.opts.Trace
 	a.report.EventsAnalyzed = a.m.Set.TotalEvents()
 	if a.opts.IntraEpoch {
-		sp := reg.StartSpan(PhaseSpanName, "phase", "detect_intra")
-		psp := tr.Start("pipeline", "main", "detect_intra")
-		err := a.detectIntraEpoch()
-		psp.End()
-		sp.End()
-		if err != nil {
+		if err := a.opts.Phase("detect_intra", a.detectIntraEpoch); err != nil {
 			return nil, err
 		}
 	}
 	if a.opts.CrossProcess {
-		sp := reg.StartSpan(PhaseSpanName, "phase", "detect_cross")
-		psp := tr.Start("pipeline", "main", "detect_cross")
-		err := a.detectCrossProcess()
-		psp.End()
-		sp.End()
-		if err != nil {
+		if err := a.opts.Phase("detect_cross", a.detectCrossProcess); err != nil {
 			return nil, err
 		}
 	}
 	a.report.Sort()
+	reg := a.opts.Obs
 	reg.Counter("mcchecker_analysis_events_total").Add(int64(a.report.EventsAnalyzed))
 	reg.Counter("mcchecker_analysis_regions_total").Add(int64(a.report.Regions))
 	reg.Counter("mcchecker_analysis_epochs_total").Add(int64(a.report.EpochsChecked))
@@ -189,16 +151,12 @@ type storedOp struct {
 // against the stored remote operations — the two-step approach of the
 // paper, rather than examining every pair of operations in the region. The
 // vectors live in the shadow engine's store (detect_shadow.go).
-//
-// Regions are sequentially ordered and independent, so with Options.Workers
-// > 1 they are analyzed concurrently and the per-region results merged in
-// region order, keeping the output deterministic.
 func (a *Analyzer) detectCrossProcess() error {
 	regions := a.d.Regions()
 	a.report.Regions = len(regions)
 	a.indexEpochs()
 	scope := func(i int) string { return fmt.Sprintf("region %d", i) }
-	return a.parallelCollect(len(regions), "detect_cross", scope, func(i int, col *collector) error {
+	return a.eachScope(len(regions), "detect_cross", scope, func(i int, col *collector) error {
 		if col.shadow == nil {
 			col.shadow = newShadowTables(a)
 		}
@@ -229,7 +187,7 @@ func (a *Analyzer) indexEpochs() {
 	}
 }
 
-// collector receives the violations of one analysis scope.
+// collector receives the violations of the analysis scopes.
 type collector struct {
 	report *Report
 	vindex map[string]*Violation
@@ -240,96 +198,35 @@ type collector struct {
 	fold map[crossKey]*Violation
 	// shadow is the shadow engine's tables (detect_shadow.go) and intra
 	// the within-epoch detector's index (detect_intra.go), each created on
-	// first use and handed on to every later collector of the same worker.
+	// first use and kept for every later scope of the analysis.
 	shadow *shadowTables
 	intra  *intraIndex
 }
 
 func (c *collector) add(v *Violation) { c.report.add(c.vindex, v) }
 
-// parallelCollect runs check over n independent scopes (epochs, regions).
-// With Workers <= 1 (or fewer than two scopes) the scopes share the
-// analyzer's collector and run serially, failing fast. Otherwise each
-// scope gets a private collector on a worker pool and the per-scope
-// results merge into the report in scope index order via addCounted, so
-// the violations, their dedup counts, and the first error reported are
-// identical to the serial run. The detectors' reusable state (the shadow
-// engine's tables, the within-epoch index) lives as long as the serial
-// collector, or is handed from scope to scope within a worker. Each
-// scope's check is recorded as a span on opts.Trace (track names the
-// detector, lanes name the workers); the scope string is only built when
-// tracing is on.
-func (a *Analyzer) parallelCollect(n int, track string, scope func(i int) string,
+// eachScope runs check over n scopes (epochs, regions) in index order,
+// all on one collector, and stops at the first error. The context is
+// checked before each scope, and each scope's check is recorded as a span
+// on opts.Trace (track names the detector); the scope string is only
+// built when tracing is on.
+func (a *Analyzer) eachScope(n int, track string, scope func(i int) string,
 	check func(i int, col *collector) error) error {
 	tr := a.opts.Trace
-	startSpan := func(worker, i int) *tracing.Span {
-		if tr == nil {
-			return nil
-		}
-		s := scope(i)
-		return tr.Start(track, tr.Lane(fmt.Sprintf("worker %d", worker), s), s)
-	}
-	if a.opts.Workers <= 1 || n < 2 {
-		col := &collector{report: a.report, vindex: a.vindex}
-		for i := 0; i < n; i++ {
-			if err := a.opts.ctxErr(); err != nil {
-				return err
-			}
-			sp := startSpan(0, i)
-			err := check(i, col)
-			sp.End()
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	type result struct {
-		col *collector
-		err error
-	}
-	results := make([]result, n)
-	work := make(chan int)
-	var wg sync.WaitGroup
-	workers := a.opts.Workers
-	if workers > n {
-		workers = n
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var (
-				shadow *shadowTables
-				intra  *intraIndex
-			)
-			for i := range work {
-				if err := a.opts.ctxErr(); err != nil {
-					results[i] = result{col: &collector{report: &Report{}}, err: err}
-					continue // keep draining so the feeder never blocks
-				}
-				col := &collector{report: &Report{}, vindex: map[string]*Violation{}, shadow: shadow, intra: intra}
-				sp := startSpan(w, i)
-				err := check(i, col)
-				sp.End()
-				shadow, intra = col.shadow, col.intra
-				results[i] = result{col: col, err: err}
-			}
-		}(w)
-	}
+	col := &collector{report: a.report, vindex: a.vindex}
 	for i := 0; i < n; i++ {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
-
-	for _, res := range results {
-		if res.err != nil {
-			return res.err
+		if err := a.opts.ctxErr(); err != nil {
+			return err
 		}
-		for _, v := range res.col.report.Violations {
-			a.report.addCounted(a.vindex, v)
+		var sp *tracing.Span
+		if tr != nil {
+			s := scope(i)
+			sp = tr.Start(track, tr.Lane("main", s), s)
+		}
+		err := check(i, col)
+		sp.End()
+		if err != nil {
+			return err
 		}
 	}
 	return nil

@@ -30,17 +30,13 @@ import (
 //   - two issued operations conflict if their origin buffers overlap with
 //     at least one writer, or if their target regions at the same target
 //     process overlap incompatibly per Table I.
-//
-// Epochs are checked independently (each scan reads only its own rank's
-// events), so with Options.Workers > 1 they are checked concurrently and
-// merged in epoch order — the same order the serial loop produces.
 func (a *Analyzer) detectIntraEpoch() error {
 	a.report.EpochsChecked += len(a.epochs)
 	scope := func(i int) string {
 		e := a.epochs[i]
 		return fmt.Sprintf("epoch %d (rank %d, %s)", i, e.Rank, e.Kind)
 	}
-	return a.parallelCollect(len(a.epochs), "detect_intra", scope, func(i int, col *collector) error {
+	return a.eachScope(len(a.epochs), "detect_intra", scope, func(i int, col *collector) error {
 		if col.intra == nil {
 			col.intra = &intraIndex{targets: make([]spanList, a.m.Set.Ranks())}
 		}
@@ -223,9 +219,9 @@ func (a *Analyzer) checkEpoch(e *Epoch, col *collector) error {
 // intraIndex is the within-epoch detector's reusable state: the
 // operations of the epoch being checked and an address index over the
 // footprints of the pending ones. It lives on the collector like
-// shadowTables, so one index serves a whole serial analysis, or one worker
-// of a parallel one, and is reset per epoch: once its buffers have grown,
-// checking an epoch allocates nothing but the violations it reports.
+// shadowTables, so one index serves the whole analysis and is reset per
+// epoch: once its buffers have grown, checking an epoch allocates
+// nothing but the violations it reports.
 type intraIndex struct {
 	ops   []pendingOp       // the epoch's issued operations, in program order
 	arena []memory.Interval // their footprints' intervals; valid for one epoch only

@@ -72,9 +72,9 @@ type crossKey struct {
 // shadowTables is the shadow engine's state. The store, the stored-op
 // arena and the footprint buffers are reset between regions but keep
 // their capacity; the interning tables (access sites, operand strings,
-// operation classes, rule texts) keep growing. One table set serves a
-// whole serial analysis, or one worker of a parallel one, so every site,
-// class and rule is interned and rendered at most once there.
+// operation classes, rule texts) keep growing. One table set serves the
+// whole analysis, so every site, class and rule is interned and rendered
+// at most once.
 type shadowTables struct {
 	a  *Analyzer
 	st *shadow.Store

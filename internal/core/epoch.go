@@ -4,11 +4,8 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"strconv"
 
 	"repro/internal/model"
-	"repro/internal/obs/tracing"
-	"repro/internal/par"
 	"repro/internal/trace"
 )
 
@@ -63,53 +60,24 @@ func (e *Epoch) String() string {
 // epochs by matching the synchronization calls (paper §III-C: "MC-Checker
 // first scans all the vertices belonging to a process and identifies all
 // the epochs within the process by matching the synchronization calls").
-// It returns the epochs and a map from each RMA operation to its epoch.
+// It returns the epochs, in rank order, and a map from each RMA operation
+// to its epoch.
 func ExtractEpochs(m *model.Model) ([]*Epoch, map[trace.ID]*Epoch, error) {
-	return ExtractEpochsWorkers(m, 1)
-}
-
-// ExtractEpochsWorkers is ExtractEpochs with the per-rank scans fanned
-// out over a worker pool. Epoch matching never crosses ranks, so each
-// rank's epochs are computed independently and concatenated in rank
-// order — the exact sequence the serial walk produces, keeping every
-// downstream consumer byte-identical.
-func ExtractEpochsWorkers(m *model.Model, workers int) ([]*Epoch, map[trace.ID]*Epoch, error) {
-	return ExtractEpochsWorkersTraced(m, workers, nil)
-}
-
-// ExtractEpochsWorkersTraced is ExtractEpochsWorkers with each rank's
-// sync-matching scan recorded as a span on tr (track "epochs"). tr may
-// be nil.
-func ExtractEpochsWorkersTraced(m *model.Model, workers int, tr *tracing.Recorder) ([]*Epoch, map[trace.ID]*Epoch, error) {
-	n := len(m.Set.Traces)
-	type rankResult struct {
-		epochs []*Epoch
-		ops    int
-	}
-	per := make([]rankResult, n)
-	scope := func(r int) string { return fmt.Sprintf("rank %d", r) }
-	err := par.RanksTraced(n, workers, tr, "epochs", scope, func(r int, sp *tracing.Span) error {
-		epochs, ops, err := extractRankEpochs(m, m.Set.Traces[r])
-		per[r] = rankResult{epochs: epochs, ops: ops}
-		if sp != nil {
-			sp.Annotate("epochs", strconv.Itoa(len(epochs)))
-			sp.Annotate("ops", strconv.Itoa(ops))
-		}
-		return err
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-
+	per := make([][]*Epoch, len(m.Set.Traces))
 	total, totalOps := 0, 0
-	for r := range per {
-		total += len(per[r].epochs)
-		totalOps += per[r].ops
+	for r, t := range m.Set.Traces {
+		epochs, ops, err := extractRankEpochs(m, t)
+		if err != nil {
+			return nil, nil, err
+		}
+		per[r] = epochs
+		total += len(epochs)
+		totalOps += ops
 	}
 	epochs := make([]*Epoch, 0, total)
 	opEpoch := make(map[trace.ID]*Epoch, totalOps)
-	for r := range per {
-		for _, e := range per[r].epochs {
+	for _, rankEpochs := range per {
+		for _, e := range rankEpochs {
 			epochs = append(epochs, e)
 			for _, id := range e.Ops {
 				opEpoch[id] = e
@@ -121,8 +89,7 @@ func ExtractEpochsWorkersTraced(m *model.Model, workers int, tr *tracing.Recorde
 
 // extractRankEpochs matches the synchronization calls of one rank's
 // trace and returns its epochs and the number of RMA operations they
-// hold. It reads only the (immutable after Build) model registries and
-// the rank's own events, so ranks may run concurrently.
+// hold. It reads only the model registries and the rank's own events.
 func extractRankEpochs(m *model.Model, t *trace.Trace) ([]*Epoch, int, error) {
 	rank := t.Rank
 	var epochs []*Epoch

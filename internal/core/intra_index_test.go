@@ -12,14 +12,14 @@ import (
 	"repro/internal/trace"
 )
 
-// Edge cases of the within-epoch detector's address index: each trace is
-// analyzed at workers 1 and 2 and must give reports byte-identical, in
-// text and JSON, to the PairwiseIntraEpoch reference scan, and the
-// reference must report exactly the listed conflicts.
+// Edge cases of the within-epoch detector's address index: each trace's
+// report must be byte-identical, in text and JSON, to the
+// PairwiseIntraEpoch reference scan's, and the reference must report
+// exactly the listed conflicts.
 
-// intraAgree fails unless the production within-epoch detector, at
-// workers 1 and 2, renders set's report byte-identically to
-// PairwiseIntraEpoch. It returns the reference report.
+// intraAgree fails unless the production within-epoch detector renders
+// set's report byte-identically to PairwiseIntraEpoch. It returns the
+// reference report.
 func intraAgree(t *testing.T, set *trace.Set) *Report {
 	t.Helper()
 	m, err := model.Build(set)
@@ -34,22 +34,19 @@ func intraAgree(t *testing.T, set *trace.Set) *Report {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, w := range []int{1, 2} {
-		rep, err := AnalyzeWith(set, Options{IntraEpoch: true, Workers: w})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := rep.String(), ref.String(); got != want {
-			t.Errorf("workers=%d: report diverged from the reference\n--- reference ---\n%s\n--- production ---\n%s",
-				w, want, got)
-		}
-		js, err := rep.JSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(js, refJS) {
-			t.Errorf("workers=%d: JSON report diverged from the reference", w)
-		}
+	rep, err := AnalyzeWith(set, Options{IntraEpoch: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := rep.String(), ref.String(); got != want {
+		t.Errorf("report diverged from the reference\n--- reference ---\n%s\n--- production ---\n%s", want, got)
+	}
+	js, err := rep.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(js, refJS) {
+		t.Error("JSON report diverged from the reference")
 	}
 	return ref
 }

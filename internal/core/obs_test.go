@@ -42,7 +42,7 @@ func TestAnalyzeWithObsRecordsPhases(t *testing.T) {
 	snap := reg.Snapshot()
 
 	for _, phase := range []string{"model", "match", "dag", "epochs", "detect_intra", "detect_cross"} {
-		sp := snap.Span(PhaseSpanName, "phase", phase)
+		sp := snap.Span(obs.PhaseSpanName, "phase", phase)
 		if sp.Count != 1 {
 			t.Errorf("phase %q span count = %d, want 1", phase, sp.Count)
 		}

@@ -274,27 +274,13 @@ type Report struct {
 }
 
 // add records a violation, folding duplicates. The first instance of a
-// key wins, witness included — in parallel runs the merge happens in
-// scope index order, so the surviving instance (and its witness) is the
-// one the serial scan would have kept.
+// key wins, witness included.
 func (r *Report) add(index map[string]*Violation, v *Violation) {
 	if prev, ok := index[v.key()]; ok {
 		prev.Count++
 		return
 	}
 	v.Count = 1
-	v.resolveWitness()
-	index[v.key()] = v
-	r.Violations = append(r.Violations, v)
-}
-
-// addCounted folds a violation that already carries a Count (merging
-// per-region partial reports produced by parallel analysis).
-func (r *Report) addCounted(index map[string]*Violation, v *Violation) {
-	if prev, ok := index[v.key()]; ok {
-		prev.Count += v.Count
-		return
-	}
 	v.resolveWitness()
 	index[v.key()] = v
 	r.Violations = append(r.Violations, v)

@@ -59,19 +59,6 @@ type BenchDecode struct {
 	NsPerOpDeltaPct   float64   `json:"ns_per_op_delta_pct"`
 }
 
-// BenchAnalyze compares the analyzer at one front-end worker against the
-// machine's width. EffectiveWorkers is the worker count the workers_max
-// measurement actually ran with — on a single-CPU machine it is 1 and
-// the speedup column is meaningless, which the field makes visible.
-type BenchAnalyze struct {
-	Events           int       `json:"events"`
-	MaxWorkers       int       `json:"max_workers"`
-	EffectiveWorkers int       `json:"effective_workers"`
-	Workers1         BenchStat `json:"workers_1"`
-	WorkersMax       BenchStat `json:"workers_max"`
-	Speedup          float64   `json:"speedup"`
-}
-
 // BenchPhase is one pipeline phase's share of an instrumented analysis.
 type BenchPhase struct {
 	Phase        string  `json:"phase"`
@@ -112,7 +99,6 @@ type BenchResult struct {
 
 	Decode    BenchDecode  `json:"decode"`
 	Signature BenchStat    `json:"signature"`
-	Analyze   BenchAnalyze `json:"analyze"`
 	Phases    []BenchPhase `json:"phases"`
 	Cross     BenchCross   `json:"cross_process"`
 	Shadow    BenchShadow  `json:"shadow_vs_pairwise"`
@@ -134,8 +120,7 @@ type BenchConfig struct {
 	// scan is O(ops²) there). Default 4096.
 	ShadowOps int
 	// Trace, when non-nil, records the instrumented phase pass (the one
-	// benchPhases reads the span registry from) as a causal timeline with
-	// per-worker lanes.
+	// benchPhases reads the span registry from) as a causal timeline.
 	Trace *tracing.Recorder
 }
 
@@ -152,14 +137,6 @@ func Bench(cfg BenchConfig) (*BenchResult, error) {
 	}
 	if cfg.ShadowOps < 1 {
 		cfg.ShadowOps = 4096
-	}
-	// Use the machine's full width: a harness invoked with a restricted
-	// GOMAXPROCS (or from an environment that pinned it to 1) would
-	// otherwise record a meaningless 1.00x analyze "speedup". Restore on
-	// return so the caller's setting survives.
-	if prev := runtime.GOMAXPROCS(0); prev < runtime.NumCPU() {
-		runtime.GOMAXPROCS(runtime.NumCPU())
-		defer runtime.GOMAXPROCS(prev)
 	}
 	benchInit.Do(testing.Init)
 	if cfg.BenchTime != "" {
@@ -187,9 +164,6 @@ func Bench(cfg BenchConfig) (*BenchResult, error) {
 		return nil, err
 	}
 	res.Signature = benchSignature()
-	if err := benchAnalyze(sets, events, &res.Analyze); err != nil {
-		return nil, err
-	}
 	phases, err := benchPhases(sets, cfg.Trace)
 	if err != nil {
 		return nil, err
@@ -310,43 +284,6 @@ func benchSignature() BenchStat {
 	return statOf(r, 0)
 }
 
-// benchAnalyze times the full offline analysis over the corpora at one
-// worker and at GOMAXPROCS workers.
-func benchAnalyze(sets []*trace.Set, events int, out *BenchAnalyze) error {
-	analyzeAll := func(workers int) func(b *testing.B) {
-		return func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				for _, set := range sets {
-					opts := core.DefaultOptions()
-					opts.Workers = workers
-					if _, err := core.AnalyzeWith(set, opts); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		}
-	}
-	max := runtime.GOMAXPROCS(0)
-	w1 := testing.Benchmark(analyzeAll(1))
-	wm := testing.Benchmark(analyzeAll(max))
-
-	out.Events = events
-	out.MaxWorkers = max
-	// The pool can be configured wider than the machine; the schedulable
-	// parallelism is what the speedup column should be read against.
-	out.EffectiveWorkers = max
-	if n := runtime.NumCPU(); out.EffectiveWorkers > n {
-		out.EffectiveWorkers = n
-	}
-	out.Workers1 = statOf(w1, events)
-	out.WorkersMax = statOf(wm, events)
-	if out.WorkersMax.NsPerOp > 0 {
-		out.Speedup = out.Workers1.NsPerOp / out.WorkersMax.NsPerOp
-	}
-	return nil
-}
-
 // benchPhases runs one instrumented analysis over the corpora and reads
 // the per-phase wall times back from the observability spans. A non-nil
 // tr additionally records the pass as a causal timeline.
@@ -355,7 +292,6 @@ func benchPhases(sets []*trace.Set, tr *tracing.Recorder) ([]BenchPhase, error) 
 	events := 0
 	for _, set := range sets {
 		opts := core.DefaultOptions()
-		opts.Workers = runtime.GOMAXPROCS(0)
 		opts.Obs = reg
 		opts.Trace = tr
 		if _, err := core.AnalyzeWith(set, opts); err != nil {
@@ -366,7 +302,7 @@ func benchPhases(sets []*trace.Set, tr *tracing.Recorder) ([]BenchPhase, error) 
 	snap := reg.Snapshot()
 	var phases []BenchPhase
 	for _, name := range []string{"model", "match", "dag", "epochs", "detect_intra", "detect_cross"} {
-		secs := snap.Span(core.PhaseSpanName, "phase", name).Total().Seconds()
+		secs := snap.Span(obs.PhaseSpanName, "phase", name).Total().Seconds()
 		p := BenchPhase{Phase: name, Seconds: secs}
 		if secs > 0 {
 			p.EventsPerSec = float64(events) / secs
@@ -415,7 +351,7 @@ func benchCross(ops int, out *BenchCross) error {
 func benchShadow(ops int, out *BenchShadow) error {
 	const ranks = 8
 	set := ShadowSyntheticRegion(ranks, ops)
-	if _, err := CheckPairwise(set, 1); err != nil {
+	if _, err := CheckPairwise(set); err != nil {
 		return fmt.Errorf("bench: %w", err)
 	}
 	out.Agreement = true
@@ -446,19 +382,19 @@ func benchShadow(ops int, out *BenchShadow) error {
 	return nil
 }
 
-// CheckPairwise analyzes set with each production detector at the given
-// worker count and with its pairwise reference — the cross-process
-// detector against baseline.PairwiseAnalyze, the within-epoch detector
-// against baseline.PairwiseIntraAnalyze — and fails unless each pair of
-// reports renders byte-identically in text and JSON. It returns the
-// production cross-process report.
-func CheckPairwise(set *trace.Set, workers int) (*core.Report, error) {
-	cross, err := checkAgainst(set, core.Options{CrossProcess: true, Workers: workers},
+// CheckPairwise analyzes set with each production detector and with its
+// pairwise reference — the cross-process detector against
+// baseline.PairwiseAnalyze, the within-epoch detector against
+// baseline.PairwiseIntraAnalyze — and fails unless each pair of reports
+// renders byte-identically in text and JSON. It returns the production
+// cross-process report.
+func CheckPairwise(set *trace.Set) (*core.Report, error) {
+	cross, err := checkAgainst(set, core.Options{CrossProcess: true},
 		baseline.PairwiseAnalyze, "pairwise reference")
 	if err != nil {
 		return nil, err
 	}
-	if _, err := checkAgainst(set, core.Options{IntraEpoch: true, Workers: workers},
+	if _, err := checkAgainst(set, core.Options{IntraEpoch: true},
 		baseline.PairwiseIntraAnalyze, "within-epoch pairwise reference"); err != nil {
 		return nil, err
 	}
@@ -478,8 +414,8 @@ func checkAgainst(set *trace.Set, opts core.Options, ref func(*trace.Set) (*core
 		return nil, err
 	}
 	if got, want := rep.String(), refRep.String(); got != want {
-		return nil, fmt.Errorf("workers=%d: report diverged from the %s\n--- reference ---\n%s\n--- production ---\n%s",
-			opts.Workers, name, want, got)
+		return nil, fmt.Errorf("report diverged from the %s\n--- reference ---\n%s\n--- production ---\n%s",
+			name, want, got)
 	}
 	js, err := rep.JSON()
 	if err != nil {
@@ -490,7 +426,7 @@ func checkAgainst(set *trace.Set, opts core.Options, ref func(*trace.Set) (*core
 		return nil, err
 	}
 	if !bytes.Equal(js, refJS) {
-		return nil, fmt.Errorf("workers=%d: JSON report diverged from the %s", opts.Workers, name)
+		return nil, fmt.Errorf("JSON report diverged from the %s", name)
 	}
 	return rep, nil
 }

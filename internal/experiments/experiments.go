@@ -236,7 +236,7 @@ func PhaseBreakdown(ranks int, scale float64) ([]PhaseRow, error) {
 		}
 		snap := reg.Snapshot()
 		phase := func(name string) time.Duration {
-			return snap.Span(core.PhaseSpanName, "phase", name).Total()
+			return snap.Span(obs.PhaseSpanName, "phase", name).Total()
 		}
 		row := PhaseRow{
 			App:         wl.Name,

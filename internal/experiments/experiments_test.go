@@ -141,7 +141,7 @@ func TestBenchShadowAgreement(t *testing.T) {
 	if set.Ranks() != 8 {
 		t.Fatalf("ranks = %d", set.Ranks())
 	}
-	rep, err := CheckPairwise(set, 1)
+	rep, err := CheckPairwise(set)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -272,7 +272,7 @@ func Explore(cfg Config) (*Result, error) {
 	violTotal := reg.Counter("mcchecker_explore_violating_total")
 	failTotal := reg.Counter("mcchecker_explore_failures_total")
 	distinctGauge := reg.Gauge("mcchecker_explore_distinct_violations")
-	span := reg.StartSpan(core.PhaseSpanName, "phase", "explore")
+	span := reg.StartSpan(obs.PhaseSpanName, "phase", "explore")
 	defer span.End()
 
 	start := time.Now()

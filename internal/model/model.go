@@ -11,11 +11,8 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strconv"
 
 	"repro/internal/memory"
-	"repro/internal/obs/tracing"
-	"repro/internal/par"
 	"repro/internal/trace"
 )
 
@@ -86,22 +83,8 @@ type typeKey struct {
 // Build scans the trace set and constructs the registries. It validates
 // definition events for consistency (duplicate window definitions with
 // conflicting communicators, datatype redefinitions).
-func Build(set *trace.Set) (*Model, error) { return BuildWorkers(set, 1) }
-
-// BuildWorkers is Build with the per-rank scans fanned out over a worker
-// pool: validation and the definition-event sweep are per-rank
-// independent, so only the registry merge runs serially. Definition
-// events are merged in (rank, sequence) order — exactly the order the
-// serial scan visits them — so the registries, and any conflict error,
-// are identical whatever the worker count.
-func BuildWorkers(set *trace.Set, workers int) (*Model, error) {
-	return BuildWorkersTraced(set, workers, nil)
-}
-
-// BuildWorkersTraced is BuildWorkers with each rank's validation+sweep
-// recorded as a span on tr (track "model"). tr may be nil.
-func BuildWorkersTraced(set *trace.Set, workers int, tr *tracing.Recorder) (*Model, error) {
-	if err := set.ValidateWorkers(workers); err != nil {
+func Build(set *trace.Set) (*Model, error) {
+	if err := set.Validate(); err != nil {
 		return nil, err
 	}
 	m := &Model{
@@ -117,26 +100,17 @@ func BuildWorkersTraced(set *trace.Set, workers int, tr *tracing.Recorder) (*Mod
 	}
 	m.Comms[0] = world
 
-	// Parallel sweep: collect each rank's definition events (a tiny
-	// fraction of the trace) without touching shared state.
+	// Collect each rank's definition events (a tiny fraction of the
+	// trace), then merge them in (rank, seq) order.
 	defs := make([][]*trace.Event, len(set.Traces))
-	scope := func(r int) string { return fmt.Sprintf("rank %d", r) }
-	_ = par.RanksTraced(len(set.Traces), workers, tr, "model", scope, func(r int, sp *tracing.Span) error {
-		t := set.Traces[r]
+	for r, t := range set.Traces {
 		for i := range t.Events {
 			switch t.Events[i].Kind {
 			case trace.KindCommCreate, trace.KindWinCreate, trace.KindTypeCreate:
 				defs[r] = append(defs[r], &t.Events[i])
 			}
 		}
-		if sp != nil {
-			sp.Annotate("events", strconv.Itoa(len(t.Events)))
-			sp.Annotate("defs", strconv.Itoa(len(defs[r])))
-		}
-		return nil
-	})
-
-	// Serial merge in (rank, seq) order.
+	}
 	for _, rankDefs := range defs {
 		for _, ev := range rankDefs {
 			switch ev.Kind {

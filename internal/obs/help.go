@@ -67,8 +67,6 @@ var helpText = map[string]metricHelp{
 		"Decoder scratch-buffer pool misses (fresh allocations)."},
 	"mcchecker_pipeline_decode_workers": {kindGauge,
 		"Worker goroutines used by the most recent parallel trace decode."},
-	"mcchecker_pipeline_front_end_workers": {kindGauge,
-		"Worker goroutines used by the analyzer front end (model build and epoch extraction)."},
 	"mcchecker_pipeline_sink_pool_hits_total": {kindCounter,
 		"Event-sink slab pool hits."},
 	"mcchecker_pipeline_sink_pool_misses_total": {kindCounter,

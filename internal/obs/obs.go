@@ -20,9 +20,11 @@
 //     across cache-line-padded slots (RankCounter), the same false-sharing
 //     discipline as the profiler's per-rank sequence counters.
 //
-// The package is dependency-free (stdlib only) so that every layer of the
-// pipeline — simulator, profiler, trace codec, offline analyzer, streaming
-// checker — can import it without cycles.
+// The package depends only on the standard library and its stdlib-only
+// tracing subpackage, so that every layer of the pipeline — simulator,
+// profiler, trace codec, offline analyzer, streaming checker — can import
+// it without cycles. Scope bundles a context, a Registry and a tracing
+// Recorder into the one configuration value the offline stages share.
 package obs
 
 import (

@@ -5,9 +5,9 @@
 //
 // Where internal/obs aggregates (counters, histograms, total phase
 // times), this package keeps *individual* timed events with their track
-// and lane, so the interleaving itself is visible: which worker ran
-// which region when, how long each rank's decode took, where a pool sat
-// idle. That is the same idea the paper applies to user programs —
+// and lane, so the interleaving itself is visible: which worker decoded
+// which rank file when, how long each region's detection took, where a
+// pool sat idle. That is the same idea the paper applies to user programs —
 // reconstructing causal order from observed events — pointed at the
 // checker's own pipeline.
 //

@@ -1,10 +1,10 @@
 // Package par provides the deterministic fan-out helper shared by the
-// pipeline's per-rank stages (trace decode, model build, epoch
-// extraction). The contract that keeps parallel analysis byte-identical
-// to serial analysis lives here in one place: workers write only to
-// per-index state, results are consumed in index order by the caller,
-// and the error reported is always the one of the lowest failing index —
-// the same error a serial left-to-right loop would have returned.
+// trace decode pool (one rank file per unit of work) and the serve
+// daemon's job pool. The contract that keeps a parallel decode
+// byte-identical to a serial one lives here in one place: workers write
+// only to per-index state, results are consumed in index order by the
+// caller, and the error reported is always the one of the lowest failing
+// index — the same error a serial left-to-right loop would have returned.
 package par
 
 import (

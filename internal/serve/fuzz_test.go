@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -65,7 +66,7 @@ func FuzzParseSubmission(f *testing.F) {
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 		defer cancel()
-		set, notes, err := sub.loadInline(ctx, nil)
+		set, notes, err := sub.loadInline(obs.Scope{Ctx: ctx})
 		if err != nil {
 			return
 		}

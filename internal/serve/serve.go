@@ -55,9 +55,6 @@ type Config struct {
 	// RetryBackoff is the base retry delay, doubled per attempt
 	// (default 100ms).
 	RetryBackoff time.Duration
-	// AnalyzeWorkers is core.Options.Workers for each job (default 1:
-	// concurrency comes from the job pool, not from within one job).
-	AnalyzeWorkers int
 	// Obs receives the serve metric families and the per-job analysis
 	// metrics. Nil disables all accounting.
 	Obs *obs.Registry
@@ -78,9 +75,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RetryBackoff <= 0 {
 		c.RetryBackoff = 100 * time.Millisecond
-	}
-	if c.AnalyzeWorkers <= 0 {
-		c.AnalyzeWorkers = 1
 	}
 	return c
 }
@@ -433,11 +427,10 @@ func (s *Server) gaugesLocked() {
 }
 
 // analyze runs one attempt: materialize the submission's trace set and
-// push it through the pipeline, under the watchdog ctx. Any panic — in
-// this goroutine or surfaced as a *par.PanicError from the analyzer's
-// worker pool — is converted into a degraded report instead of an error,
-// because a deterministic panic would otherwise burn every retry and
-// quarantine a job the salvage machinery can still describe.
+// push it through the pipeline, under the watchdog ctx. A panic is
+// converted into a degraded report instead of an error, because a
+// deterministic panic would otherwise burn every retry and quarantine a
+// job the salvage machinery can still describe.
 func (s *Server) analyze(ctx context.Context, sub *Submission) (rep *core.Report, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -448,28 +441,20 @@ func (s *Server) analyze(ctx context.Context, sub *Submission) (rep *core.Report
 	if s.testHook != nil {
 		s.testHook(ctx, sub)
 	}
-	set, notes, err := sub.load(ctx, s.cfg.Obs)
+	sc := obs.Scope{Ctx: ctx, Obs: s.cfg.Obs}
+	set, notes, err := sub.load(sc)
 	if err != nil {
 		return nil, err
 	}
 	opts := core.DefaultOptions()
-	opts.Workers = s.cfg.AnalyzeWorkers
-	opts.Obs = s.cfg.Obs
-	opts.Ctx = ctx
+	opts.Scope = sc
 	if sub.IntraOnly {
 		opts.CrossProcess = false
 	}
 	if sub.Strict {
-		rep, err = core.AnalyzeWith(set, opts)
-	} else {
-		rep, err = core.AnalyzeDegraded(set, opts, notes)
+		return core.AnalyzeWith(set, opts)
 	}
-	var pe *par.PanicError
-	if errors.As(err, &pe) {
-		s.mPanics.Inc()
-		return panicReport(pe.Value, pe.Stack), nil
-	}
-	return rep, err
+	return core.AnalyzeDegraded(set, opts, notes)
 }
 
 // panicReport wraps a recovered panic as a degraded (empty) report so the

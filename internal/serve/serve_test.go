@@ -82,6 +82,34 @@ func TestServeCleanJob(t *testing.T) {
 	}
 }
 
+// A trace-directory job decodes through the same instrumented reader as
+// `mcchecker analyze`, so the daemon's registry sees its codec metrics
+// and front-end gauges.
+func TestServeTraceDirJobRecordsDecodeMetrics(t *testing.T) {
+	reg := obs.NewRegistry()
+	s := newTestServer(t, Config{Workers: 1, Obs: reg})
+	set := conflictSet()
+	dir := t.TempDir()
+	if err := trace.WriteDir(dir, set); err != nil {
+		t.Fatal(err)
+	}
+	j, err := s.Submit(&Submission{TraceDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j = waitDone(t, s, j.ID)
+	if j.Status != StatusDone || j.Violations != 1 {
+		t.Fatalf("status = %s violations = %d (error %q), want done with 1", j.Status, j.Violations, j.Error)
+	}
+	snap := reg.Snapshot()
+	if got, want := snap.CounterValue("mcchecker_trace_decoded_events_total"), int64(set.TotalEvents()); got != want {
+		t.Errorf("decoded_events_total = %d, want %d", got, want)
+	}
+	if got := snap.GaugeValue("mcchecker_pipeline_decode_workers"); got <= 0 {
+		t.Errorf("pipeline_decode_workers = %d, want > 0", got)
+	}
+}
+
 func TestServeSalvagesTruncatedUpload(t *testing.T) {
 	reg := obs.NewRegistry()
 	s := newTestServer(t, Config{Workers: 1, Obs: reg})

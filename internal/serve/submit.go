@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -87,37 +86,38 @@ func (sub *Submission) validate() error {
 	return nil
 }
 
-// load materializes the submission's trace set under the job's watchdog
-// ctx: strict decode first, then — unless Strict — the salvage fallback
-// for damaged payloads, with one diagnostic note per degradation,
-// mirroring trace.ReadDirSalvage.
-func (sub *Submission) load(ctx context.Context, reg *obs.Registry) (*trace.Set, []string, error) {
+// load materializes the submission's trace set under sc, which carries
+// the job's watchdog ctx and the daemon's registry: strict decode first,
+// then — unless Strict — the salvage fallback for damaged payloads, with
+// one diagnostic note per degradation, mirroring trace.ReadDirSalvage.
+func (sub *Submission) load(sc obs.Scope) (*trace.Set, []string, error) {
 	if sub.TraceDir != "" {
-		set, err := trace.ReadDirContext(ctx, sub.TraceDir)
+		set, err := trace.ReadDirWith(sub.TraceDir, sc)
 		if err == nil {
 			return set, nil, nil
 		}
-		if sub.Strict || ctx.Err() != nil {
+		if sub.Strict || sc.Err() != nil {
 			return nil, nil, err
 		}
-		set, notes, serr := trace.ReadDirSalvageContext(ctx, sub.TraceDir, reg)
+		set, notes, serr := trace.ReadDirSalvage(sub.TraceDir, sc)
 		if serr != nil {
 			return nil, nil, serr
 		}
 		return set, append([]string{fmt.Sprintf("strict read failed: %v", err)}, notes...), nil
 	}
-	return sub.loadInline(ctx, reg)
+	return sub.loadInline(sc)
 }
 
 // loadInline assembles a set from the uploaded rank streams, applying
 // the same per-file salvage policy and degradation notes as the
 // directory path.
-func (sub *Submission) loadInline(ctx context.Context, reg *obs.Registry) (*trace.Set, []string, error) {
+func (sub *Submission) loadInline(sc obs.Scope) (*trace.Set, []string, error) {
+	reg := sc.Obs
 	var notes []string
 	byRank := make(map[int32]*trace.Trace, len(sub.Traces))
 	maxRank := int32(-1)
 	for i := range sub.Traces {
-		if err := ctx.Err(); err != nil {
+		if err := sc.Err(); err != nil {
 			return nil, nil, fmt.Errorf("serve: upload decode canceled: %w", err)
 		}
 		u := &sub.Traces[i]

@@ -327,7 +327,7 @@ func TestStreamObsMetrics(t *testing.T) {
 	}
 	// The streaming checker runs the analyzer per slab, so phase spans
 	// accumulate across slabs.
-	if sp := snap.Span(core.PhaseSpanName, "phase", "match"); sp.Count != int64(sc.Slabs()) {
+	if sp := snap.Span(obs.PhaseSpanName, "phase", "match"); sp.Count != int64(sc.Slabs()) {
 		t.Errorf("match span count = %d, want %d", sp.Count, sc.Slabs())
 	}
 }

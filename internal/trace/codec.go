@@ -213,7 +213,7 @@ func SetDecodePool(enabled bool) bool {
 }
 
 // DecodePoolStats returns the cumulative decode-context pool hits and
-// misses. ReadDirObs exposes the per-read deltas as
+// misses. ReadDirWith exposes the per-read deltas as
 // mcchecker_pipeline_decode_pool_{hits,misses}_total.
 func DecodePoolStats() (hits, misses int64) {
 	return decodePoolHits.Load(), decodePoolMisses.Load()

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -10,7 +9,7 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/obs/tracing"
+	"repro/internal/obs"
 )
 
 // Trace files are named trace.<rank>.bin inside a trace directory, one per
@@ -29,15 +28,7 @@ func WriteDir(dir string, s *Set) error {
 // concurrently (one worker per processor); the assembled Set and any
 // error are identical to a serial read.
 func ReadDir(dir string) (*Set, error) {
-	return ReadDirContext(nil, dir)
-}
-
-// ReadDirContext is ReadDir with cooperative cancellation: ctx is checked
-// before each rank file decodes, so a serving watchdog can abandon the
-// read of a large or slow trace directory without killing the process. A
-// nil ctx never cancels.
-func ReadDirContext(ctx context.Context, dir string) (*Set, error) {
-	return readDirWith(ctx, dir, decodeWorkers(), nil, func(f *os.File, _ *tracing.Span) (*Trace, error) { return ReadTrace(f) })
+	return ReadDirWith(dir, obs.Scope{})
 }
 
 // nameRank pairs a trace file name with the rank its name claims.

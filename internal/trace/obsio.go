@@ -1,14 +1,12 @@
 package trace
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"runtime"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -111,34 +109,24 @@ func writeFileObs(path string, t *Trace, m *codecMetrics) error {
 	return f.Close()
 }
 
-// ReadDirObs is ReadDir with codec metrics recorded into reg (events and
-// bytes decoded per rank file) plus the pipeline front-end gauges: decode
-// throughput, decode-pool hit/miss deltas, and the worker count used for
-// the concurrent per-file decode. reg may be nil, which is exactly
-// ReadDir.
-func ReadDirObs(dir string, reg *obs.Registry) (*Set, error) {
-	return ReadDirTraced(dir, reg, nil)
-}
-
-// ReadDirTraced is ReadDirObs with each rank file's decode recorded as a
-// span on tr (track "decode", one lane per worker — or per rank in
-// deterministic mode). Both reg and tr may be nil.
-func ReadDirTraced(dir string, reg *obs.Registry, tr *tracing.Recorder) (*Set, error) {
-	return ReadDirTracedContext(nil, dir, reg, tr)
-}
-
-// ReadDirTracedContext is ReadDirTraced with cooperative cancellation
-// checked before each rank file decodes. A nil ctx never cancels.
-func ReadDirTracedContext(ctx context.Context, dir string, reg *obs.Registry, tr *tracing.Recorder) (*Set, error) {
-	m := newCodecMetrics(reg)
-	if m == nil && tr == nil {
-		return ReadDirContext(ctx, dir)
-	}
+// ReadDirWith is ReadDir under sc. sc.Ctx is checked before each rank
+// file decodes, so a serving watchdog can abandon the read of a large or
+// slow trace directory without killing the process. sc.Obs receives the
+// codec metrics (events and bytes decoded per rank file) and the pipeline
+// front-end gauges: decode throughput, decode-pool hit/miss deltas, and
+// the worker count used for the concurrent per-file decode. sc.Trace
+// records each rank file's decode as a span on the "decode" track (one
+// lane per worker, or per rank in deterministic mode). The zero Scope is
+// exactly ReadDir.
+func ReadDirWith(dir string, sc obs.Scope) (*Set, error) {
+	m := newCodecMetrics(sc.Obs)
 	workers := decodeWorkers()
+	if m == nil && sc.Trace == nil {
+		return readDirWith(dir, workers, sc, func(f *os.File, _ *tracing.Span) (*Trace, error) { return ReadTrace(f) })
+	}
 	hits0, misses0 := DecodePoolStats()
 	start := time.Now()
-	var decodedBytes atomic.Int64
-	set, err := readDirWith(ctx, dir, workers, tr, func(f *os.File, sp *tracing.Span) (*Trace, error) {
+	set, err := readDirWith(dir, workers, sc, func(f *os.File, sp *tracing.Span) (*Trace, error) {
 		cr := &countingReader{r: f}
 		t, err := ReadTrace(cr)
 		if err != nil {
@@ -148,7 +136,6 @@ func ReadDirTracedContext(ctx context.Context, dir string, reg *obs.Registry, tr
 			m.decodedEvents.Add(int64(len(t.Events)))
 			m.decodedBytes.Add(cr.n)
 		}
-		decodedBytes.Add(cr.n)
 		sp.Annotate("events", strconv.Itoa(len(t.Events)))
 		sp.Annotate("bytes", strconv.FormatInt(cr.n, 10))
 		return t, nil
@@ -156,6 +143,7 @@ func ReadDirTracedContext(ctx context.Context, dir string, reg *obs.Registry, tr
 	if err != nil {
 		return nil, err
 	}
+	reg := sc.Obs
 	if reg == nil {
 		return set, nil
 	}
@@ -175,13 +163,13 @@ func ReadDirTracedContext(ctx context.Context, dir string, reg *obs.Registry, tr
 // the machine.
 func decodeWorkers() int { return runtime.GOMAXPROCS(0) }
 
-// readDirWith is the directory-scanning body of ReadDir with the per-file
-// decode step parameterized. Rank files decode concurrently on up to
-// `workers` goroutines; assembly stays deterministic because each file's
-// trace lands in its name's slot and errors surface in name order
-// (par.Ranks picks the lowest failing index). ctx (which may be nil) is
-// checked before each file decodes.
-func readDirWith(ctx context.Context, dir string, workers int, tr *tracing.Recorder, readOne func(f *os.File, sp *tracing.Span) (*Trace, error)) (*Set, error) {
+// readDirWith is the directory-scanning body of ReadDirWith with the
+// per-file decode step parameterized. Rank files decode concurrently on
+// up to `workers` goroutines; assembly stays deterministic because each
+// file's trace lands in its name's slot and errors surface in name order
+// (par.Ranks picks the lowest failing index). sc.Ctx is checked before
+// each file decodes, and sc.Trace receives one span per file.
+func readDirWith(dir string, workers int, sc obs.Scope, readOne func(f *os.File, sp *tracing.Span) (*Trace, error)) (*Set, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -192,11 +180,9 @@ func readDirWith(ctx context.Context, dir string, workers int, tr *tracing.Recor
 	}
 	parts := make([]*Trace, len(names))
 	scope := func(i int) string { return fmt.Sprintf("rank %d", names[i].rank) }
-	err = par.RanksTraced(len(names), workers, tr, "decode", scope, func(i int, sp *tracing.Span) error {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("trace: read canceled: %w", err)
-			}
+	err = par.RanksTraced(len(names), workers, sc.Trace, "decode", scope, func(i int, sp *tracing.Span) error {
+		if err := sc.Err(); err != nil {
+			return fmt.Errorf("trace: read canceled: %w", err)
 		}
 		nr := names[i]
 		f, err := os.Open(filepath.Join(dir, nr.name))

@@ -17,7 +17,7 @@ func obsRoundTripSet() *Set {
 	return s.Set()
 }
 
-func TestWriteReadDirObsCounters(t *testing.T) {
+func TestWriteDirObsReadDirWithCounters(t *testing.T) {
 	set := obsRoundTripSet()
 	dir := t.TempDir()
 
@@ -36,7 +36,7 @@ func TestWriteReadDirObsCounters(t *testing.T) {
 	}
 
 	rreg := obs.NewRegistry()
-	got, err := ReadDirObs(dir, rreg)
+	got, err := ReadDirWith(dir, obs.Scope{Obs: rreg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,17 +53,17 @@ func TestWriteReadDirObsCounters(t *testing.T) {
 	}
 }
 
-func TestReadDirObsNilRegistry(t *testing.T) {
+func TestReadDirWithZeroScope(t *testing.T) {
 	set := obsRoundTripSet()
 	dir := t.TempDir()
 	if err := WriteDirObs(dir, set, nil); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadDirObs(dir, nil)
+	got, err := ReadDirWith(dir, obs.Scope{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.TotalEvents() != set.TotalEvents() {
-		t.Errorf("nil-registry round trip lost events: %d != %d", got.TotalEvents(), set.TotalEvents())
+		t.Errorf("zero-scope round trip lost events: %d != %d", got.TotalEvents(), set.TotalEvents())
 	}
 }

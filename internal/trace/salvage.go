@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"io"
 	"os"
@@ -112,24 +111,13 @@ func (m *salvageMetrics) record(res SalvageResult) {
 // and each degradation is described by one diagnostic note. The returned
 // notes are empty exactly when the directory was read losslessly. It
 // fails only when the directory holds no trace files at all.
-func ReadDirSalvage(dir string, reg *obs.Registry) (*Set, []string, error) {
-	return ReadDirSalvageTraced(dir, reg, nil)
-}
-
-// ReadDirSalvageContext is ReadDirSalvage with cooperative cancellation
-// checked before each rank file decodes (nil ctx never cancels) — the
-// form the serving watchdog uses for directory-path jobs.
-func ReadDirSalvageContext(ctx context.Context, dir string, reg *obs.Registry) (*Set, []string, error) {
-	return readDirSalvage(ctx, dir, decodeWorkers(), reg, nil)
-}
-
-// ReadDirSalvageTraced is ReadDirSalvage with each rank file's salvage
-// recorded as a span on tr (track "decode", one lane per worker — or per
-// rank in deterministic mode). Spans are annotated with the recovered
-// event count and, when the file degraded, the salvage reason. Both reg
-// and tr may be nil.
-func ReadDirSalvageTraced(dir string, reg *obs.Registry, tr *tracing.Recorder) (*Set, []string, error) {
-	return readDirSalvage(nil, dir, decodeWorkers(), reg, tr)
+//
+// sc works as in ReadDirWith: Ctx is checked before each rank file
+// decodes, Obs receives the salvage counters, and Trace records each rank
+// file's salvage as a span on the "decode" track, annotated with the
+// recovered event count and, when the file degraded, the salvage reason.
+func ReadDirSalvage(dir string, sc obs.Scope) (*Set, []string, error) {
+	return readDirSalvage(dir, decodeWorkers(), sc)
 }
 
 // salvageFile is one rank file's decoded-but-unmerged salvage outcome.
@@ -146,23 +134,21 @@ type salvageFile struct {
 // merge — note order, duplicate and rank-mismatch policing, metric
 // recording — runs serially in name order afterward, so the returned
 // set, notes, and error are identical at any worker count.
-func readDirSalvage(ctx context.Context, dir string, workers int, reg *obs.Registry, tr *tracing.Recorder) (*Set, []string, error) {
+func readDirSalvage(dir string, workers int, sc obs.Scope) (*Set, []string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, nil, err
 	}
-	m := newSalvageMetrics(reg)
+	m := newSalvageMetrics(sc.Obs)
 	names := traceFileNames(entries)
 	if len(names) == 0 {
 		return nil, nil, fmt.Errorf("trace: no trace files in %s", dir)
 	}
 	files := make([]salvageFile, len(names))
 	scope := func(i int) string { return fmt.Sprintf("rank %d (salvage)", names[i].rank) }
-	err = par.RanksTraced(len(names), workers, tr, "decode", scope, func(i int, sp *tracing.Span) error {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("trace: salvage canceled: %w", err)
-			}
+	err = par.RanksTraced(len(names), workers, sc.Trace, "decode", scope, func(i int, sp *tracing.Span) error {
+		if err := sc.Err(); err != nil {
+			return fmt.Errorf("trace: salvage canceled: %w", err)
 		}
 		nr := names[i]
 		f, err := os.Open(filepath.Join(dir, nr.name))

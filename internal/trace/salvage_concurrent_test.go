@@ -37,7 +37,7 @@ func TestReadDirSalvageConcurrentMatchesSerial(t *testing.T) {
 	dir := t.TempDir()
 	writeSalvageCorpus(t, dir, 24)
 
-	serialSet, serialNotes, err := readDirSalvage(nil, dir, 1, nil, nil)
+	serialSet, serialNotes, err := readDirSalvage(dir, 1, obs.Scope{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestReadDirSalvageConcurrentMatchesSerial(t *testing.T) {
 		t.Fatal("corpus produced no degradation notes; test is vacuous")
 	}
 	for _, workers := range []int{2, 4, 16} {
-		set, notes, err := readDirSalvage(nil, dir, workers, nil, nil)
+		set, notes, err := readDirSalvage(dir, workers, obs.Scope{})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -71,7 +71,7 @@ func TestReadDirSalvageConcurrentMetrics(t *testing.T) {
 	counts := map[int]int64{}
 	for _, workers := range []int{1, 8} {
 		reg := obs.NewRegistry()
-		if _, _, err := readDirSalvage(nil, dir, workers, reg, nil); err != nil {
+		if _, _, err := readDirSalvage(dir, workers, obs.Scope{Obs: reg}); err != nil {
 			t.Fatal(err)
 		}
 		snap := reg.Snapshot()
@@ -87,12 +87,12 @@ func TestReadDirSalvageCanceled(t *testing.T) {
 	writeSalvageCorpus(t, dir, 6)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := ReadDirSalvageContext(ctx, dir, nil); !errors.Is(err, context.Canceled) {
+	if _, _, err := ReadDirSalvage(dir, obs.Scope{Ctx: ctx}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("salvage under canceled ctx: err = %v, want context.Canceled", err)
 	}
 }
 
-func TestReadDirContextCanceled(t *testing.T) {
+func TestReadDirWithCanceled(t *testing.T) {
 	dir := t.TempDir()
 	for r := int32(0); r < 3; r++ {
 		data, _ := buildTrace(t, r, 10, int64(r+1))
@@ -102,12 +102,12 @@ func TestReadDirContextCanceled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := ReadDirContext(ctx, dir); !errors.Is(err, context.Canceled) {
-		t.Fatalf("ReadDirContext under canceled ctx: err = %v, want context.Canceled", err)
+	if _, err := ReadDirWith(dir, obs.Scope{Ctx: ctx}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("ReadDirWith under canceled ctx: err = %v, want context.Canceled", err)
 	}
-	set, err := ReadDirContext(context.Background(), dir)
+	set, err := ReadDirWith(dir, obs.Scope{Ctx: context.Background()})
 	if err != nil {
-		t.Fatalf("ReadDirContext with live ctx: %v", err)
+		t.Fatalf("ReadDirWith with live ctx: %v", err)
 	}
 	if set.Ranks() != 3 {
 		t.Fatalf("ranks = %d, want 3", set.Ranks())

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/faults"
+	"repro/internal/obs"
 )
 
 // buildTrace encodes n sample events for one rank.
@@ -46,7 +47,7 @@ func TestReadDirSalvage(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	set, notes, err := ReadDirSalvage(dir, nil)
+	set, notes, err := ReadDirSalvage(dir, obs.Scope{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestReadDirSalvage(t *testing.T) {
 }
 
 func TestReadDirSalvageEmptyDir(t *testing.T) {
-	if _, _, err := ReadDirSalvage(t.TempDir(), nil); err == nil {
+	if _, _, err := ReadDirSalvage(t.TempDir(), obs.Scope{}); err == nil {
 		t.Fatal("want error for directory without trace files")
 	}
 }

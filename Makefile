@@ -149,14 +149,16 @@ corpus-smoke:
 		-matrix /tmp/mcchecker-corpus-matrix.md
 
 # Auto-repair gate: `mcchecker fix` must patch every planted-bug corpus
-# variant into a program whose dynamic and explore verdicts match its
-# checked-in fixed variant. Exits non-zero if any repair fails to
-# verify; the unified patch diffs land in FIX_TMP for inspection (CI
-# uploads them as an artifact).
+# variant into a program that builds and whose dynamic and explore
+# verdicts match its checked-in fixed variant. Exits non-zero if any
+# repair fails to verify or any written patch fails to apply, one at a
+# time, from the repository root; the unified patch diffs land in FIX_TMP
+# for inspection (CI uploads them as an artifact).
 FIX_TMP ?= /tmp/mcchecker-fix-patches
 fix-smoke:
 	rm -rf $(FIX_TMP) && mkdir -p $(FIX_TMP)
 	$(GO) run ./cmd/mcchecker fix -diff-dir $(FIX_TMP)
+	for p in $(FIX_TMP)/*.patch; do git apply --check "$$p" || exit 1; done
 
 # Regenerate every table and figure of the paper's evaluation.
 experiments:

@@ -539,3 +539,32 @@ func TestCorpusCmdGate(t *testing.T) {
 		t.Error("positional arguments must be rejected")
 	}
 }
+
+// TestFixCmdJSON runs the repair CLI on one case: the JSON result is
+// verified and carries no interpreter fields, and the written patch names
+// its file by the path from the repository root, where `git apply` runs.
+func TestFixCmdJSON(t *testing.T) {
+	dir := t.TempDir()
+	out := captureStdout(t, func() error {
+		return fixCmd([]string{"-app", "stride-overlap", "-json", "-diff-dir", dir})
+	})
+	var results []map[string]any
+	if err := json.Unmarshal([]byte(out), &results); err != nil {
+		t.Fatalf("fix -json output does not parse: %v\n%s", err, out)
+	}
+	if len(results) != 1 || results[0]["verified"] != true {
+		t.Fatalf("want one verified result, got:\n%s", out)
+	}
+	for key := range results[0] {
+		if strings.HasPrefix(key, "interp_") {
+			t.Errorf("result carries the removed key %q", key)
+		}
+	}
+	patch, err := os.ReadFile(filepath.Join(dir, "stride-overlap.patch"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "--- a/internal/apps/corpus.go\n+++ b/internal/apps/corpus.go\n"; !strings.HasPrefix(string(patch), want) {
+		t.Errorf("patch header does not name internal/apps/corpus.go:\n%s", patch)
+	}
+}

@@ -3,8 +3,8 @@
 // application source with one repair template per action kind, iterating
 // until the scoped diagnostics drain. Every patch is then proven, not
 // trusted: the patched program is re-type-checked, re-analyzed statically,
-// and executed under the dynamic analyzer and a schedule-exploration sweep
-// by an AST interpreter running against the real MPI simulator.
+// compiled by the Go toolchain, and run under the dynamic analyzer and a
+// schedule-exploration sweep.
 package fix
 
 import (

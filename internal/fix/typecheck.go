@@ -1,178 +1,84 @@
 package fix
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
 	"sync"
 )
 
-// Patched sources are re-type-checked against stub declarations of the
-// packages the applications import, built once with go/types. Stubs avoid
-// depending on a source checkout or export data for the repo's own
-// packages; the typecheck audit test pins every stub method to the real
-// API via reflection, so drift fails loudly.
+// Repairs are checked by the real toolchain: Typecheck reads the export
+// data the compiler wrote for the packages an application file imports,
+// and Repair compiles and runs the patched package. Both need a source
+// checkout of this module and go on PATH; the module has no dependencies,
+// so neither needs the network.
 
-const memoryStub = `package memory
+// appsPkg is the application package that repairs patch.
+const appsPkg = "repro/internal/apps"
 
-type Buffer struct{}
-
-func (b *Buffer) Name() string                      { return "" }
-func (b *Buffer) Size() uint64                      { return 0 }
-func (b *Buffer) Float64At(off uint64) float64      { return 0 }
-func (b *Buffer) SetFloat64(off uint64, v float64)  {}
-func (b *Buffer) Int32At(off uint64) int32          { return 0 }
-func (b *Buffer) SetInt32(off uint64, v int32)      {}
-func (b *Buffer) Int64At(off uint64) int64          { return 0 }
-func (b *Buffer) SetInt64(off uint64, v int64)      {}
-func (b *Buffer) Uint8At(off uint64) byte           { return 0 }
-func (b *Buffer) SetUint8(off uint64, v byte)       {}
-func (b *Buffer) Float64SliceAt(off uint64, n int) []float64  { return nil }
-func (b *Buffer) SetFloat64Slice(off uint64, vs []float64)    {}
-`
-
-const mpiStub = `package mpi
-
-import "repro/internal/memory"
-
-type Datatype struct{}
-type Comm struct{}
-type Group struct{}
-type LockType uint8
-type AccOp uint8
-
-const (
-	LockShared LockType = iota
-	LockExclusive
-)
-
-const (
-	OpSum AccOp = iota
-	OpProd
-	OpMax
-	OpMin
-	OpReplace
-)
-
-const AssertNone = 0
-
-var (
-	Byte    *Datatype
-	Int32   *Datatype
-	Int64   *Datatype
-	Float32 *Datatype
-	Float64 *Datatype
-)
-
-func NewGroup(worldRanks []int) *Group { return nil }
-
-type Proc struct{}
-
-func (p *Proc) Rank() int                                      { return 0 }
-func (p *Proc) Size() int                                      { return 0 }
-func (p *Proc) CommWorld() *Comm                               { return nil }
-func (p *Proc) Barrier(c *Comm)                                {}
-func (p *Proc) Alloc(size uint64, name string) *memory.Buffer  { return nil }
-func (p *Proc) AllocFloat64(n int, name string) *memory.Buffer { return nil }
-func (p *Proc) AllocInt32(n int, name string) *memory.Buffer   { return nil }
-func (p *Proc) WinCreate(buf *memory.Buffer, dispUnit uint32, c *Comm) *Win { return nil }
-func (p *Proc) WinAllocate(size uint64, dispUnit uint32, c *Comm, name string) (*Win, *memory.Buffer) {
-	return nil, nil
-}
-func (p *Proc) TypeVector(count, blocklen, stride int, base *Datatype) *Datatype { return nil }
-func (p *Proc) TypeContiguous(count int, base *Datatype) *Datatype               { return nil }
-
-type Win struct{}
-
-func (w *Win) Fence(assert int)              {}
-func (w *Win) Lock(lt LockType, target int)  {}
-func (w *Win) Unlock(target int)             {}
-func (w *Win) LockAll()                      {}
-func (w *Win) UnlockAll()                    {}
-func (w *Win) Flush(target int)              {}
-func (w *Win) FlushAll()                     {}
-func (w *Win) FlushLocal(target int)         {}
-func (w *Win) FlushLocalAll()                {}
-func (w *Win) Post(group *Group)             {}
-func (w *Win) Start(group *Group)            {}
-func (w *Win) Complete()                     {}
-func (w *Win) WaitEpoch()                    {}
-func (w *Win) Free()                         {}
-func (w *Win) LocalBuffer() *memory.Buffer   { return nil }
-func (w *Win) Put(origin *memory.Buffer, originOff uint64, originCount int, originType *Datatype, target int, targetDisp uint64, targetCount int, targetType *Datatype) {
-}
-func (w *Win) Get(origin *memory.Buffer, originOff uint64, originCount int, originType *Datatype, target int, targetDisp uint64, targetCount int, targetType *Datatype) {
-}
-func (w *Win) Accumulate(origin *memory.Buffer, originOff uint64, originCount int, originType *Datatype, target int, targetDisp uint64, targetCount int, targetType *Datatype, op AccOp) {
-}
-func (w *Win) GetAccumulate(origin *memory.Buffer, originOff uint64, originCount int, originType *Datatype, result *memory.Buffer, resultOff uint64, resultCount int, resultType *Datatype, target int, targetDisp uint64, targetCount int, targetType *Datatype, op AccOp) {
-}
-func (w *Win) FetchAndOp(origin *memory.Buffer, originOff uint64, result *memory.Buffer, resultOff uint64, target int, targetDisp uint64, dtype *Datatype, op AccOp) {
-}
-func (w *Win) CompareAndSwap(origin *memory.Buffer, originOff uint64, compare *memory.Buffer, compareOff uint64, result *memory.Buffer, resultOff uint64, target int, targetDisp uint64, dtype *Datatype) {
-}
-`
-
-// fmtStub declares the two fmt functions the applications use. Stubbing
-// fmt too keeps the typechecker independent of compiler export data,
-// which recent toolchains no longer ship pre-built.
-const fmtStub = `package fmt
-
-func Errorf(format string, a ...interface{}) error  { return nil }
-func Sprintf(format string, a ...interface{}) string { return "" }
-`
-
-// stubSources maps import path to stub source, in dependency order.
-var stubSources = []struct{ path, src string }{
-	{"repro/internal/memory", memoryStub},
-	{"repro/internal/mpi", mpiStub},
-	{"fmt", fmtStub},
+// toolchain is what one `go list -export -deps` of the application
+// package reports: where the package lives, and the export data file the
+// compiler wrote for it and for every package it imports.
+type toolchain struct {
+	root    string            // module root, where the go command runs
+	appsDir string            // application package directory, relative to root
+	export  map[string]string // import path -> export data file
 }
 
-type stubImporter map[string]*types.Package
-
-func (m stubImporter) Import(path string) (*types.Package, error) {
-	if pkg, ok := m[path]; ok {
-		return pkg, nil
+// loadToolchain runs `go list` once per process.
+var loadToolchain = sync.OnceValues(func() (*toolchain, error) {
+	out, err := exec.Command("go", "list", "-export", "-deps",
+		"-json=ImportPath,Dir,Export,Module", appsPkg).Output()
+	if err != nil {
+		return nil, fmt.Errorf("fix: go list %s (needs a source checkout and go on PATH): %w", appsPkg, cmdError(err))
 	}
-	return nil, fmt.Errorf("fix: no stub for import %q", path)
-}
-
-var (
-	stubOnce sync.Once
-	stubPkgs stubImporter
-	stubErr  error
-)
-
-func buildStubs() (stubImporter, error) {
-	stubOnce.Do(func() {
-		pkgs := stubImporter{}
-		for _, s := range stubSources {
-			fset := token.NewFileSet()
-			f, err := parser.ParseFile(fset, s.path+"/stub.go", s.src, 0)
-			if err != nil {
-				stubErr = fmt.Errorf("fix: parsing stub %s: %w", s.path, err)
-				return
-			}
-			conf := types.Config{Importer: pkgs}
-			pkg, err := conf.Check(s.path, fset, []*ast.File{f}, nil)
-			if err != nil {
-				stubErr = fmt.Errorf("fix: type-checking stub %s: %w", s.path, err)
-				return
-			}
-			pkgs[s.path] = pkg
+	tc := &toolchain{export: map[string]string{}}
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		var p struct {
+			ImportPath, Dir, Export string
+			Module                  struct{ Dir string }
 		}
-		stubPkgs = pkgs
-	})
-	return stubPkgs, stubErr
+		if err := dec.Decode(&p); err != nil {
+			return nil, fmt.Errorf("fix: reading go list output: %w", err)
+		}
+		tc.export[p.ImportPath] = p.Export
+		if p.ImportPath == appsPkg {
+			tc.root = p.Module.Dir
+			if tc.appsDir, err = filepath.Rel(p.Module.Dir, p.Dir); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return tc, nil
+})
+
+// cmdError replaces a failed command's exit status with what it printed
+// on stderr, which for the go command is the compiler's message.
+func cmdError(err error) error {
+	var ee *exec.ExitError
+	if errors.As(err, &ee) && len(ee.Stderr) > 0 {
+		return errors.New(strings.TrimSpace(string(ee.Stderr)))
+	}
+	return err
 }
 
-// Typecheck type-checks one application source file against the stub
-// packages, returning the first type error.
+// Typecheck type-checks one application source file as package apps
+// against the compiler's export data for its imports, returning the first
+// type error. It checks the file alone, so a clash with a declaration in
+// another file of the package is left to the build.
 func Typecheck(name string, src []byte) error {
-	pkgs, err := buildStubs()
+	tc, err := loadToolchain()
 	if err != nil {
 		return err
 	}
@@ -181,7 +87,12 @@ func Typecheck(name string, src []byte) error {
 	if err != nil {
 		return err
 	}
-	conf := types.Config{Importer: pkgs}
-	_, err = conf.Check("repro/internal/apps", fset, []*ast.File{f}, nil)
+	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		if file := tc.export[path]; file != "" {
+			return os.Open(file)
+		}
+		return nil, fmt.Errorf("fix: no export data for %q", path)
+	})
+	_, err = (&types.Config{Importer: imp}).Check(appsPkg, fset, []*ast.File{f}, nil)
 	return err
 }

@@ -1,68 +1,6 @@
 package fix
 
-import (
-	"go/types"
-	"reflect"
-	"testing"
-
-	"repro/internal/memory"
-	"repro/internal/mpi"
-)
-
-// TestStubsMatchRealAPI pins every stub method to the real simulator API:
-// each method declared on a stub type must exist on the corresponding
-// real type with the same parameter and result counts, so the stubs
-// cannot silently accept programs the real package would reject (or
-// vice versa) as the API evolves.
-func TestStubsMatchRealAPI(t *testing.T) {
-	pkgs, err := buildStubs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	real := map[string]map[string]reflect.Type{
-		"repro/internal/mpi": {
-			"Proc": reflect.TypeOf(&mpi.Proc{}),
-			"Win":  reflect.TypeOf(&mpi.Win{}),
-		},
-		"repro/internal/memory": {
-			"Buffer": reflect.TypeOf(&memory.Buffer{}),
-		},
-	}
-	for path, typesByName := range real {
-		stub := pkgs[path]
-		if stub == nil {
-			t.Fatalf("no stub package for %s", path)
-		}
-		for typeName, rt := range typesByName {
-			obj := stub.Scope().Lookup(typeName)
-			if obj == nil {
-				t.Errorf("%s: stub lacks type %s", path, typeName)
-				continue
-			}
-			named, ok := obj.Type().(*types.Named)
-			if !ok {
-				t.Errorf("%s.%s: stub object is not a named type", path, typeName)
-				continue
-			}
-			for i := 0; i < named.NumMethods(); i++ {
-				m := named.Method(i)
-				sig := m.Type().(*types.Signature)
-				rm, ok := rt.MethodByName(m.Name())
-				if !ok {
-					t.Errorf("%s.%s.%s: stubbed method missing on the real type", path, typeName, m.Name())
-					continue
-				}
-				// reflect counts the receiver as parameter 0.
-				if got, want := rm.Type.NumIn()-1, sig.Params().Len(); got != want {
-					t.Errorf("%s.%s.%s: real method takes %d params, stub declares %d", path, typeName, m.Name(), got, want)
-				}
-				if got, want := rm.Type.NumOut(), sig.Results().Len(); got != want {
-					t.Errorf("%s.%s.%s: real method returns %d values, stub declares %d", path, typeName, m.Name(), got, want)
-				}
-			}
-		}
-	}
-}
+import "testing"
 
 // TestTypecheckRejects pins the negative direction: sources using the
 // API wrongly must fail, so the repair gate cannot pass vacuously.

@@ -1,18 +1,24 @@
 package fix
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strconv"
+	"strings"
 
 	"repro/internal/apps"
-	"repro/internal/core"
 	"repro/internal/explore"
 	"repro/internal/mpi"
 	"repro/internal/profiler"
-	"repro/internal/trace"
 )
 
 // VerifyConfig sizes the dynamic proof of one repair.
@@ -51,6 +57,12 @@ func (v Verdict) Matches(o Verdict) bool {
 	return v.Err == o.Err && v.Dynamic == o.Dynamic && v.Explore == o.Explore
 }
 
+// Scores are the verdicts of one bug case's two variants.
+type Scores struct {
+	Buggy Verdict `json:"buggy"`
+	Fixed Verdict `json:"fixed"`
+}
+
 // CaseResult is the proven (or refuted) repair of one registry bug case.
 type CaseResult struct {
 	Name  string `json:"name"`
@@ -61,18 +73,14 @@ type CaseResult struct {
 	Iterations int    `json:"iterations"`
 	Diff       string `json:"diff,omitempty"`
 
-	// Engine verdicts: the compiled variants (ground truth), the pristine
-	// source under the interpreter (fidelity gate), and the patched source
-	// under the interpreter (the proof).
+	// Engine verdicts: the compiled variants (ground truth) and the
+	// variants compiled from the patched source (the proof).
 	CompiledBuggy Verdict `json:"compiled_buggy"`
 	CompiledFixed Verdict `json:"compiled_fixed"`
-	InterpBuggy   Verdict `json:"interp_buggy"`
-	InterpFixed   Verdict `json:"interp_fixed"`
 	PatchedBuggy  Verdict `json:"patched_buggy"`
 	PatchedFixed  Verdict `json:"patched_fixed"`
 
 	// Gates. Verified is their conjunction.
-	InterpFidelity bool   `json:"interp_fidelity"` // interpreter reproduces compiled verdicts
 	BuggyCaught    bool   `json:"buggy_caught"`    // pristine bug visible to some engine (else there is nothing to prove)
 	PatchedClean   bool   `json:"patched_clean"`   // patched planted variant analyzes clean
 	CleanPreserved bool   `json:"clean_preserved"` // patched clean variant still clean
@@ -81,51 +89,39 @@ type CaseResult struct {
 	Formatted      bool   `json:"formatted"`       // patched source is gofmt-idempotent
 	Typechecks     bool   `json:"typechecks"`      // patched source re-type-checks
 	Verified       bool   `json:"verified"`
-	Reason         string `json:"reason,omitempty"` // first failing gate or repair error
+	Reason         string `json:"reason,omitempty"` // first failing gate, repair error or build error
 }
 
-// runBody executes one body under the dynamic analyzer — the same
-// pipeline experiments.runChecked uses, duplicated here because the
-// experiments package layers its repair column on top of this package.
-func runBody(ranks int, body func(p *mpi.Proc) error, relevant []string) (*core.Report, error) {
-	sink := trace.NewMemorySink()
-	var rel profiler.Relevance
-	if relevant != nil {
-		rel = profiler.FromNames(relevant)
-	}
-	pr := profiler.New(sink, rel)
-	if err := mpi.Run(ranks, mpi.Options{Hook: pr}, body); err != nil {
-		return nil, err
-	}
-	return core.Analyze(sink.Set())
-}
-
-// verdict scores one body under both dynamic engines.
+// verdict scores one body on one runner: its run on the default
+// schedule, then an exploration sweep.
 func (c VerifyConfig) verdict(body func(p *mpi.Proc) error, ranks int, relevant []string) Verdict {
-	rep, err := runBody(ranks, body, relevant)
-	if err != nil {
-		return Verdict{Err: err.Error()}
-	}
-	v := Verdict{Dynamic: len(rep.Violations) > 0}
-	var rel profiler.Relevance
+	r := &explore.Runner{Body: body, Ranks: ranks}
 	if relevant != nil {
-		rel = profiler.FromNames(relevant)
+		r.Rel = profiler.FromNames(relevant)
 	}
-	strat, err := explore.ParseStrategy("sweep")
+	rep, err := r.Run(nil)
 	if err != nil {
 		return Verdict{Err: err.Error()}
 	}
 	res, err := explore.Explore(explore.Config{
-		Runner:    &explore.Runner{Body: body, Ranks: ranks, Rel: rel},
-		Strategy:  strat,
-		Schedules: c.Schedules,
-		Seed:      c.Seed,
+		Runner: r, Strategy: explore.Sweep{}, Schedules: c.Schedules, Seed: c.Seed,
 	})
 	if err != nil {
 		return Verdict{Err: err.Error()}
 	}
-	v.Explore = res.Distinct() > 0
-	return v
+	return Verdict{Dynamic: len(rep.Violations) > 0, Explore: res.Distinct() > 0}
+}
+
+// Score scores both variants of one bug case, at its rank count capped by
+// MaxRanks. Repair calls it in-process for the compiled variants; the
+// probe program, built from the patched source, calls it for the proof.
+func (c VerifyConfig) Score(bc apps.BugCase) Scores {
+	c = c.withDefaults()
+	ranks := min(bc.Ranks, c.MaxRanks)
+	return Scores{
+		Buggy: c.verdict(bc.Buggy, ranks, bc.RelevantBuffers),
+		Fixed: c.verdict(bc.Fixed, ranks, bc.RelevantBuffers),
+	}
 }
 
 // sourceFor locates the embedded application source file declaring the
@@ -158,87 +154,113 @@ func sourceFor(root string) (string, []byte, error) {
 	return "", nil, fmt.Errorf("fix: no embedded source declares %q", root)
 }
 
-// interpVerdict builds the interpreted variant's body and scores it.
-func (c VerifyConfig) interpVerdict(ip *Interp, root string, buggy bool, ranks int, relevant []string) Verdict {
-	body, err := ip.Closure(root, buggy)
+// probe builds the probe program (./internal/fix/probe) with the patched
+// file in place of the application file of that name, and scores the
+// named corpus case with it, or every corpus case when caseName is empty:
+// the verdicts of the program the patch produces, keyed by case name.
+func (c VerifyConfig) probe(caseName, file string, patched []byte) (map[string]Scores, error) {
+	tc, err := loadToolchain()
 	if err != nil {
-		return Verdict{Err: err.Error()}
+		return nil, err
 	}
-	return c.verdict(body, ranks, relevant)
+	dir, err := os.MkdirTemp("", "mcchecker-fix-")
+	if err != nil {
+		return nil, err
+	}
+	defer os.RemoveAll(dir)
+	overlay, err := json.Marshal(map[string]map[string]string{
+		"Replace": {filepath.Join(tc.root, tc.appsDir, file): filepath.Join(dir, file)},
+	})
+	if err != nil {
+		return nil, err
+	}
+	if err := os.WriteFile(filepath.Join(dir, file), patched, 0o644); err != nil {
+		return nil, err
+	}
+	if err := os.WriteFile(filepath.Join(dir, "overlay.json"), overlay, 0o644); err != nil {
+		return nil, err
+	}
+	cmd := exec.Command("go", "run", "-overlay", filepath.Join(dir, "overlay.json"), "./internal/fix/probe",
+		"-case", caseName, "-schedules", strconv.Itoa(c.Schedules),
+		"-seed", strconv.FormatUint(c.Seed, 10), "-max-ranks", strconv.Itoa(c.MaxRanks))
+	cmd.Dir = tc.root
+	out, err := cmd.Output()
+	if err != nil {
+		// Name the patched file as the compiler would name the original.
+		msg := cmdError(err).Error()
+		return nil, errors.New(strings.ReplaceAll(msg, filepath.Join(dir, file), filepath.Join(tc.appsDir, file)))
+	}
+	var scores map[string]Scores
+	if err := json.Unmarshal(out, &scores); err != nil {
+		return nil, fmt.Errorf("fix: reading probe output: %w", err)
+	}
+	return scores, nil
 }
 
-// Repair patches one registry bug case's source and proves the repair:
-// the interpreter must reproduce the compiled variants' engine verdicts
-// from the pristine source (fidelity), the patched planted variant must
-// analyze clean under the dynamic analyzer and an exploration sweep with
-// verdicts matching the checked-in fixed variant, the clean variant's
-// behavior must be preserved, and the patched source must re-format,
-// re-type-check, and re-analyze statically without diagnostics.
+// Repair patches one registry bug case's source and proves the repair
+// (see prove). The on-disk copy of the case's source file must equal the
+// one this binary embeds, since the proof compiles the on-disk package.
 func Repair(bc apps.BugCase, cfg VerifyConfig) (*CaseResult, error) {
 	cfg = cfg.withDefaults()
 	name, src, err := sourceFor(bc.StaticRoot)
 	if err != nil {
 		return nil, err
 	}
-	ranks := bc.Ranks
-	if ranks > cfg.MaxRanks {
-		ranks = cfg.MaxRanks
-	}
-	res := &CaseResult{Name: bc.Name, File: name, Ranks: ranks}
-
-	fail := func(reason string) (*CaseResult, error) {
-		if res.Reason == "" {
-			res.Reason = reason
-		}
-		return res, nil
-	}
-
-	// Ground truth and interpreter fidelity on the pristine source.
-	res.CompiledBuggy = cfg.verdict(bc.Buggy, ranks, bc.RelevantBuffers)
-	res.CompiledFixed = cfg.verdict(bc.Fixed, ranks, bc.RelevantBuffers)
-	ip, err := NewInterp(name, src)
+	tc, err := loadToolchain()
 	if err != nil {
-		return fail(fmt.Sprintf("parsing %s: %v", name, err))
+		return nil, err
 	}
-	res.InterpBuggy = cfg.interpVerdict(ip, bc.StaticRoot, true, ranks, bc.RelevantBuffers)
-	res.InterpFixed = cfg.interpVerdict(ip, bc.StaticRoot, false, ranks, bc.RelevantBuffers)
-	res.InterpFidelity = res.InterpBuggy.Matches(res.CompiledBuggy) && res.InterpFixed.Matches(res.CompiledFixed)
+	rel := filepath.ToSlash(filepath.Join(tc.appsDir, name))
+	if disk, err := os.ReadFile(filepath.Join(tc.root, tc.appsDir, name)); err != nil {
+		return nil, err
+	} else if !bytes.Equal(disk, src) {
+		return nil, fmt.Errorf("fix: %s differs from the copy this binary embeds; rebuild it from this checkout", rel)
+	}
+	res := &CaseResult{Name: bc.Name, File: name, Ranks: min(bc.Ranks, cfg.MaxRanks)}
+
+	// Ground truth on the compiled variants.
+	s := cfg.Score(bc)
+	res.CompiledBuggy, res.CompiledFixed = s.Buggy, s.Fixed
 	res.BuggyCaught = res.CompiledBuggy.Dynamic || res.CompiledBuggy.Explore
 
 	// The repair itself.
 	patch, err := PatchSource(name, src, Config{Root: bc.StaticRoot})
 	if err != nil {
-		return fail(fmt.Sprintf("repair: %v", err))
+		res.Reason = fmt.Sprintf("repair: %v", err)
+		return res, nil
 	}
 	res.Steps, res.Iterations = patch.Steps, patch.Iterations
-	res.Diff = UnifiedDiff("a/"+name, "b/"+name, src, patch.Patched)
+	res.Diff = UnifiedDiff("a/"+rel, "b/"+rel, src, patch.Patched)
+	cfg.prove(res, bc, patch.Patched)
+	return res, nil
+}
 
-	// Structural gates.
-	if formatted, err := gofmt(patch.Patched); err != nil || string(formatted) != string(patch.Patched) {
-		res.Formatted = false
-	} else {
-		res.Formatted = true
-	}
-	res.Typechecks = Typecheck(name, patch.Patched) == nil
-	_, diags, err := checkScoped(name, patch.Patched, Config{Root: bc.StaticRoot}.withDefaults())
+// prove runs the gates on one patched source and sets res.Verified: the
+// patched source must re-format, re-type-check and re-analyze statically
+// without diagnostics, and it must build. Built, its planted variant must
+// analyze clean under the dynamic analyzer and an exploration sweep with
+// verdicts matching the checked-in fixed variant, and its clean variant's
+// behavior must be preserved.
+func (c VerifyConfig) prove(res *CaseResult, bc apps.BugCase, patched []byte) {
+	formatted, err := gofmt(patched)
+	res.Formatted = err == nil && bytes.Equal(formatted, patched)
+	res.Typechecks = Typecheck(res.File, patched) == nil
+	_, diags, err := checkScoped(res.File, patched, Config{Root: bc.StaticRoot}.withDefaults())
 	res.StaticClean = err == nil && len(diags) == 0
 
-	// Dynamic proof on the patched source.
-	ipp, err := NewInterp(name, patch.Patched)
-	if err != nil {
-		return fail(fmt.Sprintf("parsing patched %s: %v", name, err))
+	if scores, err := c.probe(bc.Name, res.File, patched); err != nil {
+		res.Reason = fmt.Sprintf("patched source does not build and run: %v", err)
+	} else {
+		res.PatchedBuggy, res.PatchedFixed = scores[bc.Name].Buggy, scores[bc.Name].Fixed
+		res.PatchedClean = res.PatchedBuggy.Clean()
+		res.CleanPreserved = res.PatchedFixed.Clean() && res.PatchedFixed.Matches(res.CompiledFixed)
+		res.MatchesFixed = res.PatchedBuggy.Matches(res.CompiledFixed)
 	}
-	res.PatchedBuggy = cfg.interpVerdict(ipp, bc.StaticRoot, true, ranks, bc.RelevantBuffers)
-	res.PatchedFixed = cfg.interpVerdict(ipp, bc.StaticRoot, false, ranks, bc.RelevantBuffers)
-	res.PatchedClean = res.PatchedBuggy.Clean()
-	res.CleanPreserved = res.PatchedFixed.Clean() && res.PatchedFixed.Matches(res.CompiledFixed)
-	res.MatchesFixed = res.PatchedBuggy.Matches(res.CompiledFixed)
 
 	gates := []struct {
 		ok     bool
 		reason string
 	}{
-		{res.InterpFidelity, "interpreter verdicts diverge from compiled variants"},
 		{res.BuggyCaught, "planted bug not visible to any dynamic engine"},
 		{res.PatchedClean, "patched planted variant still flagged"},
 		{res.CleanPreserved, "patched clean variant no longer clean"},
@@ -256,11 +278,11 @@ func Repair(bc apps.BugCase, cfg VerifyConfig) (*CaseResult, error) {
 			}
 		}
 	}
-	return res, nil
 }
 
 // RepairAll repairs every given case, collecting per-case results; the
-// error is reserved for infrastructure failures (missing sources).
+// error is reserved for infrastructure failures (missing sources, no go
+// command, a binary built from another tree).
 func RepairAll(cases []apps.BugCase, cfg VerifyConfig) ([]*CaseResult, error) {
 	var out []*CaseResult
 	for _, bc := range cases {

@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test check fmt-check staticcheck race cover bench bench-smoke microbench fuzz fuzz-gen fuzz-shadow soak explore experiments table2 fig8 fig9 trace-smoke serve-smoke serve-bench corpus corpus-smoke fix-smoke shadow-smoke clean
+.PHONY: all build test check fmt-check staticcheck race cover bench-smoke microbench fuzz fuzz-gen fuzz-shadow soak explore experiments table2 fig8 fig9 trace-smoke serve-smoke serve-bench corpus corpus-smoke fix-smoke shadow-smoke clean
 
 all: build test check
 
@@ -34,7 +34,8 @@ fmt-check:
 # byte-identical reports to their pairwise references, and the
 # cross-process detector must report the same signatures as the all-pairs
 # oracle; both must also match their pairwise references byte for byte on
-# the benchmark's multi-origin worst-case region.
+# the multi-origin region where every operation shares one (window,
+# target) vector, the pairwise scan's worst case.
 shadow-smoke:
 	$(GO) test -race -run 'TestShadowPairwiseDifferentialSweep' .
 	$(GO) test -race -run 'TestBenchShadowAgreement' ./internal/experiments
@@ -74,17 +75,10 @@ explore:
 cover:
 	$(GO) test -cover ./internal/...
 
-# Benchmark-regression harness: measures the pipeline's hot paths
-# (pooled decode, cached signatures, per-phase analysis time, linear vs
-# quadratic detection, shadow vs pairwise) and writes the baseline to
-# BENCH.json.
-bench:
-	$(GO) run ./cmd/mcbench -exp bench -json BENCH.json
-
-# One-iteration pass of the same harness plus the go-test benchmarks:
-# proves every timing loop still runs, cheap enough for CI.
+# One iteration of every go-test benchmark: proves each timing loop still
+# runs, cheap enough for CI. End-to-end and per-layer times come from
+# bench/ (BENCHMARK.json).
 bench-smoke:
-	$(GO) run ./cmd/mcbench -exp bench -json BENCH.json -benchtime 1x -amplify 2
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
 # Causal-timeline smoke: run a bug case, analyze its traces recording a
@@ -97,11 +91,8 @@ trace-smoke:
 	-$(GO) run ./cmd/mcchecker run -app emulate -trace $(TRACE_TMP)/traces
 	-$(GO) run ./cmd/mcchecker analyze -trace $(TRACE_TMP)/analyze.json $(TRACE_TMP)/traces
 	-$(GO) run ./cmd/mcchecker run -app ping-pong -trace $(TRACE_TMP)/run.json
-	$(GO) run ./cmd/mcbench -exp bench -benchtime 1x -amplify 2 \
-		-json $(TRACE_TMP)/BENCH.json -trace $(TRACE_TMP)/bench.json
 	$(GO) run ./cmd/mcviz -check-trace $(TRACE_TMP)/analyze.json
 	$(GO) run ./cmd/mcviz -check-trace $(TRACE_TMP)/run.json
-	$(GO) run ./cmd/mcviz -check-trace $(TRACE_TMP)/bench.json
 
 # Daemon smoke: start `mcchecker serve`, submit one clean and one
 # truncated job over real HTTP, assert healthy/degraded results, then
@@ -110,10 +101,10 @@ serve-smoke:
 	sh scripts/serve_smoke.sh
 
 # Daemon load experiment: saturate the serve queue from concurrent
-# clients (a fraction with damaged payloads) and record p50/p99 latency,
-# shed rate, and throughput into the serve section of BENCH.json.
+# clients (a fraction with damaged payloads) and print p50/p99 latency,
+# shed rate, and throughput; fails if the daemon does not drain.
 serve-bench:
-	$(GO) run ./cmd/mcbench -exp serve -json BENCH.json
+	$(GO) run ./cmd/mcbench -exp serve
 
 # The go-test micro benchmarks alone (full timing).
 microbench:
@@ -135,10 +126,9 @@ fuzz-gen:
 # Differential engine scoring at full scale: dynamic, static, and
 # explore engines over every registry bug case plus generated programs
 # (3 per injection pattern) and a 200-program clean-generation gate.
-# Writes the markdown detection matrix and the BENCH.json corpus section.
+# Writes the markdown detection matrix; exits 3 when the gate fails.
 corpus:
 	$(GO) run ./cmd/mcchecker corpus -matrix corpus_matrix.md
-	$(GO) run ./cmd/mcbench -exp corpus -json BENCH.json
 
 # CI-sized pass of the same gate under the race detector: one generated
 # program per injection pattern, a small clean batch, fixed seeds, and

@@ -8,17 +8,15 @@
 //	mcbench -exp fig8   [-ranks N] [-scale S] [-repeats R]
 //	mcbench -exp fig9   [-lu-n N] [-repeats R]   # also prints fig10 data
 //	mcbench -exp fig10  [-lu-n N] [-repeats R]
-//	mcbench -exp phases [-ranks N] [-scale S]    # analysis phase breakdown
+//	mcbench -exp weak   [-repeats R]         # weak-scaling prediction (§VII-B)
 //	mcbench -exp ablation                    # linear vs quadratic detector
 //	mcbench -exp synccheck                   # SyncChecker comparison
 //	mcbench -exp explore [-schedules N]      # schedule-exploration throughput
-//	mcbench -exp bench [-json BENCH.json] [-benchtime T] [-amplify M] [-trace timeline.json]
-//	mcbench -exp serve [-json BENCH.json] [-clients N] [-serve-jobs N] [-serve-queue N] [-fault-frac F]
-//	mcbench -exp corpus [-json BENCH.json] [-corpus-programs N] [-corpus-clean N] [-seed N]
-//	mcbench -exp all
+//	mcbench -exp serve [-clients N] [-serve-jobs N] [-serve-queue N] [-fault-frac F]
+//	mcbench -exp all                         # every experiment above but serve
 //
 // Global flags: -cpuprofile FILE and -memprofile FILE write pprof
-// profiles of the whole invocation.
+// profiles of the whole invocation. Any other -exp name exits 2.
 //
 // Absolute times are machine-local; the reproduction targets are the
 // paper's shapes: which configuration wins, by roughly what factor, and in
@@ -26,45 +24,102 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"text/tabwriter"
 
 	"repro/internal/experiments"
-	"repro/internal/obs/tracing"
 )
 
+// options holds the parsed command line.
+type options struct {
+	exp, cpuprofile, memprofile                                    string
+	ranks, repeats, luN, schedules, clients, serveJobs, serveQueue int
+	scale, faultFrac                                               float64
+	paperScale                                                     bool
+}
+
+// experiment is one -exp name and what it runs.
+type experiment struct {
+	name  string
+	inAll bool // whether -exp all runs it
+	run   func(o *options) error
+}
+
+// expTable lists every experiment, in the order -exp all runs them.
+var expTable = []experiment{
+	{"table1", true, func(*options) error { return table1() }},
+	{"table2", true, func(o *options) error { return table2(o.paperScale) }},
+	{"fig8", true, func(o *options) error { return fig8(o.ranks, o.scale, o.repeats) }},
+	{"fig9", true, func(o *options) error { return fig9and10(o.luN, o.repeats, true, o.exp == "all") }},
+	// all prints Figure 10 with Figure 9, from the same LU runs.
+	{"fig10", false, func(o *options) error { return fig9and10(o.luN, o.repeats, false, true) }},
+	{"weak", true, func(o *options) error { return weakScaling(o.repeats) }},
+	{"ablation", true, func(*options) error { return ablation() }},
+	{"synccheck", true, func(*options) error { return synccheck() }},
+	{"explore", true, func(o *options) error { return exploreThroughput(o.schedules) }},
+	// Saturating the daemon takes a while, so all leaves it out.
+	{"serve", false, serveLoad},
+}
+
+// expNames returns every value -exp accepts: the table's names and all.
+func expNames() []string {
+	var names []string
+	for _, e := range expTable {
+		names = append(names, e.name)
+	}
+	return append(names, "all")
+}
+
+// parseFlags parses args and reports any error, an unknown -exp name
+// included, to stderr.
+func parseFlags(args []string, stderr io.Writer) (*options, error) {
+	names := expNames()
+	fs := flag.NewFlagSet("mcbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var o options
+	fs.StringVar(&o.exp, "exp", "all", "experiment: "+strings.Join(names, "|"))
+	fs.IntVar(&o.ranks, "ranks", 64, "rank count for fig8 (paper: 64)")
+	fs.Float64Var(&o.scale, "scale", 1.0, "workload scale factor for fig8")
+	fs.IntVar(&o.repeats, "repeats", 3, "timing repetitions (minimum kept)")
+	fs.IntVar(&o.luN, "lu-n", 192, "LU matrix order for fig9/fig10 (paper: 1500)")
+	fs.BoolVar(&o.paperScale, "paper-scale", false, "table2: use the paper's full process counts (lockopts at 64)")
+	fs.IntVar(&o.schedules, "schedules", 2000, "schedule count for the explore experiment")
+	fs.IntVar(&o.clients, "clients", 8, "serve: concurrent load-generator clients")
+	fs.IntVar(&o.serveJobs, "serve-jobs", 120, "serve: total jobs to push through the daemon")
+	fs.IntVar(&o.serveQueue, "serve-queue", 0, "serve: daemon queue budget (0 = 2x workers)")
+	fs.Float64Var(&o.faultFrac, "fault-frac", 0.25, "serve: fraction of submissions with damaged uploads")
+	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile of the whole run to this file")
+	fs.StringVar(&o.memprofile, "memprofile", "", "write a heap profile at exit to this file")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	if !slices.Contains(names, o.exp) {
+		err := fmt.Errorf("unknown experiment %q (valid: %s)", o.exp, strings.Join(names, "|"))
+		fmt.Fprintf(stderr, "mcbench: %v\n", err)
+		return nil, err
+	}
+	return &o, nil
+}
+
 func main() {
-	exp := flag.String("exp", "all", "experiment: table1|table2|fig8|fig9|fig10|phases|ablation|synccheck|explore|bench|serve|corpus|all")
-	ranks := flag.Int("ranks", 64, "rank count for fig8 (paper: 64)")
-	scale := flag.Float64("scale", 1.0, "workload scale factor for fig8")
-	repeats := flag.Int("repeats", 3, "timing repetitions (minimum kept)")
-	luN := flag.Int("lu-n", 192, "LU matrix order for fig9/fig10 (paper: 1500)")
-	paperScale := flag.Bool("paper-scale", false, "table2: use the paper's full process counts (lockopts at 64)")
-	schedules := flag.Int("schedules", 2000, "schedule count for the explore experiment")
-	benchJSON := flag.String("json", "BENCH.json", "bench: output path for the regression baseline")
-	benchTime := flag.String("benchtime", "", "bench: -test.benchtime forwarded to the timing loops (e.g. 1x, 100ms)")
-	amplify := flag.Int("amplify", 8, "bench: bug-case body repetition factor")
-	tracePath := flag.String("trace", "", "bench: record the instrumented phase pass as Chrome trace JSON")
-	clients := flag.Int("clients", 8, "serve: concurrent load-generator clients")
-	serveJobs := flag.Int("serve-jobs", 120, "serve: total jobs to push through the daemon")
-	serveQueue := flag.Int("serve-queue", 0, "serve: daemon queue budget (0 = 2x workers)")
-	faultFrac := flag.Float64("fault-frac", 0.25, "serve: fraction of submissions with damaged uploads")
-	corpusPrograms := flag.Int("corpus-programs", 0, "corpus: generated programs with injected bugs (0 = 3 per pattern)")
-	corpusClean := flag.Int("corpus-clean", 0, "corpus: clean generated programs (0 = 200)")
-	corpusSeed := flag.Uint64("seed", 1, "corpus: base seed for program generation")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile at exit to this file")
-	flag.Parse()
+	o, err := parseFlags(os.Args[1:], os.Stderr)
+	if err == flag.ErrHelp { // fs.Parse returns it bare
+		return
+	}
+	if err != nil {
+		os.Exit(2)
+	}
 
 	stopCPU := func() {}
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
+	if o.cpuprofile != "" {
+		f, err := os.Create(o.cpuprofile)
 		if err == nil {
 			err = pprof.StartCPUProfile(f)
 		}
@@ -79,8 +134,8 @@ func main() {
 	}
 	finish := func() {
 		stopCPU()
-		if *memprofile != "" {
-			f, err := os.Create(*memprofile)
+		if o.memprofile != "" {
+			f, err := os.Create(o.memprofile)
 			if err == nil {
 				runtime.GC()
 				err = pprof.WriteHeapProfile(f)
@@ -94,44 +149,15 @@ func main() {
 	}
 	defer finish()
 
-	run := func(name string, f func() error) {
-		if *exp != "all" && *exp != name {
-			return
+	for _, e := range expTable {
+		if o.exp != e.name && !(o.exp == "all" && e.inAll) {
+			continue
 		}
-		if err := f(); err != nil {
-			fmt.Fprintf(os.Stderr, "mcbench %s: %v\n", name, err)
+		if err := e.run(o); err != nil {
+			fmt.Fprintf(os.Stderr, "mcbench %s: %v\n", e.name, err)
 			finish()
 			os.Exit(1)
 		}
-	}
-
-	run("table1", table1)
-	run("table2", func() error { return table2(*paperScale) })
-	run("fig8", func() error { return fig8(*ranks, *scale, *repeats) })
-	run("fig9", func() error { return fig9and10(*luN, *repeats, true, *exp == "all") })
-	run("fig10", func() error {
-		if *exp == "all" {
-			return nil // fig9 already printed it
-		}
-		return fig9and10(*luN, *repeats, false, true)
-	})
-	run("phases", func() error { return phases(*ranks, *scale) })
-	run("weak", func() error { return weakScaling(*repeats) })
-	run("ablation", ablation)
-	run("synccheck", synccheck)
-	run("explore", func() error { return exploreThroughput(*schedules) })
-	if *exp == "bench" { // excluded from "all": it re-times what the others already print
-		run("bench", func() error { return bench(*benchJSON, *benchTime, *amplify, *tracePath) })
-	}
-	if *exp == "serve" { // excluded from "all": saturating the daemon takes a while
-		run("serve", func() error {
-			return serveLoad(*benchJSON, *clients, *serveJobs, *serveQueue, *faultFrac)
-		})
-	}
-	if *exp == "corpus" { // excluded from "all": the 200-program clean gate takes a while
-		run("corpus", func() error {
-			return corpusScore(*benchJSON, *corpusPrograms, *corpusClean, *corpusSeed)
-		})
 	}
 }
 
@@ -229,24 +255,6 @@ func fig9and10(luN, repeats int, printFig9, printFig10 bool) error {
 	return nil
 }
 
-func phases(ranks int, scale float64) error {
-	header(fmt.Sprintf("Analysis phase breakdown, %d ranks (observability spans)", ranks))
-	rows, err := experiments.PhaseBreakdown(ranks, scale)
-	if err != nil {
-		return err
-	}
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "App\tEvents\tModel\tMatch\tDAG\tEpochs\tIntra\tCross\tAnalysis\tEvents/s")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%s\t%d\t%v\t%v\t%v\t%v\t%v\t%v\t%v\t%.0f\n",
-			r.App, r.Events,
-			r.Model.Round(10_000), r.Match.Round(10_000), r.DAG.Round(10_000),
-			r.Epochs.Round(10_000), r.DetectIntra.Round(10_000), r.DetectCross.Round(10_000),
-			r.Analysis.Round(10_000), r.EventsPerSec)
-	}
-	return w.Flush()
-}
-
 func weakScaling(repeats int) error {
 	header("Weak scaling (paper §VII-B prediction: constant overhead as ranks grow)")
 	rows, err := experiments.WeakScaling(192, 30, []int{4, 8, 16, 32, 64}, repeats)
@@ -300,97 +308,12 @@ func exploreThroughput(schedules int) error {
 	return nil
 }
 
-func bench(jsonPath, benchTime string, amplify int, tracePath string) error {
-	header("Benchmark-regression harness (hot paths, amplified Table II corpora)")
-	var tr *tracing.Recorder
-	if tracePath != "" {
-		tr = tracing.New()
-	}
-	res, err := experiments.Bench(experiments.BenchConfig{Amplify: amplify, BenchTime: benchTime, Trace: tr})
-	if err != nil {
-		return err
-	}
-	if tr != nil {
-		f, err := os.Create(tracePath)
-		if err == nil {
-			err = tr.WriteChromeTrace(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			return fmt.Errorf("timeline: %w", err)
-		}
-		fmt.Printf("wrote timeline (%d events) to %s — open in https://ui.perfetto.dev\n", tr.Len(), tracePath)
-	}
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "Measurement\tns/op\tB/op\tallocs/op\tevents/s")
-	line := func(name string, s experiments.BenchStat) {
-		fmt.Fprintf(w, "%s\t%.0f\t%d\t%d\t%.0f\n", name, s.NsPerOp, s.BytesPerOp, s.AllocsPerOp, s.EventsPerSec)
-	}
-	line("decode (pooled)", res.Decode.Pooled)
-	line("decode (pool off)", res.Decode.Unpooled)
-	line("signature", res.Signature)
-	line("cross-process linear", res.Cross.Linear)
-	line("cross-process quadratic", res.Cross.Quadratic)
-	line("cross-process shadow", res.Shadow.Shadow)
-	line("cross-process pairwise", res.Shadow.Pairwise)
-	w.Flush()
-	fmt.Printf("decode alloc reduction: %.1f%% (ns/op %+.1f%%)  linear vs quadratic: %.1fx (GOMAXPROCS=%d, cpus=%d)\n",
-		res.Decode.AllocReductionPct, res.Decode.NsPerOpDeltaPct, res.Cross.Speedup, res.GOMAXPROCS, res.NumCPU)
-	fmt.Printf("shadow vs pairwise: %.1fx on %d ops across %d ranks (agreement=%v)\n",
-		res.Shadow.Speedup, res.Shadow.Ops, res.Shadow.Ranks, res.Shadow.Agreement)
-	if err := mergeBenchJSON(jsonPath, res, "serve", "corpus"); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", jsonPath)
-	return nil
-}
-
-// mergeBenchJSON writes `section` into jsonPath, preserving the listed
-// other top-level keys from an existing file — so `-exp bench` and
-// `-exp serve` each own their part of BENCH.json without wiping the
-// other's baseline. With a struct section, its own fields replace the
-// file's; a corrupt existing file is rewritten from scratch.
-func mergeBenchJSON(jsonPath string, section any, preserve ...string) error {
-	kept := map[string]json.RawMessage{}
-	if old, err := os.ReadFile(jsonPath); err == nil {
-		var prev map[string]json.RawMessage
-		if json.Unmarshal(old, &prev) == nil {
-			for _, k := range preserve {
-				if v, ok := prev[k]; ok {
-					kept[k] = v
-				}
-			}
-		}
-	}
-	data, err := json.Marshal(section)
-	if err != nil {
-		return err
-	}
-	merged := map[string]json.RawMessage{}
-	if err := json.Unmarshal(data, &merged); err != nil {
-		return err
-	}
-	for k, v := range kept {
-		if _, ok := merged[k]; !ok {
-			merged[k] = v
-		}
-	}
-	out, err := json.MarshalIndent(merged, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(jsonPath, append(out, '\n'), 0o644)
-}
-
 // serveLoad drives the analysis daemon to saturation with concurrent,
-// partly fault-injected clients and folds the latency/shed numbers into
-// BENCH.json next to the bench section.
-func serveLoad(jsonPath string, clients, jobs, queue int, faultFrac float64) error {
+// partly fault-injected clients and prints the latency and shed numbers.
+func serveLoad(o *options) error {
 	header("Serve-load: daemon under concurrent, fault-injected submissions")
 	res, err := experiments.ServeLoad(experiments.ServeLoadConfig{
-		Clients: clients, Jobs: jobs, QueueBudget: queue, FaultFraction: faultFrac,
+		Clients: o.clients, Jobs: o.serveJobs, QueueBudget: o.serveQueue, FaultFraction: o.faultFrac,
 	})
 	if err != nil {
 		return err
@@ -409,34 +332,6 @@ func serveLoad(jsonPath string, clients, jobs, queue int, faultFrac float64) err
 	if !res.DrainedCleanly {
 		return fmt.Errorf("daemon failed to drain")
 	}
-	if err := mergeBenchJSON(jsonPath, map[string]any{"serve": res},
-		"corpus", "gomaxprocs", "num_cpu", "amplify", "benchtime", "decode", "signature", "phases", "cross_process", "shadow_vs_pairwise"); err != nil {
-		return err
-	}
-	fmt.Printf("wrote serve section to %s\n", jsonPath)
-	return nil
-}
-
-// corpusScore runs the differential engine-scoring harness and folds the
-// detection matrix into BENCH.json next to the bench and serve sections.
-func corpusScore(jsonPath string, programs, clean int, seed uint64) error {
-	header("Corpus: differential engine scoring over planted and injected bugs")
-	res, err := experiments.Corpus(experiments.CorpusConfig{
-		Generated: programs, Clean: clean, Seed: seed,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Print(res.MarkdownMatrix())
-	if !res.Gate {
-		return fmt.Errorf("differential gate failed (apps=%v fixed=%v generated=%v clean=%v)",
-			res.AppsCaught, res.AppsFixedClean, res.GeneratedCaught, res.CleanOK)
-	}
-	if err := mergeBenchJSON(jsonPath, map[string]any{"corpus": res},
-		"serve", "gomaxprocs", "num_cpu", "amplify", "benchtime", "decode", "signature", "phases", "cross_process", "shadow_vs_pairwise"); err != nil {
-		return err
-	}
-	fmt.Printf("wrote corpus section to %s\n", jsonPath)
 	return nil
 }
 

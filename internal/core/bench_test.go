@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -14,10 +16,13 @@ import (
 	"repro/internal/trace"
 )
 
-// crossInput is one trace's prebuilt pipeline, everything the detectors
-// read.
+// crossInput is one trace's prebuilt pipeline: every phase's input, up to
+// what the detectors read. enc and ms are set only by amplifiedCorpus.
 type crossInput struct {
+	enc     [][]byte // each rank's trace, as trace.EncodeTrace writes it
+	set     *trace.Set
 	m       *model.Model
+	ms      *match.Matches
 	d       *dag.DAG
 	epochs  []*Epoch
 	opEpoch map[trace.ID]*Epoch
@@ -26,7 +31,7 @@ type crossInput struct {
 // amplifiedCorpus simulates every registry case but schedrace, buggy and
 // fixed, with each body repeated 8 times and ranks capped at 8 — the
 // shape of the benchmark's bugcorpus workload — and builds each trace's
-// pipeline up to the detectors.
+// pipeline up to the detectors, keeping every phase's input.
 func amplifiedCorpus(tb testing.TB) []crossInput {
 	tb.Helper()
 	const times, maxRanks = 8, 8
@@ -57,7 +62,16 @@ func amplifiedCorpus(tb testing.TB) []crossInput {
 			if err != nil {
 				tb.Fatalf("%s: %v", bc.Name, err)
 			}
-			m, err := model.Build(sink.Set())
+			set := sink.Set()
+			var enc [][]byte
+			for _, t := range set.Traces {
+				buf, err := trace.EncodeTrace(t)
+				if err != nil {
+					tb.Fatal(err)
+				}
+				enc = append(enc, buf)
+			}
+			m, err := model.Build(set)
 			if err != nil {
 				tb.Fatal(err)
 			}
@@ -73,7 +87,7 @@ func amplifiedCorpus(tb testing.TB) []crossInput {
 			if err != nil {
 				tb.Fatal(err)
 			}
-			out = append(out, crossInput{m: m, d: d, epochs: epochs, opEpoch: opEpoch})
+			out = append(out, crossInput{enc: enc, set: set, m: m, ms: ms, d: d, epochs: epochs, opEpoch: opEpoch})
 		}
 	}
 	return out
@@ -124,6 +138,69 @@ func fatEpochInput(tb testing.TB) crossInput {
 	return crossInput{m: m, d: d, epochs: epochs, opEpoch: opEpoch}
 }
 
+// phase is one pipeline phase run alone on one prebuilt input.
+type phase struct {
+	name string
+	run  func(in crossInput) error
+}
+
+// phases lists every analysis phase from decode to detect_cross, in
+// pipeline order, each reading only inputs amplifiedCorpus prebuilt.
+var phases = []phase{
+	{"decode", func(in crossInput) error {
+		for _, buf := range in.enc {
+			if _, err := trace.ReadTrace(bytes.NewReader(buf)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}},
+	{"model", func(in crossInput) error { _, err := model.Build(in.set); return err }},
+	{"match", func(in crossInput) error { _, err := match.Run(in.m); return err }},
+	{"dag", func(in crossInput) error { _, err := dag.Build(in.m, in.ms); return err }},
+	{"epochs", func(in crossInput) error { _, _, err := ExtractEpochs(in.m); return err }},
+	{"detect_intra", detector(Options{IntraEpoch: true})},
+	{"detect_cross", detector(Options{CrossProcess: true})},
+}
+
+// detector runs the detectors opts enables on one prebuilt input.
+func detector(opts Options) func(in crossInput) error {
+	return func(in crossInput) error {
+		_, err := NewAnalyzer(in.m, in.d, in.epochs, in.opEpoch, opts).Run()
+		return err
+	}
+}
+
+// runPhase runs one phase over every input: one pass over the corpus.
+func runPhase(p phase, inputs []crossInput) error {
+	for _, in := range inputs {
+		if err := p.run(in); err != nil {
+			return fmt.Errorf("%s: %w", p.name, err)
+		}
+	}
+	return nil
+}
+
+// BenchmarkFrontEnd measures each phase before the detectors alone, one
+// op being one pass over the amplified corpus with every earlier phase
+// prebuilt. BenchmarkDetectIntra and BenchmarkDetectCross cover the rest.
+func BenchmarkFrontEnd(b *testing.B) {
+	inputs := amplifiedCorpus(b)
+	for _, p := range phases {
+		if p.name == "detect_intra" {
+			break
+		}
+		b.Run(p.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := runPhase(p, inputs); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkDetectCross measures the cross-process detector alone with
 // every earlier phase prebuilt: corpus is one pass over the amplified
 // corpus, fat one pass over fatEpochInput, whose Puts all land in one
@@ -151,13 +228,12 @@ func benchDetector(b *testing.B, opts Options, fatName string) {
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			inputs := bc.inputs(b)
+			run := phase{"detect", detector(opts)}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				for _, in := range inputs {
-					if _, err := NewAnalyzer(in.m, in.d, in.epochs, in.opEpoch, opts).Run(); err != nil {
-						b.Fatal(err)
-					}
+				if err := runPhase(run, inputs); err != nil {
+					b.Fatal(err)
 				}
 			}
 		})

@@ -13,7 +13,6 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/mpi"
-	"repro/internal/obs"
 	"repro/internal/profiler"
 	"repro/internal/trace"
 )
@@ -195,67 +194,6 @@ func timeRunProfiled(ranks int, relevant []string, body func(p *mpi.Proc) error,
 		}
 	}
 	return best, nil
-}
-
-// PhaseRow is one application's offline-analysis phase breakdown, read
-// from the observability layer's phase spans. It complements Figure 8's
-// end-to-end overhead numbers with where DN-Analyzer time actually goes.
-type PhaseRow struct {
-	App    string
-	Events int64 // events analyzed
-
-	// Wall time per analysis phase (mcchecker_phase_seconds spans).
-	Model, Match, DAG, Epochs, DetectIntra, DetectCross time.Duration
-
-	Analysis     time.Duration // sum of the phases above
-	EventsPerSec float64       // Events / Analysis
-}
-
-// PhaseBreakdown runs each overhead workload once with the observability
-// registry attached and reports per-phase analysis wall times from the
-// collected spans.
-func PhaseBreakdown(ranks int, scale float64) ([]PhaseRow, error) {
-	var rows []PhaseRow
-	for _, wl := range apps.Workloads() {
-		body := wl.Body(scale)
-		reg := obs.NewRegistry()
-		sink := trace.NewMemorySink()
-		var rel profiler.Relevance
-		if wl.RelevantBuffers != nil {
-			rel = profiler.FromNames(wl.RelevantBuffers)
-		}
-		pr := profiler.NewObs(sink, rel, reg)
-		if err := mpi.Run(ranks, mpi.Options{Hook: pr, Obs: reg}, body); err != nil {
-			return nil, fmt.Errorf("%s: %w", wl.Name, err)
-		}
-		opts := core.DefaultOptions()
-		opts.Obs = reg
-		rep, err := core.AnalyzeWith(sink.Set(), opts)
-		if err != nil {
-			return nil, fmt.Errorf("%s analysis: %w", wl.Name, err)
-		}
-		snap := reg.Snapshot()
-		phase := func(name string) time.Duration {
-			return snap.Span(obs.PhaseSpanName, "phase", name).Total()
-		}
-		row := PhaseRow{
-			App:         wl.Name,
-			Events:      int64(rep.EventsAnalyzed),
-			Model:       phase("model"),
-			Match:       phase("match"),
-			DAG:         phase("dag"),
-			Epochs:      phase("epochs"),
-			DetectIntra: phase("detect_intra"),
-			DetectCross: phase("detect_cross"),
-		}
-		row.Analysis = row.Model + row.Match + row.DAG + row.Epochs +
-			row.DetectIntra + row.DetectCross
-		if secs := row.Analysis.Seconds(); secs > 0 {
-			row.EventsPerSec = float64(row.Events) / secs
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
 }
 
 // ScalingRow is one point of Figures 9 and 10: LU at a given rank count.

@@ -132,10 +132,10 @@ func TestSyntheticRegion(t *testing.T) {
 	}
 }
 
-// TestBenchShadowAgreement runs the shadow-vs-pairwise benchmark's
-// byte-identity gate — both detectors against their pairwise references —
-// on its worst-case multi-origin region (sized down — the gate, not the
-// timing, is what CI needs).
+// TestBenchShadowAgreement checks both detectors against their pairwise
+// references (CheckPairwise) on the multi-origin region where every
+// operation shares one (window, target) vector, the pairwise scan's worst
+// case. make shadow-smoke runs it by name.
 func TestBenchShadowAgreement(t *testing.T) {
 	set := ShadowSyntheticRegion(8, 512)
 	if set.Ranks() != 8 {

@@ -65,7 +65,8 @@ func (c ServeLoadConfig) withDefaults() ServeLoadConfig {
 	return c
 }
 
-// ServeLoadResult is the serve section of BENCH.json.
+// ServeLoadResult is what one ServeLoad run measured: shedding, job
+// outcomes, latency, throughput, and whether the daemon drained.
 type ServeLoadResult struct {
 	Clients     int `json:"clients"`
 	Jobs        int `json:"jobs"`

@@ -199,18 +199,9 @@ const decodeReaderBufSize = 1 << 16
 var readerPool sync.Pool // of *reader
 
 var (
-	decodePoolOff    atomic.Bool
 	decodePoolHits   atomic.Int64
 	decodePoolMisses atomic.Int64
 )
-
-// SetDecodePool enables or disables decode-context recycling and returns
-// the previous setting. It exists for the benchmark harness, which
-// measures the pool's allocation effect by flipping it off; production
-// paths leave it on.
-func SetDecodePool(enabled bool) bool {
-	return !decodePoolOff.Swap(!enabled)
-}
 
 // DecodePoolStats returns the cumulative decode-context pool hits and
 // misses. ReadDirWith exposes the per-read deltas as
@@ -221,14 +212,12 @@ func DecodePoolStats() (hits, misses int64) {
 
 // getReader returns a decode context wrapping r, recycled when possible.
 func getReader(r io.Reader) *reader {
-	if !decodePoolOff.Load() {
-		if v := readerPool.Get(); v != nil {
-			rd := v.(*reader)
-			decodePoolHits.Add(1)
-			rd.r.Reset(r)
-			rd.strs = rd.strs[:1]
-			return rd
-		}
+	if v := readerPool.Get(); v != nil {
+		rd := v.(*reader)
+		decodePoolHits.Add(1)
+		rd.r.Reset(r)
+		rd.strs = rd.strs[:1]
+		return rd
 	}
 	decodePoolMisses.Add(1)
 	return &reader{r: bufio.NewReaderSize(r, decodeReaderBufSize), strs: []string{""}}
@@ -238,9 +227,6 @@ func getReader(r io.Reader) *reader {
 // decoded events are immutable Go strings; dropping the table references
 // here cannot invalidate them.
 func (rd *reader) release() {
-	if decodePoolOff.Load() {
-		return
-	}
 	strs := rd.strs[:cap(rd.strs)]
 	for i := 1; i < len(strs); i++ {
 		strs[i] = "" // do not pin decoded file/func names beyond this stream

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -151,8 +152,6 @@ func TestCodecHugeHintClamped(t *testing.T) {
 // TestDecodePoolReuseSequential: repeated decodes hit the context pool
 // and keep producing identical results.
 func TestDecodePoolReuseSequential(t *testing.T) {
-	prev := SetDecodePool(true)
-	defer SetDecodePool(prev)
 	want, data := encodeSample(t, 3, 150)
 
 	hits0, _ := DecodePoolStats()
@@ -169,26 +168,31 @@ func TestDecodePoolReuseSequential(t *testing.T) {
 	}
 }
 
-// TestDecodePoolOffEquivalence: disabling the pool must not change the
-// decoded bytes in any way.
+// TestDecodePoolOffEquivalence: a decode that finds the pool empty and
+// builds a fresh context, and the decode after it, which may recycle that
+// context, must both produce the encoded events.
 func TestDecodePoolOffEquivalence(t *testing.T) {
 	want, data := encodeSample(t, 1, 90)
-	prev := SetDecodePool(false)
-	defer SetDecodePool(prev)
-	for i := 0; i < 3; i++ {
+	// A sync.Pool survives one collection in its victim cache; the second
+	// empties it.
+	runtime.GC()
+	runtime.GC()
+	_, misses0 := DecodePoolStats()
+	for i := 0; i < 2; i++ {
 		got, err := ReadTrace(bytes.NewReader(data))
 		if err != nil {
 			t.Fatal(err)
 		}
 		eventsEqual(t, got.Events, want.Events)
+		if _, misses := DecodePoolStats(); i == 0 && misses <= misses0 {
+			t.Fatalf("decode after emptying the pool recorded no miss (misses %d -> %d)", misses0, misses)
+		}
 	}
 }
 
 // TestDecodePoolConcurrent exercises pooled decode contexts from many
 // goroutines; run under -race this proves contexts are never shared.
 func TestDecodePoolConcurrent(t *testing.T) {
-	prev := SetDecodePool(true)
-	defer SetDecodePool(prev)
 	traces := make([]*Trace, 4)
 	datas := make([][]byte, 4)
 	for r := range traces {

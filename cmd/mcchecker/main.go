@@ -757,16 +757,7 @@ func printExplore(res *explore.Result, appName string, asJSON bool, reg *obs.Reg
 		}
 		if snap != nil {
 			fmt.Println("--- run stats ---")
-			var err error
-			switch statsFormat {
-			case "prom":
-				err = snap.WritePrometheus(os.Stdout)
-			case "json":
-				err = snap.WriteJSON(os.Stdout)
-			default:
-				err = snap.WriteText(os.Stdout)
-			}
-			if err != nil {
+			if err := writeStats(os.Stdout, snap, statsFormat); err != nil {
 				return err
 			}
 		}
@@ -873,6 +864,19 @@ func statsRegistry(enabled bool, format string) (*obs.Registry, error) {
 		return nil, nil
 	}
 	return obs.NewRegistry(), nil
+}
+
+// writeStats writes snap to w in a -stats-format: "prom", "json", or
+// text for anything else.
+func writeStats(w io.Writer, snap *obs.Snapshot, format string) error {
+	switch format {
+	case "prom":
+		return snap.WritePrometheus(w)
+	case "json":
+		return snap.WriteJSON(w)
+	default:
+		return snap.WriteText(w)
+	}
 }
 
 // timeline owns one -trace timeline recording: the span recorder threaded
@@ -994,16 +998,7 @@ func printReport(rep *core.Report, asJSON bool, reg *obs.Registry, statsFormat s
 		fmt.Print(rep)
 		if snap != nil {
 			fmt.Println("--- run stats ---")
-			var err error
-			switch statsFormat {
-			case "prom":
-				err = snap.WritePrometheus(os.Stdout)
-			case "json":
-				err = snap.WriteJSON(os.Stdout)
-			default:
-				err = snap.WriteText(os.Stdout)
-			}
-			if err != nil {
+			if err := writeStats(os.Stdout, snap, statsFormat); err != nil {
 				return err
 			}
 		}
@@ -1087,42 +1082,33 @@ func analyzeCmd(args []string) error {
 		opts.CrossProcess = false
 	}
 
-	// finish flushes everything that must not be lost to the findings
-	// exit inside printReport: profiles, witness tracks, the timeline.
-	finish := func(rep *core.Report) error {
-		stopCPU()
-		if err := writeMemProfile(*memprofile); err != nil {
-			return err
-		}
-		core.AddWitnessTracks(tl.recorder(), rep)
-		if err := tl.flush(os.Stderr); err != nil {
-			return err
-		}
-		return printReport(rep, *jsonOut, printReg, *statsFormat)
-	}
-
-	set, err := trace.ReadDirWith(inputDir, sc)
-	if err != nil {
-		// Strict reading failed (truncated or damaged files): salvage the
-		// valid per-rank prefixes and produce a degraded report instead of
-		// nothing.
-		fmt.Fprintf(os.Stderr, "mcchecker: strict trace read failed (%v); salvaging\n", err)
-		salvaged, notes, serr := trace.ReadDirSalvage(inputDir, sc)
-		if serr != nil {
-			return serr
-		}
-		notes = append([]string{fmt.Sprintf("strict read failed: %v", err)}, notes...)
-		rep, derr := core.AnalyzeDegraded(salvaged, opts, notes)
-		if derr != nil {
-			return derr
-		}
-		return finish(rep)
-	}
-	rep, err := core.AnalyzeWith(set, opts)
+	set, notes, err := trace.ReadDirSalvage(inputDir, sc)
 	if err != nil {
 		return err
 	}
-	return finish(rep)
+	var rep *core.Report
+	if len(notes) == 0 {
+		rep, err = core.AnalyzeWith(set, opts)
+	} else {
+		// Truncated, damaged or missing rank files: analyze the salvaged
+		// prefixes and produce a degraded report instead of nothing.
+		fmt.Fprintf(os.Stderr, "mcchecker: strict trace read failed (%s); salvaging\n", notes[0])
+		rep, err = core.AnalyzeDegraded(set, opts, notes)
+	}
+	if err != nil {
+		return err
+	}
+	// Flush everything that must not be lost to the findings exit inside
+	// printReport: profiles, witness tracks, the timeline.
+	stopCPU()
+	if err := writeMemProfile(*memprofile); err != nil {
+		return err
+	}
+	core.AddWitnessTracks(tl.recorder(), rep)
+	if err := tl.flush(os.Stderr); err != nil {
+		return err
+	}
+	return printReport(rep, *jsonOut, printReg, *statsFormat)
 }
 
 // dumpCmd pretty-prints trace files for debugging instrumented runs.

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/mpi"
+	"repro/internal/obs"
 	"repro/internal/profiler"
 	"repro/internal/trace"
 )
@@ -310,8 +312,8 @@ func TestExploreCmdValidation(t *testing.T) {
 	}
 }
 
-// Strict analyze fails on a damaged directory; the salvage fallback still
-// produces a (degraded) report.
+// A damaged directory cannot be analyzed strictly; analyze still produces
+// a (degraded) report from what the one salvage read recovered.
 func TestAnalyzeCmdSalvageFallback(t *testing.T) {
 	dir := writeDemoTrace(t)
 	path := filepath.Join(dir, trace.FileName(1))
@@ -566,5 +568,25 @@ func TestFixCmdJSON(t *testing.T) {
 	}
 	if want := "--- a/internal/apps/corpus.go\n+++ b/internal/apps/corpus.go\n"; !strings.HasPrefix(string(patch), want) {
 		t.Errorf("patch header does not name internal/apps/corpus.go:\n%s", patch)
+	}
+}
+
+var errWrite = errors.New("write refused")
+
+// failWriter fails every write.
+type failWriter struct{}
+
+func (failWriter) Write([]byte) (int, error) { return 0, errWrite }
+
+// A -stats section that cannot be written must fail the command, in every
+// -stats-format.
+func TestWriteStatsReturnsWriteError(t *testing.T) {
+	reg := obs.NewRegistry()
+	reg.Counter("mcchecker_trace_decoded_events_total").Add(1)
+	snap := reg.Snapshot()
+	for _, format := range []string{"text", "prom", "json"} {
+		if err := writeStats(failWriter{}, snap, format); !errors.Is(err, errWrite) {
+			t.Errorf("-stats-format %s: err = %v, want the writer's error", format, err)
+		}
 	}
 }

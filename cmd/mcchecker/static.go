@@ -108,8 +108,7 @@ func staticCrossValidate(appName string, fixed, jsonOut bool, minConf stanalyzer
 	if jsonOut {
 		return printCrossJSON(results, reg)
 	}
-	printCrossText(results, reg, statsFormat)
-	return nil
+	return printCrossText(results, reg, statsFormat)
 }
 
 // classify matches static diagnostics against dynamic violations by class
@@ -148,7 +147,7 @@ func shortDiag(d *stanalyzer.Diagnostic) string {
 	return fmt.Sprintf("%s/%s at %s (%s)", d.Kind, d.Confidence, d.Pos.Filename+":"+fmt.Sprint(d.Pos.Line), d.Fn)
 }
 
-func printCrossText(results []crossApp, reg *obs.Registry, statsFormat string) {
+func printCrossText(results []crossApp, reg *obs.Registry, statsFormat string) error {
 	var nc, ns, nd int
 	for _, r := range results {
 		fmt.Printf("== %s: %d confirmed, %d static-only, %d dynamic-only ==\n",
@@ -170,16 +169,9 @@ func printCrossText(results []crossApp, reg *obs.Registry, statsFormat string) {
 		nc, ns, nd, len(results))
 	if reg != nil {
 		fmt.Println("--- run stats ---")
-		snap := reg.Snapshot()
-		switch statsFormat {
-		case "prom":
-			snap.WritePrometheus(os.Stdout)
-		case "json":
-			snap.WriteJSON(os.Stdout)
-		default:
-			snap.WriteText(os.Stdout)
-		}
+		return writeStats(os.Stdout, reg.Snapshot(), statsFormat)
 	}
+	return nil
 }
 
 func printCrossJSON(results []crossApp, reg *obs.Registry) error {

@@ -17,11 +17,12 @@ import (
 	"repro/internal/trace"
 )
 
-// TestReportsByteIdenticalAcrossWorkers is the contract behind the
-// concurrent decode pool, the one worker pool left on the offline path:
-// for every bundled bug case, analyzing a trace set in memory and again
-// after a WriteDir → ReadDir round trip, whose rank files decode on
-// GOMAXPROCS workers, must produce byte-identical text and JSON reports.
+// TestReportsByteIdenticalAcrossWorkers is the contract behind the trace
+// file round trip: for every bundled bug case, analyzing a trace set in
+// memory and again after WriteDir → ReadDir, whose rank files are read
+// one at a time through the salvaging reader, must produce byte-identical
+// text and JSON reports. (The name predates the serial reader; no worker
+// count is left to vary.)
 func TestReportsByteIdenticalAcrossWorkers(t *testing.T) {
 	for _, bc := range apps.BugCases() {
 		bc := bc

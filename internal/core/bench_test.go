@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -149,7 +148,7 @@ type phase struct {
 var phases = []phase{
 	{"decode", func(in crossInput) error {
 		for _, buf := range in.enc {
-			if _, err := trace.ReadTrace(bytes.NewReader(buf)); err != nil {
+			if _, err := trace.ReadTrace(buf); err != nil {
 				return err
 			}
 		}

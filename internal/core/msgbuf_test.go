@@ -195,3 +195,41 @@ func TestQuadraticAgreesOnMessageBuffers(t *testing.T) {
 		t.Errorf("linear %d vs quadratic %d:\n%s\n%s", len(lin.Violations), len(quad.Violations), lin, quad)
 	}
 }
+
+// TestThirdRankMessageChainOrdersPut pins that synchronization through a
+// third rank is captured, not treated conservatively: rank 0's locked Put
+// into rank 1's window is ordered before rank 1's load of the same bytes
+// only by the messages 0 → 2 → 1, and the checker reports nothing. The
+// same trace without the two messages reports the conflict.
+func TestThirdRankMessageChainOrdersPut(t *testing.T) {
+	build := func(chain bool) *trace.Set {
+		b := testutil.NewTraceBuilder(3)
+		b.WinCreate(1, 0x1000, 64)
+		b.Add(0, trace.Event{Kind: trace.KindWinLock, Win: 1, Target: 1, Lock: trace.LockShared, File: "a.go", Line: 1})
+		b.Add(0, trace.Event{Kind: trace.KindPut, Win: 1, Target: 1,
+			OriginAddr: 0x500, OriginType: trace.TypeInt32, OriginCount: 1,
+			TargetDisp: 0, TargetType: trace.TypeInt32, TargetCount: 1, File: "a.go", Line: 2})
+		b.Add(0, trace.Event{Kind: trace.KindWinUnlock, Win: 1, Target: 1, File: "a.go", Line: 3})
+		if chain {
+			msg := func(kind trace.Kind, rank, peer, tag, line int32) {
+				b.Add(rank, trace.Event{Kind: kind, Comm: 0, Peer: peer, Tag: tag,
+					OriginAddr: 0x900, OriginType: trace.TypeInt32, OriginCount: 1, File: "a.go", Line: line})
+			}
+			msg(trace.KindSend, 0, 2, 7, 4)
+			msg(trace.KindRecv, 2, 0, 7, 5)
+			msg(trace.KindSend, 2, 1, 8, 6)
+			msg(trace.KindRecv, 1, 2, 8, 7)
+		}
+		b.Add(1, trace.Event{Kind: trace.KindLoad, Addr: 0x1000, Size: 4, File: "a.go", Line: 8})
+		return b.Set()
+	}
+	for _, chain := range []bool{true, false} {
+		rep, err := Analyze(build(chain))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := len(rep.Errors()), map[bool]int{true: 0, false: 1}[chain]; got != want {
+			t.Errorf("message chain %v: %d errors, want %d:\n%s", chain, got, want, rep)
+		}
+	}
+}

@@ -1,8 +1,6 @@
 package gen
 
 import (
-	"bytes"
-	"io"
 	"reflect"
 	"testing"
 	"time"
@@ -11,8 +9,6 @@ import (
 	"repro/internal/profiler"
 	"repro/internal/trace"
 )
-
-func bytesReader(b []byte) io.Reader { return bytes.NewReader(b) }
 
 // FuzzGenerate: any seed must produce a program that validates,
 // simulates without deadlock, and whose trace round-trips through codec
@@ -63,7 +59,7 @@ func FuzzGenerate(f *testing.F) {
 			if err != nil {
 				t.Fatalf("rank %d: encode: %v", r, err)
 			}
-			got, err := trace.ReadTrace(bytes.NewReader(buf))
+			got, err := trace.ReadTrace(buf)
 			if err != nil {
 				t.Fatalf("rank %d: decode: %v", r, err)
 			}

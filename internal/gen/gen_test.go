@@ -175,7 +175,7 @@ func TestTraceRoundTripsCodecV2(t *testing.T) {
 		if err != nil {
 			t.Fatalf("rank %d: encode: %v", r, err)
 		}
-		got, err := trace.ReadTrace(bytesReader(buf))
+		got, err := trace.ReadTrace(buf)
 		if err != nil {
 			t.Fatalf("rank %d: decode: %v", r, err)
 		}

@@ -18,7 +18,7 @@ func conformanceSnapshot() *Snapshot {
 	reg.Counter("mcchecker_trace_decoded_events_total").Add(7)
 	reg.Counter("mcchecker_analysis_violations_total", "class", `quo"te`).Inc()
 	reg.Counter("mcchecker_analysis_violations_total", "class", "back\\slash\nnewline").Inc()
-	reg.Gauge("mcchecker_pipeline_decode_workers").Set(4)
+	reg.Gauge("mcchecker_pipeline_decode_events_per_sec").Set(4)
 	h := reg.Histogram("mcchecker_stream_slab_events")
 	h.Observe(1)
 	h.Observe(100)
@@ -103,10 +103,10 @@ func TestPrometheusExpositionConformance(t *testing.T) {
 
 	// Families exposing as the right kinds.
 	for name, want := range map[string]string{
-		"mcchecker_trace_decoded_events_total": "counter",
-		"mcchecker_pipeline_decode_workers":    "gauge",
-		"mcchecker_stream_slab_events":         "histogram",
-		"mcchecker_phase_seconds":              "summary",
+		"mcchecker_trace_decoded_events_total":     "counter",
+		"mcchecker_pipeline_decode_events_per_sec": "gauge",
+		"mcchecker_stream_slab_events":             "histogram",
+		"mcchecker_phase_seconds":                  "summary",
 	} {
 		if got := typed[name]; got != want {
 			t.Errorf("family %s: TYPE %q, want %q", name, got, want)

@@ -62,11 +62,9 @@ var helpText = map[string]metricHelp{
 	"mcchecker_pipeline_decode_events_per_sec": {kindGauge,
 		"Decode throughput of the most recent trace read, in events per second."},
 	"mcchecker_pipeline_decode_pool_hits_total": {kindCounter,
-		"Decoder scratch-buffer pool hits."},
+		"Trace reads (directory or uploads) whose one decode context came from the pool."},
 	"mcchecker_pipeline_decode_pool_misses_total": {kindCounter,
-		"Decoder scratch-buffer pool misses (fresh allocations)."},
-	"mcchecker_pipeline_decode_workers": {kindGauge,
-		"Worker goroutines used by the most recent parallel trace decode."},
+		"Trace reads (directory or uploads) that allocated a fresh decode context."},
 	"mcchecker_pipeline_sink_pool_hits_total": {kindCounter,
 		"Event-sink slab pool hits."},
 	"mcchecker_pipeline_sink_pool_misses_total": {kindCounter,
@@ -122,17 +120,17 @@ var helpText = map[string]metricHelp{
 	"mcchecker_stream_slabs_total": {kindCounter,
 		"Slabs flushed by the streaming checker."},
 	"mcchecker_trace_decoded_bytes_total": {kindCounter,
-		"Bytes of trace data decoded."},
+		"Bytes of every rank stream a trace reader decoded, trace files and uploads alike."},
 	"mcchecker_trace_decoded_events_total": {kindCounter,
-		"Trace events decoded."},
+		"Events decoded from every rank stream a trace reader read, trace files and uploads alike."},
 	"mcchecker_trace_encoded_bytes_total": {kindCounter,
 		"Bytes of trace data encoded by writers."},
 	"mcchecker_trace_encoded_events_total": {kindCounter,
 		"Trace events encoded by writers."},
 	"mcchecker_trace_salvaged_events_total": {kindCounter,
-		"Events recovered from truncated trace streams by the salvaging reader."},
+		"Events kept from the usable streams of each trace read that lost data, and from truncation-faulted ranks."},
 	"mcchecker_trace_truncated_streams_total": {kindCounter,
-		"Trace streams found truncated or unreadable by the salvaging reader."},
+		"Usable streams cut short in each trace read that lost data, and truncation-faulted ranks."},
 }
 
 // Help returns the help string for a metric family, or "" when the

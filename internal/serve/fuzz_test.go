@@ -32,7 +32,7 @@ func fuzzSeed(f *testing.F, sub *Submission) {
 }
 
 // FuzzParseSubmission drives the job-submission decode path — JSON shape
-// validation plus the inline trace decode with its salvage fallback —
+// validation plus the salvaging decode of the inline uploads —
 // with hostile bytes. The invariant is narrow and absolute: no input may
 // panic or hang the decoder, however malformed the JSON or however
 // hostile the embedded codec stream's claims.
@@ -66,15 +66,15 @@ func FuzzParseSubmission(f *testing.F) {
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 		defer cancel()
-		set, notes, err := sub.loadInline(obs.Scope{Ctx: ctx})
+		set, notes, err := sub.load(obs.Scope{Ctx: ctx})
 		if err != nil {
 			return
 		}
 		if set == nil || set.Ranks() == 0 {
-			t.Fatalf("loadInline returned no error but an empty set (notes %v)", notes)
+			t.Fatalf("load returned no error but an empty set (notes %v)", notes)
 		}
 		if err := set.Validate(); err != nil {
-			t.Fatalf("loadInline returned an invalid set: %v", err)
+			t.Fatalf("load returned an invalid set: %v", err)
 		}
 	})
 }

@@ -18,9 +18,9 @@
 //   - retry and quarantine: failed attempts are retried with exponential
 //     backoff; a job still failing after MaxAttempts is quarantined with
 //     its final error rather than retried forever;
-//   - salvage: truncated or corrupt uploads fall back to the trace
-//     layer's salvage decoding and degraded analysis, mirroring
-//     `mcchecker analyze`;
+//   - salvage: truncated or corrupt uploads and trace files are read by
+//     the trace layer's salvaging reader and analyzed as a degraded
+//     report, as in `mcchecker analyze`;
 //   - graceful drain: BeginDrain stops admission while in-flight jobs run
 //     to completion, so SIGTERM loses no accepted work.
 package serve
@@ -36,7 +36,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/par"
 )
 
 // Config parameterizes a Server. The zero value is usable: every field
@@ -201,16 +200,20 @@ func New(cfg Config) *Server {
 	s.mDepth = reg.Gauge("mcchecker_serve_queue_depth")
 	s.mInflight = reg.Gauge("mcchecker_serve_inflight_jobs")
 	s.mLatency = reg.Histogram("mcchecker_serve_job_latency_us")
-	go func() {
-		// The pool rides on par.Ranks for the same bounded fan-out and
-		// panic containment the analyzer uses; run() additionally
-		// recovers per-job so one worker never dies with the job.
-		_ = par.Ranks(cfg.Workers, cfg.Workers, func(int) error {
+	// analyze recovers a job's panic into a degraded report, so a
+	// worker never dies with its job.
+	var wg sync.WaitGroup
+	for w := 0; w < cfg.Workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
 			for j := range s.queue {
 				s.run(j)
 			}
-			return nil
-		})
+		}()
+	}
+	go func() {
+		wg.Wait()
 		close(s.workersDone)
 	}()
 	return s

@@ -20,7 +20,7 @@ type Submission struct {
 	// IntraOnly restricts detection to within-epoch conflicts (the
 	// SyncChecker baseline).
 	IntraOnly bool `json:"intra_only,omitempty"`
-	// Strict disables the salvage fallback: a damaged upload fails the
+	// Strict disables salvage: a damaged upload or trace file fails the
 	// job instead of degrading it.
 	Strict bool `json:"strict,omitempty"`
 }
@@ -87,91 +87,25 @@ func (sub *Submission) validate() error {
 }
 
 // load materializes the submission's trace set under sc, which carries
-// the job's watchdog ctx and the daemon's registry: strict decode first,
-// then — unless Strict — the salvage fallback for damaged payloads, with
-// one diagnostic note per degradation, mirroring trace.ReadDirSalvage.
+// the job's watchdog ctx and the daemon's registry. A directory and an
+// upload go through the same salvaging reader, one read each: every
+// degradation becomes a note, and a Strict job fails on the first note
+// instead.
 func (sub *Submission) load(sc obs.Scope) (*trace.Set, []string, error) {
-	if sub.TraceDir != "" {
-		set, err := trace.ReadDirWith(sub.TraceDir, sc)
-		if err == nil {
-			return set, nil, nil
-		}
-		if sub.Strict || sc.Err() != nil {
-			return nil, nil, err
-		}
-		set, notes, serr := trace.ReadDirSalvage(sub.TraceDir, sc)
-		if serr != nil {
-			return nil, nil, serr
-		}
-		return set, append([]string{fmt.Sprintf("strict read failed: %v", err)}, notes...), nil
-	}
-	return sub.loadInline(sc)
-}
-
-// loadInline assembles a set from the uploaded rank streams, applying
-// the same per-file salvage policy and degradation notes as the
-// directory path.
-func (sub *Submission) loadInline(sc obs.Scope) (*trace.Set, []string, error) {
-	reg := sc.Obs
+	var set *trace.Set
 	var notes []string
-	byRank := make(map[int32]*trace.Trace, len(sub.Traces))
-	maxRank := int32(-1)
-	for i := range sub.Traces {
-		if err := sc.Err(); err != nil {
-			return nil, nil, fmt.Errorf("serve: upload decode canceled: %w", err)
+	var err error
+	if sub.TraceDir != "" {
+		set, notes, err = trace.ReadDirSalvage(sub.TraceDir, sc)
+	} else {
+		streams := make([]trace.Stream, len(sub.Traces))
+		for i, u := range sub.Traces {
+			streams[i] = trace.Stream{Name: fmt.Sprintf("rank %d upload", u.Rank), Rank: int(u.Rank), Data: u.Data}
 		}
-		u := &sub.Traces[i]
-		if u.Rank > maxRank {
-			maxRank = u.Rank
-		}
-		t, err := trace.ReadTrace(bytes.NewReader(u.Data))
-		if err == nil && t.Rank == u.Rank {
-			byRank[u.Rank] = t
-			continue
-		}
-		if err == nil {
-			// Decoded fine but the header disagrees with the declared rank:
-			// in salvage mode the upload is dropped with a note, exactly
-			// like a mis-named file on disk.
-			if sub.Strict {
-				return nil, nil, fmt.Errorf("serve: rank %d upload: header claims rank %d", u.Rank, t.Rank)
-			}
-			notes = append(notes, fmt.Sprintf("rank %d upload: header claims rank %d; upload ignored", u.Rank, t.Rank))
-			continue
-		}
-		if sub.Strict {
-			return nil, nil, fmt.Errorf("serve: rank %d upload: %w", u.Rank, err)
-		}
-		st, res, serr := trace.ReadTraceSalvage(bytes.NewReader(u.Data))
-		if serr != nil {
-			notes = append(notes, fmt.Sprintf("rank %d upload: lost entirely: %v", u.Rank, serr))
-			continue
-		}
-		if st.Rank != u.Rank {
-			notes = append(notes, fmt.Sprintf("rank %d upload: header claims rank %d; upload ignored", u.Rank, st.Rank))
-			continue
-		}
-		reg.Counter("mcchecker_trace_salvaged_events_total").Add(int64(res.Events))
-		if !res.Complete {
-			reg.Counter("mcchecker_trace_truncated_streams_total").Inc()
-			notes = append(notes, fmt.Sprintf("rank %d upload: truncated, salvaged %d-event prefix (%s)",
-				u.Rank, res.Events, res.Reason))
-		}
-		byRank[u.Rank] = st
+		set, notes, err = trace.ReadStreams(streams, sc)
 	}
-	if len(byRank) == 0 {
-		return nil, nil, fmt.Errorf("serve: no usable rank uploads (%d damaged)", len(sub.Traces))
+	if err == nil && sub.Strict && len(notes) > 0 {
+		return nil, nil, fmt.Errorf("serve: strict job: %s", notes[0])
 	}
-	set := trace.NewSet(int(maxRank + 1))
-	for r := int32(0); r <= maxRank; r++ {
-		if t := byRank[r]; t != nil {
-			set.Traces[r] = t
-		} else {
-			notes = append(notes, fmt.Sprintf("rank %d: no events recovered", r))
-		}
-	}
-	if err := set.Validate(); err != nil {
-		return nil, notes, fmt.Errorf("serve: uploaded set invalid: %w", err)
-	}
-	return set, notes, nil
+	return set, notes, err
 }

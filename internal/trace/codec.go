@@ -2,11 +2,13 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"sync"
 	"sync/atomic"
 
@@ -181,22 +183,19 @@ func (w *Writer) Close() error {
 // Err returns the first write error, if any.
 func (w *Writer) Err() error { return w.err }
 
-// reader is the per-stream decode context: the buffered reader, the
-// string intern table, and a scratch buffer for string definitions. It is
-// recycled through readerPool across streams — decoding a trace directory
-// touches one context per rank file, and without pooling each decode pays
-// a fresh bufio buffer, intern table, and scratch allocation.
-type reader struct {
-	r       *bufio.Reader
-	strs    []string
-	scratch []byte
+// decoder is the per-read decode context: a cursor over one stream's
+// bytes with a sticky error, the string intern table, and the buffer rank
+// files are read into. It is recycled through decoderPool across reads:
+// without pooling each read pays a fresh intern table and file buffer.
+type decoder struct {
+	buf  []byte // the stream being decoded
+	off  int    // cursor into buf
+	err  error  // first decode error; every read after it returns zero
+	strs []string
+	file bytes.Buffer // a rank file's bytes, reused from file to file
 }
 
-// decodeReaderBufSize is the bufio buffer for pooled decode contexts —
-// large enough that typical rank files decode in a few refills.
-const decodeReaderBufSize = 1 << 16
-
-var readerPool sync.Pool // of *reader
+var decoderPool sync.Pool // of *decoder
 
 var (
 	decodePoolHits   atomic.Int64
@@ -204,64 +203,154 @@ var (
 )
 
 // DecodePoolStats returns the cumulative decode-context pool hits and
-// misses. ReadDirWith exposes the per-read deltas as
-// mcchecker_pipeline_decode_pool_{hits,misses}_total.
+// misses. Every read takes one context; the directory and stream readers
+// also count theirs as mcchecker_pipeline_decode_pool_{hits,misses}_total.
 func DecodePoolStats() (hits, misses int64) {
 	return decodePoolHits.Load(), decodePoolMisses.Load()
 }
 
-// getReader returns a decode context wrapping r, recycled when possible.
-func getReader(r io.Reader) *reader {
-	if v := readerPool.Get(); v != nil {
-		rd := v.(*reader)
+// getDecoder returns a decode context, recycled when possible; hit
+// reports whether it came from the pool.
+func getDecoder() (d *decoder, hit bool) {
+	if v := decoderPool.Get(); v != nil {
 		decodePoolHits.Add(1)
-		rd.r.Reset(r)
-		rd.strs = rd.strs[:1]
-		return rd
+		return v.(*decoder), true
 	}
 	decodePoolMisses.Add(1)
-	return &reader{r: bufio.NewReaderSize(r, decodeReaderBufSize), strs: []string{""}}
+	return &decoder{strs: []string{""}}, false
 }
 
-// putReader recycles a decode context. The interned strings handed out to
-// decoded events are immutable Go strings; dropping the table references
-// here cannot invalidate them.
-func (rd *reader) release() {
-	strs := rd.strs[:cap(rd.strs)]
-	for i := 1; i < len(strs); i++ {
-		strs[i] = "" // do not pin decoded file/func names beyond this stream
+// release recycles a decode context. The interned strings handed out to
+// decoded events are immutable Go strings copied out of the stream bytes;
+// dropping the table references here cannot invalidate them.
+func (d *decoder) release() {
+	clear(d.strs[1:cap(d.strs)]) // do not pin decoded file/func names beyond this read
+	d.strs = d.strs[:1]
+	d.buf, d.off, d.err = nil, 0, nil
+	decoderPool.Put(d)
+}
+
+// readFile reads a rank file into the context's file buffer. The bytes
+// stay valid until the next readFile.
+func (d *decoder) readFile(path string) ([]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
 	}
-	rd.strs = strs[:1]
-	rd.r.Reset(nil)
-	readerPool.Put(rd)
+	defer f.Close()
+	d.file.Reset()
+	_, err = d.file.ReadFrom(f)
+	return d.file.Bytes(), err
 }
 
-func (rd *reader) uvarint() (uint64, error) { return binary.ReadUvarint(rd.r) }
-func (rd *reader) varint() (int64, error)   { return binary.ReadVarint(rd.r) }
+// errVarintOverflow words a varint longer than 64 bits as
+// binary.ReadUvarint does.
+var errVarintOverflow = errors.New("binary: varint overflows a 64-bit integer")
 
-// readHeader parses the stream header (magic, version, rank, and the v2
-// count hint) shared by the strict and salvage decoders. The hint is 0
-// for v1 streams and for v2 writers that streamed without knowing their
-// event count.
-func (rd *reader) readHeader() (rank int32, hint uint64, err error) {
-	var hdr [len(codecMagic) + 1]byte
-	if _, err := io.ReadFull(rd.r, hdr[:]); err != nil {
+// fail records err unless an earlier error is already recorded.
+func (d *decoder) fail(err error) {
+	if d.err == nil {
+		d.err = err
+	}
+}
+
+// byte1 reads one byte; at the end of the stream it records io.EOF.
+func (d *decoder) byte1() byte {
+	if d.err == nil && d.off < len(d.buf) {
+		b := d.buf[d.off]
+		d.off++
+		return b
+	}
+	d.fail(io.EOF)
+	return 0
+}
+
+// uvarint reads an unsigned varint. Its errors are binary.ReadUvarint's:
+// io.EOF when nothing is left, io.ErrUnexpectedEOF when the varint is cut
+// short, and an overflow past 64 bits.
+func (d *decoder) uvarint() uint64 {
+	if d.err != nil {
+		return 0
+	}
+	rest := d.buf[d.off:]
+	if len(rest) > 0 && rest[0] < 0x80 {
+		d.off++
+		return uint64(rest[0])
+	}
+	v, n := binary.Uvarint(rest)
+	switch {
+	case n > 0:
+		d.off += n
+		return v
+	case len(rest) == 0:
+		d.err = io.EOF
+	case n < 0 || len(rest) >= binary.MaxVarintLen64:
+		d.err = errVarintOverflow
+	default:
+		d.err = io.ErrUnexpectedEOF
+	}
+	return 0
+}
+
+// varint reads a zig-zag signed varint.
+func (d *decoder) varint() int64 {
+	ux := d.uvarint()
+	x := int64(ux >> 1)
+	if ux&1 != 0 {
+		x = ^x
+	}
+	return x
+}
+
+// varint32 reads a signed varint that must fit an int32.
+func (d *decoder) varint32() int32 {
+	v := d.varint()
+	if v < math.MinInt32 || v > math.MaxInt32 {
+		d.fail(fmt.Errorf("trace: field value %d overflows int32", v))
+		return 0
+	}
+	return int32(v)
+}
+
+// str reads a string id and returns its interned string.
+func (d *decoder) str() string {
+	id := d.uvarint()
+	if d.err == nil && id >= uint64(len(d.strs)) {
+		d.err = fmt.Errorf("undefined string id %d", id)
+	}
+	if d.err != nil {
+		return ""
+	}
+	return d.strs[id]
+}
+
+// header parses the stream header: magic, version, rank, and the v2
+// count hint. The hint is 0 for v1 streams and for v2 writers that
+// streamed without knowing their event count.
+func (d *decoder) header() (rank int32, hint uint64, err error) {
+	const n = len(codecMagic) + 1
+	if len(d.buf) < n {
+		err := io.ErrUnexpectedEOF
+		if len(d.buf) == 0 {
+			err = io.EOF
+		}
 		return 0, 0, fmt.Errorf("trace: reading header: %w", err)
 	}
-	if string(hdr[:len(codecMagic)]) != codecMagic {
+	if string(d.buf[:len(codecMagic)]) != codecMagic {
 		return 0, 0, errors.New("trace: bad magic")
 	}
-	version := hdr[len(codecMagic)]
+	version := d.buf[len(codecMagic)]
 	if version != codecVersionV1 && version != codecVersion {
 		return 0, 0, fmt.Errorf("trace: unsupported version %d", version)
 	}
-	rank64, err := rd.varint()
-	if err != nil {
-		return 0, 0, fmt.Errorf("trace: reading rank: %w", err)
+	d.off = n
+	rank64 := d.varint()
+	if d.err != nil {
+		return 0, 0, fmt.Errorf("trace: reading rank: %w", d.err)
 	}
 	if version >= codecVersion {
-		if hint, err = rd.uvarint(); err != nil {
-			return 0, 0, fmt.Errorf("trace: reading event-count hint: %w", err)
+		if hint = d.uvarint(); d.err != nil {
+			return 0, 0, fmt.Errorf("trace: reading event-count hint: %w", d.err)
 		}
 	}
 	return int32(rank64), hint, nil
@@ -279,201 +368,147 @@ func preallocEvents(t *Trace, hint uint64) {
 	t.Events = make([]Event, 0, hint)
 }
 
-func (rd *reader) varint32(dst *int32, err *error) {
-	if *err != nil {
-		return
+// ReadTrace decodes one rank stream produced by Writer (codec version 1
+// or 2). It fails on any stream that does not end with its end record.
+func ReadTrace(data []byte) (*Trace, error) {
+	d, _ := getDecoder()
+	defer d.release()
+	t, _, err := d.decode(data)
+	if err != nil {
+		return nil, err
 	}
-	v, e := rd.varint()
-	if e != nil {
-		*err = e
-		return
-	}
-	if v < math.MinInt32 || v > math.MaxInt32 {
-		*err = fmt.Errorf("trace: field value %d overflows int32", v)
-		return
-	}
-	*dst = int32(v)
+	return t, nil
 }
 
-func (rd *reader) uvarint64(dst *uint64, err *error) {
-	if *err != nil {
-		return
+// decode reads one rank stream: the one record loop behind every reader.
+// It returns the longest valid event prefix (nil when the header is
+// unreadable), what salvage recovered, and the error a strict read
+// reports, which is nil exactly when the stream ended with its end record.
+func (d *decoder) decode(data []byte) (*Trace, SalvageResult, error) {
+	d.buf, d.off, d.err = data, 0, nil
+	d.strs = d.strs[:1]
+	rank, hint, err := d.header()
+	if err != nil {
+		return nil, SalvageResult{}, err
 	}
-	v, e := rd.uvarint()
-	if e != nil {
-		*err = e
-		return
+	t := &Trace{Rank: rank}
+	preallocEvents(t, hint)
+	stop := func(strict error, format string, args ...any) (*Trace, SalvageResult, error) {
+		return t, SalvageResult{Events: len(t.Events), Reason: fmt.Sprintf(format, args...)}, strict
 	}
-	*dst = v
+	for {
+		tag := d.byte1()
+		if d.err != nil {
+			return stop(fmt.Errorf("trace: reading record tag: %w", d.err),
+				"stream ended without end record: %v", d.err)
+		}
+		switch tag {
+		case recEnd:
+			return t, SalvageResult{Complete: true, Events: len(t.Events)}, nil
+		case recStrDef:
+			if err := d.strDef(); err != nil {
+				return stop(err, "bad string definition: %v", err)
+			}
+		case recEvent:
+			n := len(t.Events)
+			ev := Event{Rank: rank, Seq: int64(n)}
+			if err := d.event(&ev); err != nil {
+				return stop(fmt.Errorf("trace: rank %d event %d: %w", rank, n, err),
+					"event %d undecodable: %v", n, err)
+			}
+			t.Events = append(t.Events, ev)
+		default:
+			return stop(fmt.Errorf("trace: unknown record tag %#x", tag), "unknown record tag %#x", tag)
+		}
+	}
 }
 
-// readStrDef decodes one string-definition record into the intern table,
-// reusing the context's scratch buffer for the byte read.
-func (rd *reader) readStrDef() error {
-	id, err := rd.uvarint()
-	if err != nil {
-		return err
-	}
-	n, err := rd.uvarint()
-	if err != nil {
-		return err
+// strDef decodes one string-definition record into the intern table.
+func (d *decoder) strDef() error {
+	id := d.uvarint()
+	n := d.uvarint()
+	if d.err != nil {
+		return d.err
 	}
 	if n > 1<<20 {
 		return fmt.Errorf("trace: string of %d bytes too long", n)
 	}
-	if uint64(cap(rd.scratch)) < n {
-		rd.scratch = make([]byte, n)
+	rest := d.buf[d.off:]
+	if uint64(len(rest)) < n {
+		if len(rest) == 0 {
+			return io.EOF
+		}
+		return io.ErrUnexpectedEOF
 	}
-	buf := rd.scratch[:n]
-	if _, err := io.ReadFull(rd.r, buf); err != nil {
-		return err
-	}
-	if id != uint64(len(rd.strs)) {
+	if id != uint64(len(d.strs)) {
 		return fmt.Errorf("trace: string id %d out of order", id)
 	}
-	rd.strs = append(rd.strs, string(buf))
+	d.strs = append(d.strs, string(rest[:n]))
+	d.off += int(n)
 	return nil
 }
 
-// ReadTrace decodes one rank stream produced by Writer (codec version 1
-// or 2).
-func ReadTrace(r io.Reader) (*Trace, error) {
-	rd := getReader(r)
-	defer rd.release()
-	rank, hint, err := rd.readHeader()
-	if err != nil {
-		return nil, err
-	}
-	t := &Trace{Rank: rank}
-	preallocEvents(t, hint)
-
-	for {
-		tag, err := rd.r.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("trace: reading record tag: %w", err)
-		}
-		switch tag {
-		case recEnd:
-			return t, nil
-		case recStrDef:
-			if err := rd.readStrDef(); err != nil {
-				return nil, err
-			}
-		case recEvent:
-			ev, err := rd.readEvent(t.Rank, int64(len(t.Events)))
-			if err != nil {
-				return nil, fmt.Errorf("trace: rank %d event %d: %w", t.Rank, len(t.Events), err)
-			}
-			t.Events = append(t.Events, ev)
-		default:
-			return nil, fmt.Errorf("trace: unknown record tag %#x", tag)
-		}
-	}
-}
-
-func (rd *reader) readEvent(rank int32, seq int64) (Event, error) {
-	var ev Event
-	ev.Rank, ev.Seq = rank, seq
-	kb, err := rd.r.ReadByte()
-	if err != nil {
-		return ev, err
+// event decodes one event record into ev, whose Rank and Seq are set, in
+// the field order Emit writes.
+func (d *decoder) event(ev *Event) error {
+	kb := d.byte1()
+	if d.err != nil {
+		return d.err
 	}
 	ev.Kind = Kind(kb)
 	if ev.Kind == KindInvalid || ev.Kind >= kindMax {
-		return ev, fmt.Errorf("invalid kind %d", kb)
+		return fmt.Errorf("invalid kind %d", kb)
 	}
+	ev.File = d.str()
+	ev.Func = d.str()
+	ev.Line = d.varint32()
+	ev.Comm = d.varint32()
+	ev.Peer = d.varint32()
+	ev.Tag = d.varint32()
+	ev.Req = d.varint32()
+	ev.Win = d.varint32()
+	ev.Target = d.varint32()
+	ev.Lock = LockType(d.byte1())
+	ev.AccOp = AccOp(d.byte1())
+	ev.OriginAddr = d.uvarint()
+	ev.OriginType = d.varint32()
+	ev.OriginCount = d.varint32()
+	ev.TargetDisp = d.uvarint()
+	ev.TargetType = d.varint32()
+	ev.TargetCount = d.varint32()
+	ev.ResultAddr = d.uvarint()
+	ev.ResultType = d.varint32()
+	ev.ResultCount = d.varint32()
+	ev.Assert = d.varint32()
+	ev.Addr = d.uvarint()
+	ev.Size = d.uvarint()
+	ev.TypeID = d.varint32()
 
-	fileID, err := rd.uvarint()
-	if err != nil {
-		return ev, err
-	}
-	if fileID >= uint64(len(rd.strs)) {
-		return ev, fmt.Errorf("undefined string id %d", fileID)
-	}
-	ev.File = rd.strs[fileID]
-	funcID, err := rd.uvarint()
-	if err != nil {
-		return ev, err
-	}
-	if funcID >= uint64(len(rd.strs)) {
-		return ev, fmt.Errorf("undefined string id %d", funcID)
-	}
-	ev.Func = rd.strs[funcID]
-
-	rd.varint32(&ev.Line, &err)
-	rd.varint32(&ev.Comm, &err)
-	rd.varint32(&ev.Peer, &err)
-	rd.varint32(&ev.Tag, &err)
-	rd.varint32(&ev.Req, &err)
-	rd.varint32(&ev.Win, &err)
-	rd.varint32(&ev.Target, &err)
-	if err != nil {
-		return ev, err
-	}
-	lb, err := rd.r.ReadByte()
-	if err != nil {
-		return ev, err
-	}
-	ev.Lock = LockType(lb)
-	ab, err := rd.r.ReadByte()
-	if err != nil {
-		return ev, err
-	}
-	ev.AccOp = AccOp(ab)
-
-	rd.uvarint64(&ev.OriginAddr, &err)
-	rd.varint32(&ev.OriginType, &err)
-	rd.varint32(&ev.OriginCount, &err)
-	rd.uvarint64(&ev.TargetDisp, &err)
-	rd.varint32(&ev.TargetType, &err)
-	rd.varint32(&ev.TargetCount, &err)
-	rd.uvarint64(&ev.ResultAddr, &err)
-	rd.varint32(&ev.ResultType, &err)
-	rd.varint32(&ev.ResultCount, &err)
-	rd.varint32(&ev.Assert, &err)
-	rd.uvarint64(&ev.Addr, &err)
-	rd.uvarint64(&ev.Size, &err)
-	rd.varint32(&ev.TypeID, &err)
-	if err != nil {
-		return ev, err
-	}
-
-	nseg, err := rd.uvarint()
-	if err != nil {
-		return ev, err
-	}
+	nseg := d.uvarint()
 	if nseg > 1<<16 {
-		return ev, fmt.Errorf("datatype with %d segments too large", nseg)
+		d.fail(fmt.Errorf("datatype with %d segments too large", nseg))
 	}
-	if nseg > 0 {
+	if nseg > 0 && d.err == nil {
 		ev.TypeMap.Segments = make([]memory.Segment, nseg)
 		for i := range ev.TypeMap.Segments {
-			rd.uvarint64(&ev.TypeMap.Segments[i].Disp, &err)
-			rd.uvarint64(&ev.TypeMap.Segments[i].Len, &err)
+			ev.TypeMap.Segments[i].Disp = d.uvarint()
+			ev.TypeMap.Segments[i].Len = d.uvarint()
 		}
 	}
-	rd.uvarint64(&ev.TypeMap.Extent, &err)
-	if err != nil {
-		return ev, err
-	}
+	ev.TypeMap.Extent = d.uvarint()
 
-	nmem, err := rd.uvarint()
-	if err != nil {
-		return ev, err
-	}
+	nmem := d.uvarint()
 	if nmem > 1<<20 {
-		return ev, fmt.Errorf("communicator with %d members too large", nmem)
+		d.fail(fmt.Errorf("communicator with %d members too large", nmem))
 	}
-	if nmem > 0 {
+	if nmem > 0 && d.err == nil {
 		ev.Members = make([]int32, nmem)
 		for i := range ev.Members {
-			rd.varint32(&ev.Members[i], &err)
+			ev.Members[i] = d.varint32()
 		}
 	}
-	rd.uvarint64(&ev.WinBase, &err)
-	rd.uvarint64(&ev.WinSize, &err)
-	var unit uint64
-	rd.uvarint64(&unit, &err)
-	ev.DispUnit = uint32(unit)
-	return ev, err
+	ev.WinBase = d.uvarint()
+	ev.WinSize = d.uvarint()
+	ev.DispUnit = uint32(d.uvarint())
+	return d.err
 }

@@ -62,7 +62,7 @@ func TestCodecRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, err := ReadTrace(&buf)
+	got, err := ReadTrace(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestCodecAutoStamp(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadTrace(&buf)
+	got, err := ReadTrace(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,10 +117,10 @@ func TestCodecRejectsOutOfOrder(t *testing.T) {
 }
 
 func TestCodecRejectsGarbage(t *testing.T) {
-	if _, err := ReadTrace(bytes.NewReader([]byte("NOPE"))); err == nil {
+	if _, err := ReadTrace([]byte("NOPE")); err == nil {
 		t.Error("expected error for bad magic")
 	}
-	if _, err := ReadTrace(bytes.NewReader([]byte("MCCT\x63\x00\x00"))); err == nil {
+	if _, err := ReadTrace([]byte("MCCT\x63\x00\x00")); err == nil {
 		t.Error("expected error for bad version")
 	}
 	var buf bytes.Buffer
@@ -128,7 +128,7 @@ func TestCodecRejectsGarbage(t *testing.T) {
 	w.Emit(Event{Kind: KindBarrier})
 	_ = w.Close()
 	data := buf.Bytes()
-	if _, err := ReadTrace(bytes.NewReader(data[:len(data)-3])); err == nil {
+	if _, err := ReadTrace(data[:len(data)-3]); err == nil {
 		t.Error("expected error for truncated stream")
 	}
 }
@@ -145,7 +145,7 @@ func TestStringInterningSharesTable(t *testing.T) {
 	if buf.Len() > 100*40 {
 		t.Errorf("stream is %d bytes; interning appears broken", buf.Len())
 	}
-	got, err := ReadTrace(&buf)
+	got, err := ReadTrace(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

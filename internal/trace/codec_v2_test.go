@@ -60,7 +60,7 @@ func TestCodecV1StreamsStillDecode(t *testing.T) {
 	want, v2 := encodeSample(t, 5, 120)
 	v1 := toV1(t, v2)
 
-	got, err := ReadTrace(bytes.NewReader(v1))
+	got, err := ReadTrace(v1)
 	if err != nil {
 		t.Fatalf("strict v1 decode: %v", err)
 	}
@@ -69,7 +69,7 @@ func TestCodecV1StreamsStillDecode(t *testing.T) {
 	}
 	eventsEqual(t, got.Events, want.Events)
 
-	sv, res, err := ReadTraceSalvage(bytes.NewReader(v1))
+	sv, res, err := ReadTraceSalvage(v1)
 	if err != nil {
 		t.Fatalf("salvage v1 decode: %v", err)
 	}
@@ -85,7 +85,7 @@ func TestCodecSalvageTruncatedV1(t *testing.T) {
 	want, v2 := encodeSample(t, 2, 80)
 	v1 := toV1(t, v2)
 	for _, cut := range []int{len(v1) / 4, len(v1) / 2, len(v1) - 1} {
-		got, res, err := ReadTraceSalvage(bytes.NewReader(v1[:cut]))
+		got, res, err := ReadTraceSalvage(v1[:cut])
 		if err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
 		}
@@ -116,7 +116,7 @@ func TestCodecHintMismatchTolerated(t *testing.T) {
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
-		got, err := ReadTrace(&buf)
+		got, err := ReadTrace(buf.Bytes())
 		if err != nil {
 			t.Fatalf("hint %d: %v", hint, err)
 		}
@@ -137,7 +137,7 @@ func TestCodecHugeHintClamped(t *testing.T) {
 	buf.Write(tmp[:n])
 	buf.WriteByte(recEnd)
 
-	got, err := ReadTrace(&buf)
+	got, err := ReadTrace(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestDecodePoolReuseSequential(t *testing.T) {
 
 	hits0, _ := DecodePoolStats()
 	for i := 0; i < 10; i++ {
-		got, err := ReadTrace(bytes.NewReader(data))
+		got, err := ReadTrace(data)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +179,7 @@ func TestDecodePoolOffEquivalence(t *testing.T) {
 	runtime.GC()
 	_, misses0 := DecodePoolStats()
 	for i := 0; i < 2; i++ {
-		got, err := ReadTrace(bytes.NewReader(data))
+		got, err := ReadTrace(data)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,7 +205,7 @@ func TestDecodePoolConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
 				r := (g + i) % len(traces)
-				got, err := ReadTrace(bytes.NewReader(datas[r]))
+				got, err := ReadTrace(datas[r])
 				if err != nil {
 					t.Error(err)
 					return
@@ -221,8 +221,9 @@ func TestDecodePoolConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestReadDirMatchesSerialAssembly: the concurrent per-file decode of
-// ReadDir assembles the same set a rank-by-rank strict read does.
+// TestReadDirMatchesSerialAssembly: ReadDir, which reads the rank files
+// one at a time into one reused buffer, assembles the set that was
+// written, rank by rank and event by event.
 func TestReadDirMatchesSerialAssembly(t *testing.T) {
 	dir := t.TempDir()
 	set := NewSet(6)

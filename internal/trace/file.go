@@ -24,9 +24,8 @@ func WriteDir(dir string, s *Set) error {
 }
 
 // ReadDir loads all trace.<rank>.bin files from dir into a Set. All ranks
-// [0, n) must be present. Rank files are independent streams and decode
-// concurrently (one worker per processor); the assembled Set and any
-// error are identical to a serial read.
+// [0, n) must be present and decode whole; the error otherwise names the
+// first loss, as a ReadDirSalvage note.
 func ReadDir(dir string) (*Set, error) {
 	return ReadDirWith(dir, obs.Scope{})
 }
@@ -52,11 +51,11 @@ func traceFileNames(entries []os.DirEntry) []nameRank {
 	var out []nameRank
 	for _, name := range names {
 		rankStr := strings.TrimSuffix(strings.TrimPrefix(name, "trace."), ".bin")
-		rank, err := strconv.Atoi(rankStr)
-		if err != nil {
+		rank, err := strconv.ParseInt(rankStr, 10, 32)
+		if err != nil || rank < 0 {
 			continue // not a trace file
 		}
-		out = append(out, nameRank{name: name, rank: rank})
+		out = append(out, nameRank{name: name, rank: int(rank)})
 	}
 	return out
 }

@@ -33,7 +33,7 @@ func FuzzReadTrace(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := ReadTrace(bytes.NewReader(data))
+		tr, err := ReadTrace(data)
 		if err != nil {
 			return
 		}
@@ -74,8 +74,8 @@ func FuzzReadTraceSalvage(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, res, err := ReadTraceSalvage(bytes.NewReader(data))
-		strict, serr := ReadTrace(bytes.NewReader(data))
+		tr, res, err := ReadTraceSalvage(data)
+		strict, serr := ReadTrace(data)
 		if err != nil {
 			// Salvage gives up only when the header itself is unreadable —
 			// then strict decoding must have failed too.
@@ -129,7 +129,7 @@ func TestSalvageEveryTruncationBoundary(t *testing.T) {
 	}
 	golden := buf.Bytes()
 
-	full, res, err := ReadTraceSalvage(bytes.NewReader(golden))
+	full, res, err := ReadTraceSalvage(golden)
 	if err != nil || !res.Complete || len(full.Events) != len(evs) {
 		t.Fatalf("golden trace: recovered %d/%d events, complete=%v, err=%v",
 			len(full.Events), len(evs), res.Complete, err)
@@ -137,7 +137,7 @@ func TestSalvageEveryTruncationBoundary(t *testing.T) {
 
 	prev, headerDone := 0, false
 	for cut := 0; cut <= len(golden); cut++ {
-		tr, res, err := ReadTraceSalvage(bytes.NewReader(golden[:cut]))
+		tr, res, err := ReadTraceSalvage(golden[:cut])
 		if err != nil {
 			// Only an unreadable header is fatal, and once any cut clears
 			// the header, every longer cut must too.
@@ -203,7 +203,7 @@ func FuzzRoundTrip(f *testing.F) {
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
-		got, err := ReadTrace(&buf)
+		got, err := ReadTrace(buf.Bytes())
 		if err != nil {
 			t.Fatalf("round trip failed: %v", err)
 		}

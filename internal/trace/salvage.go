@@ -3,23 +3,21 @@ package trace
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strconv"
+	"time"
 
 	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/obs/tracing"
-	"repro/internal/par"
 )
 
 // Salvage-mode decoding: recover the longest valid event prefix from a
-// truncated or corrupted rank stream instead of failing outright. The
-// strict ReadTrace stays the default; salvage is the degraded path the
-// analyzer falls back to when strict reading fails, so that a crashed
-// writer or a half-copied trace directory still yields a (partial)
-// report.
+// truncated or corrupted rank stream instead of failing outright, so that
+// a crashed writer or a half-copied trace directory still yields a
+// (partial) report. Every reader is a salvage read: a strict read is the
+// same read, failing when salvage had anything to say.
 
 // SalvageResult describes what ReadTraceSalvage recovered and why it
 // stopped.
@@ -38,190 +36,191 @@ type SalvageResult struct {
 // unreadable (no rank can be attributed); any later decode error ends
 // recovery and is reported in the SalvageResult instead. The returned
 // trace always has dense sequence numbers and valid event kinds.
-func ReadTraceSalvage(r io.Reader) (*Trace, SalvageResult, error) {
-	rd := getReader(r)
-	defer rd.release()
-	var res SalvageResult
-	rank, hint, err := rd.readHeader()
-	if err != nil {
+func ReadTraceSalvage(data []byte) (*Trace, SalvageResult, error) {
+	d, _ := getDecoder()
+	defer d.release()
+	t, res, err := d.decode(data)
+	if t == nil {
 		return nil, res, err
 	}
-	t := &Trace{Rank: rank}
-	preallocEvents(t, hint)
-
-	stop := func(format string, args ...any) (*Trace, SalvageResult, error) {
-		res.Events = len(t.Events)
-		res.Reason = fmt.Sprintf(format, args...)
-		return t, res, nil
-	}
-	for {
-		tag, err := rd.r.ReadByte()
-		if err != nil {
-			return stop("stream ended without end record: %v", err)
-		}
-		switch tag {
-		case recEnd:
-			res.Complete = true
-			res.Events = len(t.Events)
-			return t, res, nil
-		case recStrDef:
-			if err := rd.readStrDef(); err != nil {
-				return stop("bad string definition: %v", err)
-			}
-		case recEvent:
-			ev, err := rd.readEvent(t.Rank, int64(len(t.Events)))
-			if err != nil {
-				return stop("event %d undecodable: %v", len(t.Events), err)
-			}
-			t.Events = append(t.Events, ev)
-		default:
-			return stop("unknown record tag %#x", tag)
-		}
-	}
+	return t, res, nil
 }
 
-// salvageMetrics are the trace layer's degradation counters.
-type salvageMetrics struct {
-	salvagedEvents   *obs.Counter
-	truncatedStreams *obs.Counter
-}
-
-func newSalvageMetrics(reg *obs.Registry) *salvageMetrics {
-	if reg == nil {
-		return nil
-	}
-	return &salvageMetrics{
-		salvagedEvents:   reg.Counter("mcchecker_trace_salvaged_events_total"),
-		truncatedStreams: reg.Counter("mcchecker_trace_truncated_streams_total"),
-	}
-}
-
-func (m *salvageMetrics) record(res SalvageResult) {
-	if m == nil {
-		return
-	}
-	m.salvagedEvents.Add(int64(res.Events))
-	if !res.Complete {
-		m.truncatedStreams.Inc()
-	}
+// recordSalvage adds one lossy read's totals to the salvage counters:
+// the events kept and the streams cut short.
+func recordSalvage(reg *obs.Registry, events, truncated int64) {
+	reg.Counter("mcchecker_trace_salvaged_events_total").Add(events)
+	reg.Counter("mcchecker_trace_truncated_streams_total").Add(truncated)
 }
 
 // ReadDirSalvage loads a trace directory in salvage mode: every readable
 // prefix is recovered, unreadable or missing ranks become empty traces,
 // and each degradation is described by one diagnostic note. The returned
 // notes are empty exactly when the directory was read losslessly. It
-// fails only when the directory holds no trace files at all.
+// fails only when the directory holds no usable trace file.
 //
-// sc works as in ReadDirWith: Ctx is checked before each rank file
-// decodes, Obs receives the salvage counters, and Trace records each rank
-// file's salvage as a span on the "decode" track, annotated with the
-// recovered event count and, when the file degraded, the salvage reason.
+// Rank files are read one at a time, in name order, into one reused
+// buffer. sc.Ctx is checked before each file, so a serving watchdog can
+// abandon the read of a large or slow directory. sc.Obs receives the
+// codec and pipeline decode metrics, plus the salvage counters when the
+// read lost anything. sc.Trace records each file as a span on the
+// "decode" track, annotated with its bytes and recovered events and, when
+// it degraded, the reason.
 func ReadDirSalvage(dir string, sc obs.Scope) (*Set, []string, error) {
-	return readDirSalvage(dir, decodeWorkers(), sc)
-}
-
-// salvageFile is one rank file's decoded-but-unmerged salvage outcome.
-type salvageFile struct {
-	t       *Trace
-	res     SalvageResult
-	openErr error // file could not be opened
-	lostErr error // header unreadable, nothing attributable
-}
-
-// readDirSalvage is the parameterized body of ReadDirSalvage. Rank files
-// salvage-decode concurrently on up to `workers` goroutines (they are
-// independent streams, exactly like the strict readDirWith path); the
-// merge — note order, duplicate and rank-mismatch policing, metric
-// recording — runs serially in name order afterward, so the returned
-// set, notes, and error are identical at any worker count.
-func readDirSalvage(dir string, workers int, sc obs.Scope) (*Set, []string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, nil, err
 	}
-	m := newSalvageMetrics(sc.Obs)
 	names := traceFileNames(entries)
 	if len(names) == 0 {
 		return nil, nil, fmt.Errorf("trace: no trace files in %s", dir)
 	}
-	files := make([]salvageFile, len(names))
-	scope := func(i int) string { return fmt.Sprintf("rank %d (salvage)", names[i].rank) }
-	err = par.RanksTraced(len(names), workers, sc.Trace, "decode", scope, func(i int, sp *tracing.Span) error {
-		if err := sc.Err(); err != nil {
-			return fmt.Errorf("trace: salvage canceled: %w", err)
+	rs := newReadSet(sc, len(names))
+	defer rs.d.release()
+	for _, nr := range names {
+		path := filepath.Join(dir, nr.name)
+		if err := rs.add(nr.name, nr.rank, func() ([]byte, error) { return rs.d.readFile(path) }); err != nil {
+			return nil, nil, err
 		}
-		nr := names[i]
-		f, err := os.Open(filepath.Join(dir, nr.name))
-		if err != nil {
-			files[i].openErr = err
-			sp.Annotate("outcome", "unreadable")
-			return nil
-		}
-		t, res, err := ReadTraceSalvage(f)
-		f.Close()
-		if err != nil {
-			files[i].lostErr = err
-			sp.Annotate("outcome", "lost")
-			return nil
-		}
-		files[i].t, files[i].res = t, res
-		if !res.Complete {
-			sp.Annotate("reason", res.Reason)
-		}
-		if sp != nil {
-			sp.Annotate("events", strconv.Itoa(res.Events))
-			sp.Annotate("complete", strconv.FormatBool(res.Complete))
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
 	}
+	return rs.finish("trace files in " + dir)
+}
 
-	var notes []string
-	byRank := map[int32]*Trace{}
-	maxRank := int32(-1)
-	for i, nr := range names {
-		if int32(nr.rank) > maxRank {
-			maxRank = int32(nr.rank)
+// Stream is one rank's encoded trace held in memory, such as an upload to
+// the daemon.
+type Stream struct {
+	Name string // labels the stream's notes, e.g. "rank 3 upload"
+	Rank int    // the rank the stream was declared for
+	Data []byte
+}
+
+// ReadStreams is ReadDirSalvage over in-memory rank streams, read in the
+// order given under the same salvage policy and with the same notes.
+func ReadStreams(streams []Stream, sc obs.Scope) (*Set, []string, error) {
+	rs := newReadSet(sc, len(streams))
+	defer rs.d.release()
+	for _, s := range streams {
+		if s.Rank < 0 {
+			return nil, nil, fmt.Errorf("trace: %s: negative rank %d", s.Name, s.Rank)
 		}
-		fr := &files[i]
-		switch {
-		case fr.openErr != nil:
-			notes = append(notes, fmt.Sprintf("%s: unreadable: %v", nr.name, fr.openErr))
-			continue
-		case fr.lostErr != nil:
-			notes = append(notes, fmt.Sprintf("%s: lost entirely: %v", nr.name, fr.lostErr))
-			continue
-		case int(fr.t.Rank) != nr.rank:
-			notes = append(notes, fmt.Sprintf("%s: header claims rank %d; file ignored", nr.name, fr.t.Rank))
-			continue
-		case byRank[fr.t.Rank] != nil:
-			notes = append(notes, fmt.Sprintf("%s: duplicate of rank %d; file ignored", nr.name, fr.t.Rank))
-			continue
+		if err := rs.add(s.Name, s.Rank, func() ([]byte, error) { return s.Data, nil }); err != nil {
+			return nil, nil, err
 		}
-		m.record(fr.res)
-		if !fr.res.Complete {
-			notes = append(notes, fmt.Sprintf("%s: truncated, salvaged %d-event prefix (%s)",
-				nr.name, fr.res.Events, fr.res.Reason))
-		}
-		byRank[fr.t.Rank] = fr.t
 	}
-	if len(byRank) == 0 {
-		return nil, notes, fmt.Errorf("trace: no salvageable trace files in %s", dir)
+	return rs.finish("rank streams")
+}
+
+// readSet folds rank streams into a set under the one salvage policy
+// every trace source shares. Streams arrive one at a time and decode on
+// one pooled context; each either fills its rank or becomes a note.
+type readSet struct {
+	sc     obs.Scope
+	d      *decoder
+	hit    bool // d came from the pool
+	start  time.Time
+	codec  *codecMetrics
+	traces []*Trace // accepted streams by rank; nil where none was
+	ranks  int      // one past the highest rank any stream declared
+	notes  []string
+	// salvage totals over accepted streams, recorded if the read is lossy
+	events    int64
+	truncated int64
+}
+
+// newReadSet starts a read of n streams.
+func newReadSet(sc obs.Scope, n int) *readSet {
+	d, hit := getDecoder()
+	return &readSet{sc: sc, d: d, hit: hit, start: time.Now(), codec: newCodecMetrics(sc.Obs),
+		traces: make([]*Trace, 0, n)}
+}
+
+// add reads and decodes one stream declared for rank and folds it in:
+// unreadable, lost entirely, claiming another rank, a duplicate, or a
+// (possibly truncated) prefix. It fails only when sc is canceled.
+func (rs *readSet) add(name string, rank int, read func() ([]byte, error)) error {
+	if err := rs.sc.Err(); err != nil {
+		return fmt.Errorf("trace: read canceled: %w", err)
 	}
-	set := NewSet(int(maxRank + 1))
-	for r := int32(0); r <= maxRank; r++ {
-		if t := byRank[r]; t != nil {
-			set.Traces[r] = t
-		} else {
-			notes = append(notes, fmt.Sprintf("rank %d: no events recovered", r))
+	var sp *tracing.Span
+	if tr := rs.sc.Trace; tr != nil {
+		scope := fmt.Sprintf("rank %d", rank)
+		sp = tr.Start("decode", tr.Lane("main", scope), scope)
+		defer sp.End()
+	}
+	rs.ranks = max(rs.ranks, rank+1)
+	data, err := read()
+	if err != nil {
+		rs.notes = append(rs.notes, fmt.Sprintf("%s: unreadable: %v", name, err))
+		sp.Annotate("outcome", "unreadable")
+		return nil
+	}
+	t, res, err := rs.d.decode(data)
+	if rs.codec != nil {
+		rs.codec.decodedBytes.Add(int64(len(data)))
+		rs.codec.decodedEvents.Add(int64(res.Events))
+	}
+	if sp != nil {
+		sp.Annotate("bytes", strconv.Itoa(len(data)))
+		sp.Annotate("events", strconv.Itoa(res.Events))
+	}
+	switch {
+	case t == nil:
+		rs.notes = append(rs.notes, fmt.Sprintf("%s: lost entirely: %v", name, err))
+		sp.Annotate("outcome", "lost")
+		return nil
+	case int(t.Rank) != rank:
+		rs.notes = append(rs.notes, fmt.Sprintf("%s: header claims rank %d; ignored", name, t.Rank))
+		return nil
+	case rank < len(rs.traces) && rs.traces[rank] != nil:
+		rs.notes = append(rs.notes, fmt.Sprintf("%s: duplicate of rank %d; ignored", name, rank))
+		return nil
+	}
+	if !res.Complete {
+		rs.notes = append(rs.notes, fmt.Sprintf("%s: truncated, salvaged %d-event prefix (%s)",
+			name, res.Events, res.Reason))
+		sp.Annotate("reason", res.Reason)
+		rs.truncated++
+	}
+	rs.events += int64(res.Events)
+	if rank >= len(rs.traces) {
+		rs.traces = append(rs.traces, make([]*Trace, rank+1-len(rs.traces))...)
+	}
+	rs.traces[rank] = t
+	return nil
+}
+
+// finish assembles the set: every declared rank without an accepted
+// stream becomes an empty trace with a note. what names the source for
+// the error returned when no stream was usable.
+func (rs *readSet) finish(what string) (*Set, []string, error) {
+	if len(rs.traces) == 0 {
+		return nil, rs.notes, fmt.Errorf("trace: no salvageable %s", what)
+	}
+	set := &Set{Traces: append(rs.traces, make([]*Trace, rs.ranks-len(rs.traces))...)}
+	for r, t := range set.Traces {
+		if t == nil {
+			set.Traces[r] = &Trace{Rank: int32(r)}
+			rs.notes = append(rs.notes, fmt.Sprintf("rank %d: no events recovered", r))
 		}
 	}
 	if err := set.Validate(); err != nil {
-		return nil, notes, fmt.Errorf("trace: salvaged set invalid: %w", err)
+		return nil, rs.notes, fmt.Errorf("trace: salvaged set invalid: %w", err)
 	}
-	return set, notes, nil
+	if reg := rs.sc.Obs; reg != nil {
+		if len(rs.notes) > 0 {
+			recordSalvage(reg, rs.events, rs.truncated)
+		}
+		var hit int64
+		if rs.hit {
+			hit = 1
+		}
+		reg.Counter("mcchecker_pipeline_decode_pool_hits_total").Add(hit)
+		reg.Counter("mcchecker_pipeline_decode_pool_misses_total").Add(1 - hit)
+		if secs := time.Since(rs.start).Seconds(); secs > 0 {
+			reg.Gauge("mcchecker_pipeline_decode_events_per_sec").Set(int64(float64(set.TotalEvents()) / secs))
+		}
+	}
+	return set, rs.notes, nil
 }
 
 // EncodeTrace renders one rank's trace in the binary stream format, with
@@ -251,8 +250,8 @@ func ApplyTruncFaults(s *Set, plan *faults.Plan, reg *obs.Registry) (*Set, []str
 	if plan == nil || len(plan.Truncs) == 0 {
 		return s, nil, nil
 	}
-	m := newSalvageMetrics(reg)
 	var notes []string
+	var events, truncated int64
 	out := &Set{Traces: make([]*Trace, len(s.Traces))}
 	for i, t := range s.Traces {
 		frac, ok := plan.TruncFor(int(t.Rank))
@@ -265,18 +264,21 @@ func ApplyTruncFaults(s *Set, plan *faults.Plan, reg *obs.Registry) (*Set, []str
 			return nil, notes, fmt.Errorf("trace: encoding rank %d for truncation fault: %w", t.Rank, err)
 		}
 		cut := faults.TruncateBytes(data, frac)
-		nt, res, err := ReadTraceSalvage(bytes.NewReader(cut))
+		nt, res, err := ReadTraceSalvage(cut)
 		if err != nil {
 			// Even the header was cut away: the rank contributes nothing.
 			nt = &Trace{Rank: t.Rank}
-			res = SalvageResult{Reason: err.Error()}
 		}
-		m.record(res)
+		events += int64(res.Events)
+		if !res.Complete {
+			truncated++
+		}
 		notes = append(notes, fmt.Sprintf(
 			"rank %d: trace truncated to %d of %d bytes, salvaged %d of %d events",
 			t.Rank, len(cut), len(data), len(nt.Events), len(t.Events)))
 		out.Traces[i] = nt
 	}
+	recordSalvage(reg, events, truncated)
 	if err := out.Validate(); err != nil {
 		return nil, notes, fmt.Errorf("trace: truncated set invalid: %w", err)
 	}

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/obs"
@@ -30,55 +31,70 @@ func writeSalvageCorpus(t *testing.T, dir string, ranks int) {
 	}
 }
 
-// TestReadDirSalvageConcurrentMatchesSerial pins the salvage refactor's
-// contract: decoding rank files on many workers yields byte-identical
-// sets and note lists to the serial pass, damage and all.
+// TestReadDirSalvageConcurrentMatchesSerial: reads of one damaged
+// directory running at once, as daemon jobs do, share the decode-context
+// pool; each must still give the set and notes a lone read gives.
 func TestReadDirSalvageConcurrentMatchesSerial(t *testing.T) {
 	dir := t.TempDir()
 	writeSalvageCorpus(t, dir, 24)
 
-	serialSet, serialNotes, err := readDirSalvage(dir, 1, obs.Scope{})
+	serialSet, serialNotes, err := ReadDirSalvage(dir, obs.Scope{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(serialNotes) == 0 {
 		t.Fatal("corpus produced no degradation notes; test is vacuous")
 	}
-	for _, workers := range []int{2, 4, 16} {
-		set, notes, err := readDirSalvage(dir, workers, obs.Scope{})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !reflect.DeepEqual(notes, serialNotes) {
-			t.Fatalf("workers=%d: notes diverge\nserial: %v\nparallel: %v", workers, serialNotes, notes)
-		}
-		if set.Ranks() != serialSet.Ranks() {
-			t.Fatalf("workers=%d: ranks = %d, want %d", workers, set.Ranks(), serialSet.Ranks())
-		}
-		for r := range set.Traces {
-			if !reflect.DeepEqual(set.Traces[r].Events, serialSet.Traces[r].Events) {
-				t.Fatalf("workers=%d: rank %d events diverge", workers, r)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			set, notes, err := ReadDirSalvage(dir, obs.Scope{})
+			if err != nil {
+				t.Errorf("reader %d: %v", g, err)
+				return
 			}
-		}
+			if !reflect.DeepEqual(notes, serialNotes) {
+				t.Errorf("reader %d: notes diverge\nlone: %v\nconcurrent: %v", g, serialNotes, notes)
+			}
+			if set.Ranks() != serialSet.Ranks() {
+				t.Errorf("reader %d: ranks = %d, want %d", g, set.Ranks(), serialSet.Ranks())
+				return
+			}
+			for r := range set.Traces {
+				if !reflect.DeepEqual(set.Traces[r].Events, serialSet.Traces[r].Events) {
+					t.Errorf("reader %d: rank %d events diverge", g, r)
+				}
+			}
+		}(g)
 	}
+	wg.Wait()
 }
 
 // TestReadDirSalvageConcurrentMetrics checks the salvage counters are
-// recorded exactly once per accepted file regardless of worker count.
+// recorded once per lossy read when reads share one registry at once.
 func TestReadDirSalvageConcurrentMetrics(t *testing.T) {
 	dir := t.TempDir()
 	writeSalvageCorpus(t, dir, 14)
-	counts := map[int]int64{}
-	for _, workers := range []int{1, 8} {
+	count := func(readers int) int64 {
 		reg := obs.NewRegistry()
-		if _, _, err := readDirSalvage(dir, workers, obs.Scope{Obs: reg}); err != nil {
-			t.Fatal(err)
+		var wg sync.WaitGroup
+		for g := 0; g < readers; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, _, err := ReadDirSalvage(dir, obs.Scope{Obs: reg}); err != nil {
+					t.Error(err)
+				}
+			}()
 		}
-		snap := reg.Snapshot()
-		counts[workers] = snap.CounterValue("mcchecker_trace_truncated_streams_total")
+		wg.Wait()
+		return reg.Snapshot().CounterValue("mcchecker_trace_truncated_streams_total")
 	}
-	if counts[1] == 0 || counts[1] != counts[8] {
-		t.Fatalf("truncated-stream counts diverge across workers: %v", counts)
+	one, eight := count(1), count(8)
+	if one == 0 || eight != 8*one {
+		t.Fatalf("truncated-stream counts: one read %d, eight concurrent reads %d", one, eight)
 	}
 }
 

@@ -41,8 +41,8 @@ func traceBugCase(t *testing.T, bc apps.BugCase) string {
 // TestTimelineByteIdenticalAcrossWorkers is the determinism contract of
 // the causal-tracing layer: a full bug-case analysis recorded in
 // deterministic mode (logical ticks, scope lanes) exports byte-identical
-// Chrome trace JSON however many times it runs, whichever decode worker
-// picks up each rank file.
+// Chrome trace JSON however many times it runs. (The name predates the
+// serial trace reader; decode no longer has workers.)
 func TestTimelineByteIdenticalAcrossWorkers(t *testing.T) {
 	for _, bc := range apps.BugCases() {
 		bc := bc

@@ -3,14 +3,12 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
-	"repro/internal/apps"
 	"repro/internal/dag"
 	"repro/internal/match"
 	"repro/internal/model"
-	"repro/internal/mpi"
-	"repro/internal/profiler"
 	"repro/internal/testutil"
 	"repro/internal/trace"
 )
@@ -33,61 +31,41 @@ type crossInput struct {
 // pipeline up to the detectors, keeping every phase's input.
 func amplifiedCorpus(tb testing.TB) []crossInput {
 	tb.Helper()
-	const times, maxRanks = 8, 8
+	cases, err := testutil.CaseTraces(8, 8)
+	if err != nil {
+		tb.Fatal(err)
+	}
 	var out []crossInput
-	for _, bc := range apps.AllCases() {
-		if bc.Name == "schedrace" {
+	for _, c := range cases {
+		if strings.HasPrefix(c.Name, "schedrace/") {
 			continue
 		}
-		ranks := bc.Ranks
-		if ranks > maxRanks {
-			ranks = maxRanks
+		set := c.Set
+		var enc [][]byte
+		for _, t := range set.Traces {
+			buf, err := trace.EncodeTrace(t)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			enc = append(enc, buf)
 		}
-		var rel profiler.Relevance
-		if bc.RelevantBuffers != nil {
-			rel = profiler.FromNames(bc.RelevantBuffers)
+		m, err := model.Build(set)
+		if err != nil {
+			tb.Fatal(err)
 		}
-		for _, body := range []func(p *mpi.Proc) error{bc.Buggy, bc.Fixed} {
-			body := body
-			sink := trace.NewMemorySink()
-			err := mpi.Run(ranks, mpi.Options{Hook: profiler.New(sink, rel)}, func(p *mpi.Proc) error {
-				for i := 0; i < times; i++ {
-					if err := body(p); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-			if err != nil {
-				tb.Fatalf("%s: %v", bc.Name, err)
-			}
-			set := sink.Set()
-			var enc [][]byte
-			for _, t := range set.Traces {
-				buf, err := trace.EncodeTrace(t)
-				if err != nil {
-					tb.Fatal(err)
-				}
-				enc = append(enc, buf)
-			}
-			m, err := model.Build(set)
-			if err != nil {
-				tb.Fatal(err)
-			}
-			ms, err := match.Run(m)
-			if err != nil {
-				tb.Fatal(err)
-			}
-			d, err := dag.Build(m, ms)
-			if err != nil {
-				tb.Fatal(err)
-			}
-			epochs, opEpoch, err := ExtractEpochs(m)
-			if err != nil {
-				tb.Fatal(err)
-			}
-			out = append(out, crossInput{enc: enc, set: set, m: m, ms: ms, d: d, epochs: epochs, opEpoch: opEpoch})
+		ms, err := match.Run(m)
+		if err != nil {
+			tb.Fatal(err)
 		}
+		d, err := dag.Build(m, ms)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		epochs, opEpoch, err := ExtractEpochs(m)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out = append(out, crossInput{enc: enc, set: set, m: m, ms: ms, d: d, epochs: epochs, opEpoch: opEpoch})
 	}
 	return out
 }
@@ -236,5 +214,32 @@ func benchDetector(b *testing.B, opts Options, fatName string) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkEpochsManyWindows measures ExtractEpochs on two ranks that
+// each create, fence, Put to, fence and free 10,000 windows in turn:
+// every window leaves one fence epoch open until the end of the trace.
+func BenchmarkEpochsManyWindows(b *testing.B) {
+	tb := testutil.NewTraceBuilder(2)
+	for w := int32(1); w <= 10000; w++ {
+		tb.WinCreate(w, 0x1000+uint64(w)*64, 64)
+		tb.Fence(w)
+		tb.Add(0, put(w, 1))
+		tb.Fence(w)
+		for r := int32(0); r < 2; r++ {
+			tb.Add(r, trace.Event{Kind: trace.KindWinFree, Win: w, Comm: 0})
+		}
+	}
+	m, err := model.Build(tb.Set())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := ExtractEpochs(m); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

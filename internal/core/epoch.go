@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 
@@ -63,160 +62,226 @@ func (e *Epoch) String() string {
 // It returns the epochs, in rank order, and a map from each RMA operation
 // to its epoch.
 func ExtractEpochs(m *model.Model) ([]*Epoch, map[trace.ID]*Epoch, error) {
-	per := make([][]*Epoch, len(m.Set.Traces))
-	total, totalOps := 0, 0
-	for r, t := range m.Set.Traces {
-		epochs, ops, err := extractRankEpochs(m, t)
-		if err != nil {
+	x := epochExtractor{m: m, at: map[int32]int32{}}
+	ops := 0
+	for _, t := range m.Set.Traces {
+		if err := x.extractRank(t); err != nil {
 			return nil, nil, err
 		}
-		per[r] = epochs
-		total += len(epochs)
-		totalOps += ops
+		ops += len(x.ops)
+		x.cutOps()
 	}
-	epochs := make([]*Epoch, 0, total)
-	opEpoch := make(map[trace.ID]*Epoch, totalOps)
-	for _, rankEpochs := range per {
-		for _, e := range rankEpochs {
-			epochs = append(epochs, e)
-			for _, id := range e.Ops {
-				opEpoch[id] = e
-			}
+	opEpoch := make(map[trace.ID]*Epoch, ops)
+	for _, e := range x.out {
+		for _, id := range e.Ops {
+			opEpoch[id] = e
 		}
 	}
-	return epochs, opEpoch, nil
+	return x.out, opEpoch, nil
 }
 
-// extractRankEpochs matches the synchronization calls of one rank's
-// trace and returns its epochs and the number of RMA operations they
-// hold. It reads only the model registries and the rank's own events.
-func extractRankEpochs(m *model.Model, t *trace.Trace) ([]*Epoch, int, error) {
-	rank := t.Rank
-	var epochs []*Epoch
-	ops := 0
-	// Per-window open-epoch state for this rank.
-	fence := map[int32]*Epoch{}    // win → open fence epoch
-	locks := map[[2]int32]*Epoch{} // (win, targetWorld) → open lock epoch
-	pscw := map[int32]*Epoch{}     // win → open access (start) epoch
-	lockAll := map[int32]*Epoch{}  // win → open lock_all epoch
+// epochExtractor is the state of one ExtractEpochs call. Each rank's
+// epochs and their Ops live in two arrays of the exact size: a first pass
+// over the rank's events counts the calls that open an epoch and the RMA
+// operations. Ops grown by append would allocate several times their final
+// size, which shows in a job's allocated bytes when one epoch holds
+// thousands of operations.
+type epochExtractor struct {
+	m      *model.Model
+	epochs []Epoch         // the walked rank's epochs, in opening order
+	wins   []winEpochs     // its open epochs, one entry per window it touched
+	at     map[int32]int32 // window id → its wins index
+	ops    []epochOp       // its RMA operations, each with its epoch
+	count  []int           // per epochs index: its number of operations
+	out    []*Epoch        // every epoch walked, in rank then closing order
+}
 
-	closeEpoch := func(e *Epoch, end int64) {
-		e.End = end
-		epochs = append(epochs, e)
+// epochOp is one RMA operation and the epochs index of its epoch.
+type epochOp struct {
+	id    trace.ID
+	epoch int32
+}
+
+// winEpochs holds the epochs index of each epoch one rank has open on one
+// window, or -1.
+type winEpochs struct {
+	fence, pscw, lockAll int32
+	// locks holds the open lock epochs, at most one per target rank.
+	locks []int32
+}
+
+// win returns the walked rank's open epochs on win, valid until the next
+// call.
+func (x *epochExtractor) win(win int32) *winEpochs {
+	i, ok := x.at[win]
+	if !ok {
+		i = int32(len(x.wins))
+		x.at[win] = i
+		x.wins = append(x.wins, winEpochs{fence: -1, pscw: -1, lockAll: -1})
 	}
+	return &x.wins[i]
+}
 
+// lock returns the index in w.locks of the lock epoch on target, of either
+// mode, or -1.
+func (x *epochExtractor) lock(w *winEpochs, target int32) int {
+	return slices.IndexFunc(w.locks, func(e int32) bool { return x.epochs[e].Target == target })
+}
+
+// begin opens an epoch at seq and returns its epochs index.
+func (x *epochExtractor) begin(kind EpochKind, rank, win, target int32, seq int64) int32 {
+	x.epochs = append(x.epochs, Epoch{Kind: kind, Rank: rank, Win: win, Target: target, Start: seq})
+	return int32(len(x.epochs) - 1)
+}
+
+// end closes epoch e at seq.
+func (x *epochExtractor) end(e int32, seq int64) {
+	x.epochs[e].End = seq
+	x.out = append(x.out, &x.epochs[e])
+}
+
+// extractRank matches the synchronization calls of one rank's trace. It
+// reads only the model registries and the rank's own events.
+func (x *epochExtractor) extractRank(t *trace.Trace) error {
+	rank := t.Rank
+	opens, ops := 0, 0
+	for i := range t.Events {
+		switch k := t.Events[i].Kind; {
+		case k == trace.KindWinFence, k == trace.KindWinLock, k == trace.KindWinStart, k == trace.KindWinLockAll:
+			opens++
+		case k.IsRMAComm():
+			ops++
+		}
+	}
+	// out points into epochs, so it must not grow past the count.
+	x.epochs = make([]Epoch, 0, opens)
+	x.ops = slices.Grow(x.ops[:0], ops)
+	x.wins = x.wins[:0]
+	clear(x.at)
 	for i := range t.Events {
 		ev := &t.Events[i]
 		seq := int64(i)
 		switch ev.Kind {
 		case trace.KindWinFence:
-			if open := fence[ev.Win]; open != nil {
-				closeEpoch(open, seq)
+			w := x.win(ev.Win)
+			if w.fence >= 0 {
+				x.end(w.fence, seq)
 			}
-			fence[ev.Win] = &Epoch{Kind: EpochFence, Rank: rank, Win: ev.Win, Target: -1, Start: seq}
+			w.fence = x.begin(EpochFence, rank, ev.Win, -1, seq)
 		case trace.KindWinLock:
-			tw, err := lockTargetWorld(m, ev)
+			tw, err := lockTargetWorld(x.m, ev)
 			if err != nil {
-				return nil, 0, err
+				return err
 			}
 			kind := EpochLockShared
 			if ev.Lock == trace.LockExclusive {
 				kind = EpochLockExclusive
 			}
-			key := [2]int32{ev.Win, tw}
-			if locks[key] != nil {
-				return nil, 0, fmt.Errorf("core: rank %d double-locks win %d target %d at %s",
+			w := x.win(ev.Win)
+			if x.lock(w, tw) >= 0 {
+				return fmt.Errorf("core: rank %d double-locks win %d target %d at %s",
 					rank, ev.Win, tw, ev.Loc())
 			}
-			locks[key] = &Epoch{Kind: kind, Rank: rank, Win: ev.Win, Target: tw, Start: seq}
+			w.locks = append(w.locks, x.begin(kind, rank, ev.Win, tw, seq))
 		case trace.KindWinUnlock:
-			tw, err := lockTargetWorld(m, ev)
+			tw, err := lockTargetWorld(x.m, ev)
 			if err != nil {
-				return nil, 0, err
+				return err
 			}
-			key := [2]int32{ev.Win, tw}
-			open := locks[key]
-			if open == nil {
-				return nil, 0, fmt.Errorf("core: rank %d unlocks win %d target %d without lock at %s",
+			w := x.win(ev.Win)
+			l := x.lock(w, tw)
+			if l < 0 {
+				return fmt.Errorf("core: rank %d unlocks win %d target %d without lock at %s",
 					rank, ev.Win, tw, ev.Loc())
 			}
-			closeEpoch(open, seq)
-			delete(locks, key)
+			x.end(w.locks[l], seq)
+			w.locks = slices.Delete(w.locks, l, l+1)
 		case trace.KindWinStart:
-			if pscw[ev.Win] != nil {
-				return nil, 0, fmt.Errorf("core: rank %d nested Win_start on win %d at %s",
+			w := x.win(ev.Win)
+			if w.pscw >= 0 {
+				return fmt.Errorf("core: rank %d nested Win_start on win %d at %s",
 					rank, ev.Win, ev.Loc())
 			}
-			pscw[ev.Win] = &Epoch{Kind: EpochPSCW, Rank: rank, Win: ev.Win, Target: -1, Start: seq}
+			w.pscw = x.begin(EpochPSCW, rank, ev.Win, -1, seq)
 		case trace.KindWinComplete:
-			open := pscw[ev.Win]
-			if open == nil {
-				return nil, 0, fmt.Errorf("core: rank %d Win_complete without Win_start at %s",
+			w := x.win(ev.Win)
+			if w.pscw < 0 {
+				return fmt.Errorf("core: rank %d Win_complete without Win_start at %s",
 					rank, ev.Loc())
 			}
-			closeEpoch(open, seq)
-			delete(pscw, ev.Win)
+			x.end(w.pscw, seq)
+			w.pscw = -1
 		case trace.KindWinLockAll:
-			if lockAll[ev.Win] != nil {
-				return nil, 0, fmt.Errorf("core: rank %d nested Win_lock_all on win %d at %s",
+			w := x.win(ev.Win)
+			if w.lockAll >= 0 {
+				return fmt.Errorf("core: rank %d nested Win_lock_all on win %d at %s",
 					rank, ev.Win, ev.Loc())
 			}
-			lockAll[ev.Win] = &Epoch{Kind: EpochLockAll, Rank: rank, Win: ev.Win, Target: -1, Start: seq}
+			w.lockAll = x.begin(EpochLockAll, rank, ev.Win, -1, seq)
 		case trace.KindWinUnlockAll:
-			open := lockAll[ev.Win]
-			if open == nil {
-				return nil, 0, fmt.Errorf("core: rank %d Win_unlock_all without Win_lock_all at %s",
+			w := x.win(ev.Win)
+			if w.lockAll < 0 {
+				return fmt.Errorf("core: rank %d Win_unlock_all without Win_lock_all at %s",
 					rank, ev.Loc())
 			}
-			closeEpoch(open, seq)
-			delete(lockAll, ev.Win)
+			x.end(w.lockAll, seq)
+			w.lockAll = -1
 		case trace.KindPut, trace.KindGet, trace.KindAccumulate,
 			trace.KindGetAccumulate, trace.KindFetchOp, trace.KindCompareSwap:
-			tw, err := m.TargetWorld(ev)
+			tw, err := x.m.TargetWorld(ev)
 			if err != nil {
-				return nil, 0, err
+				return err
 			}
-			var e *Epoch
-			switch {
-			case locks[[2]int32{ev.Win, tw}] != nil:
-				e = locks[[2]int32{ev.Win, tw}]
-			case lockAll[ev.Win] != nil:
-				e = lockAll[ev.Win]
-			case pscw[ev.Win] != nil:
-				e = pscw[ev.Win]
-			case fence[ev.Win] != nil:
-				e = fence[ev.Win]
+			// An operation joins the lock epoch on its target, else the
+			// window's lock_all, access (start) or fence epoch, in that
+			// order of precedence.
+			w := x.win(ev.Win)
+			var e int32
+			switch l := x.lock(w, tw); {
+			case l >= 0:
+				e = w.locks[l]
+			case w.lockAll >= 0:
+				e = w.lockAll
+			case w.pscw >= 0:
+				e = w.pscw
+			case w.fence >= 0:
+				e = w.fence
 			default:
-				return nil, 0, fmt.Errorf("core: rank %d issues %s outside any epoch at %s",
+				return fmt.Errorf("core: rank %d issues %s outside any epoch at %s",
 					rank, ev.Kind, ev.Loc())
 			}
-			e.Ops = append(e.Ops, ev.ID())
-			ops++
+			x.ops = append(x.ops, epochOp{id: ev.ID(), epoch: e})
 		}
 	}
-
 	// Close epochs truncated by the end of the trace, in the order they
 	// opened: two of them can report violations under one dedup key, and
-	// the first checked supplies the reported instance.
-	var open []*Epoch
-	for _, e := range fence {
-		open = append(open, e)
+	// the first checked supplies the reported instance. Those still open
+	// have End 0, since an epoch closed at seq s opened before s.
+	for e := range x.epochs {
+		if x.epochs[e].End == 0 {
+			x.end(int32(e), int64(len(t.Events)))
+		}
 	}
-	for _, e := range locks {
-		open = append(open, e)
+	return nil
+}
+
+// cutOps gives the walked rank's epochs their Ops, cut from one array in
+// program order.
+func (x *epochExtractor) cutOps() {
+	x.count = append(x.count[:0], make([]int, len(x.epochs))...)
+	for _, op := range x.ops {
+		x.count[op.epoch]++
 	}
-	for _, e := range pscw {
-		open = append(open, e)
+	ops := make([]trace.ID, len(x.ops))
+	for i, c := range x.count {
+		if c > 0 {
+			x.epochs[i].Ops, ops = ops[:0:c], ops[c:]
+		}
 	}
-	for _, e := range lockAll {
-		open = append(open, e)
+	for _, op := range x.ops {
+		e := &x.epochs[op.epoch]
+		e.Ops = append(e.Ops, op.id)
 	}
-	slices.SortFunc(open, func(x, y *Epoch) int { return cmp.Compare(x.Start, y.Start) })
-	end := int64(len(t.Events))
-	for _, e := range open {
-		closeEpoch(e, end)
-	}
-	return epochs, ops, nil
 }
 
 func lockTargetWorld(m *model.Model, ev *trace.Event) (int32, error) {

@@ -11,9 +11,9 @@ import "testing"
 var phaseAllocCeilings = map[string]float64{
 	"decode":       2319,  // 1,546
 	"model":        2268,  // 1,512
-	"match":        19365, // 12,910
-	"dag":          28713, // 19,142
-	"epochs":       11358, // 7,572
+	"match":        4681,  // 3,121
+	"dag":          630,   // 420
+	"epochs":       1444,  // 963
 	"detect_intra": 3854,  // 2,569
 	"detect_cross": 13278, // 8,852
 }

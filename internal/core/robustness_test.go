@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/match"
+	"repro/internal/model"
 	"repro/internal/testutil"
 	"repro/internal/trace"
 )
@@ -48,6 +50,32 @@ func TestAnalyzeRejectsTargetOutOfComm(t *testing.T) {
 	_, err := Analyze(b.Set())
 	if err == nil || !strings.Contains(err.Error(), "out of range") {
 		t.Errorf("err = %v", err)
+	}
+}
+
+// TestAnalyzeRejectsRootOutOfComm checks that a rooted collective whose
+// root names no rank of its communicator is an error, not a panic, in both
+// matchers.
+func TestAnalyzeRejectsRootOutOfComm(t *testing.T) {
+	for _, kind := range []trace.Kind{trace.KindBcast, trace.KindReduce, trace.KindGather, trace.KindScatter} {
+		for _, root := range []int32{2, 7, -1} {
+			b := testutil.NewTraceBuilder(2)
+			for r := int32(0); r < 2; r++ {
+				b.Add(r, trace.Event{Kind: kind, Comm: 0, Peer: root})
+			}
+			set := b.Set()
+			_, err := Analyze(set)
+			if err == nil || !strings.Contains(err.Error(), "out of range") {
+				t.Errorf("%s root %d: err = %v", kind, root, err)
+			}
+			m, err := model.Build(set)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := match.RunNaive(m); err == nil || !strings.Contains(err.Error(), "out of range") {
+				t.Errorf("%s root %d: RunNaive err = %v", kind, root, err)
+			}
+		}
 	}
 }
 

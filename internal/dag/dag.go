@@ -10,9 +10,10 @@
 // rank's trace is split into segments at every event that receives an
 // incoming cross-process ordering, and each segment stores one clock — the
 // highest event sequence number of every rank known to happen-before the
-// segment. Concurrency queries are then O(1) (paper §III-B's "unordered in
-// the DAG"), and the storage is proportional to the number of
-// synchronization events rather than all events.
+// segment — in one arena shared by all segments. Concurrency queries are
+// then O(1) (paper §III-B's "unordered in the DAG"), and the clock storage
+// is proportional to the number of synchronization events rather than all
+// events.
 //
 // The package also extracts concurrent regions: global synchronization
 // events that all ranks participate in partition the DAG into sequentially
@@ -21,7 +22,9 @@
 package dag
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/match"
 	"repro/internal/model"
@@ -31,14 +34,6 @@ import (
 // VC is a vector clock: VC[r] is the highest event seq of rank r known to
 // happen-before this point, or -1 if none.
 type VC []int64
-
-func newVC(n int) VC {
-	vc := make(VC, n)
-	for i := range vc {
-		vc[i] = -1
-	}
-	return vc
-}
 
 func (vc VC) clone() VC { return append(VC(nil), vc...) }
 
@@ -53,9 +48,18 @@ func (vc VC) join(o VC) {
 
 // DAG is the built happens-before structure over one trace set.
 type DAG struct {
-	set   *trace.Set
-	segOf [][]int32 // [rank][eventSeq] → segment index
-	segs  [][]VC    // [rank][segment] → base clock
+	set *trace.Set
+	n   int // ranks: the length of every clock
+
+	// segOf[r][seq] is the segment of rank r, counted from the rank's
+	// first, that holds event seq; every rank's slice is cut from one
+	// array.
+	segOf [][]int32
+	// clocks holds the clock of every segment, n values each: rank r's
+	// segments, in seq order, are clock-arena slots first[r] up to
+	// first[r+1].
+	clocks []int64
+	first  []int
 
 	regions []Region
 }
@@ -70,164 +74,215 @@ type Region struct {
 	End   []int64
 }
 
-// Events returns the event ids of one rank inside the region.
+// Span returns the half-open range [start, end) of the seqs of one rank's
+// events inside the region.
 func (rg *Region) Span(rank int32) (int64, int64) {
 	return rg.Start[rank], rg.End[rank]
 }
 
+// syncPoint is one entry of a rank's synchronization points, the events
+// that join other ranks' clocks into a new segment: an event with incoming
+// edges has one entry per edge, naming the edge's source in from, and a
+// member of a barrier-like group has one entry naming the group.
+type syncPoint struct {
+	seq   int64
+	group int32 // index in Matches.Groups; -1 for an edge
+	from  trace.ID
+}
+
+// eachPoint calls f with the event and the entry of every synchronization
+// point the matches give: first one per member of a barrier-like group,
+// then one per rooted-collective edge and one per pair. An event in a
+// group takes its clock from the group alone, so its group entry must
+// come first.
+func eachPoint(ms *match.Matches, f func(at trace.ID, p syncPoint)) {
+	for i := range ms.Groups {
+		if g := &ms.Groups[i]; g.Direction == match.DirAll {
+			for _, id := range g.Events {
+				f(id, syncPoint{seq: id.Seq, group: int32(i)})
+			}
+		}
+	}
+	for i := range ms.Groups {
+		g := &ms.Groups[i]
+		for _, id := range g.Events {
+			switch {
+			case g.Direction == match.DirAll, id == g.Root:
+			case g.Direction == match.DirFromRoot:
+				f(id, syncPoint{seq: id.Seq, group: -1, from: g.Root})
+			default: // DirToRoot
+				f(g.Root, syncPoint{seq: g.Root.Seq, group: -1, from: id})
+			}
+		}
+	}
+	for _, pairs := range [...][]match.Pair{ms.P2P, ms.PostStart, ms.CompleteWait} {
+		for _, p := range pairs {
+			f(p.To, syncPoint{seq: p.To.Seq, group: -1, from: p.From})
+		}
+	}
+}
+
+// syncPoints returns every rank's synchronization points in seq order,
+// those at one event in eachPoint's order, all cut from one array. It
+// sorts them by counting, with at, one slot per event, as scratch space:
+// at first counts the entries of each event, then holds where the event's
+// next entry goes. An entry past the end of its rank's trace, which only
+// a rooted group without its root can give, is never reached and is left
+// out.
+func syncPoints(at [][]int32, ms *match.Matches) [][]syncPoint {
+	total := 0
+	eachPoint(ms, func(id trace.ID, _ syncPoint) {
+		if id.Seq < int64(len(at[id.Rank])) {
+			at[id.Rank][id.Seq]++
+			total++
+		}
+	})
+	all := make([]syncPoint, total)
+	points := make([][]syncPoint, len(at))
+	off := 0
+	for r, slots := range at {
+		lo := off
+		for seq, c := range slots {
+			slots[seq] = int32(off)
+			off += int(c)
+		}
+		points[r] = all[lo:off:off]
+	}
+	eachPoint(ms, func(id trace.ID, p syncPoint) {
+		if id.Seq < int64(len(at[id.Rank])) {
+			all[at[id.Rank][id.Seq]] = p
+			at[id.Rank][id.Seq]++
+		}
+	})
+	return points
+}
+
+// pointEnd returns the index just past the entries of pts, from i on,
+// that sit at seq.
+func pointEnd(pts []syncPoint, i int, seq int64) int {
+	for i < len(pts) && pts[i].seq == seq {
+		i++
+	}
+	return i
+}
+
+// clock returns segment seg of rank r's clock in the arena.
+func (d *DAG) clock(r int32, seg int32) VC {
+	i := (d.first[r] + int(seg)) * d.n
+	return d.clocks[i : i+d.n : i+d.n]
+}
+
 // Build constructs the DAG for the model's trace set using the matches.
+//
+// Each rank's synchronization points are walked by a cursor beside the
+// rank's event cursor: the plain events up to the next point take the
+// rank's current segment in one step, and a point opens the next segment
+// once every event it joins has been processed. One segment per point,
+// plus the initial one, fixes the clock arena's size before the walk.
 func Build(m *model.Model, ms *match.Matches) (*DAG, error) {
 	set := m.Set
 	n := set.Ranks()
-	d := &DAG{
-		set:   set,
-		segOf: make([][]int32, n),
-		segs:  make([][]VC, n),
+	d := &DAG{set: set, n: n, segOf: make([][]int32, n), first: make([]int, n+1)}
+	segOf := make([]int32, set.TotalEvents())
+	for r, t := range set.Traces {
+		d.segOf[r], segOf = segOf[:len(t.Events):len(t.Events)], segOf[len(t.Events):]
 	}
-	for r := 0; r < n; r++ {
-		d.segOf[r] = make([]int32, len(set.Traces[r].Events))
-		d.segs[r] = []VC{newVC(n)}
-	}
-
-	// Index incoming pair edges and collective groups by receiving event.
-	incoming := map[trace.ID][]trace.ID{}
-	addPair := func(p match.Pair) { incoming[p.To] = append(incoming[p.To], p.From) }
-	for _, p := range ms.P2P {
-		addPair(p)
-	}
-	for _, p := range ms.PostStart {
-		addPair(p)
-	}
-	for _, p := range ms.CompleteWait {
-		addPair(p)
-	}
-
-	type groupState struct {
-		g       *match.Group
-		arrived int
-	}
-	groupAt := map[trace.ID]*groupState{}
-	var globals [][]trace.ID // ordered list of global (all-ranks) sync instances
-	for i := range ms.Groups {
-		g := &ms.Groups[i]
-		switch g.Direction {
-		case match.DirFromRoot:
-			for _, id := range g.Events {
-				if id != g.Root {
-					incoming[id] = append(incoming[id], g.Root)
-				}
+	points := syncPoints(d.segOf, ms) // the walk below then sets every segOf entry
+	for r := range n {
+		segs := 1
+		for i, p := range points[r] {
+			if i == 0 || p.seq != points[r][i-1].seq {
+				segs++
 			}
-		case match.DirToRoot:
-			for _, id := range g.Events {
-				if id != g.Root {
-					incoming[g.Root] = append(incoming[g.Root], id)
-				}
-			}
-		default:
-			gs := &groupState{g: g}
-			for _, id := range g.Events {
-				groupAt[id] = gs
-			}
-			if len(g.Events) == n {
-				globals = append(globals, g.Events)
-			}
+		}
+		d.first[r+1] = d.first[r] + segs
+	}
+	d.clocks = make([]int64, d.first[n]*n)
+	for r := range n {
+		initial := d.clock(int32(r), 0)
+		for i := range initial {
+			initial[i] = -1
 		}
 	}
 
 	// Process events in a deadlock-free simulation order (the trace came
-	// from a real run, so one exists).
-	cursor := make([]int64, n)
-	curVC := make([]VC, n)
-	curSeg := make([]int32, n)
-	for r := range curVC {
-		curVC[r] = d.segs[r][0]
-	}
-
-	// eventClock returns the clock that event id exports to its successors.
-	eventClock := func(id trace.ID) VC {
-		base := d.segs[id.Rank][d.segOf[id.Rank][id.Seq]]
-		vc := base.clone()
-		if id.Seq > vc[id.Rank] {
-			vc[id.Rank] = id.Seq
-		}
-		return vc
-	}
-	processed := func(id trace.ID) bool {
-		return cursor[id.Rank] > id.Seq
-	}
-
-	total := set.TotalEvents()
-	done := 0
+	// from a real run, so one exists). The clocks do not depend on the
+	// order, only on the edges.
+	cursor := make([]int64, n) // next event of each rank
+	next := make([]int, n)     // next synchronization point of each rank
+	cur := make([]int32, n)    // current segment of each rank
+	joint := make(VC, n)
+	total := int64(set.TotalEvents())
+	var done int64
 	for done < total {
 		progress := false
-		for r := 0; r < n; r++ {
-			for cursor[r] < int64(len(set.Traces[r].Events)) {
-				ev := &set.Traces[r].Events[cursor[r]]
-				id := ev.ID()
-
-				if gs, ok := groupAt[id]; ok {
-					// Barrier-like group: wait until every member is at its
-					// group event, then join all clocks.
-					ready := true
-					for _, mid := range gs.g.Events {
-						if mid != id && cursor[mid.Rank] < mid.Seq {
-							ready = false
-							break
-						}
+		for r := int32(0); r < int32(n); r++ {
+			events := int64(len(set.Traces[r].Events))
+			pts := points[r]
+			for cursor[r] < events {
+				stop := events
+				if next[r] < len(pts) {
+					stop = min(pts[next[r]].seq, events)
+				}
+				if cursor[r] < stop {
+					// Plain events stay in the current segment.
+					seg := d.segOf[r][cursor[r]:stop]
+					for i := range seg {
+						seg[i] = cur[r]
 					}
-					if !ready {
+					done += stop - cursor[r]
+					cursor[r] = stop
+					progress = true
+					continue
+				}
+				id := trace.ID{Rank: r, Seq: cursor[r]}
+				if p := pts[next[r]]; p.group >= 0 {
+					// Barrier-like group: wait until every member is at its
+					// group event, then every member starts a fresh segment
+					// with the joint clock.
+					g := &ms.Groups[p.group]
+					if !groupReady(g, id, cursor) {
 						break // stall this rank
 					}
-					joint := newVC(n)
-					for _, mid := range gs.g.Events {
-						joint.join(d.segs[mid.Rank][curSegFor(d, curSeg, mid)])
+					for i := range joint {
+						joint[i] = -1
+					}
+					for _, mid := range g.Events {
+						joint.join(d.clock(mid.Rank, cur[mid.Rank]))
 						if mid.Seq > joint[mid.Rank] {
 							joint[mid.Rank] = mid.Seq
 						}
 					}
-					// Every member starts a fresh segment with the joint
-					// clock; advance all member cursors past the event.
-					for _, mid := range gs.g.Events {
-						d.segOf[mid.Rank][mid.Seq] = int32(len(d.segs[mid.Rank]))
-						seg := joint.clone()
-						d.segs[mid.Rank] = append(d.segs[mid.Rank], seg)
-						curVC[mid.Rank] = seg
-						curSeg[mid.Rank] = int32(len(d.segs[mid.Rank]) - 1)
-						cursor[mid.Rank] = mid.Seq + 1
+					for _, mid := range g.Events {
+						q := mid.Rank
+						cur[q]++
+						copy(d.clock(q, cur[q]), joint)
+						d.segOf[q][mid.Seq] = cur[q]
+						cursor[q] = mid.Seq + 1
+						next[q] = pointEnd(points[q], next[q], mid.Seq)
 						done++
 					}
 					progress = true
 					continue
 				}
-
-				if ins := incoming[id]; len(ins) > 0 {
-					ready := true
-					for _, from := range ins {
-						if !processed(from) {
-							ready = false
-							break
-						}
-					}
-					if !ready {
-						break // stall until senders processed
-					}
-					nv := curVC[r].clone()
-					for _, from := range ins {
-						nv.join(eventClock(from))
-					}
-					d.segOf[r][id.Seq] = int32(len(d.segs[r]))
-					d.segs[r] = append(d.segs[r], nv)
-					curVC[r] = nv
-					curSeg[r] = int32(len(d.segs[r]) - 1)
-					cursor[r]++
-					done++
-					progress = true
-					continue
+				end := pointEnd(pts, next[r], id.Seq)
+				ins := pts[next[r]:end]
+				if !edgesReady(ins, cursor) {
+					break // stall until the sources are processed
 				}
-
-				// Plain event: stays in the current segment.
-				d.segOf[r][id.Seq] = curSeg[r]
+				nv := d.clock(r, cur[r]+1)
+				copy(nv, d.clock(r, cur[r]))
+				for _, in := range ins {
+					from := in.from
+					nv.join(d.clock(from.Rank, d.segOf[from.Rank][from.Seq]))
+					if from.Seq > nv[from.Rank] {
+						nv[from.Rank] = from.Seq
+					}
+				}
+				cur[r]++
+				d.segOf[r][id.Seq] = cur[r]
 				cursor[r]++
+				next[r] = end
 				done++
 				progress = true
 			}
@@ -237,46 +292,70 @@ func Build(m *model.Model, ms *match.Matches) (*DAG, error) {
 		}
 	}
 
-	d.buildRegions(globals)
+	d.buildRegions(ms)
 	return d, nil
 }
 
-// curSegFor returns the segment index holding the clock visible just
-// before mid executes (its own current segment).
-func curSegFor(d *DAG, curSeg []int32, mid trace.ID) int32 {
-	return curSeg[mid.Rank]
+// groupReady reports whether every member of g other than id has reached
+// its group event.
+func groupReady(g *match.Group, id trace.ID, cursor []int64) bool {
+	for _, mid := range g.Events {
+		if mid != id && cursor[mid.Rank] < mid.Seq {
+			return false
+		}
+	}
+	return true
 }
 
-// buildRegions partitions the trace by global synchronization instances.
-// globals arrive in completion order per Build's processing; sort by the
-// per-rank sequence of rank 0's member (global instances are totally
-// ordered, so any rank's order works).
-func (d *DAG) buildRegions(globals [][]trace.ID) {
-	n := d.set.Ranks()
-	// Order the global sync instances by their event seq on rank 0.
-	ordered := make([][]trace.ID, len(globals))
-	copy(ordered, globals)
-	for i := 1; i < len(ordered); i++ {
-		for j := i; j > 0 && seqOn(ordered[j], 0) < seqOn(ordered[j-1], 0); j-- {
-			ordered[j], ordered[j-1] = ordered[j-1], ordered[j]
+// edgesReady reports whether the source of every edge has been processed.
+func edgesReady(ins []syncPoint, cursor []int64) bool {
+	for _, in := range ins {
+		if cursor[in.from.Rank] <= in.from.Seq {
+			return false
 		}
 	}
-	start := make([]int64, n)
-	idx := 0
-	for _, g := range ordered {
-		end := make([]int64, n)
-		for _, id := range g {
-			end[id.Rank] = id.Seq + 1 // delimiter belongs to earlier region
+	return true
+}
+
+// buildRegions partitions the trace by the global synchronization
+// instances: the barrier-like groups spanning all ranks. They are totally
+// ordered, so they are put in the order of their events on rank 0. All
+// regions' bounds share one allocation.
+func (d *DAG) buildRegions(ms *match.Matches) {
+	n := d.n
+	global := func(g *match.Group) bool { return g.Direction == match.DirAll && len(g.Events) == n }
+	count := 0
+	for i := range ms.Groups {
+		if global(&ms.Groups[i]) {
+			count++
 		}
-		d.regions = append(d.regions, Region{Index: idx, Start: append([]int64(nil), start...), End: end})
-		idx++
-		copy(start, end)
 	}
-	final := Region{Index: idx, Start: append([]int64(nil), start...), End: make([]int64, n)}
-	for r := 0; r < n; r++ {
-		final.End[r] = int64(len(d.set.Traces[r].Events))
+	globals := make([][]trace.ID, 0, count)
+	for i := range ms.Groups {
+		if g := &ms.Groups[i]; global(g) {
+			globals = append(globals, g.Events)
+		}
 	}
-	d.regions = append(d.regions, final)
+	slices.SortStableFunc(globals, func(a, b []trace.ID) int { return cmp.Compare(seqOn(a, 0), seqOn(b, 0)) })
+	bounds := make([]int64, 2*n*(len(globals)+1))
+	d.regions = make([]Region, len(globals)+1)
+	for i := range d.regions {
+		b := bounds[2*n*i : 2*n*(i+1) : 2*n*(i+1)]
+		rg := &d.regions[i]
+		*rg = Region{Index: i, Start: b[:n:n], End: b[n:]}
+		if i > 0 {
+			copy(rg.Start, d.regions[i-1].End)
+		}
+		if i < len(globals) {
+			for _, id := range globals[i] {
+				rg.End[id.Rank] = id.Seq + 1 // delimiter belongs to earlier region
+			}
+		} else {
+			for r := range rg.End {
+				rg.End[r] = int64(len(d.set.Traces[r].Events))
+			}
+		}
+	}
 }
 
 func seqOn(g []trace.ID, rank int32) int64 {
@@ -294,8 +373,7 @@ func (d *DAG) HappensBefore(a, b trace.ID) bool {
 	if a.Rank == b.Rank {
 		return a.Seq < b.Seq
 	}
-	seg := d.segs[b.Rank][d.segOf[b.Rank][b.Seq]]
-	return seg[a.Rank] >= a.Seq
+	return d.clock(b.Rank, d.segOf[b.Rank][b.Seq])[a.Rank] >= a.Seq
 }
 
 // Concurrent reports whether a and b are unordered (and distinct).
@@ -312,11 +390,11 @@ func (d *DAG) Regions() []Region { return d.regions }
 // Segments returns the number of clock segments of one rank (a measure of
 // how much synchronization the rank observed); exported for tests and
 // diagnostics.
-func (d *DAG) Segments(rank int32) int { return len(d.segs[rank]) }
+func (d *DAG) Segments(rank int32) int { return d.first[rank+1] - d.first[rank] }
 
 // Clock returns a copy of the vector clock in effect for an event.
 func (d *DAG) Clock(id trace.ID) VC {
-	return d.segs[id.Rank][d.segOf[id.Rank][id.Seq]].clone()
+	return d.ClockRef(id).clone()
 }
 
 // ClockRef returns the vector clock in effect for an event without
@@ -328,5 +406,5 @@ func (d *DAG) Clock(id trace.ID) VC {
 // only ever join in more knowledge), which is what makes binary search
 // over per-rank access lists sound. Use Clock for a safe mutable copy.
 func (d *DAG) ClockRef(id trace.ID) VC {
-	return d.segs[id.Rank][d.segOf[id.Rank][id.Seq]]
+	return d.clock(id.Rank, d.segOf[id.Rank][id.Seq])
 }

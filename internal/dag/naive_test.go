@@ -1,6 +1,7 @@
 package dag
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -54,49 +55,85 @@ func fixTags(set *trace.Set) {
 	}
 }
 
+// TestNaiveAgreesWithVectorClocks compares the vector clocks with the
+// graph walk on random traces, on every pair of events across ranks and
+// a sample of same-rank pairs, and on the trace of every bundled bug case,
+// buggy and fixed, on a seeded sample of pairs across ranks: those traces
+// hold fences, PSCW, Isend/Irecv with Wait and sub-communicators, and
+// each naive query walks the graph.
 func TestNaiveAgreesWithVectorClocks(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		set := randomSyncTrace(seed, 4, 20).Set()
 		fixTags(set)
-		m, err := model.Build(set)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ms, err := match.Run(m)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		d, err := Build(m, ms)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n := BuildNaive(m, ms)
-
-		// Compare on every pair of events across different ranks, plus a
-		// sample of same-rank pairs.
 		rng := rand.New(rand.NewSource(seed + 1000))
-		var ids []trace.ID
-		for _, tr := range set.Traces {
-			for i := range tr.Events {
-				ids = append(ids, tr.Events[i].ID())
+		var pairs [][2]trace.ID
+		ids := allIDs(set)
+		for _, a := range ids {
+			for _, b := range ids {
+				if a != b && (a.Rank != b.Rank || rng.Intn(4) == 0) {
+					pairs = append(pairs, [2]trace.ID{a, b})
+				}
 			}
 		}
-		checks := 0
-		for i := 0; i < len(ids); i++ {
-			for j := 0; j < len(ids); j++ {
-				if i == j || (ids[i].Rank == ids[j].Rank && rng.Intn(4) != 0) {
-					continue
-				}
-				a, b := ids[i], ids[j]
-				if d.HappensBefore(a, b) != n.HappensBefore(a, b) {
-					t.Fatalf("seed %d: hb(%v,%v): clocks=%v naive=%v",
-						seed, a, b, d.HappensBefore(a, b), n.HappensBefore(a, b))
-				}
-				checks++
+		agree(t, fmt.Sprintf("seed %d", seed), set, pairs)
+	}
+	cases, err := testutil.CaseTraces(1, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const sample = 2000
+	for i, c := range cases {
+		if c.Set.Ranks() < 2 {
+			continue // no pairs across ranks
+		}
+		rng := rand.New(rand.NewSource(int64(i)))
+		ids := allIDs(c.Set)
+		var pairs [][2]trace.ID
+		for len(pairs) < sample {
+			a, b := ids[rng.Intn(len(ids))], ids[rng.Intn(len(ids))]
+			if a.Rank != b.Rank {
+				pairs = append(pairs, [2]trace.ID{a, b})
 			}
 		}
-		if checks == 0 {
-			t.Fatal("no pairs checked")
+		agree(t, c.Name, c.Set, pairs)
+	}
+}
+
+func allIDs(set *trace.Set) []trace.ID {
+	var ids []trace.ID
+	for _, tr := range set.Traces {
+		for i := range tr.Events {
+			ids = append(ids, tr.Events[i].ID())
+		}
+	}
+	return ids
+}
+
+// agree fails the test where the vector clocks and the graph walk answer
+// HappensBefore differently on a pair.
+func agree(t *testing.T, name string, set *trace.Set, pairs [][2]trace.ID) {
+	t.Helper()
+	m, err := model.Build(set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms, err := match.Run(m)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	d, err := Build(m, ms)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	n := BuildNaive(m, ms)
+	if len(pairs) == 0 {
+		t.Fatalf("%s: no pairs checked", name)
+	}
+	for _, p := range pairs {
+		a, b := p[0], p[1]
+		if d.HappensBefore(a, b) != n.HappensBefore(a, b) {
+			t.Fatalf("%s: hb(%v,%v): clocks=%v naive=%v",
+				name, a, b, d.HappensBefore(a, b), n.HappensBefore(a, b))
 		}
 	}
 }

@@ -8,15 +8,21 @@
 // Faithful to Algorithm 1, matching simulates the progress of the real MPI
 // processes: a vector of progress counters (matched entries over total
 // entries per rank) drives the scan, always advancing the rank with minimum
-// progress. Collectives are matched by per-scope sequence number (the k-th
-// collective on a communicator at one rank matches the k-th at every other
-// member, since collectives on one communicator are totally ordered);
-// point-to-point calls are matched FIFO per (source, destination, tag,
-// communicator) channel, which is exact under MPI's non-overtaking rule.
+// progress. The scan skips the entries that are not synchronization calls
+// without visiting them: they change no matching state, and since a rank's
+// progress only grows as its cursor moves, the synchronization entries are
+// still reached in the order Algorithm 1 reaches them, so the matches and
+// their order are the algorithm's. Collectives are matched by per-scope
+// sequence number (the k-th collective on a communicator at one rank
+// matches the k-th at every other member, since collectives on one
+// communicator are totally ordered); point-to-point calls are matched FIFO
+// per (source, destination, tag, communicator) channel, which is exact
+// under MPI's non-overtaking rule.
 package match
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/model"
 	"repro/internal/trace"
@@ -80,18 +86,35 @@ func direction(k trace.Kind) Direction {
 	}
 }
 
+// scopeKey names one collective matching scope. Both fields are 32 bits
+// wide, so the key hashes as one word.
 type scopeKey struct {
-	class byte // 'c' comm, 'w' window, 'n' new-comm definition
+	class rune // 'c' comm, 'w' window, 'n' new-comm definition
 	id    int32
-	seq   int // per-scope collective instance index
 }
 
+// collScope is the matching state of one collective scope. Each rank's
+// k-th collective in the scope belongs to instance k, so a rank joins an
+// instance at most once. The instances from base on sit in open by
+// instance number; an instance's slot empties when it completes, and the
+// empty slots at the front are dropped.
+type collScope struct {
+	key  scopeKey
+	next []int // per world rank: the instance its next collective joins
+	base int
+	open []pendingColl
+	// late holds instances below base, re-opened by a rank outside the
+	// instance's communicator; only a malformed trace has one.
+	late map[int]*pendingColl
+}
+
+// pendingColl is one collective instance; its slot is empty while kind is
+// KindInvalid.
 type pendingColl struct {
 	kind     trace.Kind
 	rootRel  int32
 	expected int
 	events   []trace.ID
-	ranks    map[int32]bool
 }
 
 type chanKey struct {
@@ -110,8 +133,9 @@ type matcher struct {
 	m   *model.Model
 	out Matches
 
-	collSeq map[byte]map[int32]map[int32]int // class → id → rank → next seq
-	pending map[scopeKey]*pendingColl
+	scopes map[scopeKey]*collScope
+	ids    []trace.ID // the unused part of the arena Group.Events are cut from
+	chunk  int        // size of the arena's last chunk
 
 	sendQ map[chanKey][]trace.ID
 	recvQ map[chanKey][]trace.ID
@@ -141,8 +165,7 @@ type reqID struct {
 func Run(m *model.Model) (*Matches, error) {
 	mt := &matcher{
 		m:          m,
-		collSeq:    map[byte]map[int32]map[int32]int{'c': {}, 'w': {}, 'n': {}},
-		pending:    map[scopeKey]*pendingColl{},
+		scopes:     map[scopeKey]*collScope{},
 		sendQ:      map[chanKey][]trace.ID{},
 		recvQ:      map[chanKey][]trace.ID{},
 		reqKind:    map[reqID]trace.Kind{},
@@ -168,38 +191,65 @@ func Run(m *model.Model) (*Matches, error) {
 
 // scan is Algorithm 1's main loop: repeatedly advance the rank with minimum
 // progress, processing synchronization entries and skipping the rest.
+//
+// An entry that is not a synchronization call changes no matcher state,
+// so each rank's cursor rests only on synchronization entries, and the
+// scan advances the rank whose cursor has the least progress
+// cursor/total, ties going to the lowest rank. That is the order in which
+// Algorithm 1, stepping over every entry, reaches the synchronization
+// entries: each rank's progress grows with its cursor, so its picks merge
+// the ranks' entries by (progress, rank).
 func (mt *matcher) scan() error {
-	set := mt.m.Set
-	n := set.Ranks()
+	traces := mt.m.Set.Traces
+	n := len(traces)
 	cursor := make([]int, n)
+	for q, t := range traces {
+		cursor[q] = nextSync(t.Events, 0)
+	}
 	for {
 		r := -1
-		best := 2.0
 		for q := 0; q < n; q++ {
-			total := len(set.Traces[q].Events)
-			if cursor[q] >= total {
-				continue
-			}
-			prog := 0.0
-			if total > 0 {
-				prog = float64(cursor[q]) / float64(total)
-			}
-			if prog < best {
-				best, r = prog, q
+			total := len(traces[q].Events)
+			if cursor[q] < total && (r < 0 || behind(cursor[q], total, cursor[r], len(traces[r].Events))) {
+				r = q
 			}
 		}
 		if r < 0 {
 			return nil // all traces fully scanned
 		}
-		ev := &set.Traces[r].Events[cursor[r]]
-		cursor[r]++
-		if !ev.Kind.IsSync() {
-			continue
-		}
+		events := traces[r].Events
+		ev := &events[cursor[r]]
+		cursor[r] = nextSync(events, cursor[r]+1)
 		if err := mt.process(ev); err != nil {
 			return err
 		}
 	}
+}
+
+// nextSync returns the index of the first synchronization entry of events
+// at or after i, or len(events) if there is none.
+func nextSync(events []trace.Event, i int) int {
+	for i < len(events) && !isSync[events[i].Kind] {
+		i++
+	}
+	return i
+}
+
+// isSync is trace.Kind.IsSync as a table, indexed by every value a Kind
+// can hold; the scan asks it of every entry.
+var isSync = func() (sync [256]bool) {
+	for k := range sync {
+		sync[k] = trace.Kind(k).IsSync()
+	}
+	return sync
+}()
+
+// behind reports whether progress a/ta is less than progress b/tb,
+// compared exactly by cross-multiplication.
+func behind(a, ta, b, tb int) bool {
+	hi1, lo1 := bits.Mul64(uint64(a), uint64(tb))
+	hi2, lo2 := bits.Mul64(uint64(b), uint64(ta))
+	return hi1 < hi2 || hi1 == hi2 && lo1 < lo2
 }
 
 func (mt *matcher) process(ev *trace.Event) error {
@@ -243,82 +293,130 @@ func (mt *matcher) process(ev *trace.Event) error {
 
 // scopeOf determines the matching scope and expected membership of a
 // collective event.
-func (mt *matcher) scopeOf(ev *trace.Event) (class byte, id int32, members []int32, err error) {
+func (mt *matcher) scopeOf(ev *trace.Event) (scopeKey, []int32, error) {
 	switch ev.Kind {
 	case trace.KindWinFence:
-		wi, werr := mt.m.Win(ev.Win)
-		if werr != nil {
-			return 0, 0, nil, werr
+		wi, err := mt.m.Win(ev.Win)
+		if err != nil {
+			return scopeKey{}, nil, err
 		}
-		ci, cerr := mt.m.Comm(wi.Comm)
-		if cerr != nil {
-			return 0, 0, nil, cerr
+		ci, err := mt.m.Comm(wi.Comm)
+		if err != nil {
+			return scopeKey{}, nil, err
 		}
-		return 'w', ev.Win, ci.Members, nil
+		return scopeKey{'w', ev.Win}, ci.Members, nil
 	case trace.KindWinCreate, trace.KindWinFree:
-		ci, cerr := mt.m.Comm(ev.Comm)
-		if cerr != nil {
-			return 0, 0, nil, cerr
+		ci, err := mt.m.Comm(ev.Comm)
+		if err != nil {
+			return scopeKey{}, nil, err
 		}
-		return 'w', ev.Win, ci.Members, nil
+		return scopeKey{'w', ev.Win}, ci.Members, nil
 	case trace.KindCommCreate:
 		// Only the members of the new communicator log this event.
-		return 'n', ev.Comm, ev.Members, nil
+		return scopeKey{'n', ev.Comm}, ev.Members, nil
 	default:
-		ci, cerr := mt.m.Comm(ev.Comm)
-		if cerr != nil {
-			return 0, 0, nil, cerr
+		ci, err := mt.m.Comm(ev.Comm)
+		if err != nil {
+			return scopeKey{}, nil, err
 		}
-		return 'c', ev.Comm, ci.Members, nil
+		return scopeKey{'c', ev.Comm}, ci.Members, nil
 	}
 }
 
 func (mt *matcher) processCollective(ev *trace.Event) error {
-	class, id, members, err := mt.scopeOf(ev)
+	key, members, err := mt.scopeOf(ev)
 	if err != nil {
 		return fmt.Errorf("match: %s at %s: %w", ev.Kind, ev.Loc(), err)
 	}
-	seqs := mt.collSeq[class]
-	if seqs[id] == nil {
-		seqs[id] = map[int32]int{}
+	sc := mt.scopes[key]
+	if sc == nil {
+		sc = &collScope{key: key, next: make([]int, mt.m.Set.Ranks())}
+		mt.scopes[key] = sc
 	}
-	seq := seqs[id][ev.Rank]
-	seqs[id][ev.Rank]++
-	key := scopeKey{class: class, id: id, seq: seq}
-	pc := mt.pending[key]
-	if pc == nil {
-		pc = &pendingColl{kind: ev.Kind, rootRel: ev.Peer, expected: len(members), ranks: map[int32]bool{}}
-		mt.pending[key] = pc
+	seq := sc.next[ev.Rank]
+	sc.next[ev.Rank]++
+	pc := sc.slot(seq)
+	if pc.kind == trace.KindInvalid {
+		*pc = pendingColl{kind: ev.Kind, rootRel: ev.Peer, expected: len(members), events: mt.carve(len(members))}
 	}
 	if pc.kind != ev.Kind {
 		return fmt.Errorf("match: collective mismatch in scope %c%d instance %d: %s at %s vs %s",
-			class, id, seq, ev.Kind, ev.Loc(), pc.kind)
+			key.class, key.id, seq, ev.Kind, ev.Loc(), pc.kind)
 	}
 	if direction(ev.Kind) != DirAll && pc.rootRel != ev.Peer {
 		return fmt.Errorf("match: root mismatch in %s instance %d: rank %d uses root %d, others %d",
 			ev.Kind, seq, ev.Rank, ev.Peer, pc.rootRel)
 	}
-	if pc.ranks[ev.Rank] {
-		return fmt.Errorf("match: rank %d appears twice in %s instance %d on scope %c%d",
-			ev.Rank, ev.Kind, seq, class, id)
-	}
-	pc.ranks[ev.Rank] = true
 	pc.events = append(pc.events, ev.ID())
-	if len(pc.events) == pc.expected {
-		g := Group{Kind: pc.kind, Direction: direction(pc.kind), Events: pc.events}
-		if g.Direction != DirAll {
-			rootWorld := members[pc.rootRel]
-			for _, id := range pc.events {
-				if id.Rank == rootWorld {
-					g.Root = id
-					break
-				}
+	if len(pc.events) != pc.expected {
+		return nil // still open; an instance expecting no ranks never completes
+	}
+	g := Group{Kind: pc.kind, Direction: direction(pc.kind), Events: pc.events}
+	if g.Direction != DirAll {
+		// Rooted collectives are matched on their communicator's scope.
+		ci, err := mt.m.Comm(ev.Comm)
+		if err != nil {
+			return err
+		}
+		rootWorld, err := ci.World(pc.rootRel)
+		if err != nil {
+			return fmt.Errorf("match: %s at %s: %w", ev.Kind, ev.Loc(), err)
+		}
+		for _, id := range pc.events {
+			if id.Rank == rootWorld {
+				g.Root = id
+				break
 			}
 		}
-		mt.out.Groups = append(mt.out.Groups, g)
-		delete(mt.pending, key)
 	}
+	mt.out.Groups = append(mt.out.Groups, g)
+	*pc = pendingColl{}
+	sc.trim()
 	return nil
+}
+
+// slot returns the slot of instance seq, opening the window up to it.
+func (sc *collScope) slot(seq int) *pendingColl {
+	if seq < sc.base {
+		if sc.late == nil {
+			sc.late = map[int]*pendingColl{}
+		}
+		pc := sc.late[seq]
+		if pc == nil {
+			pc = &pendingColl{}
+			sc.late[seq] = pc
+		}
+		return pc
+	}
+	for seq-sc.base >= len(sc.open) {
+		sc.open = append(sc.open, pendingColl{})
+	}
+	return &sc.open[seq-sc.base]
+}
+
+// trim drops the empty slots at the front of the window: every rank that
+// reached one of them has moved past it, so only a rank outside the
+// communicator can come back to it, through late.
+func (sc *collScope) trim() {
+	k := 0
+	for k < len(sc.open) && sc.open[k].kind == trace.KindInvalid {
+		k++
+	}
+	sc.base += k
+	sc.open = sc.open[:copy(sc.open, sc.open[k:])]
+}
+
+// carve returns an empty slice with room for n event ids, cut from the
+// matcher's arena so that groups do not allocate one by one; each chunk
+// of the arena is twice the size of the last.
+func (mt *matcher) carve(n int) []trace.ID {
+	if n > len(mt.ids) {
+		mt.chunk = max(2*mt.chunk, 64, n)
+		mt.ids = make([]trace.ID, mt.chunk)
+	}
+	s := mt.ids[:0:n]
+	mt.ids = mt.ids[n:]
+	return s
 }
 
 func (mt *matcher) chanKeyOf(ev *trace.Event, sendSide bool) (chanKey, error) {
@@ -452,17 +550,26 @@ func (mt *matcher) processWait(ev *trace.Event) error {
 // smallest (rank, seq), so the error does not depend on map order.
 func (mt *matcher) finish() error {
 	var (
-		pkey scopeKey
+		psc  *collScope
+		pseq int
 		pc   *pendingColl
 	)
-	for key, p := range mt.pending {
-		if pc == nil || idLess(p.events[0], pc.events[0]) {
-			pkey, pc = key, p
+	consider := func(sc *collScope, seq int, p *pendingColl) {
+		if p.kind != trace.KindInvalid && (pc == nil || idLess(p.events[0], pc.events[0])) {
+			psc, pseq, pc = sc, seq, p
+		}
+	}
+	for _, sc := range mt.scopes {
+		for i := range sc.open {
+			consider(sc, sc.base+i, &sc.open[i])
+		}
+		for seq, p := range sc.late {
+			consider(sc, seq, p)
 		}
 	}
 	if pc != nil {
 		return fmt.Errorf("match: collective %s on scope %c%d instance %d matched only %d of %d ranks",
-			pc.kind, pkey.class, pkey.id, pkey.seq, len(pc.events), pc.expected)
+			pc.kind, psc.key.class, psc.key.id, pseq, len(pc.events), pc.expected)
 	}
 	if key, q := firstQueued(mt.sendQ); q != nil {
 		ev := mt.m.Set.Get(q[0])

@@ -258,6 +258,29 @@ func TestMatchDetectsIncompleteBarrier(t *testing.T) {
 	}
 }
 
+// TestMatchStrayCollectiveReopensInstance pins the matcher on a rank
+// outside a communicator that logs a collective on it after the members
+// completed their first two instances: the stray event re-opens instance
+// 0, its own first, which then never completes.
+func TestMatchStrayCollectiveReopensInstance(t *testing.T) {
+	b := testutil.NewTraceBuilder(3)
+	for r := int32(0); r < 2; r++ {
+		b.Add(r, trace.Event{Kind: trace.KindCommCreate, Comm: 1, Members: []int32{0, 1}})
+		b.Add(r, trace.Event{Kind: trace.KindBarrier, Comm: 1})
+		b.Add(r, trace.Event{Kind: trace.KindBarrier, Comm: 1})
+	}
+	// Rank 2's stores put its barrier last in the scan.
+	for k := 0; k < 10; k++ {
+		b.Add(2, trace.Event{Kind: trace.KindStore, Addr: 1, Size: 1})
+	}
+	b.Add(2, trace.Event{Kind: trace.KindBarrier, Comm: 1})
+	_, err := Run(build(t, b))
+	const want = "match: collective Barrier on scope c1 instance 0 matched only 1 of 2 ranks"
+	if err == nil || err.Error() != want {
+		t.Errorf("err = %v, want %q", err, want)
+	}
+}
+
 func TestMatchLocksDoNotSynchronize(t *testing.T) {
 	b := testutil.NewTraceBuilder(2)
 	b.WinCreate(1, 0x1000, 64)

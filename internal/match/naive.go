@@ -2,6 +2,7 @@ package match
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/model"
 	"repro/internal/trace"
@@ -50,12 +51,10 @@ func RunNaive(m *model.Model) (*Matches, error) {
 			if !ev.Kind.IsCollective() || consumed[ev.ID()] {
 				continue
 			}
-			class, id, members, err := mt.scopeOf(ev)
+			_, members, err := mt.scopeOf(ev)
 			if err != nil {
 				return nil, err
 			}
-			_ = class
-			_ = id
 			g := Group{Kind: ev.Kind, Direction: direction(ev.Kind)}
 			rootRel := ev.Peer
 			for _, member := range members {
@@ -80,7 +79,15 @@ func RunNaive(m *model.Model) (*Matches, error) {
 				}
 			}
 			if g.Direction != DirAll {
-				rootWorld := members[rootRel]
+				// Rooted collectives are matched on their communicator.
+				ci, err := m.Comm(ev.Comm)
+				if err != nil {
+					return nil, err
+				}
+				rootWorld, err := ci.World(rootRel)
+				if err != nil {
+					return nil, fmt.Errorf("match: %s at %s: %w", ev.Kind, ev.Loc(), err)
+				}
 				for _, gid := range g.Events {
 					if gid.Rank == rootWorld {
 						g.Root = gid
@@ -151,14 +158,117 @@ func RunNaive(m *model.Model) (*Matches, error) {
 		}
 	}
 
-	// PSCW matching reuses the progress-based implementation: the paper's
-	// naive-vs-efficient contrast concerns collectives and point-to-point
-	// scans, which dominate trace volume.
-	eff, err := Run(m)
-	if err != nil {
+	if err := naivePSCW(set, out); err != nil {
 		return nil, err
 	}
-	out.PostStart = eff.PostStart
-	out.CompleteWait = eff.CompleteWait
 	return out, nil
+}
+
+// naivePSCW matches PSCW calls the way RunNaive matches the rest, scanning
+// the peer's trace from the beginning for every call: each Win_post is
+// paired, for every origin it names, with the origin's first Win_start on
+// the window that names the post's rank and is not yet paired with that
+// rank; each Win_complete is paired, for every target its Win_start
+// named, with the target's first Win_wait on the window whose Win_post
+// named the complete's rank and that is not yet paired with that rank.
+func naivePSCW(set *trace.Set, out *Matches) error {
+	type use struct {
+		id   trace.ID
+		peer int32
+	}
+	used := map[use]bool{}
+	// opening returns the call of kind open that the closing call ev
+	// (Win_complete or Win_wait) closes: the k-th closing call on a window
+	// at a rank closes the k-th opening call on it there.
+	opening := func(ev *trace.Event, open trace.Kind) *trace.Event {
+		events := set.Traces[ev.Rank].Events
+		k := 0
+		for i := int64(0); i < ev.Seq; i++ {
+			if events[i].Kind == ev.Kind && events[i].Win == ev.Win {
+				k++
+			}
+		}
+		for i := range events {
+			if e := &events[i]; e.Kind == open && e.Win == ev.Win {
+				if k == 0 {
+					return e
+				}
+				k--
+			}
+		}
+		return nil
+	}
+	// group returns the ranks a Win_start or Win_wait synchronizes with.
+	group := func(ev *trace.Event) []int32 {
+		if ev.Kind == trace.KindWinWait {
+			if post := opening(ev, trace.KindWinPost); post != nil {
+				return post.Members
+			}
+			return nil
+		}
+		return ev.Members
+	}
+	// take pairs rank's first unused Win_start or Win_wait (kind) on win
+	// whose group names peer with peer.
+	take := func(rank int32, kind trace.Kind, win, peer int32) (trace.ID, bool) {
+		if rank < 0 || int(rank) >= set.Ranks() {
+			return trace.ID{}, false
+		}
+		for i := range set.Traces[rank].Events {
+			cand := &set.Traces[rank].Events[i]
+			if cand.Kind != kind || cand.Win != win || used[use{cand.ID(), peer}] ||
+				!slices.Contains(group(cand), peer) {
+				continue
+			}
+			used[use{cand.ID(), peer}] = true
+			return cand.ID(), true
+		}
+		return trace.ID{}, false
+	}
+	for r := range set.Traces {
+		for i := range set.Traces[r].Events {
+			ev := &set.Traces[r].Events[i]
+			switch ev.Kind {
+			case trace.KindWinPost:
+				for _, origin := range ev.Members {
+					start, ok := take(origin, trace.KindWinStart, ev.Win, ev.Rank)
+					if !ok {
+						return fmt.Errorf("match: Win_post at %s has no Win_start at rank %d", ev.Loc(), origin)
+					}
+					out.PostStart = append(out.PostStart, Pair{From: ev.ID(), To: start})
+				}
+			case trace.KindWinComplete:
+				start := opening(ev, trace.KindWinStart)
+				if start == nil {
+					return fmt.Errorf("match: Win_complete at %s without an open access epoch", ev.Loc())
+				}
+				for _, target := range start.Members {
+					wait, ok := take(target, trace.KindWinWait, ev.Win, ev.Rank)
+					if !ok {
+						return fmt.Errorf("match: Win_complete at %s has no Win_wait at rank %d", ev.Loc(), target)
+					}
+					out.CompleteWait = append(out.CompleteWait, Pair{From: ev.ID(), To: wait})
+				}
+			}
+		}
+	}
+	// Every Win_start and Win_wait must be paired with each rank of its
+	// group.
+	for r := range set.Traces {
+		for i := range set.Traces[r].Events {
+			ev := &set.Traces[r].Events[i]
+			if ev.Kind != trace.KindWinStart && ev.Kind != trace.KindWinWait {
+				continue
+			}
+			if ev.Kind == trace.KindWinWait && opening(ev, trace.KindWinPost) == nil {
+				return fmt.Errorf("match: Win_wait at %s without an open exposure epoch", ev.Loc())
+			}
+			for _, peer := range group(ev) {
+				if !used[use{ev.ID(), peer}] {
+					return fmt.Errorf("match: %s at %s unmatched for rank %d", ev.Kind, ev.Loc(), peer)
+				}
+			}
+		}
+	}
+	return nil
 }

@@ -1,6 +1,7 @@
 package match
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -11,8 +12,9 @@ import (
 	"repro/internal/trace"
 )
 
-// canonical renders matches order-independently for comparison.
-func canonical(ms *Matches) ([]string, []Pair) {
+// canonical renders matches order-independently for comparison: the
+// groups as strings, then the P2P, PostStart and CompleteWait pairs.
+func canonical(ms *Matches) ([]string, [3][]Pair) {
 	var groups []string
 	for _, g := range ms.Groups {
 		evs := append([]trace.ID(nil), g.Events...)
@@ -24,13 +26,17 @@ func canonical(ms *Matches) ([]string, []Pair) {
 		groups = append(groups, s)
 	}
 	sort.Strings(groups)
-	pairs := append([]Pair(nil), ms.P2P...)
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].From != pairs[j].From {
-			return less(pairs[i].From, pairs[j].From)
-		}
-		return less(pairs[i].To, pairs[j].To)
-	})
+	var pairs [3][]Pair
+	for i, list := range [3][]Pair{ms.P2P, ms.PostStart, ms.CompleteWait} {
+		ps := append([]Pair(nil), list...)
+		sort.Slice(ps, func(i, j int) bool {
+			if ps[i].From != ps[j].From {
+				return less(ps[i].From, ps[j].From)
+			}
+			return less(ps[i].To, ps[j].To)
+		})
+		pairs[i] = ps
+	}
 	return groups, pairs
 }
 
@@ -82,28 +88,53 @@ func randomTrace(seed int64, ranks int) *testutil.TraceBuilder {
 	return b
 }
 
+// TestNaiveMatchesEfficient checks that the naive matcher and Algorithm
+// 1's agree on every random trace and on the trace of every bundled bug
+// case, buggy and fixed.
 func TestNaiveMatchesEfficient(t *testing.T) {
+	type input struct {
+		name string
+		set  *trace.Set
+	}
+	var inputs []input
 	for seed := int64(0); seed < 10; seed++ {
-		m, err := model.Build(randomTrace(seed, 4).Set())
+		inputs = append(inputs, input{fmt.Sprintf("seed %d", seed), randomTrace(seed, 4).Set()})
+	}
+	cases, err := testutil.CaseTraces(1, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cases {
+		inputs = append(inputs, input{c.Name, c.Set})
+	}
+	pscw := 0
+	for _, in := range inputs {
+		m, err := model.Build(in.set)
 		if err != nil {
 			t.Fatal(err)
 		}
 		eff, err := Run(m)
 		if err != nil {
-			t.Fatalf("seed %d: efficient: %v", seed, err)
+			t.Fatalf("%s: efficient: %v", in.name, err)
 		}
 		naive, err := RunNaive(m)
 		if err != nil {
-			t.Fatalf("seed %d: naive: %v", seed, err)
+			t.Fatalf("%s: naive: %v", in.name, err)
 		}
 		eg, ep := canonical(eff)
 		ng, np := canonical(naive)
 		if !reflect.DeepEqual(eg, ng) {
-			t.Errorf("seed %d: groups differ\neff:   %v\nnaive: %v", seed, eg, ng)
+			t.Errorf("%s: groups differ\neff:   %v\nnaive: %v", in.name, eg, ng)
 		}
-		if !reflect.DeepEqual(ep, np) {
-			t.Errorf("seed %d: p2p differ\neff:   %v\nnaive: %v", seed, ep, np)
+		for i, list := range []string{"p2p", "post-start", "complete-wait"} {
+			if !reflect.DeepEqual(ep[i], np[i]) {
+				t.Errorf("%s: %s pairs differ\neff:   %v\nnaive: %v", in.name, list, ep[i], np[i])
+			}
 		}
+		pscw += len(eff.PostStart) + len(eff.CompleteWait)
+	}
+	if pscw == 0 {
+		t.Error("no input has PSCW pairs")
 	}
 }
 

@@ -1124,24 +1124,35 @@ func dumpCmd(args []string) error {
 	if *traceDir == "" {
 		return fmt.Errorf("-trace is required")
 	}
+	if *format != "text" && *format != "jsonl" {
+		return fmt.Errorf("-format must be text or jsonl, not %q", *format)
+	}
 	set, err := trace.ReadDir(*traceDir)
 	if err != nil {
 		return err
 	}
-	if *format == "jsonl" {
-		return trace.WriteJSONL(os.Stdout, set)
-	}
+	var shown trace.Set // the selected ranks, each cut to the limit
 	for _, t := range set.Traces {
 		if *rank >= 0 && int(t.Rank) != *rank {
 			continue
 		}
-		fmt.Printf("--- rank %d: %d events ---\n", t.Rank, len(t.Events))
+		n := len(t.Events)
+		if *limit > 0 {
+			n = min(n, *limit)
+		}
+		shown.Traces = append(shown.Traces, &trace.Trace{Rank: t.Rank, Events: t.Events[:n]})
+	}
+	if *format == "jsonl" {
+		return trace.WriteJSONL(os.Stdout, &shown)
+	}
+	for _, t := range shown.Traces {
+		total := len(set.Traces[t.Rank].Events)
+		fmt.Printf("--- rank %d: %d events ---\n", t.Rank, total)
 		for i := range t.Events {
-			if *limit > 0 && i >= *limit {
-				fmt.Printf("... %d more\n", len(t.Events)-i)
-				break
-			}
 			fmt.Println(t.Events[i].String())
+		}
+		if len(t.Events) < total {
+			fmt.Printf("... %d more\n", total-len(t.Events))
 		}
 	}
 	return nil

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -41,12 +42,9 @@ func TestListApps(t *testing.T) {
 func writeDemoTrace(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
-	sink, err := trace.NewFileSink(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sink := trace.NewMemorySink()
 	pr := profiler.New(sink, nil)
-	err = mpi.Run(2, mpi.Options{Hook: pr}, func(p *mpi.Proc) error {
+	err := mpi.Run(2, mpi.Options{Hook: pr}, func(p *mpi.Proc) error {
 		win := p.Alloc(16, "w")
 		w := p.WinCreate(win, 1, p.CommWorld())
 		w.Fence(mpi.AssertNone)
@@ -57,7 +55,7 @@ func writeDemoTrace(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sink.Close(); err != nil {
+	if err := trace.WriteDir(dir, sink.Set()); err != nil {
 		t.Fatal(err)
 	}
 	return dir
@@ -334,21 +332,46 @@ func TestAnalyzeCmdSalvageFallback(t *testing.T) {
 
 func TestDumpCmd(t *testing.T) {
 	dir := writeDemoTrace(t)
-	// Redirect stdout noise away from the test log.
-	old := os.Stdout
-	null, _ := os.Open(os.DevNull)
-	devnull, _ := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
-	os.Stdout = devnull
-	defer func() { os.Stdout = old; null.Close(); devnull.Close() }()
-
-	if err := dumpCmd([]string{"-trace", dir}); err != nil {
+	set, err := trace.ReadDir(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dumpCmd([]string{"-trace", dir, "-rank", "1", "-limit", "2"}); err != nil {
-		t.Fatal(err)
+	dump := func(args ...string) string {
+		t.Helper()
+		return captureStdout(t, func() error { return dumpCmd(append([]string{"-trace", dir}, args...)) })
 	}
-	if err := dumpCmd([]string{"-trace", dir, "-format", "jsonl"}); err != nil {
-		t.Fatal(err)
+	// jsonl parses back to the selected events: every rank, or rank 1's
+	// first two.
+	jsonl := func(args ...string) *trace.Set {
+		t.Helper()
+		got, err := trace.ReadJSONL(strings.NewReader(dump(append(args, "-format", "jsonl")...)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	if got := jsonl(); got.TotalEvents() != set.TotalEvents() || got.Ranks() != set.Ranks() {
+		t.Errorf("jsonl dump holds %d events of %d ranks, want %d of %d",
+			got.TotalEvents(), got.Ranks(), set.TotalEvents(), set.Ranks())
+	}
+	if got := jsonl("-rank", "1", "-limit", "2"); got.TotalEvents() != 2 || len(got.Traces[1].Events) != 2 {
+		t.Errorf("jsonl dump of rank 1 limited to 2 holds %d events, %d of rank 1",
+			got.TotalEvents(), len(got.Traces[got.Ranks()-1].Events))
+	}
+	out := dump()
+	for r := range set.Traces {
+		if head := fmt.Sprintf("--- rank %d: %d events ---", r, len(set.Traces[r].Events)); !strings.Contains(out, head) {
+			t.Errorf("text dump lacks %q:\n%s", head, out)
+		}
+	}
+	lines := strings.Split(strings.TrimSpace(dump("-rank", "1", "-limit", "2")), "\n")
+	more := fmt.Sprintf("... %d more", len(set.Traces[1].Events)-2)
+	if len(lines) != 4 || !strings.HasPrefix(lines[0], "--- rank 1: ") || lines[3] != more {
+		t.Errorf("text dump of rank 1 limited to 2: want a header, 2 events and %q, got:\n%s",
+			more, strings.Join(lines, "\n"))
+	}
+	if err := dumpCmd([]string{"-trace", dir, "-format", "json"}); err == nil {
+		t.Error("unknown -format must error")
 	}
 	if err := dumpCmd([]string{}); err == nil {
 		t.Error("missing -trace must error")

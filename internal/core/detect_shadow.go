@@ -64,7 +64,7 @@ type localRuleKey struct {
 // crossKey is a cross-process violation's dedup identity over interned
 // IDs: the unordered operand pair (lower ID first), the rule and the
 // window. Operands and rules are interned by their rendered text, so two
-// crossKeys are equal exactly when the violations' key() strings are.
+// crossKeys are equal exactly when the violations' Key() strings are.
 type crossKey struct {
 	opLo, opHi, rule, win int32
 }
@@ -212,7 +212,7 @@ func (t *shadowTables) report(col *collector, k crossKey, rg dag.Region, aEpoch,
 	if col.fold == nil {
 		col.fold = map[crossKey]*Violation{}
 	}
-	col.fold[k] = col.vindex[v.key()]
+	col.fold[k] = col.vindex[v.Key()]
 }
 
 func (t *shadowTables) checkRegion(rg dag.Region, col *collector) error {

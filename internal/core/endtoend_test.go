@@ -137,12 +137,9 @@ func TestEndToEndOrderedBySendRecv(t *testing.T) {
 func TestEndToEndTraceFilesRoundTrip(t *testing.T) {
 	// Write traces to disk, read them back, analyze: the offline workflow.
 	dir := t.TempDir()
-	sink, err := trace.NewFileSink(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sink := trace.NewMemorySink()
 	pr := profiler.New(sink, nil)
-	err = mpi.Run(2, mpi.Options{Hook: pr}, func(p *mpi.Proc) error {
+	err := mpi.Run(2, mpi.Options{Hook: pr}, func(p *mpi.Proc) error {
 		win := p.Alloc(64, "win")
 		w := p.WinCreate(win, 1, p.CommWorld())
 		w.Fence(mpi.AssertNone)
@@ -158,7 +155,7 @@ func TestEndToEndTraceFilesRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sink.Close(); err != nil {
+	if err := trace.WriteDir(dir, sink.Set()); err != nil {
 		t.Fatal(err)
 	}
 	set, err := trace.ReadDir(dir)

@@ -68,7 +68,7 @@ type Violation struct {
 	// ordered synchronization and epoch events showing why the pair is
 	// unordered (see witness.go). It describes the first recorded
 	// instance of the violation; folded duplicates share it. Excluded
-	// from key() and Signature().
+	// from Key() and Signature().
 	Witness []WitnessStep
 
 	// witnessFn lazily builds Witness: detectors attach a closure so the
@@ -78,15 +78,16 @@ type Violation struct {
 
 	// Cached identity strings. Both are pure functions of fields fixed at
 	// construction (never of Count), so they are computed once on first
-	// use — key() and Signature() sit on the dedup and sort hot paths and
+	// use — Key() and Signature() sit on the dedup and sort hot paths and
 	// used to burn six fmt.Sprintf calls per invocation.
 	dedupKey string
 	sig      string
 }
 
-// key identifies a violation for deduplication: the same pair of source
-// locations conflicting by the same rule is reported once with a count.
-func (v *Violation) key() string {
+// Key identifies a violation for deduplication: the same pair of source
+// locations conflicting by the same rule on the same window is reported
+// once with a count. Online analysis folds its slab reports by it too.
+func (v *Violation) Key() string {
 	if v.dedupKey == "" {
 		a := operandString(&v.A, false)
 		b := operandString(&v.B, false)
@@ -108,7 +109,7 @@ func (v *Violation) key() string {
 }
 
 // presetKey assembles the dedup key from pre-rendered operand strings —
-// byte-identical to what key() would build from the events. The shadow
+// byte-identical to what Key() would build from the events. The shadow
 // engine renders each access site's operand string once (site-interned in
 // its depot) and presets v.dedupKey at construction, keeping the
 // per-violation cost off the hot path. aOp and bOp are operandString
@@ -276,13 +277,13 @@ type Report struct {
 // add records a violation, folding duplicates. The first instance of a
 // key wins, witness included.
 func (r *Report) add(index map[string]*Violation, v *Violation) {
-	if prev, ok := index[v.key()]; ok {
+	if prev, ok := index[v.Key()]; ok {
 		prev.Count++
 		return
 	}
 	v.Count = 1
 	v.resolveWitness()
-	index[v.key()] = v
+	index[v.Key()] = v
 	r.Violations = append(r.Violations, v)
 }
 
@@ -333,7 +334,7 @@ func (r *Report) Sort() {
 		if sa, sb := a.Signature(), b.Signature(); sa != sb {
 			return sa < sb
 		}
-		return a.key() < b.key()
+		return a.Key() < b.Key()
 	})
 }
 

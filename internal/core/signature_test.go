@@ -125,14 +125,14 @@ func TestSignatureMatchesSprintfReference(t *testing.T) {
 		},
 	}
 	for i, v := range cases {
-		if got, want := v.key(), referenceKey(v); got != want {
+		if got, want := v.Key(), referenceKey(v); got != want {
 			t.Errorf("case %d key:\n got %q\nwant %q", i, got, want)
 		}
 		if got, want := v.Signature(), referenceSignature(v); got != want {
 			t.Errorf("case %d signature:\n got %q\nwant %q", i, got, want)
 		}
 		// Cached: a second call returns the same string.
-		if v.Signature() != referenceSignature(v) || v.key() != referenceKey(v) {
+		if v.Signature() != referenceSignature(v) || v.Key() != referenceKey(v) {
 			t.Errorf("case %d: cached value differs from first computation", i)
 		}
 	}
@@ -157,7 +157,7 @@ func BenchmarkViolationKey(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		v := template
-		if v.key() == "" {
+		if v.Key() == "" {
 			b.Fatal("empty key")
 		}
 	}

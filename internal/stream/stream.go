@@ -19,10 +19,10 @@
 // accumulated slab is analyzed with the ordinary offline pipeline and its
 // violations are reported through the callback; at an unclean boundary the
 // slab simply keeps growing (coalescing regions), preserving exact
-// equivalence with offline analysis. Definition events (communicators,
-// datatypes, windows) and a synthetic opening fence per live window are
-// re-injected at the start of each subsequent slab so that the slab is
-// self-contained.
+// equivalence with offline analysis. The definition events
+// (communicators, datatypes, windows) of the slabs already analyzed and a
+// synthetic opening fence per live fenced window are re-injected at the
+// start of each subsequent slab so that the slab is self-contained.
 package stream
 
 import (
@@ -54,7 +54,8 @@ type Checker struct {
 	// Per-rank positions (indexes into pending) of global sync events.
 	globalPos [][]int
 
-	// Definition events seen so far, per rank, in original order.
+	// Definition events of the slabs analyzed so far, per rank, in
+	// original order: each later slab starts with them.
 	defs [][]trace.Event
 
 	// Cleanliness state.
@@ -70,11 +71,12 @@ type Checker struct {
 	reqKind      map[reqID]trace.Kind
 
 	// Window registry for boundary classification and fence synthesis.
+	// fenceSeen and freed, like defs, cover the analyzed slabs only.
 	winComm     map[int32]int32   // win → comm id
 	commSize    map[int32]int     // comm id → member count
 	commMembers map[int32][]int32 // comm id → world ranks (nil for world)
-	fenceSeen   map[int32]bool    // win → a fence has been executed
-	freed       map[int32]bool    // win → freed
+	fenceSeen   map[int32]bool    // win → fenced in an analyzed slab
+	freed       map[int32]bool    // win → freed in an analyzed slab
 
 	slabsAnalyzed int
 	report        *core.Report
@@ -217,21 +219,14 @@ func (c *Checker) track(ev *trace.Event) {
 	case trace.KindCommCreate:
 		c.commSize[ev.Comm] = len(ev.Members)
 		c.commMembers[ev.Comm] = append([]int32(nil), ev.Members...)
-		c.defs[r] = append(c.defs[r], *ev)
-	case trace.KindTypeCreate:
-		c.defs[r] = append(c.defs[r], *ev)
 	case trace.KindWinCreate:
 		c.winComm[ev.Win] = ev.Comm
-		c.defs[r] = append(c.defs[r], *ev)
-	case trace.KindWinFree:
-		c.freed[ev.Win] = true
 	case trace.KindWinFence:
 		key := [2]int32{r, ev.Win}
 		if c.fenceOps[key] > 0 {
 			c.fenceDirty--
 		}
 		c.fenceOps[key] = 0
-		c.fenceSeen[ev.Win] = true
 	case trace.KindWinLock:
 		c.lockDepth[r]++
 	case trace.KindWinUnlock:
@@ -359,54 +354,19 @@ func (c *Checker) maybeAnalyze() {
 	}
 }
 
-// analyzeSlab builds a self-contained trace set from the events up to and
-// including each rank's next boundary, analyzes it, merges violations, and
-// discards the events (keeping the boundary event as the next slab's
-// opening synchronization).
+// analyzeSlab analyzes the events up to and including each rank's next
+// boundary, merges the violations, and discards the events.
 func (c *Checker) analyzeSlab() error {
-	set := trace.NewSet(c.ranks)
-	for r := 0; r < c.ranks; r++ {
-		tr := set.Traces[r]
-		appendEv := func(ev trace.Event) {
-			ev.Rank = int32(r)
-			ev.Seq = int64(len(tr.Events))
-			tr.Events = append(tr.Events, ev)
-		}
-		if c.slabsAnalyzed > 0 {
-			// Re-inject definitions and a synthetic opening fence per live
-			// fenced window.
-			for _, d := range c.defs[r] {
-				if d.Kind == trace.KindWinCreate && c.freed[d.Win] {
-					continue
-				}
-				appendEv(d)
-			}
-			for _, win := range c.liveFencedWins() {
-				if !c.rankInWinComm(r, win) {
-					continue
-				}
-				appendEv(trace.Event{
-					Kind: trace.KindWinFence, Win: win, Comm: c.winComm[win],
-					File: "<stream-carryover>",
-				})
-			}
-		}
+	set := c.cutSlab(func(r int) int { return c.globalPos[r][0] + 1 })
+	for r := range c.globalPos {
+		// Rebase the later boundaries onto the trimmed queue.
 		cut := c.globalPos[r][0] + 1
-		for _, ev := range c.pending[r][:cut] {
-			appendEv(ev)
-		}
-		// Keep everything after the boundary; the boundary event itself
-		// was consumed (its sync effect for the next slab is re-created by
-		// the synthetic fence / definitions, and ordering across the
-		// boundary is implied by slab sequencing).
-		c.pending[r] = append([]trace.Event(nil), c.pending[r][cut:]...)
 		rebased := c.globalPos[r][1:]
 		c.globalPos[r] = make([]int, len(rebased))
 		for i, p := range rebased {
 			c.globalPos[r][i] = p - cut
 		}
 	}
-	c.slabsAnalyzed++
 	c.recountBuffered()
 	c.mSlabs.Inc()
 	c.mSlabEvents.Observe(int64(set.TotalEvents()))
@@ -418,6 +378,60 @@ func (c *Checker) analyzeSlab() error {
 	}
 	c.merge(rep)
 	return nil
+}
+
+// cutSlab removes the first n(r) pending events of each rank r and
+// returns them as a self-contained trace set. After the first slab, each
+// rank's trace starts with the definitions of the earlier slabs and a
+// synthetic opening fence per live fenced window. The boundary event
+// itself is consumed: its sync effect for the next slab is re-created by
+// those, and ordering across the boundary is implied by slab sequencing.
+// What the cut events define, fence or free is then recorded for the
+// slabs after this one.
+func (c *Checker) cutSlab(n func(r int) int) *trace.Set {
+	set := trace.NewSet(c.ranks)
+	cuts := make([][]trace.Event, c.ranks)
+	wins := c.liveFencedWins()
+	for r, tr := range set.Traces {
+		var evs []trace.Event
+		if c.slabsAnalyzed > 0 {
+			for _, d := range c.defs[r] {
+				if d.Kind != trace.KindWinCreate || !c.freed[d.Win] {
+					evs = append(evs, d)
+				}
+			}
+			for _, win := range wins {
+				if c.rankInWinComm(r, win) {
+					evs = append(evs, trace.Event{
+						Kind: trace.KindWinFence, Win: win, Comm: c.winComm[win],
+						File: "<stream-carryover>",
+					})
+				}
+			}
+		}
+		cut := n(r)
+		cuts[r] = c.pending[r][:cut]
+		evs = append(evs, cuts[r]...)
+		for i := range evs {
+			evs[i].Rank, evs[i].Seq = int32(r), int64(i)
+		}
+		tr.Events = evs
+		c.pending[r] = append([]trace.Event(nil), c.pending[r][cut:]...)
+	}
+	for r, evs := range cuts {
+		for i := range evs {
+			switch ev := &evs[i]; ev.Kind {
+			case trace.KindCommCreate, trace.KindTypeCreate, trace.KindWinCreate:
+				c.defs[r] = append(c.defs[r], *ev)
+			case trace.KindWinFence:
+				c.fenceSeen[ev.Win] = true
+			case trace.KindWinFree:
+				c.freed[ev.Win] = true
+			}
+		}
+	}
+	c.slabsAnalyzed++
+	return set
 }
 
 // analyzeSet runs one slab's trace set through the pipeline. In tolerant
@@ -484,7 +498,7 @@ func (c *Checker) merge(rep *core.Report) {
 	c.report.Regions += rep.Regions
 	c.report.EpochsChecked += rep.EpochsChecked
 	for _, v := range rep.Violations {
-		key := violationKey(v)
+		key := v.Key()
 		if prev, ok := c.vindex[key]; ok {
 			prev.Count += v.Count
 			continue
@@ -495,15 +509,6 @@ func (c *Checker) merge(rep *core.Report) {
 			c.onViolation(v)
 		}
 	}
-}
-
-func violationKey(v *core.Violation) string {
-	a := fmt.Sprintf("%s@%s", v.A.Kind, v.A.Loc())
-	b := fmt.Sprintf("%s@%s", v.B.Kind, v.B.Loc())
-	if b < a {
-		a, b = b, a
-	}
-	return a + "|" + b + "|" + v.Rule
 }
 
 // Finish analyzes the remaining tail and returns the cumulative report.
@@ -549,38 +554,10 @@ func (c *Checker) finishLocked() (*core.Report, error) {
 		remaining += len(c.pending[r])
 	}
 	if remaining > 0 {
-		set := trace.NewSet(c.ranks)
-		for r := 0; r < c.ranks; r++ {
-			tr := set.Traces[r]
-			appendEv := func(ev trace.Event) {
-				ev.Rank = int32(r)
-				ev.Seq = int64(len(tr.Events))
-				tr.Events = append(tr.Events, ev)
-			}
-			if c.slabsAnalyzed > 0 {
-				for _, d := range c.defs[r] {
-					if d.Kind == trace.KindWinCreate && c.freed[d.Win] {
-						continue
-					}
-					appendEv(d)
-				}
-				for _, win := range c.liveFencedWins() {
-					if !c.rankInWinComm(r, win) {
-						continue
-					}
-					appendEv(trace.Event{
-						Kind: trace.KindWinFence, Win: win, Comm: c.winComm[win],
-						File: "<stream-carryover>",
-					})
-				}
-			}
-			for _, ev := range c.pending[r] {
-				appendEv(ev)
-			}
-			c.pending[r] = nil
+		set := c.cutSlab(func(r int) int { return len(c.pending[r]) })
+		for r := range c.globalPos {
 			c.globalPos[r] = nil
 		}
-		c.slabsAnalyzed++
 		c.buffered = 0
 		c.mSlabs.Inc()
 		c.mSlabEvents.Observe(int64(set.TotalEvents()))

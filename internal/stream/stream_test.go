@@ -1,11 +1,13 @@
 package stream
 
 import (
+	"maps"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/apps"
 	"repro/internal/core"
+	"repro/internal/memory"
 	"repro/internal/mpi"
 	"repro/internal/obs"
 	"repro/internal/profiler"
@@ -40,20 +42,19 @@ func runBoth(t *testing.T, ranks int, body func(p *mpi.Proc) error) (streamRep, 
 	return streamRep, batchRep, sc.Slabs()
 }
 
-func sameViolations(t *testing.T, a, b *core.Report) {
+// sameViolations fails unless the two reports hold the same violations,
+// compared by the key core folds duplicates by, with the same counts.
+func sameViolations(t *testing.T, stream, batch *core.Report) {
 	t.Helper()
-	if len(a.Violations) != len(b.Violations) {
-		t.Fatalf("stream found %d violations, batch %d:\nstream:\n%s\nbatch:\n%s",
-			len(a.Violations), len(b.Violations), a, b)
-	}
-	seen := map[string]bool{}
-	for _, v := range a.Violations {
-		seen[violationKey(v)] = true
-	}
-	for _, v := range b.Violations {
-		if !seen[violationKey(v)] {
-			t.Errorf("batch violation missing from stream: %v", v)
+	counts := func(rep *core.Report) map[string]int {
+		m := map[string]int{}
+		for _, v := range rep.Violations {
+			m[v.Key()] += v.Count
 		}
+		return m
+	}
+	if s, b := counts(stream), counts(batch); !maps.Equal(s, b) {
+		t.Fatalf("stream and batch violations differ:\nstream:\n%s\nbatch:\n%s", stream, batch)
 	}
 }
 
@@ -76,6 +77,66 @@ func TestStreamMatchesBatchOnBugSuite(t *testing.T) {
 				t.Errorf("stream flagged the fixed variant:\n%s", sf)
 			}
 		})
+	}
+}
+
+// TestStreamMatchesBatchOnAllCases: online analysis reports what offline
+// analysis reports on every bundled program, buggy and fixed, including
+// programs that define windows, datatypes or communicators after their
+// first slab.
+func TestStreamMatchesBatchOnAllCases(t *testing.T) {
+	for _, bc := range apps.AllCases() {
+		ranks := min(bc.Ranks, 8)
+		for _, v := range []struct {
+			name string
+			body func(p *mpi.Proc) error
+		}{{"buggy", bc.Buggy}, {"fixed", bc.Fixed}} {
+			t.Run(bc.Name+"/"+v.name, func(t *testing.T) {
+				s, b, _ := runBoth(t, ranks, v.body)
+				sameViolations(t, s, b)
+			})
+		}
+	}
+}
+
+// twoWindowRace creates two world windows and runs one racy fence epoch
+// on each from the same source lines: rank 0 Puts into rank 1's first
+// word while rank 1 stores to it. The two conflicts differ only in their
+// window.
+func twoWindowRace(p *mpi.Proc) error {
+	var bufs [2]*memory.Buffer
+	var wins [2]*mpi.Win
+	for i := range wins {
+		bufs[i] = p.Alloc(8, "win")
+		wins[i] = p.WinCreate(bufs[i], 1, p.CommWorld())
+	}
+	for i, w := range wins {
+		w.Fence(mpi.AssertNone)
+		if p.Rank() == 0 {
+			src := p.Alloc(8, "src")
+			w.Put(src, 0, 1, mpi.Int64, 1, 0, 1, mpi.Int64)
+		} else {
+			bufs[i].SetInt64(0, 1)
+		}
+		w.Fence(mpi.AssertNone)
+	}
+	for _, w := range wins {
+		w.Free()
+	}
+	return nil
+}
+
+// TestStreamTwoWindows: a window created after the first slab is defined
+// once in the slab that holds it, and conflicts on two windows stay two
+// violations online, as they are offline.
+func TestStreamTwoWindows(t *testing.T) {
+	s, b, slabs := runBoth(t, 2, twoWindowRace)
+	if len(b.Violations) != 2 || b.Violations[0].Win == b.Violations[1].Win {
+		t.Fatalf("batch report: want one violation on each of two windows:\n%s", b)
+	}
+	sameViolations(t, s, b)
+	if slabs < 2 {
+		t.Errorf("slabs = %d; the second window must be created after the first slab", slabs)
 	}
 }
 

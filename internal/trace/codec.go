@@ -27,10 +27,10 @@ import (
 // order; slices/data-maps are length-prefixed. Seq is not stored (it is the
 // record index); Rank is stored once in the header.
 //
-// Version 2 adds the count hint: the expected event count (0 when the
-// writer streams and cannot know it), letting readers preallocate the
-// event slice in one shot. Readers accept both versions; the hint is
-// advisory and clamped, never trusted.
+// Version 2 adds the count hint: the event count, letting readers
+// preallocate the event slice in one shot. EncodeTrace and WriteDir write
+// the exact count; a hint of 0 means unknown. Readers accept both
+// versions; the hint is advisory and clamped, never trusted.
 
 const (
 	codecMagic     = "MCCT"
@@ -46,142 +46,125 @@ const (
 	maxPreallocEvents = 1 << 16
 )
 
-// Writer encodes one rank's events to an io.Writer. Each record is
-// appended to a byte slice the Writer owns and reuses, and the slice goes
-// to the buffered writer once per Emit, so an event whose strings are
-// already interned is encoded without allocating.
-type Writer struct {
-	w       *bufio.Writer
-	rank    int32
-	nextSeq int64
-	strs    map[string]uint64
-	buf     []byte
-	err     error
-}
-
-// NewWriter writes the stream header for rank and returns the Writer.
-// The count hint is written as 0 (unknown): a streaming writer cannot
-// know how many events will follow. Use NewWriterHint when the event
-// count is known up front (whole-trace encoders), so readers can
-// preallocate.
-func NewWriter(w io.Writer, rank int32) (*Writer, error) {
-	return NewWriterHint(w, rank, 0)
-}
-
-// NewWriterHint is NewWriter with an explicit event-count hint in the
-// stream header. events <= 0 writes 0 ("unknown"); the hint is advisory
-// only — emitting more or fewer events than hinted is legal.
-func NewWriterHint(w io.Writer, rank int32, events int) (*Writer, error) {
-	wr := &Writer{w: bufio.NewWriter(w), rank: rank, strs: map[string]uint64{"": 0}}
-	wr.buf = append(wr.buf, codecMagic...)
-	wr.buf = append(wr.buf, codecVersion)
-	wr.buf = binary.AppendVarint(wr.buf, int64(rank))
-	wr.buf = binary.AppendUvarint(wr.buf, uint64(max(events, 0)))
-	if wr.flushRecord(); wr.err != nil {
-		return nil, wr.err
+// EncodeTrace renders one rank's trace in the binary stream format, with
+// the event count in the header so decoders preallocate.
+func EncodeTrace(t *Trace) ([]byte, error) {
+	var buf bytes.Buffer
+	if _, err := encodeTrace(&buf, t); err != nil {
+		return nil, err
 	}
-	return wr, nil
+	return buf.Bytes(), nil
 }
 
-// flushRecord hands the encoded bytes to the buffered writer and empties
-// the slice, keeping its capacity. A write error sticks in w.err.
-func (w *Writer) flushRecord() {
-	_, w.err = w.w.Write(w.buf)
-	w.buf = w.buf[:0]
+// encodeTrace writes t to w as one complete stream: the header with the
+// event count, then each event's new string definitions and its event
+// record, then the end record. Event i must be (t.Rank, i), the rule
+// Set.Validate checks. It returns the number of bytes written.
+func encodeTrace(w io.Writer, t *Trace) (int64, error) {
+	e := encoder{w: bufio.NewWriter(w), strs: map[string]uint64{"": 0}}
+	e.buf = append(e.buf, codecMagic...)
+	e.buf = append(e.buf, codecVersion)
+	e.varint(int64(t.Rank))
+	e.uvarint(uint64(len(t.Events)))
+	for i := range t.Events {
+		ev := &t.Events[i]
+		if ev.Rank != t.Rank || ev.Seq != int64(i) {
+			return e.n, fmt.Errorf("trace: event %v out of order for rank %d writer (want seq %d)",
+				ev.ID(), t.Rank, i)
+		}
+		e.event(ev)
+		if err := e.flush(); err != nil {
+			return e.n, err
+		}
+	}
+	e.buf = append(e.buf, recEnd)
+	if err := e.flush(); err != nil {
+		return e.n, err
+	}
+	return e.n, e.w.Flush()
 }
 
-func (w *Writer) uvarint(v uint64) { w.buf = binary.AppendUvarint(w.buf, v) }
-func (w *Writer) varint(v int64)   { w.buf = binary.AppendVarint(w.buf, v) }
-func (w *Writer) byte1(b byte)     { w.buf = append(w.buf, b) }
+// encoder is encodeTrace's state. Records are appended to buf, which is
+// handed to the buffered writer once per event and reused, so an event
+// whose strings are already interned is encoded without allocating.
+type encoder struct {
+	w    *bufio.Writer
+	n    int64 // bytes handed to w
+	buf  []byte
+	strs map[string]uint64
+}
 
-func (w *Writer) internString(s string) uint64 {
-	if id, ok := w.strs[s]; ok {
+// flush hands the encoded bytes to w and empties buf, keeping its
+// capacity.
+func (e *encoder) flush() error {
+	m, err := e.w.Write(e.buf)
+	e.n += int64(m)
+	e.buf = e.buf[:0]
+	return err
+}
+
+func (e *encoder) uvarint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
+func (e *encoder) varint(v int64)   { e.buf = binary.AppendVarint(e.buf, v) }
+
+// str returns s's string id, appending its definition record the first
+// time s is seen.
+func (e *encoder) str(s string) uint64 {
+	if id, ok := e.strs[s]; ok {
 		return id
 	}
-	id := uint64(len(w.strs))
-	w.strs[s] = id
-	w.byte1(recStrDef)
-	w.uvarint(id)
-	w.uvarint(uint64(len(s)))
-	w.buf = append(w.buf, s...)
+	id := uint64(len(e.strs))
+	e.strs[s] = id
+	e.buf = append(e.buf, recStrDef)
+	e.uvarint(id)
+	e.uvarint(uint64(len(s)))
+	e.buf = append(e.buf, s...)
 	return id
 }
 
-// Emit implements Sink: it appends ev to the stream. The event's Rank must
-// match the writer's rank and Seq must be the next dense sequence number;
-// a zero Seq/Rank event is stamped automatically.
-func (w *Writer) Emit(ev Event) {
-	if w.err != nil {
-		return
-	}
-	if ev.Rank == 0 && ev.Seq == 0 {
-		ev.Rank, ev.Seq = w.rank, w.nextSeq
-	}
-	if ev.Rank != w.rank || ev.Seq != w.nextSeq {
-		w.err = fmt.Errorf("trace: event %v out of order for rank %d writer (want seq %d)",
-			ev.ID(), w.rank, w.nextSeq)
-		return
-	}
-	w.nextSeq++
-
-	fileID := w.internString(ev.File)
-	funcID := w.internString(ev.Func)
-	w.byte1(recEvent)
-	w.byte1(byte(ev.Kind))
-	w.uvarint(fileID)
-	w.uvarint(funcID)
-	w.varint(int64(ev.Line))
-	w.varint(int64(ev.Comm))
-	w.varint(int64(ev.Peer))
-	w.varint(int64(ev.Tag))
-	w.varint(int64(ev.Req))
-	w.varint(int64(ev.Win))
-	w.varint(int64(ev.Target))
-	w.byte1(byte(ev.Lock))
-	w.byte1(byte(ev.AccOp))
-	w.uvarint(ev.OriginAddr)
-	w.varint(int64(ev.OriginType))
-	w.varint(int64(ev.OriginCount))
-	w.uvarint(ev.TargetDisp)
-	w.varint(int64(ev.TargetType))
-	w.varint(int64(ev.TargetCount))
-	w.uvarint(ev.ResultAddr)
-	w.varint(int64(ev.ResultType))
-	w.varint(int64(ev.ResultCount))
-	w.varint(int64(ev.Assert))
-	w.uvarint(ev.Addr)
-	w.uvarint(ev.Size)
-	w.varint(int64(ev.TypeID))
-	w.uvarint(uint64(len(ev.TypeMap.Segments)))
+// event appends ev's event record, preceded by the definitions of its
+// file and function names if they are new. Seq is not stored and Rank is
+// in the header.
+func (e *encoder) event(ev *Event) {
+	fileID := e.str(ev.File)
+	funcID := e.str(ev.Func)
+	e.buf = append(e.buf, recEvent, byte(ev.Kind))
+	e.uvarint(fileID)
+	e.uvarint(funcID)
+	e.varint(int64(ev.Line))
+	e.varint(int64(ev.Comm))
+	e.varint(int64(ev.Peer))
+	e.varint(int64(ev.Tag))
+	e.varint(int64(ev.Req))
+	e.varint(int64(ev.Win))
+	e.varint(int64(ev.Target))
+	e.buf = append(e.buf, byte(ev.Lock), byte(ev.AccOp))
+	e.uvarint(ev.OriginAddr)
+	e.varint(int64(ev.OriginType))
+	e.varint(int64(ev.OriginCount))
+	e.uvarint(ev.TargetDisp)
+	e.varint(int64(ev.TargetType))
+	e.varint(int64(ev.TargetCount))
+	e.uvarint(ev.ResultAddr)
+	e.varint(int64(ev.ResultType))
+	e.varint(int64(ev.ResultCount))
+	e.varint(int64(ev.Assert))
+	e.uvarint(ev.Addr)
+	e.uvarint(ev.Size)
+	e.varint(int64(ev.TypeID))
+	e.uvarint(uint64(len(ev.TypeMap.Segments)))
 	for _, s := range ev.TypeMap.Segments {
-		w.uvarint(s.Disp)
-		w.uvarint(s.Len)
+		e.uvarint(s.Disp)
+		e.uvarint(s.Len)
 	}
-	w.uvarint(ev.TypeMap.Extent)
-	w.uvarint(uint64(len(ev.Members)))
+	e.uvarint(ev.TypeMap.Extent)
+	e.uvarint(uint64(len(ev.Members)))
 	for _, m := range ev.Members {
-		w.varint(int64(m))
+		e.varint(int64(m))
 	}
-	w.uvarint(ev.WinBase)
-	w.uvarint(ev.WinSize)
-	w.uvarint(uint64(ev.DispUnit))
-	w.flushRecord()
+	e.uvarint(ev.WinBase)
+	e.uvarint(ev.WinSize)
+	e.uvarint(uint64(ev.DispUnit))
 }
-
-// Close terminates and flushes the stream.
-func (w *Writer) Close() error {
-	if w.err != nil {
-		return w.err
-	}
-	w.byte1(recEnd)
-	if w.flushRecord(); w.err != nil {
-		return w.err
-	}
-	return w.w.Flush()
-}
-
-// Err returns the first write error, if any.
-func (w *Writer) Err() error { return w.err }
 
 // decoder is the per-read decode context: a cursor over one stream's
 // bytes with a sticky error, the string intern table, and the buffer rank
@@ -325,8 +308,8 @@ func (d *decoder) str() string {
 }
 
 // header parses the stream header: magic, version, rank, and the v2
-// count hint. The hint is 0 for v1 streams and for v2 writers that
-// streamed without knowing their event count.
+// count hint. The hint is 0 for v1 streams and for v2 streams whose
+// writer did not know its event count.
 func (d *decoder) header() (rank int32, hint uint64, err error) {
 	const n = len(codecMagic) + 1
 	if len(d.buf) < n {
@@ -368,8 +351,8 @@ func preallocEvents(t *Trace, hint uint64) {
 	t.Events = make([]Event, 0, hint)
 }
 
-// ReadTrace decodes one rank stream produced by Writer (codec version 1
-// or 2). It fails on any stream that does not end with its end record.
+// ReadTrace decodes one rank stream produced by EncodeTrace or WriteDir
+// (codec version 1 or 2). It fails on any stream that does not end with its end record.
 func ReadTrace(data []byte) (*Trace, error) {
 	d, _ := getDecoder()
 	defer d.release()
@@ -449,7 +432,7 @@ func (d *decoder) strDef() error {
 }
 
 // event decodes one event record into ev, whose Rank and Seq are set, in
-// the field order Emit writes.
+// the field order encoder.event writes.
 func (d *decoder) event(ev *Event) error {
 	kb := d.byte1()
 	if d.err != nil {

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -50,19 +49,12 @@ func sampleEvents(rank int32, n int, rng *rand.Rand) []Event {
 func TestCodecRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	evs := sampleEvents(7, 200, rng)
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf, 7)
+	data, err := EncodeTrace(&Trace{Rank: 7, Events: evs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, ev := range evs {
-		w.Emit(ev)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
 
-	got, err := ReadTrace(buf.Bytes())
+	got, err := ReadTrace(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,29 +82,22 @@ func normalize(ev Event) Event {
 	return ev
 }
 
-func TestCodecAutoStamp(t *testing.T) {
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf, 3)
-	w.Emit(Event{Kind: KindBarrier}) // rank/seq zero: stamped
-	w.Emit(Event{Kind: KindBarrier, Rank: 3, Seq: 1})
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadTrace(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Events[0].Rank != 3 || got.Events[0].Seq != 0 || got.Events[1].Seq != 1 {
-		t.Errorf("stamping wrong: %+v", got.Events[:2])
-	}
-}
-
+// TestCodecRejectsOutOfOrder: event i of a rank's trace must be
+// (rank, i), as Set.Validate requires; the encoder names the first event
+// that is not.
 func TestCodecRejectsOutOfOrder(t *testing.T) {
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf, 0)
-	w.Emit(Event{Kind: KindBarrier, Rank: 0, Seq: 5})
-	if w.Err() == nil {
-		t.Error("expected out-of-order error")
+	tr := &Trace{Rank: 0, Events: []Event{
+		{Kind: KindBarrier, Rank: 0, Seq: 0},
+		{Kind: KindBarrier, Rank: 0, Seq: 5},
+	}}
+	_, err := EncodeTrace(tr)
+	const want = "trace: event {0 5} out of order for rank 0 writer (want seq 1)"
+	if err == nil || err.Error() != want {
+		t.Errorf("EncodeTrace error = %v, want %q", err, want)
+	}
+	tr.Events[1].Seq, tr.Events[1].Rank = 1, 2
+	if _, err := EncodeTrace(tr); err == nil {
+		t.Error("EncodeTrace accepted an event labelled with another rank")
 	}
 }
 
@@ -123,29 +108,30 @@ func TestCodecRejectsGarbage(t *testing.T) {
 	if _, err := ReadTrace([]byte("MCCT\x63\x00\x00")); err == nil {
 		t.Error("expected error for bad version")
 	}
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf, 0)
-	w.Emit(Event{Kind: KindBarrier})
-	_ = w.Close()
-	data := buf.Bytes()
+	data, err := EncodeTrace(&Trace{Events: []Event{{Kind: KindBarrier}}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := ReadTrace(data[:len(data)-3]); err == nil {
 		t.Error("expected error for truncated stream")
 	}
 }
 
 func TestStringInterningSharesTable(t *testing.T) {
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf, 0)
+	tr := &Trace{}
 	for i := 0; i < 100; i++ {
-		w.Emit(Event{Kind: KindLoad, Rank: 0, Seq: int64(i), File: "/very/long/path/to/the/source/file.go", Line: int32(i)})
+		tr.Events = append(tr.Events, Event{Kind: KindLoad, Rank: 0, Seq: int64(i), File: "/very/long/path/to/the/source/file.go", Line: int32(i)})
 	}
-	_ = w.Close()
+	data, err := EncodeTrace(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Each event encodes ~25 mostly-zero varint fields (~30 bytes); without
 	// interning the 38-byte path would add ~38 bytes per event on top.
-	if buf.Len() > 100*40 {
-		t.Errorf("stream is %d bytes; interning appears broken", buf.Len())
+	if len(data) > 100*40 {
+		t.Errorf("stream is %d bytes; interning appears broken", len(data))
 	}
-	got, err := ReadTrace(buf.Bytes())
+	got, err := ReadTrace(data)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package trace
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"io"
 	"math/rand"
 	"testing"
 )
@@ -39,29 +38,22 @@ func TestEncodeTraceGolden(t *testing.T) {
 	}
 }
 
-// TestWriterEmitDoesNotAllocate: once an event's file and function names
-// are interned, Emit encodes it into the writer's reused buffer without
-// allocating.
-func TestWriterEmitDoesNotAllocate(t *testing.T) {
+// TestEncodeEventDoesNotAllocate: once an event's file and function names
+// are interned, the encoder appends its record to the reused buffer
+// without allocating.
+func TestEncodeEventDoesNotAllocate(t *testing.T) {
 	tr := goldenTrace()
-	w, err := NewWriter(io.Discard, tr.Rank)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ev := range tr.Events {
-		w.Emit(ev)
+	e := encoder{strs: map[string]uint64{"": 0}}
+	for i := range tr.Events {
+		e.event(&tr.Events[i])
 	}
 	i := 0
 	allocs := testing.AllocsPerRun(500, func() {
-		ev := tr.Events[i%len(tr.Events)]
-		ev.Rank, ev.Seq = 0, 0 // stamped with the writer's next sequence number
-		w.Emit(ev)
+		e.buf = e.buf[:0]
+		e.event(&tr.Events[i%len(tr.Events)])
 		i++
 	})
-	if err := w.Err(); err != nil {
-		t.Fatal(err)
-	}
 	if allocs != 0 {
-		t.Errorf("Writer.Emit allocates %.2f times per event, want 0", allocs)
+		t.Errorf("encoding an event allocates %.2f times, want 0", allocs)
 	}
 }

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -15,22 +14,20 @@ import (
 func FuzzReadTrace(f *testing.F) {
 	// Seed with valid streams of growing complexity.
 	rng := rand.New(rand.NewSource(42))
+	var largest []byte
 	for _, n := range []int{0, 1, 10, 100} {
-		var buf bytes.Buffer
-		w, err := NewWriter(&buf, 3)
-		if err != nil {
+		var err error
+		if largest, err = EncodeTrace(&Trace{Rank: 3, Events: sampleEvents(3, n, rng)}); err != nil {
 			f.Fatal(err)
 		}
-		for _, ev := range sampleEvents(3, n, rng) {
-			w.Emit(ev)
-		}
-		if err := w.Close(); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
+		f.Add(largest)
 	}
 	f.Add([]byte("MCCT"))
 	f.Add([]byte{})
+	// The largest stream again with the headers of older writers: v1, and
+	// v2 with an unknown (0) event count.
+	f.Add(reheader(f, largest, codecVersionV1, 0))
+	f.Add(reheader(f, largest, codecVersion, 0))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := ReadTrace(data)
@@ -56,22 +53,18 @@ func FuzzReadTrace(f *testing.F) {
 // ReadTrace accepts, salvage must agree exactly and report completeness.
 func FuzzReadTraceSalvage(f *testing.F) {
 	rng := rand.New(rand.NewSource(43))
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf, 3)
+	golden, err := EncodeTrace(&Trace{Rank: 3, Events: sampleEvents(3, 40, rng)})
 	if err != nil {
 		f.Fatal(err)
 	}
-	for _, ev := range sampleEvents(3, 40, rng) {
-		w.Emit(ev)
-	}
-	if err := w.Close(); err != nil {
-		f.Fatal(err)
-	}
-	golden := buf.Bytes()
 	f.Add(golden)
 	for _, cut := range []int{0, 1, 5, len(golden) / 2, len(golden) - 1} {
 		f.Add(golden[:cut])
 	}
+	v1 := reheader(f, golden, codecVersionV1, 0)
+	f.Add(v1)
+	f.Add(v1[:len(v1)/2])
+	f.Add(reheader(f, golden, codecVersion, 0))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, res, err := ReadTraceSalvage(data)
@@ -116,18 +109,10 @@ func FuzzReadTraceSalvage(f *testing.F) {
 func TestSalvageEveryTruncationBoundary(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	evs := sampleEvents(2, 25, rng)
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf, 2)
+	golden, err := EncodeTrace(&Trace{Rank: 2, Events: evs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, ev := range evs {
-		w.Emit(ev)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	golden := buf.Bytes()
 
 	full, res, err := ReadTraceSalvage(golden)
 	if err != nil || !res.Complete || len(full.Events) != len(evs) {
@@ -194,16 +179,11 @@ func FuzzRoundTrip(f *testing.F) {
 			Members:  []int32{member},
 			DispUnit: dispUnit,
 		}
-		var buf bytes.Buffer
-		w, err := NewWriter(&buf, 5)
+		data, err := EncodeTrace(&Trace{Rank: 5, Events: []Event{ev}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		w.Emit(ev)
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		got, err := ReadTrace(buf.Bytes())
+		got, err := ReadTrace(data)
 		if err != nil {
 			t.Fatalf("round trip failed: %v", err)
 		}

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 
@@ -11,8 +10,8 @@ import (
 
 // Observability wrappers around the trace codec: byte and event volumes of
 // encoding and decoding, the "trace volume" axis of the paper's overhead
-// evaluation (§VII-B). Encoding is counted by a thin io wrapper at the
-// file boundary; the readers count what they decode themselves.
+// evaluation (§VII-B). WriteDirObs counts what the encoder reports it
+// wrote; the readers count what they decode themselves.
 
 // codecMetrics resolves the codec's counters from a registry; a nil
 // receiver (nil registry) makes every record call a no-op.
@@ -35,18 +34,6 @@ func newCodecMetrics(reg *obs.Registry) *codecMetrics {
 	}
 }
 
-// countingWriter tallies bytes flowing to the underlying writer.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.n += int64(n)
-	return n, err
-}
-
 // WriteDirObs is WriteDir with codec metrics recorded into reg (events and
 // bytes encoded per rank file). reg may be nil, which is exactly WriteDir.
 func WriteDirObs(dir string, s *Set, reg *obs.Registry) error {
@@ -55,41 +42,23 @@ func WriteDirObs(dir string, s *Set, reg *obs.Registry) error {
 		return err
 	}
 	for _, t := range s.Traces {
-		if err := writeFileObs(filepath.Join(dir, FileName(t.Rank)), t, m); err != nil {
+		f, err := os.Create(filepath.Join(dir, FileName(t.Rank)))
+		if err != nil {
 			return err
+		}
+		n, err := encodeTrace(f, t)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return err
+		}
+		if m != nil {
+			m.encodedEvents.Add(int64(len(t.Events)))
+			m.encodedBytes.Add(n)
 		}
 	}
 	return nil
-}
-
-func writeFileObs(path string, t *Trace, m *codecMetrics) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	var out io.Writer = f
-	var cw *countingWriter
-	if m != nil {
-		cw = &countingWriter{w: f}
-		out = cw
-	}
-	w, err := NewWriterHint(out, t.Rank, len(t.Events))
-	if err != nil {
-		f.Close()
-		return err
-	}
-	for i := range t.Events {
-		w.Emit(t.Events[i])
-	}
-	if err := w.Close(); err != nil {
-		f.Close()
-		return err
-	}
-	if m != nil {
-		m.encodedEvents.Add(int64(len(t.Events)))
-		m.encodedBytes.Add(cw.n)
-	}
-	return f.Close()
 }
 
 // ReadDirWith is ReadDir under sc: the ReadDirSalvage read, failing with

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -221,23 +220,6 @@ func (rs *readSet) finish(what string) (*Set, []string, error) {
 		}
 	}
 	return set, rs.notes, nil
-}
-
-// EncodeTrace renders one rank's trace in the binary stream format, with
-// the event count hinted in the header so decoders preallocate.
-func EncodeTrace(t *Trace) ([]byte, error) {
-	var buf bytes.Buffer
-	w, err := NewWriterHint(&buf, t.Rank, len(t.Events))
-	if err != nil {
-		return nil, err
-	}
-	for i := range t.Events {
-		w.Emit(t.Events[i])
-	}
-	if err := w.Close(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
 }
 
 // ApplyTruncFaults applies a plan's trace-truncation faults to an

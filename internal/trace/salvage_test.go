@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"errors"
+	"io/fs"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -18,18 +20,11 @@ func buildTrace(t *testing.T, rank int32, n int, seed int64) ([]byte, []Event) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	evs := sampleEvents(rank, n, rng)
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf, rank)
+	data, err := EncodeTrace(&Trace{Rank: rank, Events: evs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, ev := range evs {
-		w.Emit(ev)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes(), evs
+	return data, evs
 }
 
 func TestReadDirSalvage(t *testing.T) {
@@ -135,28 +130,18 @@ func TestEncodeTraceRoundTrip(t *testing.T) {
 	}
 }
 
-// A failed write must be visible through FileSink.Err before Close — the
-// run path warns on it instead of silently losing a rank's trace.
-func TestFileSinkErrSurfacesWriteFailure(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "traces")
-	s, err := NewFileSink(dir)
-	if err != nil {
+// TestWriteDirCreateFailure: when a rank file cannot be created, WriteDir
+// returns that error instead of leaving a silently incomplete directory.
+func TestWriteDirCreateFailure(t *testing.T) {
+	dir := t.TempDir()
+	// A directory where rank 1's file should go makes its create fail.
+	if err := os.Mkdir(filepath.Join(dir, FileName(1)), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	s.Emit(Event{Kind: KindBarrier, Rank: 0})
-	if err := s.Err(); err != nil {
-		t.Fatalf("healthy sink reports %v", err)
-	}
-	// Removing the directory makes the next rank's file creation fail.
-	if err := os.RemoveAll(dir); err != nil {
-		t.Fatal(err)
-	}
-	s.Emit(Event{Kind: KindBarrier, Rank: 1})
-	if err := s.Err(); err == nil {
-		t.Fatal("sink swallowed the write failure")
-	}
-	if err := s.Close(); err == nil {
-		t.Fatal("Close must surface the failure too")
+	err := WriteDir(dir, NewSet(2))
+	var perr *fs.PathError
+	if !errors.As(err, &perr) || perr.Op != "open" || filepath.Base(perr.Path) != FileName(1) {
+		t.Fatalf("WriteDir error = %v, want the failed create of %s", err, FileName(1))
 	}
 }
 

@@ -171,38 +171,6 @@ func TestReadDirEmpty(t *testing.T) {
 	}
 }
 
-func TestFileSink(t *testing.T) {
-	dir := t.TempDir()
-	sink, err := NewFileSink(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for r := int32(0); r < 4; r++ {
-		wg.Add(1)
-		go func(r int32) {
-			defer wg.Done()
-			for i := 0; i < 25; i++ {
-				sink.Emit(Event{Kind: KindStore, Rank: r, Seq: int64(i), Addr: uint64(r*1000 + int32(i))})
-			}
-		}(r)
-	}
-	wg.Wait()
-	if err := sink.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s, err := ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Ranks() != 4 || s.TotalEvents() != 100 {
-		t.Fatalf("ranks=%d events=%d", s.Ranks(), s.TotalEvents())
-	}
-	if s.Traces[2].Events[10].Addr != 2010 {
-		t.Error("file sink mangled event order")
-	}
-}
-
 func TestSortedKinds(t *testing.T) {
 	s := NewSet(1)
 	s.Traces[0].Events = []Event{

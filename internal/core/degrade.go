@@ -100,7 +100,7 @@ func globalSyncPositions(set *trace.Set) [][]int {
 		for i := range t.Events {
 			switch ev := &t.Events[i]; ev.Kind {
 			case trace.KindCommCreate:
-				commSize[ev.Comm] = len(ev.Members)
+				commSize[ev.Comm] = len(ev.Members())
 			case trace.KindWinCreate:
 				winComm[ev.Win] = ev.Comm
 			}

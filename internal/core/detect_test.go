@@ -291,8 +291,8 @@ func crossDetectors(t *testing.T, set *trace.Set) map[string]*Report {
 func TestStridedOriginCountedOnce(t *testing.T) {
 	b := testutil.NewTraceBuilder(2)
 	b.WinCreate(1, 0x1000, 64)
-	b.Add(0, loc(trace.Event{Kind: trace.KindTypeCreate, TypeID: trace.TypeUserBase,
-		TypeMap: stridedMap()}, 1))
+	b.Add(0, loc(trace.Event{Kind: trace.KindTypeCreate, Def: &trace.Def{TypeID: trace.TypeUserBase,
+		TypeMap: stridedMap()}}, 1))
 	b.Fence(1)
 	b.Add(0, loc(trace.Event{Kind: trace.KindGet, Win: 1, Target: 1,
 		OriginAddr: 0x1000, OriginType: trace.TypeUserBase, OriginCount: 1,
@@ -512,8 +512,8 @@ func TestRMAOriginAsLocalAccess(t *testing.T) {
 func TestStridedFootprintPrecision(t *testing.T) {
 	// User type 100 on each origin rank: 4 elements of 8 bytes, stride 16.
 	defType := func(b *testutil.TraceBuilder, rank int32) {
-		b.Add(rank, loc(trace.Event{Kind: trace.KindTypeCreate, TypeID: trace.TypeUserBase,
-			TypeMap: stridedMap()}, 1))
+		b.Add(rank, loc(trace.Event{Kind: trace.KindTypeCreate, Def: &trace.Def{TypeID: trace.TypeUserBase,
+			TypeMap: stridedMap()}}, 1))
 	}
 	stridedPut := func(rank int32, disp uint64, line int32) trace.Event {
 		return loc(trace.Event{Kind: trace.KindPut, Win: 1, Target: 2,

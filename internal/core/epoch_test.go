@@ -91,8 +91,8 @@ func TestLockEpochs(t *testing.T) {
 func TestPSCWEpochs(t *testing.T) {
 	b := testutil.NewTraceBuilder(2)
 	b.WinCreate(1, 0x1000, 64)
-	b.Add(0, trace.Event{Kind: trace.KindWinPost, Win: 1, Members: []int32{1}})
-	b.Add(1, trace.Event{Kind: trace.KindWinStart, Win: 1, Members: []int32{0}})
+	b.Add(0, trace.Event{Kind: trace.KindWinPost, Win: 1, Def: &trace.Def{Members: []int32{1}}})
+	b.Add(1, trace.Event{Kind: trace.KindWinStart, Win: 1, Def: &trace.Def{Members: []int32{0}}})
 	p := b.Add(1, put(1, 0))
 	b.Add(1, trace.Event{Kind: trace.KindWinComplete, Win: 1})
 	b.Add(0, trace.Event{Kind: trace.KindWinWait, Win: 1})

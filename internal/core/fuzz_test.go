@@ -127,7 +127,12 @@ func mutate(ev *trace.Event, field uint8, value int32) {
 		for k := range members {
 			members[k] = int32(uint32(value)>>(2+4*k)&15) - 2
 		}
-		ev.Members = members
+		var def trace.Def // a fresh Def: event copies may share ev.Def
+		if ev.Def != nil {
+			def = *ev.Def
+		}
+		def.Members = members
+		ev.Def = &def
 	case 8:
 		ev.OriginCount, ev.TargetCount = small, small
 	case 9:

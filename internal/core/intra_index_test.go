@@ -155,8 +155,8 @@ func TestIntraIndexFlushLocal(t *testing.T) {
 func TestIntraIndexStrided(t *testing.T) {
 	b := testutil.NewTraceBuilder(2)
 	b.WinCreate(1, 0x1000, 256)
-	b.Add(0, loc(trace.Event{Kind: trace.KindTypeCreate, TypeID: trace.TypeUserBase,
-		TypeMap: stridedMap()}, 1)) // 4 blocks of 8 bytes, every 16 bytes
+	b.Add(0, loc(trace.Event{Kind: trace.KindTypeCreate, Def: &trace.Def{TypeID: trace.TypeUserBase,
+		TypeMap: stridedMap()}}, 1)) // 4 blocks of 8 bytes, every 16 bytes
 	strided := func(kind trace.Kind, originType int32, originAddr uint64, targetType int32, disp uint64, line int32) trace.Event {
 		return loc(trace.Event{Kind: kind, Win: 1, Target: 1,
 			OriginAddr: originAddr, OriginType: originType, OriginCount: 1,
@@ -252,7 +252,7 @@ func TestUnsortedDatatypeMapConflicts(t *testing.T) {
 	b := testutil.NewTraceBuilder(2)
 	b.WinCreate(1, 0x1000, 64)
 	for r := int32(0); r < 2; r++ {
-		b.Add(r, loc(trace.Event{Kind: trace.KindTypeCreate, TypeID: trace.TypeUserBase, TypeMap: narrow}, 1))
+		b.Add(r, loc(trace.Event{Kind: trace.KindTypeCreate, Def: &trace.Def{TypeID: trace.TypeUserBase, TypeMap: narrow}}, 1))
 	}
 	b.Fence(1)
 	b.Add(0, loc(trace.Event{Kind: trace.KindGet, Win: 1, Target: 1,

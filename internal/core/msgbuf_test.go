@@ -153,8 +153,8 @@ func TestBcastBufferClass(t *testing.T) {
 	// edge orders the two.
 	b2 := testutil.NewTraceBuilder(3)
 	b2.WinCreate(1, 0x1000, 64)
-	b2.Add(0, trace.Event{Kind: trace.KindCommCreate, Comm: 7, Members: []int32{0, 1}, File: "a.go", Line: 20})
-	b2.Add(1, trace.Event{Kind: trace.KindCommCreate, Comm: 7, Members: []int32{0, 1}, File: "a.go", Line: 20})
+	b2.Add(0, trace.Event{Kind: trace.KindCommCreate, Comm: 7, Def: &trace.Def{Members: []int32{0, 1}}, File: "a.go", Line: 20})
+	b2.Add(1, trace.Event{Kind: trace.KindCommCreate, Comm: 7, Def: &trace.Def{Members: []int32{0, 1}}, File: "a.go", Line: 20})
 	b2.Add(2, trace.Event{Kind: trace.KindWinLock, Win: 1, Target: 1, Lock: trace.LockShared, File: "a.go", Line: 1})
 	b2.Add(2, trace.Event{Kind: trace.KindGet, Win: 1, Target: 1,
 		OriginAddr: 0x600, OriginType: trace.TypeInt32, OriginCount: 1,

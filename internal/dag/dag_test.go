@@ -128,10 +128,10 @@ func TestPSCWEdges(t *testing.T) {
 	b := testutil.NewTraceBuilder(2)
 	b.WinCreate(1, 0x1000, 64)
 	preStore := b.Add(0, trace.Event{Kind: trace.KindStore, Addr: 0x1000, Size: 4})
-	post := b.Add(0, trace.Event{Kind: trace.KindWinPost, Win: 1, Members: []int32{1}})
+	post := b.Add(0, trace.Event{Kind: trace.KindWinPost, Win: 1, Def: &trace.Def{Members: []int32{1}}})
 	wait := b.Add(0, trace.Event{Kind: trace.KindWinWait, Win: 1})
 	postLoad := b.Add(0, trace.Event{Kind: trace.KindLoad, Addr: 0x1000, Size: 4})
-	start := b.Add(1, trace.Event{Kind: trace.KindWinStart, Win: 1, Members: []int32{0}})
+	start := b.Add(1, trace.Event{Kind: trace.KindWinStart, Win: 1, Def: &trace.Def{Members: []int32{0}}})
 	put := b.Add(1, trace.Event{Kind: trace.KindPut, Win: 1, Target: 0,
 		OriginAddr: 0x500, OriginType: trace.TypeInt32, OriginCount: 1,
 		TargetDisp: 0, TargetType: trace.TypeInt32, TargetCount: 1})
@@ -229,8 +229,8 @@ func TestFigure3Regions(t *testing.T) {
 
 func TestSubCommBarrierNotGlobal(t *testing.T) {
 	b := testutil.NewTraceBuilder(3)
-	b.Add(0, trace.Event{Kind: trace.KindCommCreate, Comm: 7, Members: []int32{0, 1}})
-	b.Add(1, trace.Event{Kind: trace.KindCommCreate, Comm: 7, Members: []int32{0, 1}})
+	b.Add(0, trace.Event{Kind: trace.KindCommCreate, Comm: 7, Def: &trace.Def{Members: []int32{0, 1}}})
+	b.Add(1, trace.Event{Kind: trace.KindCommCreate, Comm: 7, Def: &trace.Def{Members: []int32{0, 1}}})
 	b.Add(0, trace.Event{Kind: trace.KindBarrier, Comm: 7})
 	b.Add(1, trace.Event{Kind: trace.KindBarrier, Comm: 7})
 	x := b.Add(2, trace.Event{Kind: trace.KindStore, Addr: 0, Size: 1})

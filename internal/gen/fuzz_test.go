@@ -75,14 +75,23 @@ func FuzzGenerate(f *testing.F) {
 	})
 }
 
-// normalizeEvent maps nil and empty slices to a canonical form, mirroring
-// the codec's own round-trip tests.
+// normalizeEvent maps nil and empty slices, and a Def whose fields are
+// all zero, to the canonical form the decoder produces, mirroring the
+// codec's own round-trip tests.
 func normalizeEvent(ev trace.Event) trace.Event {
-	if len(ev.TypeMap.Segments) == 0 {
-		ev.TypeMap.Segments = nil
+	if ev.Def == nil {
+		return ev
 	}
-	if len(ev.Members) == 0 {
-		ev.Members = nil
+	def := *ev.Def
+	if len(def.TypeMap.Segments) == 0 {
+		def.TypeMap.Segments = nil
+	}
+	if len(def.Members) == 0 {
+		def.Members = nil
+	}
+	ev.Def = &def
+	if reflect.DeepEqual(def, trace.Def{}) {
+		ev.Def = nil
 	}
 	return ev
 }

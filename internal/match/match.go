@@ -313,7 +313,7 @@ func (mt *matcher) scopeOf(ev *trace.Event) (scopeKey, []int32, error) {
 		return scopeKey{'w', ev.Win}, ci.Members, nil
 	case trace.KindCommCreate:
 		// Only the members of the new communicator log this event.
-		return scopeKey{'n', ev.Comm}, ev.Members, nil
+		return scopeKey{'n', ev.Comm}, ev.Members(), nil
 	default:
 		ci, err := mt.m.Comm(ev.Comm)
 		if err != nil {
@@ -464,8 +464,8 @@ func (mt *matcher) processRecvSide(ev *trace.Event) error {
 
 func (mt *matcher) processPost(ev *trace.Event) error {
 	rk := [2]int32{ev.Rank, ev.Win}
-	mt.openPosts[rk] = append(mt.openPosts[rk], ev.Members)
-	for _, origin := range ev.Members {
+	mt.openPosts[rk] = append(mt.openPosts[rk], ev.Members())
+	for _, origin := range ev.Members() {
 		k := [3]int32{ev.Win, ev.Rank, origin}
 		seq := mt.postSeq[k]
 		mt.postSeq[k]++
@@ -482,8 +482,8 @@ func (mt *matcher) processPost(ev *trace.Event) error {
 
 func (mt *matcher) processStart(ev *trace.Event) error {
 	rk := [2]int32{ev.Rank, ev.Win}
-	mt.openStarts[rk] = append(mt.openStarts[rk], ev.Members)
-	for _, target := range ev.Members {
+	mt.openStarts[rk] = append(mt.openStarts[rk], ev.Members())
+	for _, target := range ev.Members() {
 		k := [3]int32{ev.Win, ev.Rank, target}
 		seq := mt.startSeq[k]
 		mt.startSeq[k]++

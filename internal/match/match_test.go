@@ -136,8 +136,8 @@ func TestMatchRootedCollectives(t *testing.T) {
 func TestMatchSubCommCollective(t *testing.T) {
 	b := testutil.NewTraceBuilder(4)
 	// Ranks 1 and 3 create comm 9 and barrier on it; 0 and 2 do nothing.
-	b.Add(1, trace.Event{Kind: trace.KindCommCreate, Comm: 9, Members: []int32{1, 3}})
-	b.Add(3, trace.Event{Kind: trace.KindCommCreate, Comm: 9, Members: []int32{1, 3}})
+	b.Add(1, trace.Event{Kind: trace.KindCommCreate, Comm: 9, Def: &trace.Def{Members: []int32{1, 3}}})
+	b.Add(3, trace.Event{Kind: trace.KindCommCreate, Comm: 9, Def: &trace.Def{Members: []int32{1, 3}}})
 	b.Add(1, trace.Event{Kind: trace.KindBarrier, Comm: 9})
 	b.Add(3, trace.Event{Kind: trace.KindBarrier, Comm: 9})
 	ms, err := Run(build(t, b))
@@ -177,11 +177,11 @@ func TestMatchFencesPerWindow(t *testing.T) {
 func TestMatchPSCW(t *testing.T) {
 	b := testutil.NewTraceBuilder(3)
 	b.WinCreate(1, 0x1000, 64)
-	post := b.Add(0, trace.Event{Kind: trace.KindWinPost, Win: 1, Members: []int32{1, 2}})
+	post := b.Add(0, trace.Event{Kind: trace.KindWinPost, Win: 1, Def: &trace.Def{Members: []int32{1, 2}}})
 	wait := b.Add(0, trace.Event{Kind: trace.KindWinWait, Win: 1})
-	st1 := b.Add(1, trace.Event{Kind: trace.KindWinStart, Win: 1, Members: []int32{0}})
+	st1 := b.Add(1, trace.Event{Kind: trace.KindWinStart, Win: 1, Def: &trace.Def{Members: []int32{0}}})
 	c1 := b.Add(1, trace.Event{Kind: trace.KindWinComplete, Win: 1})
-	st2 := b.Add(2, trace.Event{Kind: trace.KindWinStart, Win: 1, Members: []int32{0}})
+	st2 := b.Add(2, trace.Event{Kind: trace.KindWinStart, Win: 1, Def: &trace.Def{Members: []int32{0}}})
 	c2 := b.Add(2, trace.Event{Kind: trace.KindWinComplete, Win: 1})
 	ms, err := Run(build(t, b))
 	if err != nil {
@@ -265,7 +265,7 @@ func TestMatchDetectsIncompleteBarrier(t *testing.T) {
 func TestMatchStrayCollectiveReopensInstance(t *testing.T) {
 	b := testutil.NewTraceBuilder(3)
 	for r := int32(0); r < 2; r++ {
-		b.Add(r, trace.Event{Kind: trace.KindCommCreate, Comm: 1, Members: []int32{0, 1}})
+		b.Add(r, trace.Event{Kind: trace.KindCommCreate, Comm: 1, Def: &trace.Def{Members: []int32{0, 1}}})
 		b.Add(r, trace.Event{Kind: trace.KindBarrier, Comm: 1})
 		b.Add(r, trace.Event{Kind: trace.KindBarrier, Comm: 1})
 	}

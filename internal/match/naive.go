@@ -202,11 +202,11 @@ func naivePSCW(set *trace.Set, out *Matches) error {
 	group := func(ev *trace.Event) []int32 {
 		if ev.Kind == trace.KindWinWait {
 			if post := opening(ev, trace.KindWinPost); post != nil {
-				return post.Members
+				return post.Members()
 			}
 			return nil
 		}
-		return ev.Members
+		return ev.Members()
 	}
 	// take pairs rank's first unused Win_start or Win_wait (kind) on win
 	// whose group names peer with peer.
@@ -230,7 +230,7 @@ func naivePSCW(set *trace.Set, out *Matches) error {
 			ev := &set.Traces[r].Events[i]
 			switch ev.Kind {
 			case trace.KindWinPost:
-				for _, origin := range ev.Members {
+				for _, origin := range ev.Members() {
 					start, ok := take(origin, trace.KindWinStart, ev.Win, ev.Rank)
 					if !ok {
 						return fmt.Errorf("match: Win_post at %s has no Win_start at rank %d", ev.Loc(), origin)
@@ -242,7 +242,7 @@ func naivePSCW(set *trace.Set, out *Matches) error {
 				if start == nil {
 					return fmt.Errorf("match: Win_complete at %s without an open access epoch", ev.Loc())
 				}
-				for _, target := range start.Members {
+				for _, target := range start.Members() {
 					wait, ok := take(target, trace.KindWinWait, ev.Win, ev.Rank)
 					if !ok {
 						return fmt.Errorf("match: Win_complete at %s has no Win_wait at rank %d", ev.Loc(), target)

@@ -123,12 +123,12 @@ func Build(set *trace.Set) (*Model, error) {
 					return nil, err
 				}
 			case trace.KindTypeCreate:
-				key := typeKey{rank: ev.Rank, id: ev.TypeID}
+				key := typeKey{rank: ev.Rank, id: ev.TypeID()}
 				if _, dup := m.types[key]; dup {
 					return nil, fmt.Errorf("model: rank %d redefines datatype %d at %s",
-						ev.Rank, ev.TypeID, ev.Loc())
+						ev.Rank, ev.TypeID(), ev.Loc())
 				}
-				m.types[key] = ev.TypeMap
+				m.types[key] = ev.TypeMap()
 			}
 		}
 	}
@@ -143,7 +143,7 @@ func (m *Model) indexWindows(defs [][]*trace.Event) {
 	n := 0
 	for _, rankDefs := range defs {
 		for _, ev := range rankDefs {
-			if ev.Kind == trace.KindWinCreate && ev.WinSize > 0 {
+			if ev.Kind == trace.KindWinCreate && ev.WinSize() > 0 {
 				n++
 			}
 		}
@@ -155,10 +155,10 @@ func (m *Model) indexWindows(defs [][]*trace.Event) {
 	for r, rankDefs := range defs {
 		lo := len(spans)
 		for _, ev := range rankDefs {
-			if ev.Kind != trace.KindWinCreate || ev.WinSize == 0 {
+			if ev.Kind != trace.KindWinCreate || ev.WinSize() == 0 {
 				continue
 			}
-			spans = append(spans, winSpan{iv: memory.Iv(ev.WinBase, ev.WinSize), win: len(m.winList)})
+			spans = append(spans, winSpan{iv: memory.Iv(ev.WinBase(), ev.WinSize()), win: len(m.winList)})
 			m.winList = append(m.winList, m.Wins[ev.Win])
 		}
 		rs := spans[lo:len(spans):len(spans)]
@@ -174,17 +174,12 @@ func (m *Model) indexWindows(defs [][]*trace.Event) {
 
 func (m *Model) addComm(ev *trace.Event) error {
 	if existing, ok := m.Comms[ev.Comm]; ok {
-		if len(existing.Members) != len(ev.Members) {
+		if !slices.Equal(existing.Members, ev.Members()) {
 			return fmt.Errorf("model: communicator %d defined with conflicting memberships", ev.Comm)
-		}
-		for i := range existing.Members {
-			if existing.Members[i] != ev.Members[i] {
-				return fmt.Errorf("model: communicator %d defined with conflicting memberships", ev.Comm)
-			}
 		}
 		return nil
 	}
-	m.Comms[ev.Comm] = &CommInfo{ID: ev.Comm, Members: append([]int32(nil), ev.Members...)}
+	m.Comms[ev.Comm] = &CommInfo{ID: ev.Comm, Members: append([]int32(nil), ev.Members()...)}
 	return nil
 }
 
@@ -200,7 +195,7 @@ func (m *Model) addWin(ev *trace.Event) error {
 	if _, dup := wi.Locals[ev.Rank]; dup {
 		return fmt.Errorf("model: rank %d defines window %d twice", ev.Rank, ev.Win)
 	}
-	wi.Locals[ev.Rank] = WinLocal{Base: ev.WinBase, Size: ev.WinSize, DispUnit: ev.DispUnit}
+	wi.Locals[ev.Rank] = WinLocal{Base: ev.WinBase(), Size: ev.WinSize(), DispUnit: ev.DispUnit()}
 	return nil
 }
 

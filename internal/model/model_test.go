@@ -13,11 +13,11 @@ func TestBuildRegistries(t *testing.T) {
 	b := testutil.NewTraceBuilder(3)
 	// Rank 0 creates a derived type; all ranks create window 1; ranks 1,2
 	// form a sub-communicator 5.
-	b.Add(0, trace.Event{Kind: trace.KindTypeCreate, TypeID: trace.TypeUserBase,
-		TypeMap: memory.DataMap{Segments: []memory.Segment{{Disp: 0, Len: 4}, {Disp: 12, Len: 4}}, Extent: 16}})
+	b.Add(0, trace.Event{Kind: trace.KindTypeCreate, Def: &trace.Def{TypeID: trace.TypeUserBase,
+		TypeMap: memory.DataMap{Segments: []memory.Segment{{Disp: 0, Len: 4}, {Disp: 12, Len: 4}}, Extent: 16}}})
 	b.WinCreate(1, 0x1000, 64)
-	b.Add(1, trace.Event{Kind: trace.KindCommCreate, Comm: 5, Members: []int32{1, 2}})
-	b.Add(2, trace.Event{Kind: trace.KindCommCreate, Comm: 5, Members: []int32{1, 2}})
+	b.Add(1, trace.Event{Kind: trace.KindCommCreate, Comm: 5, Def: &trace.Def{Members: []int32{1, 2}}})
+	b.Add(2, trace.Event{Kind: trace.KindCommCreate, Comm: 5, Def: &trace.Def{Members: []int32{1, 2}}})
 
 	m, err := Build(b.Set())
 	if err != nil {
@@ -81,22 +81,22 @@ func TestBuildRegistries(t *testing.T) {
 
 func TestBuildRejectsConflicts(t *testing.T) {
 	b := testutil.NewTraceBuilder(2)
-	b.Add(0, trace.Event{Kind: trace.KindCommCreate, Comm: 5, Members: []int32{0, 1}})
-	b.Add(1, trace.Event{Kind: trace.KindCommCreate, Comm: 5, Members: []int32{1, 0}})
+	b.Add(0, trace.Event{Kind: trace.KindCommCreate, Comm: 5, Def: &trace.Def{Members: []int32{0, 1}}})
+	b.Add(1, trace.Event{Kind: trace.KindCommCreate, Comm: 5, Def: &trace.Def{Members: []int32{1, 0}}})
 	if _, err := Build(b.Set()); err == nil {
 		t.Error("conflicting comm membership must error")
 	}
 
 	b = testutil.NewTraceBuilder(1)
-	b.Add(0, trace.Event{Kind: trace.KindTypeCreate, TypeID: trace.TypeUserBase, TypeMap: memory.Contig(4)})
-	b.Add(0, trace.Event{Kind: trace.KindTypeCreate, TypeID: trace.TypeUserBase, TypeMap: memory.Contig(8)})
+	b.Add(0, trace.Event{Kind: trace.KindTypeCreate, Def: &trace.Def{TypeID: trace.TypeUserBase, TypeMap: memory.Contig(4)}})
+	b.Add(0, trace.Event{Kind: trace.KindTypeCreate, Def: &trace.Def{TypeID: trace.TypeUserBase, TypeMap: memory.Contig(8)}})
 	if _, err := Build(b.Set()); err == nil {
 		t.Error("datatype redefinition must error")
 	}
 
 	b = testutil.NewTraceBuilder(1)
-	b.Add(0, trace.Event{Kind: trace.KindWinCreate, Win: 1, Comm: 0, WinBase: 0, WinSize: 8, DispUnit: 1})
-	b.Add(0, trace.Event{Kind: trace.KindWinCreate, Win: 1, Comm: 0, WinBase: 64, WinSize: 8, DispUnit: 1})
+	b.Add(0, trace.Event{Kind: trace.KindWinCreate, Win: 1, Comm: 0, Def: &trace.Def{WinBase: 0, WinSize: 8, DispUnit: 1}})
+	b.Add(0, trace.Event{Kind: trace.KindWinCreate, Win: 1, Comm: 0, Def: &trace.Def{WinBase: 64, WinSize: 8, DispUnit: 1}})
 	if _, err := Build(b.Set()); err == nil {
 		t.Error("duplicate window definition must error")
 	}

@@ -134,9 +134,9 @@ func (p *Proc) CommCreate(parent *Comm, g *Group) *Comm {
 		return nil
 	}
 	p.emit(trace.Event{
-		Kind:    trace.KindCommCreate,
-		Comm:    nc.id,
-		Members: toInt32s(g.Ranks()),
+		Kind: trace.KindCommCreate,
+		Comm: nc.id,
+		Def:  &trace.Def{Members: toInt32s(g.Ranks())},
 	}, 1)
 	return nc
 }
@@ -150,9 +150,9 @@ func (p *Proc) CommDup(c *Comm) *Comm {
 		})
 	nc := result.(*Comm)
 	p.emit(trace.Event{
-		Kind:    trace.KindCommCreate,
-		Comm:    nc.id,
-		Members: toInt32s(c.group.Ranks()),
+		Kind: trace.KindCommCreate,
+		Comm: nc.id,
+		Def:  &trace.Def{Members: toInt32s(c.group.Ranks())},
 	}, 1)
 	return nc
 }
@@ -200,9 +200,9 @@ func (p *Proc) CommSplit(c *Comm, color, key int) *Comm {
 	}
 	nc := result.(map[int]*Comm)[color]
 	p.emit(trace.Event{
-		Kind:    trace.KindCommCreate,
-		Comm:    nc.id,
-		Members: toInt32s(nc.group.Ranks()),
+		Kind: trace.KindCommCreate,
+		Comm: nc.id,
+		Def:  &trace.Def{Members: toInt32s(nc.group.Ranks())},
 	}, 1)
 	return nc
 }

@@ -43,7 +43,7 @@ func TestCommCreate(t *testing.T) {
 	}
 	// Members logged as world ranks.
 	evs := h.eventsOf(1, trace.KindCommCreate)
-	if len(evs) != 1 || !reflect.DeepEqual(evs[0].Members, []int32{1, 3}) {
+	if len(evs) != 1 || !reflect.DeepEqual(evs[0].Members(), []int32{1, 3}) {
 		t.Errorf("CommCreate events: %v", evs)
 	}
 	// Non-members must not log a comm-create event.

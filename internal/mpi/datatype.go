@@ -52,9 +52,8 @@ func elemSize(elem int32) uint64 {
 func (p *Proc) registerType(dm memory.DataMap, elem int32) *Datatype {
 	d := &Datatype{id: p.allocTypeID(), dm: dm.Normalize(), elem: elem}
 	p.emit(trace.Event{
-		Kind:    trace.KindTypeCreate,
-		TypeID:  d.id,
-		TypeMap: d.dm,
+		Kind: trace.KindTypeCreate,
+		Def:  &trace.Def{TypeID: d.id, TypeMap: d.dm},
 	}, 2)
 	return d
 }

@@ -81,8 +81,8 @@ func TestTypeConstructors(t *testing.T) {
 	if len(evs) != 5 {
 		t.Fatalf("type create events: %d", len(evs))
 	}
-	if evs[0].TypeMap.Size() != 12 {
-		t.Errorf("logged contig map = %v", evs[0].TypeMap)
+	if evs[0].TypeMap().Size() != 12 {
+		t.Errorf("logged contig map = %v", evs[0].TypeMap())
 	}
 }
 

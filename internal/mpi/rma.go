@@ -193,7 +193,7 @@ func (p *Proc) WinCreate(buf *memory.Buffer, dispUnit uint32, c *Comm) *Win {
 	s := result.(*winShared)
 	p.emit(trace.Event{
 		Kind: trace.KindWinCreate, Win: s.id, Comm: c.id,
-		WinBase: buf.Base(), WinSize: buf.Size(), DispUnit: dispUnit,
+		Def: &trace.Def{WinBase: buf.Base(), WinSize: buf.Size(), DispUnit: dispUnit},
 	}, 1)
 	return &Win{
 		p: p, s: s,

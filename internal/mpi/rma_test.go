@@ -361,7 +361,7 @@ func TestWinCreateEventLogged(t *testing.T) {
 	if len(evs) != 1 {
 		t.Fatalf("win create events: %d", len(evs))
 	}
-	if evs[0].WinSize != 128 || evs[0].DispUnit != 4 || evs[0].WinBase == 0 {
+	if evs[0].WinSize() != 128 || evs[0].DispUnit() != 4 || evs[0].WinBase() == 0 {
 		t.Errorf("win create = %+v", evs[0])
 	}
 	if len(h.eventsOf(1, trace.KindWinFree)) != 1 {

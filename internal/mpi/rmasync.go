@@ -93,7 +93,7 @@ func (w *Win) Unlock(target int) {
 func (w *Win) Post(group *Group) {
 	p := w.p
 	rel := w.s.comm.mustMember(p, "Win_post")
-	p.emit(trace.Event{Kind: trace.KindWinPost, Win: w.s.id, Members: toInt32s(group.Ranks())}, 1)
+	p.emit(trace.Event{Kind: trace.KindWinPost, Win: w.s.id, Def: &trace.Def{Members: toInt32s(group.Ranks())}}, 1)
 	w.s.pscwMu.Lock()
 	if _, busy := w.s.posts[rel]; busy {
 		w.s.pscwMu.Unlock()
@@ -115,7 +115,7 @@ func (w *Win) Start(group *Group) {
 	if w.startGroup != nil {
 		p.errorf("Win_start", "access epoch already open")
 	}
-	p.emit(trace.Event{Kind: trace.KindWinStart, Win: w.s.id, Members: toInt32s(group.Ranks())}, 1)
+	p.emit(trace.Event{Kind: trace.KindWinStart, Win: w.s.id, Def: &trace.Def{Members: toInt32s(group.Ranks())}}, 1)
 	release := p.enterBlocked("Win_start")
 	defer release()
 	w.s.pscwMu.Lock()

@@ -23,6 +23,8 @@ package profiler
 import (
 	"fmt"
 	"strconv"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/memory"
 	"repro/internal/mpi"
@@ -63,10 +65,15 @@ type Profiler struct {
 	sink     trace.Sink
 	relevant Relevance // nil = instrument everything
 
-	// seq[r] is rank r's next sequence number; only rank r's goroutine
-	// touches it, so no synchronization is needed. Counters are padded to
-	// cache lines to avoid false sharing between rank goroutines.
-	seq [MaxRanks]paddedCounter
+	// seq indexes each emitting rank's sequence counter by rank, nil for
+	// ranks that have not emitted. The table is published through an
+	// atomic pointer and replaced, under seqMu, when a rank emits for the
+	// first time; the counters themselves never move. Only rank r's
+	// goroutine touches counter r, so counting needs no synchronization.
+	// Each counter is allocated alone and padded to a cache line to avoid
+	// false sharing between rank goroutines.
+	seq   atomic.Pointer[[]*paddedCounter]
+	seqMu sync.Mutex
 
 	// Observability handles (all nil when no registry is attached, making
 	// the disabled path one nil check per event with no allocation).
@@ -116,8 +123,11 @@ func NewObs(sink trace.Sink, relevant Relevance, reg *obs.Registry) *Profiler {
 // snapshots after mpi.Run returns for exact counts.
 func (pr *Profiler) rankEventCounts() []obs.GaugeValue {
 	var out []obs.GaugeValue
-	for r := 0; r < MaxRanks; r++ {
-		if n := pr.seq[r].v; n > 0 {
+	for r, c := range pr.counters() {
+		if c == nil {
+			continue
+		}
+		if n := c.v; n > 0 {
 			out = append(out, obs.GaugeValue{
 				Name:   "mcchecker_profiler_rank_events",
 				Labels: `rank="` + strconv.Itoa(r) + `"`,
@@ -128,11 +138,40 @@ func (pr *Profiler) rankEventCounts() []obs.GaugeValue {
 	return out
 }
 
+// counters returns the current counter table.
+func (pr *Profiler) counters() []*paddedCounter {
+	if t := pr.seq.Load(); t != nil {
+		return *t
+	}
+	return nil
+}
+
+// counter returns rank's sequence counter, adding it on the rank's first
+// event.
 func (pr *Profiler) counter(rank int32) *int64 {
 	if rank < 0 || rank >= MaxRanks {
 		panic(fmt.Sprintf("profiler: rank %d exceeds MaxRanks %d", rank, MaxRanks))
 	}
-	return &pr.seq[rank].v
+	if t := pr.counters(); int(rank) < len(t) && t[rank] != nil {
+		return &t[rank].v
+	}
+	return pr.addCounter(rank)
+}
+
+// addCounter publishes a copy of the table that holds a new counter for
+// rank.
+func (pr *Profiler) addCounter(rank int32) *int64 {
+	pr.seqMu.Lock()
+	defer pr.seqMu.Unlock()
+	old := pr.counters()
+	if int(rank) < len(old) && old[rank] != nil {
+		return &old[rank].v // added while this call waited for the lock
+	}
+	t := make([]*paddedCounter, max(len(old), int(rank)+1))
+	copy(t, old)
+	t[rank] = new(paddedCounter)
+	pr.seq.Store(&t)
+	return &t[rank].v
 }
 
 // MPICall implements mpi.Hook: every MPI call event is logged.

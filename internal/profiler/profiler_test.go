@@ -3,6 +3,7 @@ package profiler
 import (
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/mpi"
@@ -151,6 +152,56 @@ func TestMPICallNoAllocWithoutRegistry(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("MPICall allocates %.1f times per event with nil registry, want 0", allocs)
 	}
+}
+
+// TestCountersOnlyForEmittingRanks: rank goroutines that emit their first
+// events at once each get a dense sequence of their own, the counter table
+// grows only to cover the ranks that emitted, and a rank at MaxRanks still
+// panics.
+func TestCountersOnlyForEmittingRanks(t *testing.T) {
+	sink := trace.NewMemorySink()
+	pr := New(sink, nil)
+	const per = 50
+	ranks := []int32{63, 0, 17, 40, 5} // sparse, highest first
+	var wg sync.WaitGroup
+	for _, r := range ranks {
+		wg.Add(1)
+		go func(r int32) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				pr.MPICall(nil, trace.Event{Kind: trace.KindBarrier, Rank: r})
+			}
+		}(r)
+	}
+	wg.Wait()
+	set := sink.Set()
+	if err := set.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range ranks {
+		if n := len(set.Traces[r].Events); n != per {
+			t.Errorf("rank %d: %d events, want %d", r, n, per)
+		}
+	}
+	table := pr.counters()
+	if len(table) != 64 {
+		t.Errorf("counter table covers %d ranks, want 64", len(table))
+	}
+	added := 0
+	for _, c := range table {
+		if c != nil {
+			added++
+		}
+	}
+	if added != len(ranks) {
+		t.Errorf("%d counters allocated for %d emitting ranks", added, len(ranks))
+	}
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "exceeds MaxRanks") {
+			t.Errorf("rank MaxRanks: recovered %q, want the MaxRanks panic", msg)
+		}
+	}()
+	pr.MPICall(nil, trace.Event{Kind: trace.KindBarrier, Rank: MaxRanks})
 }
 
 func TestObsCountersMatchTrace(t *testing.T) {

@@ -20,9 +20,11 @@
 // violations are reported through the callback; at an unclean boundary the
 // slab simply keeps growing (coalescing regions), preserving exact
 // equivalence with offline analysis. The definition events
-// (communicators, datatypes, windows) of the slabs already analyzed and a
-// synthetic opening fence per live fenced window are re-injected at the
+// (communicators, datatypes, windows) of the slabs already analyzed and
+// each rank's last fence on every live window are re-injected at the
 // start of each subsequent slab so that the slab is self-contained.
+// Reports name events by their trace positions: a slab's violations and
+// witnesses are renumbered from slab positions before they are merged.
 package stream
 
 import (
@@ -70,13 +72,12 @@ type Checker struct {
 	irecvOpen    []int            // posted Irecvs not yet waited, per rank
 	reqKind      map[reqID]trace.Kind
 
-	// Window registry for boundary classification and fence synthesis.
-	// fenceSeen and freed, like defs, cover the analyzed slabs only.
-	winComm     map[int32]int32   // win → comm id
-	commSize    map[int32]int     // comm id → member count
-	commMembers map[int32][]int32 // comm id → world ranks (nil for world)
-	fenceSeen   map[int32]bool    // win → fenced in an analyzed slab
-	freed       map[int32]bool    // win → freed in an analyzed slab
+	// Window registry for boundary classification and fence carryover.
+	// lastFence and freed, like defs, cover the analyzed slabs only.
+	winComm   map[int32]int32          // win → comm id
+	commSize  map[int32]int            // comm id → member count
+	lastFence map[[2]int32]trace.Event // (rank, win) → the rank's last fence on win
+	freed     map[int32]bool           // win → freed in an analyzed slab
 
 	slabsAnalyzed int
 	report        *core.Report
@@ -139,8 +140,7 @@ func New(ranks int, onViolation func(v *core.Violation)) *Checker {
 		reqKind:      map[reqID]trace.Kind{},
 		winComm:      map[int32]int32{},
 		commSize:     map[int32]int{0: ranks},
-		commMembers:  map[int32][]int32{},
-		fenceSeen:    map[int32]bool{},
+		lastFence:    map[[2]int32]trace.Event{},
 		freed:        map[int32]bool{},
 		report:       &core.Report{},
 		vindex:       map[string]*core.Violation{},
@@ -217,8 +217,7 @@ func (c *Checker) track(ev *trace.Event) {
 	r := ev.Rank
 	switch ev.Kind {
 	case trace.KindCommCreate:
-		c.commSize[ev.Comm] = len(ev.Members)
-		c.commMembers[ev.Comm] = append([]int32(nil), ev.Members...)
+		c.commSize[ev.Comm] = len(ev.Members())
 	case trace.KindWinCreate:
 		c.winComm[ev.Win] = ev.Comm
 	case trace.KindWinFence:
@@ -357,7 +356,7 @@ func (c *Checker) maybeAnalyze() {
 // analyzeSlab analyzes the events up to and including each rank's next
 // boundary, merges the violations, and discards the events.
 func (c *Checker) analyzeSlab() error {
-	set := c.cutSlab(func(r int) int { return c.globalPos[r][0] + 1 })
+	set, seqs := c.cutSlab(func(r int) int { return c.globalPos[r][0] + 1 })
 	for r := range c.globalPos {
 		// Rebase the later boundaries onto the trimmed queue.
 		cut := c.globalPos[r][0] + 1
@@ -376,22 +375,24 @@ func (c *Checker) analyzeSlab() error {
 	if err != nil {
 		return fmt.Errorf("stream: slab %d: %w", c.slabsAnalyzed, err)
 	}
-	c.merge(rep)
+	c.merge(rep, seqs)
 	return nil
 }
 
 // cutSlab removes the first n(r) pending events of each rank r and
-// returns them as a self-contained trace set. After the first slab, each
-// rank's trace starts with the definitions of the earlier slabs and a
-// synthetic opening fence per live fenced window. The boundary event
-// itself is consumed: its sync effect for the next slab is re-created by
-// those, and ordering across the boundary is implied by slab sequencing.
-// What the cut events define, fence or free is then recorded for the
-// slabs after this one.
-func (c *Checker) cutSlab(n func(r int) int) *trace.Set {
-	set := trace.NewSet(c.ranks)
+// returns them as a self-contained trace set, with seqs[r][i] the trace
+// position of slab event (r, i). After the first slab, each rank's trace
+// starts with the definitions of the earlier slabs and the rank's last
+// fence on each live window, which re-opens that window's fence epoch.
+// The boundary event itself is consumed: its sync effect for the next
+// slab is re-created by those, and ordering across the boundary is
+// implied by slab sequencing. What the cut events define, fence or free
+// is then recorded for the slabs after this one.
+func (c *Checker) cutSlab(n func(r int) int) (set *trace.Set, seqs [][]int64) {
+	set = trace.NewSet(c.ranks)
+	seqs = make([][]int64, c.ranks)
 	cuts := make([][]trace.Event, c.ranks)
-	wins := c.liveFencedWins()
+	fences := c.liveFences()
 	for r, tr := range set.Traces {
 		var evs []trace.Event
 		if c.slabsAnalyzed > 0 {
@@ -400,19 +401,14 @@ func (c *Checker) cutSlab(n func(r int) int) *trace.Set {
 					evs = append(evs, d)
 				}
 			}
-			for _, win := range wins {
-				if c.rankInWinComm(r, win) {
-					evs = append(evs, trace.Event{
-						Kind: trace.KindWinFence, Win: win, Comm: c.winComm[win],
-						File: "<stream-carryover>",
-					})
-				}
-			}
+			evs = append(evs, fences[r]...)
 		}
 		cut := n(r)
 		cuts[r] = c.pending[r][:cut]
 		evs = append(evs, cuts[r]...)
+		seqs[r] = make([]int64, len(evs))
 		for i := range evs {
+			seqs[r][i] = evs[i].Seq // every event still carries its trace position
 			evs[i].Rank, evs[i].Seq = int32(r), int64(i)
 		}
 		tr.Events = evs
@@ -424,14 +420,14 @@ func (c *Checker) cutSlab(n func(r int) int) *trace.Set {
 			case trace.KindCommCreate, trace.KindTypeCreate, trace.KindWinCreate:
 				c.defs[r] = append(c.defs[r], *ev)
 			case trace.KindWinFence:
-				c.fenceSeen[ev.Win] = true
+				c.lastFence[[2]int32{int32(r), ev.Win}] = *ev
 			case trace.KindWinFree:
 				c.freed[ev.Win] = true
 			}
 		}
 	}
 	c.slabsAnalyzed++
-	return set
+	return set, seqs
 }
 
 // analyzeSet runs one slab's trace set through the pipeline. In tolerant
@@ -462,38 +458,27 @@ func (c *Checker) recountBuffered() {
 	c.buffered = n
 }
 
-// liveFencedWins lists windows that have seen a fence and are not freed,
-// deterministically ordered.
-func (c *Checker) liveFencedWins() []int32 {
-	var wins []int32
-	for win := range c.fenceSeen {
-		if !c.freed[win] {
-			wins = append(wins, win)
+// liveFences returns, per rank, the rank's last fence on each window
+// that is not freed, ordered by window. Only the members of a window's
+// communicator fence it, so only they carry its fence into a slab.
+func (c *Checker) liveFences() [][]trace.Event {
+	out := make([][]trace.Event, c.ranks)
+	for key, ev := range c.lastFence {
+		if !c.freed[key[1]] {
+			out[key[0]] = append(out[key[0]], ev)
 		}
 	}
-	sort.Slice(wins, func(i, j int) bool { return wins[i] < wins[j] })
-	return wins
-}
-
-// rankInWinComm reports whether world rank r belongs to the communicator
-// win was created over, so only member ranks inject its synthetic fence.
-func (c *Checker) rankInWinComm(r int, win int32) bool {
-	comm := c.winComm[win]
-	members, ok := c.commMembers[comm]
-	if !ok {
-		return true // world communicator: every rank is a member
+	for _, evs := range out {
+		sort.Slice(evs, func(i, j int) bool { return evs[i].Win < evs[j].Win })
 	}
-	for _, m := range members {
-		if int(m) == r {
-			return true
-		}
-	}
-	return false
+	return out
 }
 
 // merge folds a slab report into the cumulative one, deduplicating across
-// slabs and firing the callback for new violations.
-func (c *Checker) merge(rep *core.Report) {
+// slabs and firing the callback for new violations. seqs maps the slab's
+// positions to trace positions, as cutSlab returned it: a violation kept
+// names its operands and witness steps by their place in the trace.
+func (c *Checker) merge(rep *core.Report, seqs [][]int64) {
 	c.report.EventsAnalyzed += rep.EventsAnalyzed
 	c.report.Regions += rep.Regions
 	c.report.EpochsChecked += rep.EpochsChecked
@@ -502,6 +487,12 @@ func (c *Checker) merge(rep *core.Report) {
 		if prev, ok := c.vindex[key]; ok {
 			prev.Count += v.Count
 			continue
+		}
+		v.A.Seq = seqs[v.A.Rank][v.A.Seq]
+		v.B.Seq = seqs[v.B.Rank][v.B.Seq]
+		for i := range v.Witness {
+			ev := &v.Witness[i].Ev
+			ev.Seq = seqs[ev.Rank][ev.Seq]
 		}
 		c.vindex[key] = v
 		c.report.Violations = append(c.report.Violations, v)
@@ -554,7 +545,7 @@ func (c *Checker) finishLocked() (*core.Report, error) {
 		remaining += len(c.pending[r])
 	}
 	if remaining > 0 {
-		set := c.cutSlab(func(r int) int { return len(c.pending[r]) })
+		set, seqs := c.cutSlab(func(r int) int { return len(c.pending[r]) })
 		for r := range c.globalPos {
 			c.globalPos[r] = nil
 		}
@@ -565,7 +556,7 @@ func (c *Checker) finishLocked() (*core.Report, error) {
 		if err != nil {
 			return nil, fmt.Errorf("stream: final slab: %w", err)
 		}
-		c.merge(rep)
+		c.merge(rep, seqs)
 	}
 	c.mPeakBuffered.SetMax(int64(c.peakBuffered))
 	c.report.Sort()

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"fmt"
 	"maps"
 	"sync/atomic"
 	"testing"
@@ -96,6 +97,95 @@ func TestStreamMatchesBatchOnAllCases(t *testing.T) {
 				sameViolations(t, s, b)
 			})
 		}
+	}
+}
+
+// teeSink hands every event to each of its sinks.
+type teeSink []trace.Sink
+
+func (t teeSink) Emit(ev trace.Event) {
+	for _, s := range t {
+		s.Emit(ev)
+	}
+}
+
+// runOnline runs body once under the streaming checker and returns its
+// report together with the trace the same run emitted.
+func runOnline(t *testing.T, ranks int, body func(p *mpi.Proc) error) (*core.Report, *trace.Set) {
+	t.Helper()
+	sc := New(ranks, nil)
+	sink := trace.NewMemorySink()
+	if err := mpi.Run(ranks, mpi.Options{Hook: profiler.New(teeSink{sc, sink}, nil)}, body); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := sc.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep, sink.Set()
+}
+
+// TestStreamWitnessNamesTracePositions: on every bundled program, each
+// event an online violation names, its two operands and every witness
+// step, is the trace event at that (rank, seq), with the same kind and
+// source site.
+func TestStreamWitnessNamesTracePositions(t *testing.T) {
+	for _, bc := range apps.AllCases() {
+		for _, v := range []struct {
+			name string
+			body func(p *mpi.Proc) error
+		}{{"buggy", bc.Buggy}, {"fixed", bc.Fixed}} {
+			t.Run(bc.Name+"/"+v.name, func(t *testing.T) {
+				rep, set := runOnline(t, min(bc.Ranks, 8), v.body)
+				for _, viol := range rep.Violations {
+					named := []trace.Event{viol.A, viol.B}
+					for _, st := range viol.Witness {
+						named = append(named, st.Ev)
+					}
+					for _, ev := range named {
+						if ev.Rank < 0 || int(ev.Rank) >= set.Ranks() ||
+							ev.Seq < 0 || ev.Seq >= int64(len(set.Traces[ev.Rank].Events)) {
+							t.Fatalf("%s names (%d, %d), outside the trace", ev.Kind, ev.Rank, ev.Seq)
+						}
+						got := set.Get(ev.ID())
+						if got.Kind != ev.Kind || got.File != ev.File || got.Line != ev.Line || got.Func != ev.Func {
+							t.Errorf("rank %d seq %d: report names %s at %s, trace holds %s at %s",
+								ev.Rank, ev.Seq, ev.Kind, ev.Loc(), got.Kind, got.Loc())
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestStreamWitnessMatchesOffline: the online witness of stride-overlap,
+// whose epoch opens with a fence from an earlier slab, is the offline
+// one, step for step.
+func TestStreamWitnessMatchesOffline(t *testing.T) {
+	var bc apps.BugCase
+	for _, c := range apps.AllCases() {
+		if c.Name == "stride-overlap" {
+			bc = c
+		}
+	}
+	if bc.Buggy == nil {
+		t.Fatal("no stride-overlap case")
+	}
+	online, set := runOnline(t, bc.Ranks, bc.Buggy)
+	offline, err := core.Analyze(set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(online.Violations) != 1 || len(offline.Violations) != 1 {
+		t.Fatalf("want one violation each; online:\n%s\noffline:\n%s", online, offline)
+	}
+	on, off := online.Violations[0], offline.Violations[0]
+	if on.A.ID() != off.A.ID() || on.B.ID() != off.B.ID() {
+		t.Errorf("operands online %v, %v; offline %v, %v", on.A.ID(), on.B.ID(), off.A.ID(), off.B.ID())
+	}
+	if got, want := fmt.Sprint(on.Witness), fmt.Sprint(off.Witness); got != want {
+		t.Errorf("online witness:\n%s\noffline witness:\n%s", got, want)
 	}
 }
 

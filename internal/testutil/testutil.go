@@ -44,7 +44,7 @@ func (b *TraceBuilder) WinCreate(win int32, base, size uint64) {
 	for r := 0; r < b.set.Ranks(); r++ {
 		b.Add(int32(r), trace.Event{
 			Kind: trace.KindWinCreate, Win: win, Comm: 0,
-			WinBase: base, WinSize: size, DispUnit: 1,
+			Def: &trace.Def{WinBase: base, WinSize: size, DispUnit: 1},
 		})
 	}
 }

@@ -150,20 +150,21 @@ func (e *encoder) event(ev *Event) {
 	e.varint(int64(ev.Assert))
 	e.uvarint(ev.Addr)
 	e.uvarint(ev.Size)
-	e.varint(int64(ev.TypeID))
-	e.uvarint(uint64(len(ev.TypeMap.Segments)))
-	for _, s := range ev.TypeMap.Segments {
+	def := ev.def() // zeros when ev has no Def
+	e.varint(int64(def.TypeID))
+	e.uvarint(uint64(len(def.TypeMap.Segments)))
+	for _, s := range def.TypeMap.Segments {
 		e.uvarint(s.Disp)
 		e.uvarint(s.Len)
 	}
-	e.uvarint(ev.TypeMap.Extent)
-	e.uvarint(uint64(len(ev.Members)))
-	for _, m := range ev.Members {
+	e.uvarint(def.TypeMap.Extent)
+	e.uvarint(uint64(len(def.Members)))
+	for _, m := range def.Members {
 		e.varint(int64(m))
 	}
-	e.uvarint(ev.WinBase)
-	e.uvarint(ev.WinSize)
-	e.uvarint(uint64(ev.DispUnit))
+	e.uvarint(def.WinBase)
+	e.uvarint(def.WinSize)
+	e.uvarint(uint64(def.DispUnit))
 }
 
 // decoder is the per-read decode context: a cursor over one stream's
@@ -171,11 +172,13 @@ func (e *encoder) event(ev *Event) {
 // files are read into. It is recycled through decoderPool across reads:
 // without pooling each read pays a fresh intern table and file buffer.
 type decoder struct {
-	buf  []byte // the stream being decoded
-	off  int    // cursor into buf
-	err  error  // first decode error; every read after it returns zero
-	strs []string
-	file bytes.Buffer // a rank file's bytes, reused from file to file
+	buf      []byte // the stream being decoded
+	off      int    // cursor into buf
+	err      error  // first decode error; every read after it returns zero
+	strs     []string
+	defs     []Def        // the read's current block of Defs (see newDef)
+	defsUsed int          // Defs of the block already handed out
+	file     bytes.Buffer // a rank file's bytes, reused from file to file
 }
 
 var decoderPool sync.Pool // of *decoder
@@ -209,7 +212,7 @@ func getDecoder() (d *decoder, hit bool) {
 func (d *decoder) release() {
 	clear(d.strs[1:cap(d.strs)]) // do not pin decoded file/func names beyond this read
 	d.strs = d.strs[:1]
-	d.buf, d.off, d.err = nil, 0, nil
+	d.buf, d.off, d.err, d.defs, d.defsUsed = nil, 0, nil, nil, 0
 	decoderPool.Put(d)
 }
 
@@ -465,33 +468,62 @@ func (d *decoder) event(ev *Event) error {
 	ev.Assert = d.varint32()
 	ev.Addr = d.uvarint()
 	ev.Size = d.uvarint()
-	ev.TypeID = d.varint32()
+	if d.err == nil && bytes.HasPrefix(d.buf[d.off:], noDefTail) {
+		d.off += len(noDefTail)
+		return nil
+	}
+	var def Def
+	def.TypeID = d.varint32()
 
 	nseg := d.uvarint()
 	if nseg > 1<<16 {
 		d.fail(fmt.Errorf("datatype with %d segments too large", nseg))
 	}
 	if nseg > 0 && d.err == nil {
-		ev.TypeMap.Segments = make([]memory.Segment, nseg)
-		for i := range ev.TypeMap.Segments {
-			ev.TypeMap.Segments[i].Disp = d.uvarint()
-			ev.TypeMap.Segments[i].Len = d.uvarint()
+		def.TypeMap.Segments = make([]memory.Segment, nseg)
+		for i := range def.TypeMap.Segments {
+			def.TypeMap.Segments[i].Disp = d.uvarint()
+			def.TypeMap.Segments[i].Len = d.uvarint()
 		}
 	}
-	ev.TypeMap.Extent = d.uvarint()
+	def.TypeMap.Extent = d.uvarint()
 
 	nmem := d.uvarint()
 	if nmem > 1<<20 {
 		d.fail(fmt.Errorf("communicator with %d members too large", nmem))
 	}
 	if nmem > 0 && d.err == nil {
-		ev.Members = make([]int32, nmem)
-		for i := range ev.Members {
-			ev.Members[i] = d.varint32()
+		def.Members = make([]int32, nmem)
+		for i := range def.Members {
+			def.Members[i] = d.varint32()
 		}
 	}
-	ev.WinBase = d.uvarint()
-	ev.WinSize = d.uvarint()
-	ev.DispUnit = uint32(d.uvarint())
+	def.WinBase = d.uvarint()
+	def.WinSize = d.uvarint()
+	def.DispUnit = uint32(d.uvarint())
+	if d.err == nil && !def.isZero() {
+		ev.Def = d.newDef()
+		*ev.Def = def
+	}
 	return d.err
+}
+
+// noDefTail is how the record of an event without a Def ends: its seven
+// definition fields (type id, segment count, extent, member count, window
+// base, size and unit) as zero varints. Nine events in ten end so, and
+// the decoder skips the tail in one comparison.
+var noDefTail = make([]byte, 7)
+
+// newDef returns a zero Def carved from the read's current block of Defs,
+// starting a block twice the size of the last (from 8 up to 512) when it
+// is used up. One allocation per Def would add one for every definition
+// event; blocks cost a handful per read. The streams of one read, such as
+// the rank files of a directory, share its blocks, since their events go
+// into one Set; release ends the read, so no block outlives it.
+func (d *decoder) newDef() *Def {
+	if d.defsUsed == len(d.defs) {
+		d.defs, d.defsUsed = make([]Def, min(max(2*len(d.defs), 8), 512)), 0
+	}
+	d.defsUsed++
+	return &d.defs[d.defsUsed-1]
 }

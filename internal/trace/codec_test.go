@@ -26,20 +26,19 @@ func sampleEvents(rank int32, n int, rng *rand.Rand) []Event {
 			TargetDisp: uint64(rng.Intn(4096)), TargetType: TypeFloat64, TargetCount: int32(rng.Intn(1000)),
 			Assert: int32(rng.Intn(4)), Addr: rng.Uint64() >> 20, Size: uint64(rng.Intn(64)),
 		}
-		if k == KindTypeCreate {
-			ev.TypeID = TypeUserBase + int32(rng.Intn(10))
-			ev.TypeMap = memory.DataMap{
-				Segments: []memory.Segment{{Disp: 0, Len: 4}, {Disp: 12, Len: 4}},
-				Extent:   16,
+		switch k {
+		case KindTypeCreate:
+			ev.Def = &Def{
+				TypeID: TypeUserBase + int32(rng.Intn(10)),
+				TypeMap: memory.DataMap{
+					Segments: []memory.Segment{{Disp: 0, Len: 4}, {Disp: 12, Len: 4}},
+					Extent:   16,
+				},
 			}
-		}
-		if k == KindCommCreate {
-			ev.Members = []int32{0, 2, 5}
-		}
-		if k == KindWinCreate {
-			ev.WinBase = 0x10000
-			ev.WinSize = 8192
-			ev.DispUnit = 8
+		case KindCommCreate:
+			ev.Def = &Def{Members: []int32{0, 2, 5}}
+		case KindWinCreate:
+			ev.Def = &Def{WinBase: 0x10000, WinSize: 8192, DispUnit: 8}
 		}
 		evs[i] = ev
 	}
@@ -71,13 +70,22 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// normalize maps nil and empty slices to a canonical form for comparison.
+// normalize maps nil and empty slices, and a Def whose fields are all
+// zero, to the canonical form the decoder produces, for comparison.
 func normalize(ev Event) Event {
-	if len(ev.TypeMap.Segments) == 0 {
-		ev.TypeMap.Segments = nil
+	if ev.Def == nil {
+		return ev
 	}
-	if len(ev.Members) == 0 {
-		ev.Members = nil
+	def := *ev.Def
+	if len(def.TypeMap.Segments) == 0 {
+		def.TypeMap.Segments = nil
+	}
+	if len(def.Members) == 0 {
+		def.Members = nil
+	}
+	ev.Def = &def
+	if def.isZero() {
+		ev.Def = nil
 	}
 	return ev
 }

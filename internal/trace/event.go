@@ -239,15 +239,41 @@ func (op AccOp) String() string {
 // Event is one logged runtime event. Field use depends on Kind; unused
 // fields are zero. Ranks stored in Peer and Target are relative to Comm,
 // exactly as passed by the application.
+//
+// The fields are ordered pointers first, then by falling alignment, so the
+// struct has no interior padding and the garbage collector scans only its
+// 40-byte pointer prefix. The payloads of the few definition events sit
+// behind Def, which is nil on every other event (TestEventLayout pins
+// both properties).
 type Event struct {
-	Kind Kind
-	Rank int32 // world rank of the logging process
-	Seq  int64 // per-rank sequence number, dense from 0
-
-	// Source location of the call or access in the application.
+	// Source location of the call or access in the application: File,
+	// Func and Line.
 	File string
-	Line int32
 	Func string // routine containing the call site
+
+	// Def holds the payload of a definition event and is nil on every
+	// other event; the decoder also leaves it nil when every payload field
+	// is zero. Copies of an event share it, so it is never written
+	// through: a writer builds a fresh Def. Read it through the nil-safe
+	// accessors (TypeID, TypeMap, Members, WinBase, WinSize, DispUnit).
+	Def *Def
+
+	Seq int64 // per-rank sequence number, dense from 0
+
+	OriginAddr uint64 // simulated address of origin buffer
+	TargetDisp uint64 // displacement into target window, in disp units
+
+	// Result buffer of fetching atomics (Get_accumulate, Fetch_and_op,
+	// Compare_and_swap): written with the target's prior value when the
+	// operation completes. ResultType and ResultCount describe it.
+	ResultAddr uint64
+
+	// Local access fields.
+	Addr uint64
+	Size uint64
+
+	Rank int32 // world rank of the logging process
+	Line int32 // line of the call site in File
 
 	Comm int32 // communicator id (0 = world) for p2p, collectives, comm/win create
 	Peer int32 // dest (send), source (recv), root (rooted collectives)
@@ -257,35 +283,67 @@ type Event struct {
 	// One-sided fields.
 	Win         int32 // window id
 	Target      int32 // comm-relative target rank (RMA comm, lock/unlock)
-	Lock        LockType
-	AccOp       AccOp
-	OriginAddr  uint64 // simulated address of origin buffer
-	OriginType  int32  // datatype id of origin elements
+	OriginType  int32 // datatype id of origin elements
 	OriginCount int32
-	TargetDisp  uint64 // displacement into target window, in disp units
 	TargetType  int32
 	TargetCount int32
 	Assert      int32 // fence assertion (unused by analysis; logged for fidelity)
-
-	// Result buffer of fetching atomics (Get_accumulate, Fetch_and_op,
-	// Compare_and_swap): written with the target's prior value when the
-	// operation completes.
-	ResultAddr  uint64
-	ResultType  int32
+	ResultType  int32 // datatype id of the result buffer's elements
 	ResultCount int32
 
-	// Local access fields.
-	Addr uint64
-	Size uint64
+	Kind  Kind
+	Lock  LockType
+	AccOp AccOp
+}
 
-	// Payloads for definition events.
-	TypeID   int32          // KindTypeCreate: id assigned to the new datatype
+// Def is the payload of a definition event: a datatype, communicator or
+// window definition, or the group of a Win_post or Win_start.
+type Def struct {
 	TypeMap  memory.DataMap // KindTypeCreate
-	Members  []int32        // KindCommCreate: world ranks of the new comm, in rank order
+	Members  []int32        // KindCommCreate: world ranks of the new comm, in rank order; KindWinPost/KindWinStart: the group
 	WinBase  uint64         // KindWinCreate: local window base address
 	WinSize  uint64         // KindWinCreate: local window size in bytes
+	TypeID   int32          // KindTypeCreate: id assigned to the new datatype
 	DispUnit uint32         // KindWinCreate
 }
+
+// isZero reports whether every field of d is zero, in which case an event
+// carries no Def at all.
+func (d *Def) isZero() bool {
+	return d.TypeID == 0 && len(d.TypeMap.Segments) == 0 && d.TypeMap.Extent == 0 &&
+		len(d.Members) == 0 && d.WinBase == 0 && d.WinSize == 0 && d.DispUnit == 0
+}
+
+// noDef stands in for a nil Def: the accessors and the encoder read zero
+// fields from it.
+var noDef Def
+
+// def returns e's definition payload, or a zero one when it has none.
+func (e *Event) def() *Def {
+	if e.Def == nil {
+		return &noDef
+	}
+	return e.Def
+}
+
+// TypeID returns the id a KindTypeCreate event assigns (0 without a Def).
+func (e *Event) TypeID() int32 { return e.def().TypeID }
+
+// TypeMap returns a KindTypeCreate event's data-map (zero without a Def).
+func (e *Event) TypeMap() memory.DataMap { return e.def().TypeMap }
+
+// Members returns the world ranks of a KindCommCreate event's communicator,
+// or the group of a KindWinPost or KindWinStart event (nil without a Def).
+func (e *Event) Members() []int32 { return e.def().Members }
+
+// WinBase returns a KindWinCreate event's local window base address.
+func (e *Event) WinBase() uint64 { return e.def().WinBase }
+
+// WinSize returns a KindWinCreate event's local window size in bytes.
+func (e *Event) WinSize() uint64 { return e.def().WinSize }
+
+// DispUnit returns a KindWinCreate event's displacement unit.
+func (e *Event) DispUnit() uint32 { return e.def().DispUnit }
 
 // Loc returns a compact "file:line" for diagnostics, using only the base
 // name of the file.
@@ -326,13 +384,13 @@ func (e *Event) String() string {
 			e.Rank, e.Seq, e.Kind, e.Comm, e.Peer, e.Tag, e.Loc())
 	case e.Kind == KindCommCreate:
 		return fmt.Sprintf("P%d/%d %s comm=%d members=%v @%s",
-			e.Rank, e.Seq, e.Kind, e.Comm, e.Members, e.Loc())
+			e.Rank, e.Seq, e.Kind, e.Comm, e.Members(), e.Loc())
 	case e.Kind == KindTypeCreate:
 		return fmt.Sprintf("P%d/%d %s type=%d map=%s @%s",
-			e.Rank, e.Seq, e.Kind, e.TypeID, e.TypeMap.String(), e.Loc())
+			e.Rank, e.Seq, e.Kind, e.TypeID(), e.TypeMap().String(), e.Loc())
 	case e.Kind == KindWinCreate:
 		return fmt.Sprintf("P%d/%d %s win=%d comm=%d base=0x%x size=%d unit=%d @%s",
-			e.Rank, e.Seq, e.Kind, e.Win, e.Comm, e.WinBase, e.WinSize, e.DispUnit, e.Loc())
+			e.Rank, e.Seq, e.Kind, e.Win, e.Comm, e.WinBase(), e.WinSize(), e.DispUnit(), e.Loc())
 	default:
 		return fmt.Sprintf("P%d/%d %s comm=%d @%s", e.Rank, e.Seq, e.Kind, e.Comm, e.Loc())
 	}

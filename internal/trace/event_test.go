@@ -1,8 +1,10 @@
 package trace
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func TestKindStrings(t *testing.T) {
@@ -134,4 +136,50 @@ func TestLockAndAccOpStrings(t *testing.T) {
 	if OpSum.String() != "SUM" || OpReplace.String() != "REPLACE" {
 		t.Error("AccOp strings wrong")
 	}
+}
+
+// TestEventLayout pins Event's memory layout on 64-bit hosts: 152 bytes,
+// and every pointer-bearing field ahead of every pointer-free one, so the
+// garbage collector scans only the prefix up to Def. A field that brings
+// back padding, or a scalar placed ahead of the pointers, fails it.
+func TestEventLayout(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the layout is pinned for 64-bit hosts")
+	}
+	if got := unsafe.Sizeof(Event{}); got != 152 {
+		t.Errorf("unsafe.Sizeof(Event{}) = %d, want 152", got)
+	}
+	typ := reflect.TypeOf(Event{})
+	firstFree := ""
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		switch {
+		case !hasPointers(f.Type):
+			if firstFree == "" {
+				firstFree = f.Name
+			}
+		case firstFree != "":
+			t.Errorf("pointer-bearing field %s (offset %d) comes after pointer-free field %s",
+				f.Name, f.Offset, firstFree)
+		}
+	}
+}
+
+// hasPointers reports whether a value of type t holds a pointer the
+// garbage collector must scan.
+func hasPointers(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Pointer, reflect.String, reflect.Slice, reflect.Map, reflect.Chan,
+		reflect.Func, reflect.Interface, reflect.UnsafePointer:
+		return true
+	case reflect.Array:
+		return t.Len() > 0 && hasPointers(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if hasPointers(t.Field(i).Type) {
+				return true
+			}
+		}
+	}
+	return false
 }

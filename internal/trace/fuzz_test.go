@@ -175,9 +175,11 @@ func FuzzRoundTrip(f *testing.F) {
 		ev := Event{
 			Kind: k, Rank: 5, Seq: 0, File: file, Func: fn, Line: line, Comm: comm, Target: target,
 			TargetDisp: uint64(disp), Addr: addr,
-			TypeMap:  memory.DataMap{Segments: []memory.Segment{{Disp: segDisp, Len: segLen}}, Extent: segDisp + segLen},
-			Members:  []int32{member},
-			DispUnit: dispUnit,
+			Def: &Def{
+				TypeMap:  memory.DataMap{Segments: []memory.Segment{{Disp: segDisp, Len: segLen}}, Extent: segDisp + segLen},
+				Members:  []int32{member},
+				DispUnit: dispUnit,
+			},
 		}
 		data, err := EncodeTrace(&Trace{Rank: 5, Events: []Event{ev}})
 		if err != nil {

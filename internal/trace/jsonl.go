@@ -78,8 +78,8 @@ func WriteJSONL(w io.Writer, s *Set) error {
 				TargetDisp: ev.TargetDisp, TargetType: ev.TargetType, TargetCount: ev.TargetCount,
 				ResultAddr: ev.ResultAddr, ResultType: ev.ResultType, ResultCount: ev.ResultCount,
 				Assert: ev.Assert, Addr: ev.Addr, Size: ev.Size,
-				TypeID: ev.TypeID, Members: ev.Members,
-				WinBase: ev.WinBase, WinSize: ev.WinSize, DispUnit: ev.DispUnit,
+				TypeID: ev.TypeID(), Members: ev.Members(),
+				WinBase: ev.WinBase(), WinSize: ev.WinSize(), DispUnit: ev.DispUnit(),
 			}
 			if ev.Lock != LockNone {
 				j.Lock = ev.Lock.String()
@@ -87,11 +87,11 @@ func WriteJSONL(w io.Writer, s *Set) error {
 			if ev.AccOp != OpNone {
 				j.AccOp = ev.AccOp.String()
 			}
-			if len(ev.TypeMap.Segments) > 0 {
-				for _, seg := range ev.TypeMap.Segments {
+			if tm := ev.TypeMap(); len(tm.Segments) > 0 {
+				for _, seg := range tm.Segments {
 					j.TypeMap = append(j.TypeMap, seg.Disp, seg.Len)
 				}
-				j.TypeMap = append(j.TypeMap, ev.TypeMap.Extent)
+				j.TypeMap = append(j.TypeMap, tm.Extent)
 			}
 			if err := enc.Encode(&j); err != nil {
 				return err
@@ -126,8 +126,6 @@ func ReadJSONL(r io.Reader) (*Set, error) {
 			TargetDisp: j.TargetDisp, TargetType: j.TargetType, TargetCount: j.TargetCount,
 			ResultAddr: j.ResultAddr, ResultType: j.ResultType, ResultCount: j.ResultCount,
 			Assert: j.Assert, Addr: j.Addr, Size: j.Size,
-			TypeID: j.TypeID, Members: j.Members,
-			WinBase: j.WinBase, WinSize: j.WinSize, DispUnit: j.DispUnit,
 		}
 		switch j.Lock {
 		case "shared":
@@ -140,15 +138,19 @@ func ReadJSONL(r io.Reader) (*Set, error) {
 				ev.AccOp = AccOp(i)
 			}
 		}
+		def := Def{TypeID: j.TypeID, Members: j.Members, WinBase: j.WinBase, WinSize: j.WinSize, DispUnit: j.DispUnit}
 		if n := len(j.TypeMap); n > 0 {
 			if n%2 != 1 {
 				return nil, fmt.Errorf("trace: jsonl: malformed type_map of %d values", n)
 			}
 			for i := 0; i+1 < n; i += 2 {
-				ev.TypeMap.Segments = append(ev.TypeMap.Segments,
+				def.TypeMap.Segments = append(def.TypeMap.Segments,
 					segmentFrom(j.TypeMap[i], j.TypeMap[i+1]))
 			}
-			ev.TypeMap.Extent = j.TypeMap[n-1]
+			def.TypeMap.Extent = j.TypeMap[n-1]
+		}
+		if !def.isZero() {
+			ev.Def = &def
 		}
 		byRank[ev.Rank] = append(byRank[ev.Rank], ev)
 		if ev.Rank > maxRank {

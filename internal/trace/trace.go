@@ -95,8 +95,12 @@ type Sink interface {
 // for concurrent emission from multiple ranks; each rank's stream has its
 // own lock, so ranks do not contend with each other on the hot path.
 type MemorySink struct {
-	mu     sync.RWMutex // guards the byRank map structure
-	byRank map[int32]*rankStream
+	// streams indexes the rank streams by rank, nil for ranks that have
+	// not emitted. Emit reads the table through the atomic pointer
+	// without locking; a rank's first event replaces the table under mu,
+	// which also serializes Set, TakeSet and Reset with that growth.
+	streams atomic.Pointer[[]*rankStream]
+	mu      sync.Mutex
 }
 
 type rankStream struct {
@@ -106,24 +110,42 @@ type rankStream struct {
 
 // NewMemorySink returns an empty in-memory sink.
 func NewMemorySink() *MemorySink {
-	return &MemorySink{byRank: make(map[int32]*rankStream)}
+	return &MemorySink{}
+}
+
+// table returns the current stream table.
+func (m *MemorySink) table() []*rankStream {
+	if t := m.streams.Load(); t != nil {
+		return *t
+	}
+	return nil
 }
 
 func (m *MemorySink) stream(rank int32) *rankStream {
-	m.mu.RLock()
-	rs, ok := m.byRank[rank]
-	m.mu.RUnlock()
-	if ok {
-		return rs
+	if t := m.table(); rank >= 0 && int(rank) < len(t) && t[rank] != nil {
+		return t[rank]
+	}
+	return m.addStream(rank)
+}
+
+// addStream publishes a copy of the table that holds a new stream for
+// rank, so the table always ends at the highest rank seen. A negative
+// rank panics: no Set can hold it.
+func (m *MemorySink) addStream(rank int32) *rankStream {
+	if rank < 0 {
+		panic(fmt.Sprintf("trace: MemorySink: event from negative rank %d", rank))
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if rs, ok = m.byRank[rank]; ok {
-		return rs
+	old := m.table()
+	if int(rank) < len(old) && old[rank] != nil {
+		return old[rank] // added while this call waited for the lock
 	}
-	rs = &rankStream{}
-	m.byRank[rank] = rs
-	return rs
+	t := make([]*rankStream, max(len(old), int(rank)+1))
+	copy(t, old)
+	t[rank] = &rankStream{}
+	m.streams.Store(&t)
+	return t[rank]
 }
 
 // Emit implements Sink.
@@ -156,16 +178,14 @@ func (m *MemorySink) TakeSet() *Set {
 }
 
 func (m *MemorySink) assemble(handOver bool) *Set {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	maxRank := int32(-1)
-	for r := range m.byRank {
-		if r > maxRank {
-			maxRank = r
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	t := m.table()
+	s := NewSet(len(t))
+	for r, rs := range t {
+		if rs == nil {
+			continue
 		}
-	}
-	s := NewSet(int(maxRank + 1))
-	for r, rs := range m.byRank {
 		rs.mu.Lock()
 		s.Traces[r].Events = rs.evs
 		if handOver {
@@ -180,9 +200,12 @@ func (m *MemorySink) assemble(handOver bool) *Set {
 // so a recycled sink re-collects a comparable run without reallocating.
 // Any Set previously obtained through TakeSet is invalidated.
 func (m *MemorySink) Reset() {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	for _, rs := range m.byRank {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, rs := range m.table() {
+		if rs == nil {
+			continue
+		}
 		rs.mu.Lock()
 		rs.evs = rs.evs[:0]
 		rs.mu.Unlock()

@@ -44,11 +44,14 @@ func TestSetValidateCatchesCorruption(t *testing.T) {
 	}
 }
 
+// TestMemorySinkConcurrent: ranks that start emitting at once, highest
+// first and with gaps, each keep their stream in order; Set covers ranks
+// up to the highest seen, with empty traces for silent ranks.
 func TestMemorySinkConcurrent(t *testing.T) {
 	sink := NewMemorySink()
 	var wg sync.WaitGroup
-	const ranks, per = 8, 100
-	for r := int32(0); r < ranks; r++ {
+	const ranks, per = 64, 100
+	for r := int32(ranks - 1); r >= 0; r -= 3 { // 63, 60, ..., 0
 		wg.Add(1)
 		go func(r int32) {
 			defer wg.Done()
@@ -59,8 +62,17 @@ func TestMemorySinkConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	s := sink.Set()
-	if s.Ranks() != ranks || s.TotalEvents() != ranks*per {
+	if s.Ranks() != ranks || s.TotalEvents() != (ranks+2)/3*per {
 		t.Fatalf("ranks=%d events=%d", s.Ranks(), s.TotalEvents())
+	}
+	for r, tr := range s.Traces {
+		want := 0
+		if (ranks-1-r)%3 == 0 {
+			want = per
+		}
+		if len(tr.Events) != want {
+			t.Fatalf("rank %d: %d events, want %d", r, len(tr.Events), want)
+		}
 	}
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)

@@ -116,7 +116,7 @@ var helpText = map[string]metricHelp{
 	"mcchecker_stream_peak_buffered_events": {kindGauge,
 		"Peak number of events buffered by the streaming checker."},
 	"mcchecker_stream_slab_events": {kindHistogram,
-		"Events per streamed slab (distribution)."},
+		"Trace events per streamed slab, re-injected events excluded (distribution)."},
 	"mcchecker_stream_slabs_total": {kindCounter,
 		"Slabs flushed by the streaming checker."},
 	"mcchecker_trace_decoded_bytes_total": {kindCounter,

@@ -12,11 +12,15 @@
 //
 // The original instruments at compile time, so each event's source site
 // is static knowledge. Here memory.CallerLoc finds the site at run time:
-// it walks the stack to the site's program counter and looks the counter
-// up in a cache of resolved file, line and function, filled on the site's
-// first call. Sequence numbers are per-rank counters touched only by the
-// rank's own goroutine. A warm site allocates nothing, but an observed
-// access still costs an order of magnitude more than the access itself
+// it follows the saved frame pointers above it to the return addresses of
+// the frames up to the site, and looks those up in a cache of resolved
+// file, line and function, filled on the chain's first call. A chain the
+// addresses do not determine, because runtime.Callers elides a wrapper
+// frame on it, is never cached and takes runtime.Callers on every call,
+// as does every build off amd64; so each site is the one the runtime
+// reports. Sequence numbers are per-rank counters touched only by the
+// rank's own goroutine. A warm site allocates nothing, and an observed
+// access costs about four times the access itself
 // (BenchmarkProfilerEmitCost).
 package profiler
 

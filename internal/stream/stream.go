@@ -23,14 +23,19 @@
 // (communicators, datatypes, windows) of the slabs already analyzed and
 // each rank's last fence on every live window are re-injected at the
 // start of each subsequent slab so that the slab is self-contained.
-// Reports name events by their trace positions: a slab's violations and
-// witnesses are renumbered from slab positions before they are merged.
+// Reports speak of the trace, not of slabs: a slab's violations and
+// witnesses are renumbered from slab positions and slab regions to trace
+// positions and trace regions before they are merged, and the report's
+// totals count each trace event, region and epoch once, leaving out what
+// the re-injected events add to a slab.
 package stream
 
 import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 
 	"repro/internal/core"
@@ -78,6 +83,13 @@ type Checker struct {
 	commSize  map[int32]int            // comm id → member count
 	lastFence map[[2]int32]trace.Event // (rank, win) → the rank's last fence on win
 	freed     map[int32]bool           // win → freed in an analyzed slab
+
+	// regions counts the trace's region delimiters in the analyzed slabs,
+	// so it is the trace index of the region the next slab's own events
+	// open with; boundary holds, per rank, the delimiter that opened that
+	// region: the last event of the rank's previous slab.
+	regions  int
+	boundary []trace.Event
 
 	slabsAnalyzed int
 	report        *core.Report
@@ -149,7 +161,8 @@ func New(ranks int, onViolation func(v *core.Violation)) *Checker {
 	return c
 }
 
-// SetObs attaches an observability registry: slab sizes, clean vs unclean
+// SetObs attaches an observability registry: slab sizes (each slab's own
+// trace events, so they sum to the report's total), clean vs unclean
 // boundary decisions, coalesced regions, and the peak number of buffered
 // events all become measurable, and the per-slab analysis records its
 // phase spans into the same registry. Call before the first Emit.
@@ -292,7 +305,7 @@ func (c *Checker) bumpMsg(key chanKey, delta int) {
 }
 
 // isGlobalSync reports whether ev is a barrier-like synchronization
-// spanning all ranks (a region delimiter).
+// spanning all ranks (a slab boundary).
 func (c *Checker) isGlobalSync(ev *trace.Event) bool {
 	switch ev.Kind {
 	case trace.KindBarrier, trace.KindAllreduce, trace.KindAllgather, trace.KindAlltoall:
@@ -302,6 +315,17 @@ func (c *Checker) isGlobalSync(ev *trace.Event) bool {
 		return ok && c.commSize[comm] == c.ranks
 	}
 	return false
+}
+
+// delimits reports whether ev delimits a concurrent region, as the DAG
+// decides it: a barrier-like collective instance spanning all ranks. A
+// communicator created over all ranks delimits too, though no slab ends
+// at one.
+func (c *Checker) delimits(ev *trace.Event) bool {
+	if ev.Kind == trace.KindCommCreate {
+		return len(ev.Members()) == c.ranks
+	}
+	return c.isGlobalSync(ev)
 }
 
 // clean reports whether the current boundary carries no cross-slab state.
@@ -356,7 +380,7 @@ func (c *Checker) maybeAnalyze() {
 // analyzeSlab analyzes the events up to and including each rank's next
 // boundary, merges the violations, and discards the events.
 func (c *Checker) analyzeSlab() error {
-	set, seqs := c.cutSlab(func(r int) int { return c.globalPos[r][0] + 1 })
+	sl := c.cutSlab(func(r int) int { return c.globalPos[r][0] + 1 }, false)
 	for r := range c.globalPos {
 		// Rebase the later boundaries onto the trimmed queue.
 		cut := c.globalPos[r][0] + 1
@@ -368,32 +392,53 @@ func (c *Checker) analyzeSlab() error {
 	}
 	c.recountBuffered()
 	c.mSlabs.Inc()
-	c.mSlabEvents.Observe(int64(set.TotalEvents()))
+	c.mSlabEvents.Observe(int64(sl.set.TotalEvents() - sl.injected))
 	c.mPeakBuffered.SetMax(int64(c.peakBuffered))
 
-	rep, err := c.analyzeSet(set, fmt.Sprintf("slab %d", c.slabsAnalyzed))
+	rep, err := c.analyzeSet(sl.set, fmt.Sprintf("slab %d", c.slabsAnalyzed))
 	if err != nil {
 		return fmt.Errorf("stream: slab %d: %w", c.slabsAnalyzed, err)
 	}
-	c.merge(rep, seqs)
+	c.merge(rep, sl)
 	return nil
 }
 
+// slab is one cut of the pending events: a self-contained trace set, and
+// what merge needs to report it in the trace's terms.
+type slab struct {
+	set *trace.Set
+	// seqs[r][i] is the trace position of slab event (r, i).
+	seqs [][]int64
+	// injected counts the re-injected events over all ranks, and fences
+	// the carried fences among them, each opening an epoch.
+	injected, fences int
+	// delims counts the region delimiters among rank 0's re-injected
+	// events: slab region delims is the first with the slab's own events,
+	// and it is trace region base, opened by the event opener[r] on rank
+	// r (nil in the first slab, whose first region has no opener).
+	delims, base int
+	opener       []trace.Event
+	// final marks the last slab. Every other one ends at a boundary, so
+	// its last region is empty: the next slab's first.
+	final bool
+}
+
 // cutSlab removes the first n(r) pending events of each rank r and
-// returns them as a self-contained trace set, with seqs[r][i] the trace
-// position of slab event (r, i). After the first slab, each rank's trace
-// starts with the definitions of the earlier slabs and the rank's last
-// fence on each live window, which re-opens that window's fence epoch.
-// The boundary event itself is consumed: its sync effect for the next
-// slab is re-created by those, and ordering across the boundary is
-// implied by slab sequencing. What the cut events define, fence or free
-// is then recorded for the slabs after this one.
-func (c *Checker) cutSlab(n func(r int) int) (set *trace.Set, seqs [][]int64) {
-	set = trace.NewSet(c.ranks)
-	seqs = make([][]int64, c.ranks)
+// returns them as a self-contained slab. After the first slab, each
+// rank's trace starts with the definitions of the earlier slabs and the
+// rank's last fence on each live window, which re-opens that window's
+// fence epoch. The boundary event itself is consumed: its sync effect
+// for the next slab is re-created by those, and ordering across the
+// boundary is implied by slab sequencing. What the cut events define,
+// fence or free is then recorded for the slabs after this one.
+func (c *Checker) cutSlab(n func(r int) int, final bool) *slab {
+	sl := &slab{
+		set: trace.NewSet(c.ranks), seqs: make([][]int64, c.ranks),
+		base: c.regions, opener: c.boundary, final: final,
+	}
 	cuts := make([][]trace.Event, c.ranks)
 	fences := c.liveFences()
-	for r, tr := range set.Traces {
+	for r, tr := range sl.set.Traces {
 		var evs []trace.Event
 		if c.slabsAnalyzed > 0 {
 			for _, d := range c.defs[r] {
@@ -402,18 +447,28 @@ func (c *Checker) cutSlab(n func(r int) int) (set *trace.Set, seqs [][]int64) {
 				}
 			}
 			evs = append(evs, fences[r]...)
+			sl.fences += len(fences[r])
+		}
+		sl.injected += len(evs)
+		if r == 0 {
+			for i := range evs {
+				if c.delimits(&evs[i]) {
+					sl.delims++
+				}
+			}
 		}
 		cut := n(r)
 		cuts[r] = c.pending[r][:cut]
 		evs = append(evs, cuts[r]...)
-		seqs[r] = make([]int64, len(evs))
+		sl.seqs[r] = make([]int64, len(evs))
 		for i := range evs {
-			seqs[r][i] = evs[i].Seq // every event still carries its trace position
+			sl.seqs[r][i] = evs[i].Seq // every event still carries its trace position
 			evs[i].Rank, evs[i].Seq = int32(r), int64(i)
 		}
 		tr.Events = evs
 		c.pending[r] = append([]trace.Event(nil), c.pending[r][cut:]...)
 	}
+	c.boundary = make([]trace.Event, c.ranks)
 	for r, evs := range cuts {
 		for i := range evs {
 			switch ev := &evs[i]; ev.Kind {
@@ -424,10 +479,16 @@ func (c *Checker) cutSlab(n func(r int) int) (set *trace.Set, seqs [][]int64) {
 			case trace.KindWinFree:
 				c.freed[ev.Win] = true
 			}
+			if r == 0 && c.delimits(&evs[i]) {
+				c.regions++
+			}
+		}
+		if len(evs) > 0 {
+			c.boundary[r] = evs[len(evs)-1]
 		}
 	}
 	c.slabsAnalyzed++
-	return set, seqs
+	return sl
 }
 
 // analyzeSet runs one slab's trace set through the pipeline. In tolerant
@@ -475,24 +536,34 @@ func (c *Checker) liveFences() [][]trace.Event {
 }
 
 // merge folds a slab report into the cumulative one, deduplicating across
-// slabs and firing the callback for new violations. seqs maps the slab's
-// positions to trace positions, as cutSlab returned it: a violation kept
-// names its operands and witness steps by their place in the trace.
-func (c *Checker) merge(rep *core.Report, seqs [][]int64) {
-	c.report.EventsAnalyzed += rep.EventsAnalyzed
-	c.report.Regions += rep.Regions
-	c.report.EpochsChecked += rep.EpochsChecked
+// slabs and firing the callback for new violations. The totals gain what
+// the slab's own events contribute: its events, the epochs they open, and
+// its regions from the first with its own events on, less the empty last
+// one that the next slab counts. A violation kept names its operands and
+// witness steps by their place in the trace, and its region by the
+// trace's index.
+func (c *Checker) merge(rep *core.Report, sl *slab) {
+	regions := rep.Regions - sl.delims
+	if !sl.final {
+		regions--
+	}
+	c.report.EventsAnalyzed += max(rep.EventsAnalyzed-sl.injected, 0)
+	c.report.Regions += max(regions, 0)
+	c.report.EpochsChecked += max(rep.EpochsChecked-sl.fences, 0)
 	for _, v := range rep.Violations {
 		key := v.Key()
 		if prev, ok := c.vindex[key]; ok {
 			prev.Count += v.Count
 			continue
 		}
-		v.A.Seq = seqs[v.A.Rank][v.A.Seq]
-		v.B.Seq = seqs[v.B.Rank][v.B.Seq]
+		v.A.Seq = sl.seqs[v.A.Rank][v.A.Seq]
+		v.B.Seq = sl.seqs[v.B.Rank][v.B.Seq]
 		for i := range v.Witness {
 			ev := &v.Witness[i].Ev
-			ev.Seq = seqs[ev.Rank][ev.Seq]
+			ev.Seq = sl.seqs[ev.Rank][ev.Seq]
+		}
+		if v.Class == core.AcrossProcesses {
+			sl.renumberRegion(v)
 		}
 		c.vindex[key] = v
 		c.report.Violations = append(c.report.Violations, v)
@@ -500,6 +571,39 @@ func (c *Checker) merge(rep *core.Report, seqs [][]int64) {
 			c.onViolation(v)
 		}
 	}
+}
+
+// renumberRegion gives a cross-process violation the trace's index of its
+// region, in Region and in the witness steps that open and close it. In
+// the slab's first region with its own events, the step that opens it
+// names the re-injected event the region opens at in the slab, or is
+// missing if none does; either way it becomes the delimiter that opened
+// the region in the trace.
+func (sl *slab) renumberRegion(v *core.Violation) {
+	in := v.Region
+	v.Region = sl.base + max(in-sl.delims, 0)
+	from := "region " + strconv.Itoa(in) + " "
+	to := "region " + strconv.Itoa(v.Region) + " "
+	opens := -1
+	for i := range v.Witness {
+		st := &v.Witness[i]
+		if rest, ok := strings.CutPrefix(st.Role, from); ok && st.Side == 0 {
+			st.Role = to + rest
+			if strings.HasPrefix(rest, "opens") {
+				opens = i
+			}
+		}
+	}
+	if in != sl.delims || sl.opener == nil {
+		return
+	}
+	if opens < 0 {
+		v.Witness = append([]core.WitnessStep{{
+			Side: 0, Role: to + "opens — ranks unordered past here",
+		}}, v.Witness...)
+		opens = 0
+	}
+	v.Witness[opens].Ev = sl.opener[v.A.Rank]
 }
 
 // Finish analyzes the remaining tail and returns the cumulative report.
@@ -545,18 +649,20 @@ func (c *Checker) finishLocked() (*core.Report, error) {
 		remaining += len(c.pending[r])
 	}
 	if remaining > 0 {
-		set, seqs := c.cutSlab(func(r int) int { return len(c.pending[r]) })
+		sl := c.cutSlab(func(r int) int { return len(c.pending[r]) }, true)
 		for r := range c.globalPos {
 			c.globalPos[r] = nil
 		}
 		c.buffered = 0
 		c.mSlabs.Inc()
-		c.mSlabEvents.Observe(int64(set.TotalEvents()))
-		rep, err := c.analyzeSet(set, "final slab")
+		c.mSlabEvents.Observe(int64(sl.set.TotalEvents() - sl.injected))
+		rep, err := c.analyzeSet(sl.set, "final slab")
 		if err != nil {
 			return nil, fmt.Errorf("stream: final slab: %w", err)
 		}
-		c.merge(rep, seqs)
+		c.merge(rep, sl)
+	} else if c.opts.CrossProcess {
+		c.report.Regions++ // the trace's last region, empty after the last boundary
 	}
 	c.mPeakBuffered.SetMax(int64(c.peakBuffered))
 	c.report.Sort()

@@ -3,6 +3,8 @@ package stream
 import (
 	"fmt"
 	"maps"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -186,6 +188,117 @@ func TestStreamWitnessMatchesOffline(t *testing.T) {
 	}
 	if got, want := fmt.Sprint(on.Witness), fmt.Sprint(off.Witness); got != want {
 		t.Errorf("online witness:\n%s\noffline witness:\n%s", got, want)
+	}
+}
+
+// eachCase runs check on the online report and the offline report of the
+// same run of every bundled program, buggy and fixed.
+func eachCase(t *testing.T, check func(t *testing.T, online, offline *core.Report)) {
+	for _, bc := range apps.AllCases() {
+		for _, v := range []struct {
+			name string
+			body func(p *mpi.Proc) error
+		}{{"buggy", bc.Buggy}, {"fixed", bc.Fixed}} {
+			t.Run(bc.Name+"/"+v.name, func(t *testing.T) {
+				online, set := runOnline(t, min(bc.Ranks, 8), v.body)
+				offline, err := core.Analyze(set)
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(t, online, offline)
+			})
+		}
+	}
+}
+
+// TestStreamTotalsMatchOffline: the online report counts each trace
+// event, region and epoch once, whatever a slab re-injects.
+func TestStreamTotalsMatchOffline(t *testing.T) {
+	eachCase(t, func(t *testing.T, online, offline *core.Report) {
+		if online.EventsAnalyzed != offline.EventsAnalyzed || online.Regions != offline.Regions ||
+			online.EpochsChecked != offline.EpochsChecked {
+			t.Errorf("online analyzed %d events, %d regions, %d epochs; offline %d, %d, %d",
+				online.EventsAnalyzed, online.Regions, online.EpochsChecked,
+				offline.EventsAnalyzed, offline.Regions, offline.EpochsChecked)
+		}
+	})
+}
+
+// TestStreamRegionsMatchOffline: each online violation carries the trace
+// region of the offline violation with the same key, and the witness
+// steps that open and close it name the same events and region number.
+func TestStreamRegionsMatchOffline(t *testing.T) {
+	eachCase(t, sameRegions)
+}
+
+// TestStreamRegionOpensInEarlierSlab: a race on a sub-communicator window
+// right after a world barrier sits in a slab that re-injects no region
+// delimiter, so the slab's witness has no step opening the region; the
+// online report adds the barrier, as offline names it.
+func TestStreamRegionOpensInEarlierSlab(t *testing.T) {
+	online, set := runOnline(t, 4, func(p *mpi.Proc) error {
+		sub := p.CommSplit(p.CommWorld(), p.Rank()%2, p.Rank())
+		buf := p.Alloc(64, "subwin")
+		w := p.WinCreate(buf, 1, sub)
+		w.Fence(mpi.AssertNone)
+		p.Barrier(p.CommWorld()) // a clean boundary: the race below is in the next slab
+		if sub.RankOf(p) == 0 {
+			src := p.Alloc(8, "src")
+			w.Put(src, 0, 1, mpi.Int64, 1, 0, 1, mpi.Int64)
+		} else {
+			buf.SetInt64(0, 1)
+		}
+		w.Fence(mpi.AssertNone)
+		p.Barrier(p.CommWorld())
+		w.Free()
+		return nil
+	})
+	offline, err := core.Analyze(set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(online.Violations) == 0 {
+		t.Fatalf("race not reported online; offline:\n%s", offline)
+	}
+	sameRegions(t, online, offline)
+	for _, v := range online.Violations {
+		if st := v.Witness[0]; st.Ev.Kind != trace.KindBarrier || !strings.HasPrefix(st.Role, fmt.Sprintf("region %d opens", v.Region)) {
+			t.Errorf("%s: witness opens with %s — %s, want the barrier opening region %d", v.Key(), st.Ev.Kind, st.Role, v.Region)
+		}
+	}
+}
+
+// sameRegions fails unless each online violation has the region of the
+// offline violation with the same key, and the same witness steps naming
+// regions: event, region number and role.
+func sameRegions(t *testing.T, online, offline *core.Report) {
+	t.Helper()
+	regionSteps := func(v *core.Violation) []string {
+		var out []string
+		for _, st := range v.Witness {
+			if strings.HasPrefix(st.Role, "region ") {
+				out = append(out, fmt.Sprintf("rank %d seq %d %s: %s", st.Ev.Rank, st.Ev.Seq, st.Ev.Kind, st.Role))
+			}
+		}
+		return out
+	}
+	byKey := map[string]*core.Violation{}
+	for _, v := range offline.Violations {
+		byKey[v.Key()] = v
+	}
+	for _, on := range online.Violations {
+		off, ok := byKey[on.Key()]
+		if !ok {
+			t.Errorf("online violation %s has no offline counterpart", on.Key())
+			continue
+		}
+		if on.Region != off.Region {
+			t.Errorf("%s: online region %d, offline %d", on.Key(), on.Region, off.Region)
+		}
+		if got, want := regionSteps(on), regionSteps(off); !slices.Equal(got, want) {
+			t.Errorf("%s: online region steps\n%s\noffline\n%s", on.Key(),
+				strings.Join(got, "\n"), strings.Join(want, "\n"))
+		}
 	}
 }
 

@@ -28,21 +28,21 @@
 //	    times under seed-varied perturbations and fails on any report
 //	    divergence.
 //
-//	mcchecker explore -app NAME [-fixed] [-n N] [-schedules N] [-strategy S]
-//	                  [-jobs K] [-budget D] [-seed N] [-minimize] [-json] [-stats]
+//	mcchecker explore -app NAME [-fixed] [-n N] [-schedules N] [-jobs K]
+//	                  [-budget D] [-seed N] [-minimize] [-static-seed] [-json] [-stats]
 //	    Sweep the schedule space (internal/explore): run the application
-//	    under many distinct deterministic schedules, deduplicate the
-//	    violations by canonical signature, and minimize each finding to a
-//	    -faults string replayable with `mcchecker run`. Strategies: sweep
-//	    (seeded completion reordering), walk (reordering + scheduler
-//	    yields), pct (rank priorities with change points), delay
-//	    (delay-bounded completion steps).
+//	    under many distinct deterministic schedules (the sweep's schedule i
+//	    reorders every completion batch under the base seed plus i),
+//	    deduplicate the violations by canonical signature, and minimize
+//	    each finding to a -faults string replayable with `mcchecker run`.
+//	    -static-seed first runs schedules that delay the origin ranks
+//	    static diagnostics name.
 //
 //	mcchecker analyze [-trace timeline.json] [-intra-only] [-json] [-stats]
 //	              [-stats-format F] [-cpuprofile FILE] [-memprofile FILE] [-stats-listen ADDR] DIR
 //	    Run DN-Analyzer offline over per-rank trace files. With a
 //	    positional DIR (flags first), -trace names a Chrome trace JSON timeline of the
-//	    pipeline (per-worker decode lanes, phase and per-epoch/per-region
+//	    pipeline (one decode span per rank file, phase and per-epoch/per-region
 //	    detect spans, plus one track per violation's happens-before
 //	    witness chain; open it in ui.perfetto.dev). The legacy
 //	    `analyze -trace DIR` spelling, with no positional argument, still
@@ -160,7 +160,7 @@ func commands() []command {
 			name:    "explore",
 			summary: "sweep the schedule space and deduplicate violations by signature",
 			synopsis: []string{
-				"mcchecker explore -app NAME [-fixed] [-n N] [-schedules N] [-strategy sweep|walk|pct|delay] [-jobs K] [-budget D] [-seed N]",
+				"mcchecker explore -app NAME [-fixed] [-n N] [-schedules N] [-jobs K] [-budget D] [-seed N]",
 				"              [-minimize] [-minimize-runs N] [-static-seed] [-full] [-intra-only] [-json] [-stats] [-stats-format text|prom|json] [-timeout D]",
 				"              [-trace timeline.json] [-stats-listen ADDR]",
 			},
@@ -443,10 +443,9 @@ func exploreCmd(args []string) error {
 	fixed := fs.Bool("fixed", false, "explore the fixed variant instead of the buggy one")
 	ranks := fs.Int("n", 0, "process count (default: the paper's count for the app)")
 	schedules := fs.Int("schedules", 1000, "number of distinct schedules to try")
-	strategyName := fs.String("strategy", "sweep", "schedule strategy: sweep, walk, pct, or delay")
 	jobs := fs.Int("jobs", 0, "worker pool width (0 = GOMAXPROCS)")
 	budget := fs.Duration("budget", 0, "wall-clock budget for the sweep (0 = unlimited)")
-	seed := fs.Uint64("seed", 1, "base seed the strategy derives schedules from")
+	seed := fs.Uint64("seed", 1, "base seed the schedules derive from (the sweep's schedule i runs under seed+i)")
 	minimize := fs.Bool("minimize", true, "ddmin-minimize each finding's schedule")
 	minimizeRuns := fs.Int("minimize-runs", 64, "max extra runs spent minimizing each finding")
 	staticSeed := fs.Bool("static-seed", false, "seed the sweep from static-checker diagnostics (delay the ranks they name first)")
@@ -470,10 +469,6 @@ func exploreCmd(args []string) error {
 	if *statsListen != "" && reg == nil {
 		reg = obs.NewRegistry()
 	}
-	strat, err := explore.ParseStrategy(*strategyName)
-	if err != nil {
-		return err
-	}
 	bc, ok := findApp(*appName)
 	if !ok {
 		return fmt.Errorf("unknown app %q (try `mcchecker apps`)", *appName)
@@ -495,6 +490,7 @@ func exploreCmd(args []string) error {
 	if *jsonOut {
 		progress = os.Stderr
 	}
+	var hints []int
 	if *staticSeed {
 		srep, serr := stanalyzer.CheckFS(apps.SourceFS(), stanalyzer.Options{
 			Defines: map[string]bool{"buggy": !*fixed},
@@ -502,16 +498,15 @@ func exploreCmd(args []string) error {
 		if serr != nil {
 			return fmt.Errorf("static seeding: %w", serr)
 		}
-		hints := explore.HintsFromDiagnostics(srep.ForFunctions(srep.Reachable(bc.StaticRoot)))
+		hints = explore.HintsFromDiagnostics(srep.ForFunctions(srep.Reachable(bc.StaticRoot)))
 		if len(hints) > 0 {
-			strat = explore.Hinted{Base: strat, Ranks: hints}
 			fmt.Fprintf(progress, "static seeding: prioritizing origin rank(s) %v from %s diagnostics\n", hints, bc.StaticRoot)
 		} else {
-			fmt.Fprintf(progress, "static seeding: no rank hints for %s; using plain %s\n", bc.Name, strat.Name())
+			fmt.Fprintf(progress, "static seeding: no rank hints for %s; using plain sweep\n", bc.Name)
 		}
 	}
 	fmt.Fprintf(progress, "exploring %s (%s) on %d simulated ranks: %d schedules, strategy %s\n",
-		bc.Name, variant, n, *schedules, strat.Name())
+		bc.Name, variant, n, *schedules, explore.StrategyName(hints))
 
 	closeStats, err := startStatsListener(*statsListen, reg, progress)
 	if err != nil {
@@ -524,7 +519,7 @@ func exploreCmd(args []string) error {
 			Body: body, Ranks: n, Rel: rel,
 			Timeout: *timeout, IntraOnly: *intraOnly, Obs: reg,
 		},
-		Strategy:     strat,
+		Hints:        hints,
 		Schedules:    *schedules,
 		Jobs:         *jobs,
 		Budget:       *budget,

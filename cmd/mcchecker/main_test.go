@@ -276,7 +276,7 @@ func TestExploreCmdFixedClean(t *testing.T) {
 func TestExploreCmdJSON(t *testing.T) {
 	out := captureStdout(t, func() error {
 		return exploreCmd([]string{"-app", "schedrace", "-fixed", "-schedules", "6",
-			"-strategy", "delay", "-json", "-stats"})
+			"-json", "-stats"})
 	})
 	var res struct {
 		Strategy  string `json:"strategy"`
@@ -290,7 +290,7 @@ func TestExploreCmdJSON(t *testing.T) {
 	if err := json.Unmarshal([]byte(out), &res); err != nil {
 		t.Fatalf("-json output is not valid JSON: %v\n%s", err, out)
 	}
-	if res.Strategy != "delay" || res.Schedules != 6 || res.Distinct != 0 || len(res.Findings) != 0 {
+	if res.Strategy != "sweep" || res.Schedules != 6 || res.Distinct != 0 || len(res.Findings) != 0 {
 		t.Errorf("unexpected explore JSON: %+v\n%s", res, out)
 	}
 	if res.Stats == nil || len(res.Stats.Counters) == 0 {
@@ -301,9 +301,6 @@ func TestExploreCmdJSON(t *testing.T) {
 func TestExploreCmdValidation(t *testing.T) {
 	if err := exploreCmd([]string{"-app", "nope"}); err == nil {
 		t.Error("unknown app must be rejected")
-	}
-	if err := exploreCmd([]string{"-app", "schedrace", "-strategy", "dfs"}); err == nil {
-		t.Error("unknown strategy must be rejected")
 	}
 	if err := exploreCmd([]string{"-app", "schedrace", "-schedules", "0"}); err == nil {
 		t.Error("zero schedules must be rejected")
@@ -464,7 +461,7 @@ func TestAnalyzeCmdStaticValidation(t *testing.T) {
 }
 
 // -static-seed on the fixed variant finds no static diagnostics, so the
-// seeding degrades to the plain strategy with a notice — and stays clean.
+// seeding degrades to the plain sweep with a notice — and stays clean.
 // (The hinted path with real hints is covered by the explore package's
 // TestHintedCatchesScheduleBug; the buggy CLI path exits 3 on findings,
 // which is untestable in-process.)

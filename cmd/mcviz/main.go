@@ -10,9 +10,10 @@
 //	dot -Tsvg dag.dot > dag.svg
 //
 //	mcviz -check-trace timeline.json
-//	    Validate a Chrome trace JSON timeline written by
-//	    `mcchecker ... -trace` or `mcbench -trace` and print a summary
-//	    (event, track, and lane counts). Exits nonzero on malformed input.
+//	    Validate a Chrome trace JSON timeline written by `mcchecker run`,
+//	    `explore` or `analyze` with -trace timeline.json and print a
+//	    summary (event, track, and lane counts). Exits nonzero on
+//	    malformed input.
 package main
 
 import (

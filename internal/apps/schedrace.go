@@ -25,10 +25,10 @@ import (
 // variant, overwrite the probe buffer before the epoch closes. That is a
 // classic conflicting local store on the origin buffer of a pending
 // MPI_Get (paper Figure 1), but it manifests only when a schedule flips
-// the swap completion order: seed-sweep reordering, rank completion
-// priorities, a PCT change point, or a single delay step all expose it,
-// and `mcchecker explore` shrinks any of those schedules back to a
-// one-clause reproducer.
+// the swap completion order: about half of the seed sweep's reorderings
+// do, as does delaying rank 0 in the fence's batch (the static hint), and
+// `mcchecker explore` shrinks any such schedule back to a one-clause
+// reproducer.
 //
 // The fixed variant takes the same data-dependent path but touches the
 // probe buffer only after the closing fence, so it is clean under every

@@ -38,8 +38,29 @@ func Analyze(set *trace.Set) (*Report, error) {
 // (§VII), and opts.Ctx, when non-nil, cancels the pipeline cooperatively
 // before each phase (and, inside the detectors, between epochs/regions):
 // a serving watchdog can reclaim a stuck analysis without killing the
-// process.
+// process. The report's totals are recorded on opts.Obs (RecordTotals).
 func AnalyzeWith(set *trace.Set, opts Options) (*Report, error) {
+	rep, err := runPipeline(set, opts)
+	if err != nil {
+		return nil, err
+	}
+	rep.RecordTotals(opts.Obs)
+	return rep, nil
+}
+
+// AnalyzeSlab analyzes one slab of a streamed trace as AnalyzeWith does,
+// or, when tolerant, as AnalyzeDegraded does with no upstream notes. It
+// records the phase spans but not the report's totals: the streaming
+// checker merges the slabs' reports and records the merged totals once.
+func AnalyzeSlab(set *trace.Set, opts Options, tolerant bool) (*Report, error) {
+	if tolerant {
+		return salvage(set, opts, nil)
+	}
+	return runPipeline(set, opts)
+}
+
+// runPipeline is AnalyzeWith without recording the report's totals.
+func runPipeline(set *trace.Set, opts Options) (*Report, error) {
 	var (
 		m       *model.Model
 		ms      *match.Matches

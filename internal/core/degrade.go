@@ -26,12 +26,22 @@ const maxSalvageRetries = 32
 // of any prefix cut; it is empty exactly when the inputs were complete
 // and analyzed in full with no notes.
 func AnalyzeDegraded(set *trace.Set, opts Options, notes []string) (*Report, error) {
+	rep, err := salvage(set, opts, notes)
+	if err != nil {
+		return nil, err
+	}
+	rep.RecordTotals(opts.Obs)
+	return rep, nil
+}
+
+// salvage is AnalyzeDegraded without recording the report's totals.
+func salvage(set *trace.Set, opts Options, notes []string) (*Report, error) {
 	mDegraded := opts.Obs.Counter("mcchecker_analysis_degraded_total")
 	mRetries := opts.Obs.Counter("mcchecker_analysis_salvage_retries_total")
 	tr := opts.Trace
 
 	sp := tr.Start("pipeline", "main", "strict attempt")
-	rep, err := AnalyzeWith(set, opts)
+	rep, err := runPipeline(set, opts)
 	sp.End()
 	if err == nil {
 		rep.Degraded = append(rep.Degraded, notes...)
@@ -69,7 +79,7 @@ func AnalyzeDegraded(set *trace.Set, opts Options, notes []string) (*Report, err
 		}
 		cut := cutAt(set, syncs, k)
 		sp := tr.Start("pipeline", "main", fmt.Sprintf("salvage attempt (cut at sync %d)", k))
-		rep, err := AnalyzeWith(cut, opts)
+		rep, err := runPipeline(cut, opts)
 		sp.End()
 		if err != nil {
 			mRetries.Inc()
@@ -88,37 +98,60 @@ func AnalyzeDegraded(set *trace.Set, opts Options, notes []string) (*Report, err
 	return rep, nil
 }
 
-// globalSyncPositions returns, per rank, the event indexes of global
-// synchronizations: barrier-like collectives over a communicator spanning
-// all ranks, and fence/create/free on windows of such a communicator.
-// This mirrors the slab-boundary classification of the streaming checker.
+// GlobalSyncs classifies global synchronizations, the events at which a
+// salvage cut and a streaming slab may end: a barrier-like collective
+// over a communicator of all ranks, or a fence, create or free on a
+// window of such a communicator. It learns communicator sizes and window
+// communicators from the definition events it is shown (Define).
+type GlobalSyncs struct {
+	ranks    int
+	commSize map[int32]int   // comm id → member count
+	winComm  map[int32]int32 // window id → comm id
+}
+
+// NewGlobalSyncs returns a classifier for a world of the given size that
+// knows only the world communicator.
+func NewGlobalSyncs(ranks int) *GlobalSyncs {
+	return &GlobalSyncs{ranks: ranks, commSize: map[int32]int{0: ranks}, winComm: map[int32]int32{}}
+}
+
+// Define records what ev defines, if anything: a communicator's size or a
+// window's communicator.
+func (g *GlobalSyncs) Define(ev *trace.Event) {
+	switch ev.Kind {
+	case trace.KindCommCreate:
+		g.commSize[ev.Comm] = len(ev.Members())
+	case trace.KindWinCreate:
+		g.winComm[ev.Win] = ev.Comm
+	}
+}
+
+// Global reports whether ev is a global synchronization, by the
+// definitions recorded so far.
+func (g *GlobalSyncs) Global(ev *trace.Event) bool {
+	switch ev.Kind {
+	case trace.KindBarrier, trace.KindAllreduce, trace.KindAllgather, trace.KindAlltoall:
+		return g.commSize[ev.Comm] == g.ranks
+	case trace.KindWinFence, trace.KindWinCreate, trace.KindWinFree:
+		comm, ok := g.winComm[ev.Win]
+		return ok && g.commSize[comm] == g.ranks
+	}
+	return false
+}
+
+// globalSyncPositions returns, per rank, the event indexes of the global
+// synchronizations, by the definitions of the whole set.
 func globalSyncPositions(set *trace.Set) [][]int {
-	ranks := set.Ranks()
-	commSize := map[int32]int{0: ranks}
-	winComm := map[int32]int32{}
+	g := NewGlobalSyncs(set.Ranks())
 	for _, t := range set.Traces {
 		for i := range t.Events {
-			switch ev := &t.Events[i]; ev.Kind {
-			case trace.KindCommCreate:
-				commSize[ev.Comm] = len(ev.Members())
-			case trace.KindWinCreate:
-				winComm[ev.Win] = ev.Comm
-			}
+			g.Define(&t.Events[i])
 		}
 	}
-	pos := make([][]int, ranks)
+	pos := make([][]int, set.Ranks())
 	for r, t := range set.Traces {
 		for i := range t.Events {
-			ev := &t.Events[i]
-			global := false
-			switch ev.Kind {
-			case trace.KindBarrier, trace.KindAllreduce, trace.KindAllgather, trace.KindAlltoall:
-				global = commSize[ev.Comm] == ranks
-			case trace.KindWinFence, trace.KindWinCreate, trace.KindWinFree:
-				comm, ok := winComm[ev.Win]
-				global = ok && commSize[comm] == ranks
-			}
-			if global {
+			if g.Global(&t.Events[i]) {
 				pos[r] = append(pos[r], i)
 			}
 		}

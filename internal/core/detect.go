@@ -81,11 +81,6 @@ func (a *Analyzer) Run() (*Report, error) {
 		}
 	}
 	a.report.Sort()
-	reg := a.opts.Obs
-	reg.Counter("mcchecker_analysis_events_total").Add(int64(a.report.EventsAnalyzed))
-	reg.Counter("mcchecker_analysis_regions_total").Add(int64(a.report.Regions))
-	reg.Counter("mcchecker_analysis_epochs_total").Add(int64(a.report.EpochsChecked))
-	reg.Counter("mcchecker_analysis_violations_total").Add(int64(len(a.report.Violations)))
 	return a.report, nil
 }
 

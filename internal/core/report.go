@@ -296,6 +296,17 @@ func (v *Violation) resolveWitness() {
 	v.witnessFn = nil
 }
 
+// RecordTotals adds the report's totals to reg's analysis counters: its
+// events, regions, epochs and violations. Each report a caller receives
+// is recorded once: AnalyzeWith and AnalyzeDegraded record theirs, and
+// the streaming checker the report it merges from its slabs.
+func (r *Report) RecordTotals(reg *obs.Registry) {
+	reg.Counter("mcchecker_analysis_events_total").Add(int64(r.EventsAnalyzed))
+	reg.Counter("mcchecker_analysis_regions_total").Add(int64(r.Regions))
+	reg.Counter("mcchecker_analysis_epochs_total").Add(int64(r.EpochsChecked))
+	reg.Counter("mcchecker_analysis_violations_total").Add(int64(len(r.Violations)))
+}
+
 // Errors returns the violations with Severity == SevError.
 func (r *Report) Errors() []*Violation {
 	var out []*Violation

@@ -310,13 +310,8 @@ func exploreBody(body func(p *mpi.Proc) error, ranks int, relevant []string, cfg
 	if relevant != nil {
 		rel = profiler.FromNames(relevant)
 	}
-	strat, err := explore.ParseStrategy("sweep")
-	if err != nil {
-		return nil, err
-	}
 	return explore.Explore(explore.Config{
 		Runner:    &explore.Runner{Body: body, Ranks: ranks, Rel: rel},
-		Strategy:  strat,
 		Schedules: cfg.Schedules,
 		Seed:      cfg.Seed,
 		Minimize:  false,

@@ -23,8 +23,8 @@ type ExploreRow struct {
 }
 
 // ExploreThroughput sweeps the planted schedule-dependent bug
-// (apps.ScheduleCases) with the plain seed-sweep strategy at each worker
-// count in jobsList, reporting throughput and the deduplicated finding
+// (apps.ScheduleCases) with the seed sweep at each worker count in
+// jobsList, reporting throughput and the deduplicated finding
 // count. The distinct-violation column must be identical across rows —
 // parallelism may only change speed, never results.
 func ExploreThroughput(schedules int, jobsList []int) ([]ExploreRow, error) {
@@ -37,7 +37,6 @@ func ExploreThroughput(schedules int, jobsList []int) ([]ExploreRow, error) {
 				Ranks: bc.Ranks,
 				Rel:   profiler.FromNames(bc.RelevantBuffers),
 			},
-			Strategy:  explore.Sweep{},
 			Schedules: schedules,
 			Jobs:      jobs,
 			Seed:      1,

@@ -168,8 +168,11 @@ func flattenErrs(err error) []string {
 
 // Config parameterizes one exploration.
 type Config struct {
-	Runner   *Runner
-	Strategy Strategy
+	Runner *Runner
+	// Hints are origin ranks named by static diagnostics
+	// (HintsFromDiagnostics). When set, delay plans for them run before
+	// the seed sweep.
+	Hints []int
 	// Schedules is the number of distinct schedules to try.
 	Schedules int
 	// Jobs is the worker-pool width; 0 means GOMAXPROCS.
@@ -177,7 +180,8 @@ type Config struct {
 	// Budget caps wall-clock time; 0 means unlimited. Schedules already
 	// running when the budget expires finish and are counted.
 	Budget time.Duration
-	// Seed is the base seed every strategy derives its schedules from.
+	// Seed is the base seed the schedules derive from: schedule i of the
+	// sweep runs under seed Seed+i.
 	Seed uint64
 	// Minimize runs ddmin on each finding's first schedule, capped at
 	// MinimizeRuns extra runs per finding.
@@ -218,7 +222,7 @@ type Finding struct {
 
 // Result aggregates one exploration.
 type Result struct {
-	// Strategy is the schedule generator's name.
+	// Strategy names the schedules run (StrategyName).
 	Strategy string
 	// Schedules counts completed runs (≤ Config.Schedules under a budget).
 	Schedules int
@@ -247,15 +251,15 @@ func (r *Result) SchedulesPerSec() float64 {
 const progressInterval = 200 * time.Millisecond
 
 // Explore sweeps the schedule space: it generates Config.Schedules plans
-// with the strategy, runs them on a pool of Config.Jobs workers, and
-// aggregates violations by canonical signature. The findings (signature
-// set, counts, first-producing schedule) are deterministic for a given
-// (strategy, seed, schedule count) regardless of Jobs; only under an
-// expiring Budget can the number of completed schedules — and therefore
-// the tail of the aggregate — vary between runs.
+// (the hinted prefix, then the seed sweep), runs them on a pool of
+// Config.Jobs workers, and aggregates violations by canonical signature.
+// The findings (signature set, counts, first-producing schedule) are
+// deterministic for a given (hints, seed, schedule count) regardless of
+// Jobs; only under an expiring Budget can the number of completed
+// schedules — and therefore the tail of the aggregate — vary between runs.
 func Explore(cfg Config) (*Result, error) {
-	if cfg.Runner == nil || cfg.Strategy == nil {
-		return nil, fmt.Errorf("explore: Config.Runner and Config.Strategy are required")
+	if cfg.Runner == nil {
+		return nil, fmt.Errorf("explore: Config.Runner is required")
 	}
 	if cfg.Schedules <= 0 {
 		return nil, fmt.Errorf("explore: Schedules must be positive (got %d)", cfg.Schedules)
@@ -281,7 +285,7 @@ func Explore(cfg Config) (*Result, error) {
 		deadline = start.Add(cfg.Budget)
 	}
 
-	res := &Result{Strategy: cfg.Strategy.Name()}
+	res := &Result{Strategy: StrategyName(cfg.Hints)}
 	findings := map[string]*Finding{}
 	var mu sync.Mutex
 	var firstErr error
@@ -331,7 +335,7 @@ func Explore(cfg Config) (*Result, error) {
 		go func(w int) {
 			defer wg.Done()
 			for i := range idx {
-				plan := cfg.Strategy.Plan(i, cfg.Seed, cfg.Runner.Ranks)
+				plan := schedulePlan(i, cfg.Seed, cfg.Hints, cfg.Runner.Ranks)
 				var sp *tracing.Span
 				if cfg.Trace != nil {
 					scope := fmt.Sprintf("schedule %d", i)
@@ -368,7 +372,7 @@ func Explore(cfg Config) (*Result, error) {
 		mu.Unlock()
 		rate := float64(done) / now.Sub(start).Seconds()
 		fmt.Fprintf(cfg.Progress, "\rexplore[%s]: %d/%d schedules (%.0f/s), %d distinct violation(s)   ",
-			cfg.Strategy.Name(), done, cfg.Schedules, rate, distinct)
+			res.Strategy, done, cfg.Schedules, rate, distinct)
 	}
 
 feed:

@@ -10,6 +10,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/profiler"
+	"repro/internal/stanalyzer"
 )
 
 // schedRunner builds the Runner for the planted schedule-dependent bug.
@@ -47,37 +48,58 @@ func TestPlantedBugCleanOnDefaultSchedule(t *testing.T) {
 	}
 }
 
-// TestEveryStrategyCatchesPlantedBug: each schedule strategy must expose
-// the interleaving-dependent violation within a bounded schedule budget.
-func TestEveryStrategyCatchesPlantedBug(t *testing.T) {
-	budgets := map[string]int{
-		"sweep": 32,
-		"walk":  32,
-		"pct":   32,
-		// One delay step hits the load-bearing (origin, batch) pair with
-		// probability 1/(ranks·maxBatch) per schedule, so it needs more.
-		"delay": 128,
+// schedHints returns the origin ranks the static checker's diagnostics on
+// the buggy schedrace name, the hints `mcchecker explore -static-seed`
+// passes.
+func schedHints(t *testing.T) []int {
+	t.Helper()
+	srep, err := stanalyzer.CheckFS(apps.SourceFS(), stanalyzer.Options{
+		Defines: map[string]bool{"buggy": true},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, strat := range Strategies() {
-		strat := strat
-		t.Run(strat.Name(), func(t *testing.T) {
+	hints := HintsFromDiagnostics(srep.ForFunctions(srep.Reachable("SchedRace")))
+	if len(hints) == 0 {
+		t.Fatal("static checker produced no rank hints for schedrace")
+	}
+	return hints
+}
+
+// strategies returns the hints of the two schedule sequences Explore runs,
+// keyed by their StrategyName: the plain seed sweep and the sweep after
+// the static hints' delay plans.
+func strategies(t *testing.T) map[string][]int {
+	hints := schedHints(t)
+	return map[string][]int{StrategyName(nil): nil, StrategyName(hints): hints}
+}
+
+// TestEveryStrategyCatchesPlantedBug: the sweep, hinted or not, must
+// expose the interleaving-dependent violation within a bounded schedule
+// budget, and the finding must replay.
+func TestEveryStrategyCatchesPlantedBug(t *testing.T) {
+	for name, hints := range strategies(t) {
+		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			res, err := Explore(Config{
 				Runner:    schedRunner(t, true),
-				Strategy:  strat,
-				Schedules: budgets[strat.Name()],
+				Hints:     hints,
+				Schedules: 32,
 				Seed:      1,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
+			if res.Strategy != name {
+				t.Errorf("Result.Strategy = %q, want %q", res.Strategy, name)
+			}
 			if res.Distinct() != 1 {
 				t.Fatalf("%s: found %d distinct violations in %d schedules, want exactly 1",
-					strat.Name(), res.Distinct(), res.Schedules)
+					name, res.Distinct(), res.Schedules)
 			}
 			f := res.Findings[0]
 			if !strings.Contains(f.Signature, "pending Get") {
-				t.Errorf("%s: unexpected signature %q", strat.Name(), f.Signature)
+				t.Errorf("%s: unexpected signature %q", name, f.Signature)
 			}
 			// The finding must replay: the plan string round-trips through
 			// the -faults DSL and reproduces the same signature.
@@ -94,7 +116,7 @@ func TestEveryStrategyCatchesPlantedBug(t *testing.T) {
 				found = found || v.Signature() == f.Signature
 			}
 			if !found {
-				t.Errorf("%s: replaying %q did not reproduce %s", strat.Name(), f.FirstPlan, f.Signature)
+				t.Errorf("%s: replaying %q did not reproduce %s", name, f.FirstPlan, f.Signature)
 			}
 		})
 	}
@@ -103,13 +125,12 @@ func TestEveryStrategyCatchesPlantedBug(t *testing.T) {
 // TestFixedVariantCleanUnderEveryStrategy: the fixed program stays clean
 // across the same sweeps that catch the buggy one.
 func TestFixedVariantCleanUnderEveryStrategy(t *testing.T) {
-	for _, strat := range Strategies() {
-		strat := strat
-		t.Run(strat.Name(), func(t *testing.T) {
+	for name, hints := range strategies(t) {
+		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			res, err := Explore(Config{
 				Runner:    schedRunner(t, false),
-				Strategy:  strat,
+				Hints:     hints,
 				Schedules: 16,
 				Seed:      1,
 			})
@@ -118,9 +139,37 @@ func TestFixedVariantCleanUnderEveryStrategy(t *testing.T) {
 			}
 			if res.Distinct() != 0 {
 				t.Fatalf("%s: fixed variant produced %d findings:\n%+v",
-					strat.Name(), res.Distinct(), res.Findings[0])
+					name, res.Distinct(), res.Findings[0])
 			}
 		})
+	}
+}
+
+// TestSweepFindsScheduleRaceEarly pins the measurement that left the seed
+// sweep as the only strategy (EXPERIMENTS.md, "One exploration
+// strategy"): over 100 disjoint sweeps of schedrace at base seeds
+// k·100003 the first violating schedule was at most 7, and the hinted
+// sweep's was always 0. Here k = 1…20, with twice the measured bound.
+func TestSweepFindsScheduleRaceEarly(t *testing.T) {
+	hints := schedHints(t)
+	r := schedRunner(t, true)
+	for k := uint64(1); k <= 20; k++ {
+		seed := k * 100003
+		res, err := Explore(Config{Runner: r, Schedules: 16, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Distinct() == 0 {
+			t.Errorf("seed %d: the sweep found nothing in 16 schedules", seed)
+		}
+		res, err = Explore(Config{Runner: r, Hints: hints, Schedules: 1, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Distinct() == 0 {
+			t.Errorf("seed %d: the hinted sweep's schedule 0 (%s) found nothing",
+				seed, schedulePlan(0, seed, hints, r.Ranks))
+		}
 	}
 }
 
@@ -136,7 +185,6 @@ func TestDedupAcrossManySchedules(t *testing.T) {
 	r.Obs = reg
 	res, err := Explore(Config{
 		Runner:    r,
-		Strategy:  Sweep{},
 		Schedules: 1000,
 		Seed:      1,
 	})
@@ -167,7 +215,6 @@ func TestFindingsIndependentOfJobs(t *testing.T) {
 	run := func(jobs int) *Result {
 		res, err := Explore(Config{
 			Runner:    schedRunner(t, true),
-			Strategy:  Sweep{},
 			Schedules: 64,
 			Jobs:      jobs,
 			Seed:      1,
@@ -204,7 +251,6 @@ func TestFindingsIndependentOfJobs(t *testing.T) {
 func TestBudgetStopsFeedingSchedules(t *testing.T) {
 	res, err := Explore(Config{
 		Runner:    schedRunner(t, true),
-		Strategy:  Sweep{},
 		Schedules: 1000,
 		Budget:    time.Nanosecond,
 		Seed:      1,
@@ -236,7 +282,6 @@ func TestRegistrySweepDeterministic(t *testing.T) {
 						Ranks: bc.Ranks,
 						Rel:   profiler.FromNames(bc.RelevantBuffers),
 					},
-					Strategy:  Sweep{},
 					Schedules: schedules,
 					Jobs:      2,
 					Seed:      7,
@@ -293,33 +338,18 @@ func TestSoakDetectsDivergence(t *testing.T) {
 	}
 }
 
-func TestParseStrategy(t *testing.T) {
-	for _, name := range []string{"sweep", "walk", "pct", "delay"} {
-		s, err := ParseStrategy(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s.Name() != name {
-			t.Errorf("ParseStrategy(%q).Name() = %q", name, s.Name())
-		}
-	}
-	if _, err := ParseStrategy("dfs"); err == nil {
-		t.Error("ParseStrategy accepted an unknown name")
-	}
-}
-
-// TestStrategyPlansDeterministic: a strategy's i-th plan is a pure
-// function of (i, base, ranks).
+// TestStrategyPlansDeterministic: schedule i's plan is a pure function
+// of (i, base, hints, ranks), for the sweep and the hinted sweep.
 func TestStrategyPlansDeterministic(t *testing.T) {
-	for _, strat := range Strategies() {
-		for i := 0; i < 8; i++ {
-			a := strat.Plan(i, 42, 4).String()
-			b := strat.Plan(i, 42, 4).String()
+	for _, hints := range [][]int{nil, {1, 3}} {
+		for i := 0; i < 12; i++ {
+			a := schedulePlan(i, 42, hints, 4).String()
+			b := schedulePlan(i, 42, hints, 4).String()
 			if a != b {
-				t.Errorf("%s: plan %d not deterministic: %q vs %q", strat.Name(), i, a, b)
+				t.Errorf("%s: plan %d not deterministic: %q vs %q", StrategyName(hints), i, a, b)
 			}
 			if _, err := faults.Parse(a); err != nil {
-				t.Errorf("%s: plan %d does not round-trip the DSL: %v", strat.Name(), i, err)
+				t.Errorf("%s: plan %d does not round-trip the DSL: %v", StrategyName(hints), i, err)
 			}
 		}
 	}

@@ -1,11 +1,12 @@
 package explore
 
-// hints.go: seeding the schedule sweep from static-checker findings. A
-// static diagnostic names the target ranks of the operations it suspects
-// (internal/stanalyzer Diagnostic.Ranks); delaying exactly those origins'
-// completions is the most direct way to flip the completion orders the
-// diagnostic worries about, so the hinted schedules run before the base
-// strategy's broad sweep.
+// hints.go: the schedules an exploration runs. Schedule i is the seed
+// sweep's plan, legal cross-origin completion reordering under seed
+// base+i. Static-checker findings can seed the sweep: a static diagnostic
+// names the target ranks of the operations it suspects (internal/stanalyzer
+// Diagnostic.Ranks), and delaying exactly those origins' completions is the
+// most direct way to flip the completion orders the diagnostic worries
+// about, so the hinted schedules run before the sweep.
 
 import (
 	"sort"
@@ -14,44 +15,42 @@ import (
 	"repro/internal/stanalyzer"
 )
 
-// Hinted prefixes a base strategy with schedules derived from static
-// diagnostics: the first len(Ranks)×MaxBatch schedules delay one hinted
-// origin rank at one early completion batch each (with reordering enabled
-// so the rest of the batch still shuffles), then the base strategy
-// continues unchanged with its own schedule indexes.
-type Hinted struct {
-	Base  Strategy
-	Ranks []int
+// hintedBatches is the number of early completion batches a hinted
+// schedule delays a hinted origin rank at: batch ordinals 0 to 3.
+const hintedBatches = 4
 
-	// MaxBatch bounds the batch ordinals hinted delays land on (default 4).
-	MaxBatch int
+// schedulePlan builds schedule i of an exploration with the given base
+// seed, static hints and rank count. With hints, the first
+// len(hints)×hintedBatches schedules each delay one hinted origin rank at
+// one early completion batch (with reordering on, so the rest of the
+// batch still shuffles), and the sweep then continues from its own
+// schedule 0. A plan is a pure function of its arguments, so a sweep is
+// reproducible and any single schedule replays from its `-faults` string.
+func schedulePlan(i int, base uint64, hints []int, ranks int) *faults.Plan {
+	hinted := len(hints) * hintedBatches
+	if i >= hinted {
+		return &faults.Plan{Seed: base + uint64(i-hinted), Reorder: true}
+	}
+	plan := &faults.Plan{Seed: base + uint64(i), Reorder: true}
+	// A hint outside this world's rank range degrades to the plain sweep.
+	if r := hints[i%len(hints)]; r >= 0 && r < ranks {
+		plan.Delays = []faults.Delay{{Origin: r, Batch: i / len(hints)}}
+	}
+	return plan
 }
 
-func (h Hinted) Name() string { return h.Base.Name() + "+static-hints" }
-
-func (h Hinted) Plan(i int, base uint64, ranks int) *faults.Plan {
-	maxBatch := h.MaxBatch
-	if maxBatch <= 0 {
-		maxBatch = 4
+// StrategyName names the schedules an exploration with the given static
+// hints runs, as progress lines and results report it: "sweep", or
+// "sweep+static-hints" when there are hints.
+func StrategyName(hints []int) string {
+	if len(hints) > 0 {
+		return "sweep+static-hints"
 	}
-	hinted := len(h.Ranks) * maxBatch
-	if i < hinted {
-		r := h.Ranks[i%len(h.Ranks)]
-		if r >= 0 && r < ranks {
-			return &faults.Plan{
-				Seed:    base + uint64(i),
-				Reorder: true,
-				Delays:  []faults.Delay{{Origin: r, Batch: i / len(h.Ranks)}},
-			}
-		}
-		// A hint outside this world's rank range degrades to the plain sweep.
-		return &faults.Plan{Seed: base + uint64(i), Reorder: true}
-	}
-	return h.Base.Plan(i-hinted, base, ranks)
+	return "sweep"
 }
 
 // HintsFromDiagnostics collects the statically-known target ranks named by
-// the diagnostics, deduplicated and sorted — the Ranks input for Hinted.
+// the diagnostics, deduplicated and sorted — the Config.Hints input.
 func HintsFromDiagnostics(diags []stanalyzer.Diagnostic) []int {
 	seen := map[int]bool{}
 	var out []int

@@ -4,53 +4,59 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/apps"
+	"repro/internal/faults"
 	"repro/internal/stanalyzer"
 )
 
 func TestHintedPlanPrefix(t *testing.T) {
-	h := Hinted{Base: Sweep{}, Ranks: []int{1, 2}, MaxBatch: 3}
+	hints := []int{1, 2}
 	ranks := 4
-	// The first len(Ranks)×MaxBatch schedules are targeted delay plans
-	// cycling through the hinted origins and stepping the batch ordinal.
-	for i := 0; i < 6; i++ {
-		plan := h.Plan(i, 100, ranks)
+	// The first len(hints)×hintedBatches schedules are targeted delay
+	// plans cycling through the hinted origins and stepping the batch
+	// ordinal.
+	for i := 0; i < 2*hintedBatches; i++ {
+		plan := schedulePlan(i, 100, hints, ranks)
 		if plan == nil || len(plan.Delays) != 1 {
-			t.Fatalf("Plan(%d) = %+v, want one targeted delay", i, plan)
+			t.Fatalf("schedulePlan(%d) = %+v, want one targeted delay", i, plan)
 		}
 		d := plan.Delays[0]
-		wantOrigin := []int{1, 2}[i%2]
+		wantOrigin := hints[i%2]
 		wantBatch := i / 2
 		if d.Origin != wantOrigin || d.Batch != wantBatch {
-			t.Errorf("Plan(%d): delay = %+v, want origin %d batch %d", i, d, wantOrigin, wantBatch)
+			t.Errorf("schedulePlan(%d): delay = %+v, want origin %d batch %d", i, d, wantOrigin, wantBatch)
 		}
 		if !plan.Reorder {
-			t.Errorf("Plan(%d): hinted schedules must keep reordering on", i)
+			t.Errorf("schedulePlan(%d): hinted schedules must keep reordering on", i)
 		}
 		if plan.Seed != 100+uint64(i) {
-			t.Errorf("Plan(%d): seed = %d", i, plan.Seed)
+			t.Errorf("schedulePlan(%d): seed = %d", i, plan.Seed)
 		}
 	}
-	// After the hinted prefix the base strategy continues from index 0.
-	got := h.Plan(6, 100, ranks)
-	want := Sweep{}.Plan(0, 100, ranks)
+	// After the hinted prefix the sweep continues from its schedule 0.
+	got := schedulePlan(2*hintedBatches, 100, hints, ranks)
+	want := &faults.Plan{Seed: 100, Reorder: true}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("Plan(6) = %+v, want base Plan(0) = %+v", got, want)
+		t.Errorf("schedulePlan(%d) = %+v, want the sweep's schedule 0 %+v", 2*hintedBatches, got, want)
+	}
+	// Without hints every schedule is the sweep's.
+	if got := schedulePlan(5, 100, nil, ranks); !reflect.DeepEqual(got, &faults.Plan{Seed: 105, Reorder: true}) {
+		t.Errorf("unhinted schedulePlan(5) = %+v, want seed=105,reorder", got)
 	}
 }
 
 func TestHintedOutOfRangeRankDegrades(t *testing.T) {
-	h := Hinted{Base: Sweep{}, Ranks: []int{7}, MaxBatch: 1}
-	plan := h.Plan(0, 0, 2) // rank 7 does not exist in a 2-rank world
+	plan := schedulePlan(0, 0, []int{7}, 2) // rank 7 does not exist in a 2-rank world
 	if plan == nil || len(plan.Delays) != 0 || !plan.Reorder {
 		t.Errorf("out-of-range hint must degrade to plain reorder, got %+v", plan)
 	}
 }
 
 func TestHintedName(t *testing.T) {
-	h := Hinted{Base: Sweep{}}
-	if h.Name() != "sweep+static-hints" {
-		t.Errorf("Name() = %q", h.Name())
+	if got := StrategyName(nil); got != "sweep" {
+		t.Errorf("StrategyName(nil) = %q", got)
+	}
+	if got := StrategyName([]int{1}); got != "sweep+static-hints" {
+		t.Errorf("StrategyName([1]) = %q", got)
 	}
 }
 
@@ -72,20 +78,9 @@ func TestHintsFromDiagnostics(t *testing.T) {
 // checker's rank hints for the schedrace app must still expose the
 // planted schedule-dependent violation within the sweep budget.
 func TestHintedCatchesScheduleBug(t *testing.T) {
-	srep, err := stanalyzer.CheckFS(apps.SourceFS(), stanalyzer.Options{
-		Defines: map[string]bool{"buggy": true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags := srep.ForFunctions(srep.Reachable("SchedRace"))
-	hints := HintsFromDiagnostics(diags)
-	if len(hints) == 0 {
-		t.Fatal("static checker produced no rank hints for schedrace")
-	}
 	res, err := Explore(Config{
 		Runner:    schedRunner(t, true),
-		Strategy:  Hinted{Base: Sweep{}, Ranks: hints},
+		Hints:     schedHints(t),
 		Schedules: 32,
 		Seed:      1,
 	})

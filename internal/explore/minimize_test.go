@@ -51,7 +51,7 @@ func TestMinimizeSchedule(t *testing.T) {
 	// delay=0@0 pushes rank 0's swap behind rank 1's in the load-bearing
 	// batch, so this plan flips the race no matter what the other
 	// clauses do; they are pure noise for ddmin to strip.
-	plan, err := faults.Parse("seed=5,reorder,yield=25,chg=3,delay=0@0,delay=1@6")
+	plan, err := faults.Parse("seed=5,reorder,yield=25,delay=0@0,delay=1@6")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,6 @@ func TestMinimizeFlakyFinding(t *testing.T) {
 func TestExploreWithMinimize(t *testing.T) {
 	res, err := Explore(Config{
 		Runner:       schedRunner(t, true),
-		Strategy:     Sweep{},
 		Schedules:    32,
 		Seed:         1,
 		Minimize:     true,

@@ -1,17 +1,18 @@
 // Package faults defines deterministic, seeded fault and schedule plans
 // for the MC-Checker pipeline. A Plan is parsed from a compact DSL
-// ("seed=7,crash=1@120,trunc=0.5,reorder,yield=20,prio=1.0,chg=2,delay=0@3")
-// and consumed by the simulator (rank crashes, scheduler yields, RMA
+// ("seed=7,crash=1@120,trunc=0.5,reorder,yield=20,delay=0@3") and
+// consumed by the simulator (rank crashes, scheduler yields, RMA
 // completion scheduling), the trace layer (byte truncation), and the CLI
 // (soak and explore modes). Everything is derived from the plan's seed
 // through a splitmix64 generator, so the same plan produces the same
 // faults — and therefore the same report — on every run.
 //
 // Beyond failure injection, a Plan doubles as a deterministic *schedule*
-// over the space of legal RMA completion orders: reorder (random batch
-// permutation), prio (rank completion priorities), chg (PCT-style
-// priority change points), and delay (delay-bounded reordering) pick one
-// legal completion order per batch. internal/explore sweeps that space
+// over the space of legal RMA completion orders: reorder (a seeded
+// permutation of each batch's origins) and delay (one origin moved to the
+// back of one batch) pick one legal completion order per batch, and yield
+// perturbs the goroutine interleaving around them. internal/explore
+// sweeps reorder seeds, after delay plans when static hints are given,
 // and shrinks violating plans back to a minimal, replayable clause set
 // (ScheduleAtoms / WithScheduleAtoms).
 //
@@ -41,7 +42,7 @@ type Trunc struct {
 }
 
 // Delay defers one origin rank's operations to the back of one RMA
-// completion batch — the unit step of delay-bounded scheduling.
+// completion batch; the explorer's hinted schedules are made of them.
 type Delay struct {
 	Origin int // world rank whose operations are delayed
 	Batch  int // 0-based per-window completion-batch ordinal
@@ -52,14 +53,9 @@ type Plan struct {
 	Seed    uint64
 	Crashes []Crash
 	Truncs  []Trunc
-	Reorder bool // legal cross-origin reordering of RMA completion batches
-	Yield   int  // percent chance of a scheduler yield per MPI call
-
-	// Schedule clauses: deterministic choices of legal RMA completion
-	// orders, explored by internal/explore and replayed via the DSL.
-	Prio    []int   // completion priority per world rank (higher applies later; ranks beyond the list use their rank)
-	Changes []int   // PCT-style change points: batch ordinals at which a seed-derived rank is demoted
-	Delays  []Delay // delay-bounded reordering steps
+	Reorder bool    // legal cross-origin reordering of RMA completion batches
+	Yield   int     // percent chance of a scheduler yield per MPI call
+	Delays  []Delay // origins moved to the back of one completion batch each
 }
 
 // Parse decodes the fault DSL: comma-separated clauses of
@@ -70,8 +66,6 @@ type Plan struct {
 //	trunc=F@R       truncate only rank R's trace
 //	reorder         legally reorder RMA completion batches across origins
 //	yield=P         P percent chance of a scheduler yield per MPI call
-//	prio=P0.P1...   completion priority per rank (higher applies later)
-//	chg=K           PCT-style change point at completion batch K
 //	delay=R@K       delay rank R's operations to the back of batch K
 //
 // An empty string yields a nil plan (no faults).
@@ -117,7 +111,8 @@ func (p *Plan) applyClause(clause string) error {
 	case "trunc":
 		fracStr, rankStr, hasRank := strings.Cut(val, "@")
 		frac, err := strconv.ParseFloat(fracStr, 64)
-		if err != nil || !hasVal || frac < 0 || frac > 1 {
+		// Written so that NaN, which fails every comparison, is rejected.
+		if err != nil || !hasVal || !(frac >= 0 && frac <= 1) {
 			return fmt.Errorf("faults: bad trunc clause %q (want trunc=FRAC[@RANK], 0 <= FRAC <= 1)", clause)
 		}
 		rank := -1
@@ -139,25 +134,6 @@ func (p *Plan) applyClause(clause string) error {
 			return fmt.Errorf("faults: bad yield clause %q (want yield=PERCENT)", clause)
 		}
 		p.Yield = n
-	case "prio":
-		if !hasVal || val == "" {
-			return fmt.Errorf("faults: bad prio clause %q (want prio=P0.P1...)", clause)
-		}
-		var prio []int
-		for _, part := range strings.Split(val, ".") {
-			n, err := strconv.Atoi(part)
-			if err != nil || n < 0 {
-				return fmt.Errorf("faults: bad prio clause %q (priorities are non-negative ints)", clause)
-			}
-			prio = append(prio, n)
-		}
-		p.Prio = prio
-	case "chg":
-		n, err := strconv.Atoi(val)
-		if err != nil || !hasVal || n < 0 {
-			return fmt.Errorf("faults: bad chg clause %q (want chg=BATCH)", clause)
-		}
-		p.Changes = append(p.Changes, n)
 	case "delay":
 		rankStr, batchStr, ok := strings.Cut(val, "@")
 		if !ok || !hasVal {
@@ -218,18 +194,6 @@ func (p *Plan) ScheduleAtoms() []string {
 	if p.Yield > 0 {
 		atoms = append(atoms, fmt.Sprintf("yield=%d", p.Yield))
 	}
-	if len(p.Prio) > 0 {
-		strs := make([]string, len(p.Prio))
-		for i, n := range p.Prio {
-			strs[i] = strconv.Itoa(n)
-		}
-		atoms = append(atoms, "prio="+strings.Join(strs, "."))
-	}
-	changes := append([]int(nil), p.Changes...)
-	sort.Ints(changes)
-	for _, c := range changes {
-		atoms = append(atoms, fmt.Sprintf("chg=%d", c))
-	}
 	for _, d := range p.Delays {
 		atoms = append(atoms, fmt.Sprintf("delay=%d@%d", d.Origin, d.Batch))
 	}
@@ -259,7 +223,7 @@ func (p *Plan) WithScheduleAtoms(atoms []string) (*Plan, error) {
 // Active reports whether the plan injects anything at all.
 func (p *Plan) Active() bool {
 	return p != nil && (len(p.Crashes) > 0 || len(p.Truncs) > 0 || p.Reorder || p.Yield > 0 ||
-		len(p.Prio) > 0 || len(p.Changes) > 0 || len(p.Delays) > 0)
+		len(p.Delays) > 0)
 }
 
 // HasCrash reports whether any rank crash is planned.

@@ -4,19 +4,19 @@ import (
 	"testing"
 )
 
+// roundTripPlans are plans in canonical form: Parse(s).String() == s.
+var roundTripPlans = []string{
+	"seed=7",
+	"seed=7,crash=1@120",
+	"seed=7,crash=0@3,crash=1@120,trunc=0.5",
+	"seed=2,trunc=0.25@2,reorder,yield=20",
+	"seed=1,reorder",
+	"seed=5,delay=0@0,delay=2@7",
+	"seed=6,reorder,yield=10,delay=1@3",
+}
+
 func TestParseRoundTrip(t *testing.T) {
-	cases := []string{
-		"seed=7",
-		"seed=7,crash=1@120",
-		"seed=7,crash=0@3,crash=1@120,trunc=0.5",
-		"seed=2,trunc=0.25@2,reorder,yield=20",
-		"seed=1,reorder",
-		"seed=3,prio=1.0.2",
-		"seed=4,chg=0,chg=5",
-		"seed=5,delay=0@0,delay=2@7",
-		"seed=6,reorder,yield=10,prio=2.1.0,chg=1,delay=1@3",
-	}
-	for _, s := range cases {
+	for _, s := range roundTripPlans {
 		p, err := Parse(s)
 		if err != nil {
 			t.Fatalf("Parse(%q): %v", s, err)
@@ -60,9 +60,9 @@ func TestParseDefaultsSeed(t *testing.T) {
 func TestParseErrors(t *testing.T) {
 	for _, s := range []string{
 		"seed=x", "seed", "crash=1", "crash=@5", "crash=1@0", "crash=-1@5",
-		"trunc=2", "trunc=-0.1", "trunc=0.5@x", "yield=101", "yield=-1",
-		"reorder=1", "bogus=3", "wat",
-		"prio=", "prio=1.x", "prio=-1", "chg=-2", "chg=x", "chg",
+		"trunc=2", "trunc=-0.1", "trunc=0.5@x", "trunc=NaN", "trunc=NaN@1",
+		"yield=101", "yield=-1", "reorder=1", "bogus=3", "wat",
+		"prio=1.0", "chg=0", // unknown: completion order has reorder and delay clauses only
 		"delay=1", "delay=@3", "delay=-1@2", "delay=0@-1",
 	} {
 		if p, err := Parse(s); err == nil {
@@ -154,12 +154,12 @@ func TestIntnRange(t *testing.T) {
 }
 
 func TestScheduleAtomsRoundTrip(t *testing.T) {
-	p, err := Parse("seed=9,crash=1@5,reorder,yield=15,prio=1.0,chg=2,chg=0,delay=0@1,delay=1@0")
+	p, err := Parse("seed=9,crash=1@5,reorder,yield=15,delay=0@1,delay=1@0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	atoms := p.ScheduleAtoms()
-	want := []string{"reorder", "yield=15", "prio=1.0", "chg=0", "chg=2", "delay=0@1", "delay=1@0"}
+	want := []string{"reorder", "yield=15", "delay=0@1", "delay=1@0"}
 	if len(atoms) != len(want) {
 		t.Fatalf("ScheduleAtoms = %v, want %v", atoms, want)
 	}
@@ -182,7 +182,7 @@ func TestScheduleAtomsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.Reorder || q.Yield != 0 || q.Prio != nil || q.Changes != nil || len(q.Delays) != 1 {
+	if q.Reorder || q.Yield != 0 || len(q.Delays) != 1 {
 		t.Errorf("subset rebuild kept extra clauses: %q", q.String())
 	}
 	if q.Seed != 9 || len(q.Crashes) != 1 {
@@ -199,7 +199,7 @@ func TestScheduleAtomsRoundTrip(t *testing.T) {
 }
 
 func TestScheduleClausesActive(t *testing.T) {
-	for _, s := range []string{"prio=1.0", "chg=0", "delay=0@0"} {
+	for _, s := range []string{"yield=5", "delay=0@0"} {
 		p, err := Parse(s)
 		if err != nil {
 			t.Fatal(err)
@@ -222,4 +222,40 @@ func TestWithSeed(t *testing.T) {
 	if (*Plan)(nil).WithSeed(5) != nil {
 		t.Error("nil plan WithSeed must stay nil")
 	}
+}
+
+// FuzzParsePlan checks what every accepted plan promises its consumers:
+// its canonical string parses back to itself, and every truncation
+// fraction it yields lies in [0, 1], so TruncateBytes cannot panic.
+func FuzzParsePlan(f *testing.F) {
+	for _, s := range roundTripPlans {
+		f.Add(s)
+	}
+	f.Add("trunc=NaN")
+	data := []byte("0123456789")
+	f.Fuzz(func(t *testing.T, s string) {
+		p, err := Parse(s)
+		if err != nil || p == nil { // a blank string is the nil plan
+			return
+		}
+		str := p.String()
+		q, err := Parse(str)
+		if err != nil {
+			t.Fatalf("Parse(%q).String() = %q does not parse: %v", s, str, err)
+		}
+		if got := q.String(); got != str {
+			t.Fatalf("Parse(%q).String() = %q renders %q after a round trip", s, str, got)
+		}
+		ranks := []int{0}
+		for _, tr := range p.Truncs {
+			ranks = append(ranks, tr.Rank)
+		}
+		for _, r := range ranks {
+			frac, _ := p.TruncFor(r)
+			if !(frac >= 0 && frac <= 1) {
+				t.Fatalf("Parse(%q).TruncFor(%d) = %g, outside [0, 1]", s, r, frac)
+			}
+			TruncateBytes(data, frac)
+		}
+	})
 }

@@ -104,7 +104,7 @@ func (c VerifyConfig) verdict(body func(p *mpi.Proc) error, ranks int, relevant 
 		return Verdict{Err: err.Error()}
 	}
 	res, err := explore.Explore(explore.Config{
-		Runner: r, Strategy: explore.Sweep{}, Schedules: c.Schedules, Seed: c.Seed,
+		Runner: r, Schedules: c.Schedules, Seed: c.Seed,
 	})
 	if err != nil {
 		return Verdict{Err: err.Error()}

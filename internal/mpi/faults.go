@@ -251,10 +251,9 @@ func (p *Proc) setupFaults() {
 // RMA batch according to the plan's schedule clauses, preserving each
 // origin's program order (which MPI guarantees for accumulates). batch is
 // the window's 0-based completion-batch ordinal. The clauses compose in a
-// fixed order — reorder, then priorities with change points, then delays —
-// and every decision is derived from the plan's seed and the batch
-// identity, never from shared mutable state, so a schedule replays
-// exactly.
+// fixed order — reorder, then delays — and every decision is derived from
+// the plan's seed and the batch identity, never from shared mutable
+// state, so a schedule replays exactly.
 func (w *World) scheduleBatch(winID int32, batch int, ops []*rmaOp) {
 	fs := w.faults
 	if fs == nil || fs.plan == nil || len(ops) < 2 {
@@ -263,9 +262,6 @@ func (w *World) scheduleBatch(winID int32, batch int, ops []*rmaOp) {
 	plan := fs.plan
 	if plan.Reorder {
 		w.reorderBatch(winID, ops)
-	}
-	if len(plan.Prio) > 0 || len(plan.Changes) > 0 {
-		w.prioritizeBatch(batch, ops)
 	}
 	for _, d := range plan.Delays {
 		if d.Batch == batch && delayOrigin(ops, d.Origin) {
@@ -296,51 +292,6 @@ func (w *World) reorderBatch(winID int32, ops []*rmaOp) {
 		return a.seq < b.seq
 	})
 	w.metrics.faultInjected(faultReorder)
-}
-
-// prioritizeBatch orders the batch by explicit rank priorities (the PCT
-// strategy of internal/explore): an origin with a higher priority value
-// applies later, so its writes win. Ranks beyond the prio list use their
-// rank as priority. Each change point whose batch ordinal has been
-// reached demotes one seed-derived rank to apply first — the PCT priority
-// drop, keyed by the change point's index so a replay demotes the same
-// ranks.
-func (w *World) prioritizeBatch(batch int, ops []*rmaOp) {
-	plan := w.faults.plan
-	origins := batchOrigins(ops)
-	if len(origins) < 2 {
-		return
-	}
-	prio := func(origin int) int {
-		if origin < len(plan.Prio) {
-			return plan.Prio[origin]
-		}
-		return origin
-	}
-	demoted := make(map[int]int)
-	for i, c := range plan.Changes {
-		if c <= batch {
-			r := faults.Derive(plan.Seed, 0x63686770 /* "chgp" */, uint64(i)).Intn(len(w.procs))
-			demoted[r] = -(i + 1)
-		}
-	}
-	key := func(origin int) int {
-		if d, ok := demoted[origin]; ok {
-			return d
-		}
-		return prio(origin)
-	}
-	sort.SliceStable(ops, func(i, j int) bool {
-		a, b := ops[i], ops[j]
-		if key(a.origin) != key(b.origin) {
-			return key(a.origin) < key(b.origin)
-		}
-		if a.origin != b.origin {
-			return a.origin < b.origin
-		}
-		return a.seq < b.seq
-	})
-	w.metrics.faultInjected(faultPrio)
 }
 
 // delayOrigin stably moves the given origin's operations to the back of

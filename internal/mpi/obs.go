@@ -43,7 +43,6 @@ const (
 	faultCrash   = "crash"
 	faultYield   = "yield"
 	faultReorder = "reorder"
-	faultPrio    = "prio"
 	faultDelay   = "delay"
 )
 
@@ -69,7 +68,7 @@ func newSimMetrics(reg *obs.Registry) *simMetrics {
 		m.epochClosed[mode] = reg.Counter("mcchecker_sim_epochs_total", "mode", mode, "event", "closed")
 	}
 	m.faultsInjected = map[string]*obs.Counter{}
-	for _, kind := range []string{faultCrash, faultYield, faultReorder, faultPrio, faultDelay} {
+	for _, kind := range []string{faultCrash, faultYield, faultReorder, faultDelay} {
 		m.faultsInjected[kind] = reg.Counter("mcchecker_faults_injected_total", "kind", kind)
 	}
 	m.rankFailures = reg.Counter("mcchecker_sim_rank_failures_total")

@@ -39,9 +39,9 @@ type winShared struct {
 	fences *collState // fence/free rendezvous, separate from comm collectives
 
 	// batchSeq numbers the window's non-empty completion batches, the
-	// ordinal the schedule clauses (chg=K, delay=R@K) address. For
-	// fence-closed epochs the numbering is fully deterministic (fences are
-	// collective and ordered); for concurrent passive-target closes it is
+	// ordinal the delay=R@K schedule clause addresses. For fence-closed
+	// epochs the numbering is fully deterministic (fences are collective
+	// and ordered); for concurrent passive-target closes it is
 	// deterministic only up to lock-acquisition order.
 	batchSeq atomic.Int32
 

@@ -44,7 +44,7 @@ var helpText = map[string]metricHelp{
 	"mcchecker_analysis_salvage_retries_total": {kindCounter,
 		"Salvage attempts that failed and were retried at an earlier synchronization cut."},
 	"mcchecker_analysis_violations_total": {kindCounter,
-		"Memory consistency violations reported, labeled by class."},
+		"Memory consistency violations reported, each distinct violation of a report once."},
 	"mcchecker_explore_distinct_violations": {kindGauge,
 		"Distinct violation signatures found across an exploration sweep."},
 	"mcchecker_explore_failures_total": {kindCounter,

@@ -206,7 +206,7 @@ type Diagnostic struct {
 	Action *FixAction
 
 	// Ranks lists the statically-known target ranks of the involved
-	// operations; the schedule explorer seeds its strategies from them.
+	// operations; the schedule explorer seeds its sweep from them.
 	Ranks []int
 }
 

@@ -77,10 +77,9 @@ type Checker struct {
 	irecvOpen    []int            // posted Irecvs not yet waited, per rank
 	reqKind      map[reqID]trace.Kind
 
-	// Window registry for boundary classification and fence carryover.
-	// lastFence and freed, like defs, cover the analyzed slabs only.
-	winComm   map[int32]int32          // win → comm id
-	commSize  map[int32]int            // comm id → member count
+	// Boundary classification and fence carryover. lastFence and freed,
+	// like defs, cover the analyzed slabs only.
+	syncs     *core.GlobalSyncs
 	lastFence map[[2]int32]trace.Event // (rank, win) → the rank's last fence on win
 	freed     map[int32]bool           // win → freed in an analyzed slab
 
@@ -150,8 +149,7 @@ func New(ranks int, onViolation func(v *core.Violation)) *Checker {
 		msgDelta:     map[chanKey]int{},
 		irecvOpen:    make([]int, ranks),
 		reqKind:      map[reqID]trace.Kind{},
-		winComm:      map[int32]int32{},
-		commSize:     map[int32]int{0: ranks},
+		syncs:        core.NewGlobalSyncs(ranks),
 		lastFence:    map[[2]int32]trace.Event{},
 		freed:        map[int32]bool{},
 		report:       &core.Report{},
@@ -219,7 +217,7 @@ func (c *Checker) Emit(ev trace.Event) {
 	if c.buffered > c.peakBuffered {
 		c.peakBuffered = c.buffered
 	}
-	if c.isGlobalSync(&ev) {
+	if c.syncs.Global(&ev) {
 		c.globalPos[r] = append(c.globalPos[r], len(c.pending[r])-1)
 		c.maybeAnalyze()
 	}
@@ -228,11 +226,8 @@ func (c *Checker) Emit(ev trace.Event) {
 // track updates registries and cleanliness counters.
 func (c *Checker) track(ev *trace.Event) {
 	r := ev.Rank
+	c.syncs.Define(ev)
 	switch ev.Kind {
-	case trace.KindCommCreate:
-		c.commSize[ev.Comm] = len(ev.Members())
-	case trace.KindWinCreate:
-		c.winComm[ev.Win] = ev.Comm
 	case trace.KindWinFence:
 		key := [2]int32{r, ev.Win}
 		if c.fenceOps[key] > 0 {
@@ -304,19 +299,6 @@ func (c *Checker) bumpMsg(key chanKey, delta int) {
 	}
 }
 
-// isGlobalSync reports whether ev is a barrier-like synchronization
-// spanning all ranks (a slab boundary).
-func (c *Checker) isGlobalSync(ev *trace.Event) bool {
-	switch ev.Kind {
-	case trace.KindBarrier, trace.KindAllreduce, trace.KindAllgather, trace.KindAlltoall:
-		return c.commSize[ev.Comm] == c.ranks
-	case trace.KindWinFence, trace.KindWinCreate, trace.KindWinFree:
-		comm, ok := c.winComm[ev.Win]
-		return ok && c.commSize[comm] == c.ranks
-	}
-	return false
-}
-
 // delimits reports whether ev delimits a concurrent region, as the DAG
 // decides it: a barrier-like collective instance spanning all ranks. A
 // communicator created over all ranks delimits too, though no slab ends
@@ -325,7 +307,7 @@ func (c *Checker) delimits(ev *trace.Event) bool {
 	if ev.Kind == trace.KindCommCreate {
 		return len(ev.Members()) == c.ranks
 	}
-	return c.isGlobalSync(ev)
+	return c.syncs.Global(ev)
 }
 
 // clean reports whether the current boundary carries no cross-slab state.
@@ -496,10 +478,7 @@ func (c *Checker) cutSlab(n func(r int) int, final bool) *slab {
 // slab is analyzed and the loss recorded in c.notes — instead of
 // erroring.
 func (c *Checker) analyzeSet(set *trace.Set, label string) (*core.Report, error) {
-	if !c.tolerant {
-		return core.AnalyzeWith(set, c.opts)
-	}
-	rep, err := core.AnalyzeDegraded(set, c.opts, nil)
+	rep, err := core.AnalyzeSlab(set, c.opts, c.tolerant)
 	if err != nil {
 		return nil, err
 	}
@@ -667,6 +646,7 @@ func (c *Checker) finishLocked() (*core.Report, error) {
 	c.mPeakBuffered.SetMax(int64(c.peakBuffered))
 	c.report.Sort()
 	c.report.Degraded = append(c.report.Degraded, c.notes...)
+	c.report.RecordTotals(c.opts.Obs)
 	return c.report, nil
 }
 

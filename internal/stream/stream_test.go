@@ -115,7 +115,14 @@ func (t teeSink) Emit(ev trace.Event) {
 // report together with the trace the same run emitted.
 func runOnline(t *testing.T, ranks int, body func(p *mpi.Proc) error) (*core.Report, *trace.Set) {
 	t.Helper()
+	return runOnlineObs(t, ranks, body, nil)
+}
+
+// runOnlineObs is runOnline with the checker's metrics recorded in reg.
+func runOnlineObs(t *testing.T, ranks int, body func(p *mpi.Proc) error, reg *obs.Registry) (*core.Report, *trace.Set) {
+	t.Helper()
 	sc := New(ranks, nil)
+	sc.SetObs(reg)
 	sink := trace.NewMemorySink()
 	if err := mpi.Run(ranks, mpi.Options{Hook: profiler.New(teeSink{sc, sink}, nil)}, body); err != nil {
 		t.Fatal(err)
@@ -222,6 +229,39 @@ func TestStreamTotalsMatchOffline(t *testing.T) {
 				offline.EventsAnalyzed, offline.Regions, offline.EpochsChecked)
 		}
 	})
+}
+
+// TestStreamCountersMatchOffline: an online run's analysis counters
+// equal those of an offline analysis of the same trace: the merged
+// report's totals are recorded once, not each slab's.
+func TestStreamCountersMatchOffline(t *testing.T) {
+	counters := []string{
+		"mcchecker_analysis_events_total", "mcchecker_analysis_regions_total",
+		"mcchecker_analysis_epochs_total", "mcchecker_analysis_violations_total",
+	}
+	for _, bc := range apps.AllCases() {
+		for _, v := range []struct {
+			name string
+			body func(p *mpi.Proc) error
+		}{{"buggy", bc.Buggy}, {"fixed", bc.Fixed}} {
+			t.Run(bc.Name+"/"+v.name, func(t *testing.T) {
+				online := obs.NewRegistry()
+				_, set := runOnlineObs(t, min(bc.Ranks, 8), v.body, online)
+				offline := obs.NewRegistry()
+				opts := core.DefaultOptions()
+				opts.Obs = offline
+				if _, err := core.AnalyzeWith(set, opts); err != nil {
+					t.Fatal(err)
+				}
+				on, off := online.Snapshot(), offline.Snapshot()
+				for _, name := range counters {
+					if a, b := on.CounterValue(name), off.CounterValue(name); a != b {
+						t.Errorf("%s = %d online, %d offline", name, a, b)
+					}
+				}
+			})
+		}
+	}
 }
 
 // TestStreamRegionsMatchOffline: each online violation carries the trace

@@ -94,15 +94,16 @@ trace-smoke:
 	$(GO) run ./cmd/mcviz -check-trace $(TRACE_TMP)/analyze.json
 	$(GO) run ./cmd/mcviz -check-trace $(TRACE_TMP)/run.json
 
-# Daemon smoke: start `mcchecker serve`, submit one clean and one
-# truncated job over real HTTP, assert healthy/degraded results, then
-# SIGTERM and assert a clean drain with exit 0.
+# Daemon smoke: start `mcchecker serve`, submit a clean, a truncated and
+# a poison job over real HTTP, assert healthy/degraded/failed results,
+# then SIGTERM and assert a clean drain with exit 0.
 serve-smoke:
 	sh scripts/serve_smoke.sh
 
 # Daemon load experiment: saturate the serve queue from concurrent
 # clients (a fraction with damaged payloads) and print p50/p99 latency,
-# shed rate, and throughput; fails if the daemon does not drain.
+# shed rate, and throughput; fails if a poison job does not end failed,
+# another job does not end done, or the daemon does not drain.
 serve-bench:
 	$(GO) run ./cmd/mcbench -exp serve
 

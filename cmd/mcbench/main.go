@@ -320,13 +320,13 @@ func serveLoad(o *options) error {
 	}
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(w, "Clients\t%d\n", res.Clients)
-	fmt.Fprintf(w, "Jobs\t%d (done %d, degraded %d, quarantined %d, failed %d)\n",
-		res.Jobs, res.Done, res.Degraded, res.Quarantined, res.Failed)
+	fmt.Fprintf(w, "Jobs\t%d (done %d, degraded %d, failed %d, poison %d)\n",
+		res.Jobs, res.Done, res.Degraded, res.Failed, res.Poison)
 	fmt.Fprintf(w, "Workers / queue budget\t%d / %d\n", res.Workers, res.QueueBudget)
 	fmt.Fprintf(w, "Submit attempts\t%d (shed %d, rate %.1f%%)\n", res.SubmitAttempts, res.Shed, 100*res.ShedRate)
 	fmt.Fprintf(w, "Job latency p50 / p99\t%.1f ms / %.1f ms\n", res.P50LatencyMs, res.P99LatencyMs)
 	fmt.Fprintf(w, "Saturation throughput\t%.1f jobs/s over %.2fs\n", res.JobsPerSec, res.ElapsedSec)
-	fmt.Fprintf(w, "Panics recovered / retries\t%d / %d\n", res.PanicsRecovered, res.Retries)
+	fmt.Fprintf(w, "Panics recovered\t%d\n", res.PanicsRecovered)
 	fmt.Fprintf(w, "Drained cleanly\t%v\n", res.DrainedCleanly)
 	w.Flush()
 	if !res.DrainedCleanly {

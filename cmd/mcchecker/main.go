@@ -15,9 +15,10 @@
 //	    application's ST-Analyzer instrumentation set; -full instruments
 //	    every buffer; -intra-only reproduces the SyncChecker baseline;
 //	    -online analyzes concurrent regions while the program still runs
-//	    (streaming mode); -json prints the report as JSON; -stats collects
-//	    and prints run metrics (per-phase wall times, simulator/profiler
-//	    counters) in the chosen -stats-format.
+//	    (streaming mode, which writes no trace files and so takes neither
+//	    a -trace path nor truncation faults); -json prints the report as
+//	    JSON; -stats collects and prints run metrics (per-phase wall
+//	    times, simulator/profiler counters) in the chosen -stats-format.
 //
 //	    -faults injects a deterministic fault plan, e.g.
 //	    "seed=7,crash=1@120,trunc=0.5,reorder,yield=20" (see internal/faults).
@@ -82,15 +83,15 @@
 //	    exits 3.
 //
 //	mcchecker serve [-addr HOST:PORT] [-workers N] [-queue N] [-job-timeout D]
-//	                [-max-attempts N] [-retry-backoff D] [-drain-timeout D]
+//	                [-drain-timeout D]
 //	    Run the analysis daemon (internal/serve): clients POST trace sets
 //	    to /jobs (inline uploads or a server-local directory) and poll
 //	    /jobs/{id} for the report. Admission is bounded by -queue (excess
-//	    submissions get 429 + Retry-After), each attempt runs under the
-//	    -job-timeout watchdog, failures retry with backoff until
-//	    -max-attempts then quarantine, and damaged uploads degrade via
-//	    the salvage pipeline. SIGTERM drains: in-flight jobs finish, new
-//	    ones are refused, then the process exits 0.
+//	    submissions get 429 + Retry-After), each job runs once under the
+//	    -job-timeout watchdog and a failed one ends failed with its error,
+//	    and damaged uploads degrade via the salvage pipeline. SIGTERM
+//	    drains: in-flight jobs finish, new ones are refused, then the
+//	    process exits 0.
 //
 //	mcchecker dump -trace DIR [-rank N] [-limit N] [-format text|jsonl]
 //	    Pretty-print trace files for debugging instrumented runs.
@@ -197,8 +198,7 @@ func commands() []command {
 			name:    "serve",
 			summary: "run the analysis daemon (POST trace sets to /jobs)",
 			synopsis: []string{
-				"mcchecker serve [-addr HOST:PORT] [-workers N] [-queue N] [-job-timeout D] [-max-attempts N]",
-				"              [-retry-backoff D] [-drain-timeout D]",
+				"mcchecker serve [-addr HOST:PORT] [-workers N] [-queue N] [-job-timeout D] [-drain-timeout D]",
 			},
 			run: serveCmd,
 		},
@@ -375,6 +375,19 @@ func runCmd(args []string) error {
 		traceDir: outDir, tl: tl, reg: reg, progress: progress,
 	}
 
+	if *online {
+		// The streaming checker consumes each event as it is emitted: no
+		// trace set is ever written, and no rank's byte length is known
+		// to truncate.
+		switch {
+		case tl != nil:
+			return fmt.Errorf("timeline recording (-trace %s) requires the offline pipeline (drop -online)", tl.path)
+		case outDir != "":
+			return fmt.Errorf("writing trace files (-trace %s) requires the offline pipeline (drop -online)", outDir)
+		case plan != nil && len(plan.Truncs) > 0:
+			return fmt.Errorf("truncation faults (-faults %q) require the offline pipeline (drop -online)", *faultsFlag)
+		}
+	}
 	if *soak > 0 {
 		if *online || *traceDir != "" || *stats {
 			return fmt.Errorf("-soak runs offline in memory (drop -online, -trace, and -stats)")
@@ -384,9 +397,6 @@ func runCmd(args []string) error {
 	}
 	fmt.Fprintf(progress, "running %s (%s) on %d simulated ranks, %s\n", bc.Name, variant, n, mode)
 
-	if *online && tl != nil {
-		return fmt.Errorf("timeline recording (-trace %s) requires the offline pipeline (drop -online)", tl.path)
-	}
 	if *online {
 		sc := stream.New(n, func(v *core.Violation) {
 			fmt.Fprintf(progress, "[online] %s\n", v)
@@ -1087,7 +1097,7 @@ func analyzeCmd(args []string) error {
 	} else {
 		// Truncated, damaged or missing rank files: analyze the salvaged
 		// prefixes and produce a degraded report instead of nothing.
-		fmt.Fprintf(os.Stderr, "mcchecker: strict trace read failed (%s); salvaging\n", notes[0])
+		fmt.Fprintf(os.Stderr, "mcchecker: trace read lost data (%s); analyzing what was salvaged\n", notes[0])
 		rep, err = core.AnalyzeDegraded(set, opts, notes)
 	}
 	if err != nil {

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -259,6 +261,76 @@ func TestRunCmdFlagValidation(t *testing.T) {
 	}
 	if err := runCmd([]string{"-app", "emulate", "-soak", "2", "-trace", t.TempDir()}); err == nil {
 		t.Error("-soak with -trace must be rejected")
+	}
+	// emulate runs on 2 ranks: a clause naming rank 99 would inject nothing.
+	for _, plan := range []string{"crash=99@1", "trunc=0.5@99", "delay=99@0,reorder"} {
+		if err := runCmd([]string{"-app", "emulate", "-fixed", "-faults", plan}); err == nil {
+			t.Errorf("-faults %q names a rank outside the world and must be rejected", plan)
+		}
+	}
+	// The online pipeline never holds a trace set to write or truncate.
+	if err := runCmd([]string{"-app", "emulate", "-fixed", "-online", "-trace", t.TempDir()}); err == nil {
+		t.Error("-online with a -trace directory must be rejected")
+	}
+	if err := runCmd([]string{"-app", "emulate", "-fixed", "-online", "-faults", "trunc=0.3@1"}); err == nil {
+		t.Error("-online with a truncation fault must be rejected")
+	}
+}
+
+// TestMain runs the mcchecker command itself when the test binary gets
+// arguments after "--" (see runMain), so a test can run a command that
+// ends in the findings exit.
+func TestMain(m *testing.M) {
+	flag.Parse()
+	if args := flag.Args(); len(args) > 0 {
+		os.Args = append([]string{"mcchecker"}, args...)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// runMain runs `mcchecker args...` in a child process and returns its
+// stdout and exit status.
+func runMain(t *testing.T, args ...string) (string, int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], append([]string{"-test.run=^$", "--"}, args...)...)
+	var stdout bytes.Buffer
+	cmd.Stdout = &stdout
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if errors.As(err, &exit) {
+		return stdout.String(), exit.ExitCode()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return stdout.String(), 0
+}
+
+// A crashed run gives one report: every survivor names the crashed rank,
+// whichever dead peer it noticed first, and the run's errors come in rank
+// order. Offline and online, 20 runs each print one degraded list.
+func TestRunCmdCrashReportDeterministic(t *testing.T) {
+	for _, mode := range [][]string{nil, {"-online"}} {
+		lists := map[string]int{}
+		for i := 0; i < 20; i++ {
+			args := append([]string{"run", "-app", "jacobi", "-faults", "crash=1@20", "-json"}, mode...)
+			out, code := runMain(t, args...)
+			if code != 0 && code != 3 {
+				t.Fatalf("%v: exit %d\n%s", args, code, out)
+			}
+			var rep struct {
+				Degraded []string `json:"degraded"`
+			}
+			if err := json.Unmarshal([]byte(out), &rep); err != nil || len(rep.Degraded) == 0 {
+				t.Fatalf("%v: no degraded JSON report (%v):\n%s", args, err, out)
+			}
+			lists[strings.Join(rep.Degraded, "\n")]++
+		}
+		if len(lists) != 1 {
+			t.Errorf("mode %v: %d different degraded lists in 20 runs: %q", mode, len(lists), lists)
+		}
 	}
 }
 

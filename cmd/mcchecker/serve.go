@@ -23,9 +23,7 @@ func serveCmd(args []string) error {
 	addr := fs.String("addr", "127.0.0.1:7787", "listen address (use :0 for an ephemeral port)")
 	workers := fs.Int("workers", 0, "analysis worker pool width (0 = GOMAXPROCS)")
 	queue := fs.Int("queue", 0, "queue budget: jobs admitted but unfinished before shedding (0 = 4x workers)")
-	jobTimeout := fs.Duration("job-timeout", 30*time.Second, "per-attempt watchdog deadline")
-	maxAttempts := fs.Int("max-attempts", 3, "attempts before a failing job is quarantined")
-	retryBackoff := fs.Duration("retry-backoff", 100*time.Millisecond, "base retry backoff, doubled per attempt")
+	jobTimeout := fs.Duration("job-timeout", 30*time.Second, "per-job watchdog deadline")
 	drainTimeout := fs.Duration("drain-timeout", time.Minute, "max wait for in-flight jobs on shutdown")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -36,12 +34,10 @@ func serveCmd(args []string) error {
 
 	reg := obs.NewRegistry()
 	srv := serve.New(serve.Config{
-		Workers:      *workers,
-		QueueBudget:  *queue,
-		JobTimeout:   *jobTimeout,
-		MaxAttempts:  *maxAttempts,
-		RetryBackoff: *retryBackoff,
-		Obs:          reg,
+		Workers:     *workers,
+		QueueBudget: *queue,
+		JobTimeout:  *jobTimeout,
+		Obs:         reg,
 	})
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

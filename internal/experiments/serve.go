@@ -2,7 +2,7 @@
 // surface with many concurrent clients, a fraction of them submitting
 // damaged uploads, and measure what the robustness machinery delivers
 // under saturation — job latency percentiles, shed rate, and the
-// guarantee that every fault lands in a per-job degraded or quarantined
+// guarantee that every fault lands in a per-job degraded or failed
 // result rather than in a process exit.
 package experiments
 
@@ -77,13 +77,13 @@ type ServeLoadResult struct {
 	Shed           int     `json:"shed"`
 	ShedRate       float64 `json:"shed_rate"`
 
-	Done        int `json:"done"`
-	Degraded    int `json:"degraded"`
-	Quarantined int `json:"quarantined"`
-	Failed      int `json:"failed"`
+	Done     int `json:"done"`
+	Degraded int `json:"degraded"`
+	Failed   int `json:"failed"`
+	// Poison counts the corrupt submissions; each must end failed.
+	Poison int `json:"poison"`
 
 	PanicsRecovered int64 `json:"panics_recovered"`
-	Retries         int64 `json:"retries"`
 
 	P50LatencyMs float64 `json:"p50_latency_ms"`
 	P99LatencyMs float64 `json:"p99_latency_ms"`
@@ -118,7 +118,7 @@ func serveLoadBodies(ops int) (clean, truncated, corrupt []byte, err error) {
 		return nil, nil, nil, err
 	}
 	// Corrupt: every rank's header is garbage, so nothing salvages and
-	// the job is poison — it must end up quarantined, not crash anything.
+	// the job is poison — it must end failed, not crash anything.
 	bad := make([]serve.RankUpload, len(ups))
 	for i, u := range ups {
 		junk := bytes.Repeat([]byte{0xde, 0xad}, 16)
@@ -142,12 +142,10 @@ func ServeLoad(cfg ServeLoadConfig) (*ServeLoadResult, error) {
 	}
 	reg := obs.NewRegistry()
 	srv := serve.New(serve.Config{
-		Workers:      cfg.Workers,
-		QueueBudget:  cfg.QueueBudget,
-		JobTimeout:   30 * time.Second,
-		MaxAttempts:  2,
-		RetryBackoff: 5 * time.Millisecond,
-		Obs:          reg,
+		Workers:     cfg.Workers,
+		QueueBudget: cfg.QueueBudget,
+		JobTimeout:  30 * time.Second,
+		Obs:         reg,
 	})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -158,6 +156,7 @@ func ServeLoad(cfg ServeLoadConfig) (*ServeLoadResult, error) {
 		latencies []time.Duration
 		attempts  int
 		shed      int
+		misfits   int // poison jobs not failed, or other jobs not done
 		res       ServeLoadResult
 	)
 	var ticket int64
@@ -174,40 +173,41 @@ func ServeLoad(cfg ServeLoadConfig) (*ServeLoadResult, error) {
 				if n > int64(cfg.Jobs) {
 					return
 				}
-				body := clean
+				body, poison := clean, false
 				if r := rng.Float64(); r < cfg.FaultFraction {
 					if r < cfg.FaultFraction/2 {
-						body = corrupt
+						body, poison = corrupt, true
 					} else {
 						body = truncated
 					}
 				}
 				t0 := time.Now()
-				id, serr := submitUntilAdmitted(client, ts.URL, body, &mu, &attempts, &shed)
-				if serr != nil {
-					mu.Lock()
-					res.Failed++
-					mu.Unlock()
-					continue
+				id, err := submitUntilAdmitted(client, ts.URL, body, &mu, &attempts, &shed)
+				var job serve.Job
+				if err == nil {
+					job, err = pollJob(client, ts.URL, id)
 				}
-				job, perr := pollJob(client, ts.URL, id)
 				lat := time.Since(t0)
 				mu.Lock()
-				if perr != nil {
+				if poison {
+					res.Poison++
+				}
+				done := err == nil && job.Status == serve.StatusDone
+				if done == poison {
+					misfits++
+				}
+				switch {
+				case err != nil:
 					res.Failed++
-				} else {
+				case done:
 					latencies = append(latencies, lat)
-					switch job.Status {
-					case serve.StatusDone:
-						res.Done++
-						if job.Degraded {
-							res.Degraded++
-						}
-					case serve.StatusQuarantined:
-						res.Quarantined++
-					default:
-						res.Failed++
+					res.Done++
+					if job.Degraded {
+						res.Degraded++
 					}
+				default:
+					latencies = append(latencies, lat)
+					res.Failed++
 				}
 				mu.Unlock()
 			}
@@ -231,7 +231,6 @@ func ServeLoad(cfg ServeLoadConfig) (*ServeLoadResult, error) {
 		res.ShedRate = float64(shed) / float64(attempts)
 	}
 	res.PanicsRecovered = snap.CounterValue("mcchecker_serve_panics_recovered_total")
-	res.Retries = snap.CounterValue("mcchecker_serve_retries_total")
 	res.ElapsedSec = elapsed.Seconds()
 	if elapsed > 0 {
 		res.JobsPerSec = float64(len(latencies)) / elapsed.Seconds()
@@ -239,9 +238,11 @@ func ServeLoad(cfg ServeLoadConfig) (*ServeLoadResult, error) {
 	res.P50LatencyMs = percentileMs(latencies, 0.50)
 	res.P99LatencyMs = percentileMs(latencies, 0.99)
 
-	completed := res.Done + res.Quarantined + res.Failed
-	if completed != cfg.Jobs {
+	if completed := res.Done + res.Failed; completed != cfg.Jobs {
 		return &res, fmt.Errorf("serve load: %d of %d jobs unaccounted for", cfg.Jobs-completed, cfg.Jobs)
+	}
+	if misfits > 0 {
+		return &res, fmt.Errorf("serve load: %d job(s) broke the rule that poison jobs fail and all others end done", misfits)
 	}
 	return &res, nil
 }

@@ -220,6 +220,33 @@ func (p *Plan) WithScheduleAtoms(atoms []string) (*Plan, error) {
 	return q, nil
 }
 
+// CheckRanks reports an error when a clause names a rank outside a world
+// of n ranks. Such a clause would inject nothing, so a run meant to test
+// a fault would silently test none.
+func (p *Plan) CheckRanks(n int) error {
+	if p == nil {
+		return nil
+	}
+	var ranks []int
+	for _, c := range p.Crashes {
+		ranks = append(ranks, c.Rank)
+	}
+	for _, t := range p.Truncs {
+		if t.Rank >= 0 { // a negative rank truncates every rank
+			ranks = append(ranks, t.Rank)
+		}
+	}
+	for _, d := range p.Delays {
+		ranks = append(ranks, d.Origin)
+	}
+	for _, r := range ranks {
+		if r < 0 || r >= n {
+			return fmt.Errorf("faults: plan %q names rank %d, outside the %d-rank world", p, r, n)
+		}
+	}
+	return nil
+}
+
 // Active reports whether the plan injects anything at all.
 func (p *Plan) Active() bool {
 	return p != nil && (len(p.Crashes) > 0 || len(p.Truncs) > 0 || p.Reorder || p.Yield > 0 ||

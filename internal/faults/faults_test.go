@@ -100,6 +100,30 @@ func TestTruncFor(t *testing.T) {
 	}
 }
 
+// Every rank a clause names must exist in the world; an all-rank
+// truncation names none.
+func TestCheckRanks(t *testing.T) {
+	for plan, ok := range map[string]bool{
+		"seed=3,crash=1@4,trunc=0.5@1,delay=0@2,reorder": true,
+		"trunc=0.5":   true,
+		"crash=2@1":   false,
+		"trunc=0.5@2": false,
+		"delay=2@0":   false,
+	} {
+		p, err := Parse(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.CheckRanks(2); (err == nil) != ok {
+			t.Errorf("CheckRanks(2) of %q = %v", plan, err)
+		}
+	}
+	var none *Plan
+	if err := none.CheckRanks(1); err != nil {
+		t.Errorf("nil plan: %v", err)
+	}
+}
+
 func TestTruncateBytes(t *testing.T) {
 	data := []byte("0123456789")
 	if got := TruncateBytes(data, 0.5); string(got) != "01234" {

@@ -55,7 +55,7 @@ func (e *CrashError) Error() string {
 type RankFailure struct {
 	Rank   int    // the surviving rank receiving the error
 	Call   string // the MPI call that observed the failure
-	Failed int    // the failed peer rank
+	Failed int    // the crashed rank the failed peer's death cascades from
 }
 
 func (e *RankFailure) Error() string {
@@ -107,29 +107,34 @@ type faultState struct {
 	plan     *faults.Plan
 	tolerant bool
 
-	mu     sync.Mutex
-	failed map[int]bool // world ranks that have died (crash or cascade)
-	any    bool         // fast path: len(failed) > 0, read under mu only on slow path
+	mu sync.Mutex
+	// failed maps each world rank that has died to the crashed rank its
+	// death cascades from (itself for a crash).
+	failed map[int]int
+	any    bool // fast path: len(failed) > 0, read under mu only on slow path
 }
 
 func newFaultState(plan *faults.Plan, tolerant bool) *faultState {
 	if plan == nil && !tolerant {
 		return nil
 	}
-	return &faultState{plan: plan, tolerant: tolerant, failed: make(map[int]bool)}
+	return &faultState{plan: plan, tolerant: tolerant, failed: make(map[int]int)}
 }
 
-// markFailed records a rank death and wakes every blocked waiter in the
-// world so dependency checks re-run. Idempotent per rank.
-func (w *World) markFailed(rank int) {
+// markFailed records the death of rank, cascaded from the crashed rank
+// root, and wakes every blocked waiter in the world so dependency checks
+// re-run. Idempotent per rank.
+func (w *World) markFailed(rank, root int) {
 	fs := w.faults
 	if fs == nil {
 		return
 	}
 	fs.mu.Lock()
-	already := fs.failed[rank]
-	fs.failed[rank] = true
-	fs.any = true
+	_, already := fs.failed[rank]
+	if !already {
+		fs.failed[rank] = root
+		fs.any = true
+	}
 	fs.mu.Unlock()
 	if already {
 		return
@@ -168,7 +173,7 @@ func (w *World) failedOf(deps []int) int {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	for _, r := range deps {
-		if fs.failed[r] {
+		if _, dead := fs.failed[r]; dead {
 			return r
 		}
 	}
@@ -183,13 +188,21 @@ func (w *World) rankIsFailed(rank int) bool {
 	}
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	return fs.failed[rank]
+	_, dead := fs.failed[rank]
+	return dead
 }
 
 // failPeer delivers the ULFM-flavored failure for call to the calling
-// rank by unwinding its goroutine; Run reports the RankFailure.
+// rank by unwinding its goroutine; Run reports the RankFailure. It names
+// the crashed rank the dead peer's death cascades from, not the peer, so
+// a survivor names the same rank whichever dead dependency it noticed
+// first.
 func (p *Proc) failPeer(call string, failedRank int) {
-	panic(rankFailurePanic{&RankFailure{Rank: p.rank, Call: call, Failed: failedRank}})
+	fs := p.world.faults
+	fs.mu.Lock()
+	root := fs.failed[failedRank]
+	fs.mu.Unlock()
+	panic(rankFailurePanic{&RankFailure{Rank: p.rank, Call: call, Failed: root}})
 }
 
 // checkGroupFailure unwinds p when a member of the group (given as world

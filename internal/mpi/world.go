@@ -120,11 +120,14 @@ func (w *World) abort() {
 }
 
 // Run executes body on n ranks and waits for all of them. It returns the
-// joined errors of all ranks (body results, usage errors, and panics), or
-// a timeout error if the job deadlocks.
+// joined errors of all ranks (body results, usage errors, and panics) in
+// rank order, or a timeout error if the job deadlocks.
 func Run(n int, opts Options, body func(p *Proc) error) error {
 	if n <= 0 {
 		return fmt.Errorf("mpi: world size %d must be positive", n)
+	}
+	if err := opts.Faults.CheckRanks(n); err != nil {
+		return err
 	}
 	w := &World{hook: opts.Hook, metrics: newSimMetrics(opts.Obs), nextCommID: 1} // comm id 0 is the world
 	w.faults = newFaultState(opts.Faults, opts.FaultTolerant)
@@ -149,7 +152,11 @@ func Run(n int, opts Options, body func(p *Proc) error) error {
 		timeout = DefaultTimeout
 	}
 
-	errc := make(chan error, n)
+	type rankErr struct {
+		rank int
+		err  error
+	}
+	errc := make(chan rankErr, n)
 	for i := 0; i < n; i++ {
 		p := w.procs[i]
 		go func() {
@@ -161,29 +168,29 @@ func Run(n int, opts Options, body func(p *Proc) error) error {
 						// Collateral unwind of a rank blocked in the runtime
 						// when a peer aborted; the root cause is reported by
 						// the aborting rank.
-						errc <- nil
+						errc <- rankErr{p.rank, nil}
 					case crashPanic:
 						// Injected crash fault. Fault-tolerant: only this rank
 						// dies, dependents learn of it through markFailed.
 						// Fail-stop: the whole job aborts, like MPI_Abort.
-						w.markFailed(p.rank)
+						w.markFailed(p.rank, p.rank)
 						if w.faults == nil || !w.faults.tolerant {
 							w.abort()
 						}
-						errc <- &CrashError{Rank: p.rank, Call: v.call}
+						errc <- rankErr{p.rank, &CrashError{Rank: p.rank, Call: v.call}}
 					case rankFailurePanic:
 						// This rank's blocking call depended on a dead peer and
 						// unwound; its own death cascades to its dependents.
-						w.markFailed(p.rank)
-						errc <- v.err
+						w.markFailed(p.rank, v.err.Failed)
+						errc <- rankErr{p.rank, v.err}
 					case *UsageError:
 						w.abort()
-						errc <- v
+						errc <- rankErr{p.rank, v}
 					default:
 						w.abort()
 						buf := make([]byte, 8192)
 						buf = buf[:runtime.Stack(buf, false)]
-						errc <- fmt.Errorf("mpi: rank %d panicked: %v\n%s", p.rank, r, buf)
+						errc <- rankErr{p.rank, fmt.Errorf("mpi: rank %d panicked: %v\n%s", p.rank, r, buf)}
 					}
 					return
 				}
@@ -193,19 +200,17 @@ func Run(n int, opts Options, body func(p *Proc) error) error {
 			if err != nil {
 				w.abort()
 			}
-			errc <- err
+			errc <- rankErr{p.rank, err}
 		}()
 	}
 
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
-	var errs []error
+	errs := make([]error, n)
 	for i := 0; i < n; i++ {
 		select {
-		case err := <-errc:
-			if err != nil {
-				errs = append(errs, err)
-			}
+		case re := <-errc:
+			errs[re.rank] = re.err
 		case <-timer.C:
 			return fmt.Errorf("mpi: job deadlocked: %d of %d ranks did not finish within %v%s%s",
 				n-i, n, timeout, w.stuckReport(), joinedSuffix(errs))
@@ -220,10 +225,11 @@ func Run(n int, opts Options, body func(p *Proc) error) error {
 func (w *World) abortedNow() bool { return w.aborted.Load() }
 
 func joinedSuffix(errs []error) string {
-	if len(errs) == 0 {
+	err := errors.Join(errs...)
+	if err == nil {
 		return ""
 	}
-	return fmt.Sprintf(" (finished ranks reported: %v)", errors.Join(errs...))
+	return fmt.Sprintf(" (finished ranks reported: %v)", err)
 }
 
 // UsageError reports misuse of the MPI interface by the application: the

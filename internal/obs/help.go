@@ -82,13 +82,11 @@ var helpText = map[string]metricHelp{
 	"mcchecker_serve_jobs_submitted_total": {kindCounter,
 		"Jobs admitted by the serve daemon."},
 	"mcchecker_serve_jobs_total": {kindCounter,
-		"Serve jobs reaching a terminal state, labeled by result (done, degraded, failed, quarantined)."},
+		"Serve jobs reaching a terminal state, labeled by result (done, degraded, failed)."},
 	"mcchecker_serve_panics_recovered_total": {kindCounter,
 		"Analysis panics the serve daemon recovered into degraded reports."},
 	"mcchecker_serve_queue_depth": {kindGauge,
 		"Jobs sitting in the serve daemon's run queue."},
-	"mcchecker_serve_retries_total": {kindCounter,
-		"Failed serve job attempts scheduled for a backoff retry."},
 	"mcchecker_serve_shed_total": {kindCounter,
 		"Submissions shed by admission control because the queue budget was exhausted."},
 	"mcchecker_sim_collectives_total": {kindCounter,

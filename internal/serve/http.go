@@ -48,7 +48,6 @@ func (s *Server) Handler() http.Handler {
 type jobResponse struct {
 	ID         string          `json:"id"`
 	Status     Status          `json:"status"`
-	Attempts   int             `json:"attempts"`
 	Degraded   bool            `json:"degraded"`
 	Violations int             `json:"violations"`
 	Error      string          `json:"error,omitempty"`
@@ -57,8 +56,8 @@ type jobResponse struct {
 
 func toResponse(j Job, withReport bool) jobResponse {
 	resp := jobResponse{
-		ID: j.ID, Status: j.Status, Attempts: j.Attempts,
-		Degraded: j.Degraded, Violations: j.Violations, Error: j.Error,
+		ID: j.ID, Status: j.Status, Degraded: j.Degraded,
+		Violations: j.Violations, Error: j.Error,
 	}
 	if withReport && j.Status == StatusDone && j.Report != nil {
 		if data, err := j.Report.JSON(); err == nil {

@@ -9,15 +9,16 @@
 //   - admission control: a global queue budget bounds the jobs admitted
 //     but not yet finished; past it, submissions are shed immediately
 //     (HTTP 429 with Retry-After) instead of growing memory without bound;
-//   - watchdog deadlines: each attempt runs under a per-job timeout whose
+//   - watchdog deadlines: each job runs under a per-job timeout whose
 //     context is threaded into core.Analyze and the trace readers, so a
 //     stuck or oversized analysis is reclaimed cooperatively;
 //   - panic isolation: a panicking analysis is recovered into a degraded
 //     report carrying the panic value and stack — one poisoned job never
 //     takes the process down;
-//   - retry and quarantine: failed attempts are retried with exponential
-//     backoff; a job still failing after MaxAttempts is quarantined with
-//     its final error rather than retried forever;
+//   - one run per job: the analysis is deterministic in its submission,
+//     so a failed job ends failed with its error at once; a second run
+//     would fail the same way, and a watchdog timeout would only put the
+//     same work back on a host that just ran out of time;
 //   - salvage: truncated or corrupt uploads and trace files are read by
 //     the trace layer's salvaging reader and analyzed as a degraded
 //     report, as in `mcchecker analyze`;
@@ -46,14 +47,8 @@ type Config struct {
 	// QueueBudget bounds the jobs admitted but not yet terminal; further
 	// submissions are shed with ErrOverloaded (default 4x Workers).
 	QueueBudget int
-	// JobTimeout is the per-attempt watchdog deadline (default 30s).
+	// JobTimeout is the per-job watchdog deadline (default 30s).
 	JobTimeout time.Duration
-	// MaxAttempts is how many attempts a job gets before quarantine
-	// (default 3).
-	MaxAttempts int
-	// RetryBackoff is the base retry delay, doubled per attempt
-	// (default 100ms).
-	RetryBackoff time.Duration
 	// Obs receives the serve metric families and the per-job analysis
 	// metrics. Nil disables all accounting.
 	Obs *obs.Registry
@@ -69,12 +64,6 @@ func (c Config) withDefaults() Config {
 	if c.JobTimeout <= 0 {
 		c.JobTimeout = 30 * time.Second
 	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 3
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 100 * time.Millisecond
-	}
 	return c
 }
 
@@ -82,24 +71,21 @@ func (c Config) withDefaults() Config {
 type Status string
 
 const (
-	StatusQueued      Status = "queued"
-	StatusRunning     Status = "running"
-	StatusRetryWait   Status = "retry-wait"
-	StatusDone        Status = "done"
-	StatusFailed      Status = "failed"
-	StatusQuarantined Status = "quarantined"
+	StatusQueued  Status = "queued"
+	StatusRunning Status = "running"
+	StatusDone    Status = "done"
+	StatusFailed  Status = "failed"
 )
 
 // Terminal reports whether the status is final.
 func (s Status) Terminal() bool {
-	return s == StatusDone || s == StatusFailed || s == StatusQuarantined
+	return s == StatusDone || s == StatusFailed
 }
 
 // Job is a client-visible snapshot of one submitted analysis.
 type Job struct {
-	ID       string
-	Status   Status
-	Attempts int
+	ID     string
+	Status Status
 	// Degraded is true when the finished report carries degradation
 	// notes (salvaged upload, recovered panic, partial analysis).
 	Degraded   bool
@@ -124,15 +110,13 @@ type job struct {
 	id        string
 	sub       *Submission
 	status    Status
-	attempts  int
 	report    *core.Report
 	err       error
 	submitted time.Time
-	retry     *time.Timer
 }
 
 func (j *job) view() Job {
-	v := Job{ID: j.id, Status: j.status, Attempts: j.attempts}
+	v := Job{ID: j.id, Status: j.status}
 	if j.err != nil {
 		v.Error = j.err.Error()
 	}
@@ -149,7 +133,7 @@ func (j *job) view() Job {
 type Server struct {
 	cfg Config
 
-	// ctx parents every job attempt; cancel is the forced-stop switch.
+	// ctx parents every job's run; cancel is the forced-stop switch.
 	ctx    context.Context
 	cancel context.CancelFunc
 
@@ -160,18 +144,18 @@ type Server struct {
 	draining bool
 	seq      int
 
+	// queue is closed by BeginDrain; Submit, its only producer, sends
+	// under mu and only before draining starts.
 	queue       chan *job
-	closeQueue  sync.Once
 	workersDone chan struct{}
 
 	// testHook, when non-nil, runs at the start of every analysis
-	// attempt inside the panic-isolation scope; tests use it to inject
+	// inside the panic-isolation scope; tests use it to inject
 	// panics and blocking to exercise recovery, watchdog, and drain.
 	testHook func(ctx context.Context, sub *Submission)
 
 	mSubmitted *obs.Counter
 	mShed      *obs.Counter
-	mRetries   *obs.Counter
 	mPanics    *obs.Counter
 	mDepth     *obs.Gauge
 	mInflight  *obs.Gauge
@@ -188,14 +172,13 @@ func New(cfg Config) *Server {
 		cancel: cancel,
 		jobs:   map[string]*job{},
 		// Admission bounds the jobs in flight by QueueBudget, so a
-		// buffer that large means queue sends never block.
-		queue:       make(chan *job, cfg.QueueBudget+cfg.Workers),
+		// buffer that large means Submit's send never blocks.
+		queue:       make(chan *job, cfg.QueueBudget),
 		workersDone: make(chan struct{}),
 	}
 	reg := cfg.Obs
 	s.mSubmitted = reg.Counter("mcchecker_serve_jobs_submitted_total")
 	s.mShed = reg.Counter("mcchecker_serve_shed_total")
-	s.mRetries = reg.Counter("mcchecker_serve_retries_total")
 	s.mPanics = reg.Counter("mcchecker_serve_panics_recovered_total")
 	s.mDepth = reg.Gauge("mcchecker_serve_queue_depth")
 	s.mInflight = reg.Gauge("mcchecker_serve_inflight_jobs")
@@ -224,13 +207,12 @@ func New(cfg Config) *Server {
 // progress). The returned snapshot carries the job ID for polling.
 func (s *Server) Submit(sub *Submission) (Job, error) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.draining {
-		s.mu.Unlock()
 		return Job{}, ErrDraining
 	}
 	if s.inflight >= s.cfg.QueueBudget {
 		s.mShed.Inc()
-		s.mu.Unlock()
 		return Job{}, ErrOverloaded
 	}
 	s.seq++
@@ -244,11 +226,9 @@ func (s *Server) Submit(sub *Submission) (Job, error) {
 	s.order = append(s.order, j.id)
 	s.inflight++
 	s.mSubmitted.Inc()
-	v := j.view()
-	s.gaugesLocked()
-	s.mu.Unlock()
 	s.queue <- j
-	return v, nil
+	s.gaugesLocked()
+	return j.view(), nil
 }
 
 // Job returns a snapshot of one job.
@@ -299,9 +279,8 @@ func (s *Server) Draining() bool {
 	return s.draining
 }
 
-// BeginDrain stops admitting new jobs. Queued and running jobs run to
-// completion; jobs waiting on a retry backoff are abandoned as failed —
-// a draining server has no later to retry in.
+// BeginDrain stops admitting new jobs and closes the queue: the workers
+// run the jobs already queued to completion, then exit.
 func (s *Server) BeginDrain() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -309,42 +288,29 @@ func (s *Server) BeginDrain() {
 		return
 	}
 	s.draining = true
-	for _, id := range s.order {
-		j := s.jobs[id]
-		if j.status == StatusRetryWait && j.retry != nil && j.retry.Stop() {
-			s.finalizeLocked(j, StatusFailed,
-				fmt.Errorf("retry abandoned (server draining): %w", j.err))
-		}
-	}
+	close(s.queue)
 }
 
-// Drain performs a graceful shutdown: stop admission, wait for every
-// in-flight job to reach a terminal state, then stop the worker pool.
-// ctx bounds the wait; on expiry the pool is left running and an error
-// reports how many jobs were still in flight.
+// Drain performs a graceful shutdown: stop admission and wait until the
+// worker pool has run every in-flight job to a terminal state and
+// exited. ctx bounds the wait; on expiry the pool is left running and an
+// error reports how many jobs were still in flight.
 func (s *Server) Drain(ctx context.Context) error {
 	s.BeginDrain()
-	for {
+	select {
+	case <-s.workersDone:
+		return nil
+	case <-ctx.Done():
 		s.mu.Lock()
 		n := s.inflight
 		s.mu.Unlock()
-		if n == 0 {
-			break
-		}
-		select {
-		case <-ctx.Done():
-			return fmt.Errorf("serve: drain interrupted with %d job(s) in flight: %w", n, ctx.Err())
-		case <-time.After(10 * time.Millisecond):
-		}
+		return fmt.Errorf("serve: drain interrupted with %d job(s) in flight: %w", n, ctx.Err())
 	}
-	s.closeQueue.Do(func() { close(s.queue) })
-	<-s.workersDone
-	return nil
 }
 
-// Close force-stops the server: running attempts are canceled through
-// their watchdog context (so they finalize as failed under the draining
-// rule) and the pool is drained. Terminal job records stay queryable.
+// Close force-stops the server: running jobs are canceled through their
+// watchdog context, so they end failed, and the pool is drained.
+// Terminal job records stay queryable.
 func (s *Server) Close() error {
 	s.BeginDrain()
 	s.cancel()
@@ -353,12 +319,11 @@ func (s *Server) Close() error {
 	return s.Drain(ctx)
 }
 
-// run executes one attempt of one job on a pool worker.
+// run executes one job on a pool worker and records its terminal state:
+// done with the report, or failed with the analysis error.
 func (s *Server) run(j *job) {
 	s.mu.Lock()
 	j.status = StatusRunning
-	j.attempts++
-	attempts := j.attempts
 	s.gaugesLocked()
 	s.mu.Unlock()
 
@@ -368,55 +333,14 @@ func (s *Server) run(j *job) {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	switch {
-	case err == nil:
-		j.report = rep
-		s.finalizeLocked(j, StatusDone, nil)
-	case attempts >= s.cfg.MaxAttempts:
-		s.finalizeLocked(j, StatusQuarantined,
-			fmt.Errorf("quarantined after %d attempt(s): %w", attempts, err))
-	case s.draining:
-		s.finalizeLocked(j, StatusFailed,
-			fmt.Errorf("retry abandoned (server draining): %w", err))
-	default:
-		j.status = StatusRetryWait
-		j.err = err
-		s.mRetries.Inc()
-		backoff := s.cfg.RetryBackoff << (attempts - 1)
-		j.retry = time.AfterFunc(backoff, func() { s.requeue(j) })
-		s.gaugesLocked()
+	j.status, j.report, j.err = StatusDone, rep, err
+	if err != nil {
+		j.status = StatusFailed
 	}
-}
-
-// requeue moves a job from retry-wait back onto the queue when its
-// backoff timer fires.
-func (s *Server) requeue(j *job) {
-	s.mu.Lock()
-	if j.status != StatusRetryWait {
-		s.mu.Unlock()
-		return
-	}
-	if s.draining {
-		s.finalizeLocked(j, StatusFailed,
-			fmt.Errorf("retry abandoned (server draining): %w", j.err))
-		s.mu.Unlock()
-		return
-	}
-	j.status = StatusQueued
-	s.gaugesLocked()
-	s.mu.Unlock()
-	s.queue <- j
-}
-
-// finalizeLocked records a job's terminal state. Caller holds s.mu.
-func (s *Server) finalizeLocked(j *job, st Status, err error) {
-	j.status = st
-	j.err = err
-	j.retry = nil
 	s.inflight--
 	s.mLatency.Observe(time.Since(j.submitted).Microseconds())
-	result := string(st)
-	if st == StatusDone && j.report != nil && len(j.report.Degraded) > 0 {
+	result := string(j.status)
+	if j.status == StatusDone && len(j.report.Degraded) > 0 {
 		result = "degraded"
 	}
 	s.cfg.Obs.Counter("mcchecker_serve_jobs_total", "result", result).Inc()
@@ -429,11 +353,10 @@ func (s *Server) gaugesLocked() {
 	s.mInflight.Set(int64(s.inflight))
 }
 
-// analyze runs one attempt: materialize the submission's trace set and
-// push it through the pipeline, under the watchdog ctx. A panic is
-// converted into a degraded report instead of an error, because a
-// deterministic panic would otherwise burn every retry and quarantine a
-// job the salvage machinery can still describe.
+// analyze runs one job: materialize the submission's trace set and push
+// it through the pipeline, under the watchdog ctx. A panic is converted
+// into a degraded report instead of an error, because the salvage
+// machinery can still describe a job whose analysis panicked.
 func (s *Server) analyze(ctx context.Context, sub *Submission) (rep *core.Report, err error) {
 	defer func() {
 		if r := recover(); r != nil {

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -215,51 +216,49 @@ func TestServePanicRecoveredAsDegraded(t *testing.T) {
 	}
 }
 
-func TestServeRetriesThenQuarantines(t *testing.T) {
+// A failed analysis ends failed after its one run, and the worker goes
+// on to the next job.
+func TestServeFailedJobIsTerminal(t *testing.T) {
 	reg := obs.NewRegistry()
-	s := newTestServer(t, Config{
-		Workers: 1, MaxAttempts: 2, RetryBackoff: 2 * time.Millisecond, Obs: reg,
-	})
+	s := newTestServer(t, Config{Workers: 1, Obs: reg})
 	// A nonexistent directory is a poison job: it fails identically on
-	// every attempt.
-	j, err := s.Submit(&Submission{TraceDir: filepath.Join(t.TempDir(), "missing")})
+	// every run.
+	missing := filepath.Join(t.TempDir(), "missing")
+	j, err := s.Submit(&Submission{TraceDir: missing})
 	if err != nil {
 		t.Fatal(err)
 	}
 	j = waitDone(t, s, j.ID)
-	if j.Status != StatusQuarantined {
-		t.Fatalf("status = %s (error %q), want quarantined", j.Status, j.Error)
+	if j.Status != StatusFailed {
+		t.Fatalf("status = %s (error %q), want failed", j.Status, j.Error)
 	}
-	if j.Attempts != 2 {
-		t.Fatalf("attempts = %d, want 2", j.Attempts)
+	if !strings.Contains(j.Error, missing) {
+		t.Fatalf("error = %q, want it to name %s", j.Error, missing)
 	}
-	if !strings.Contains(j.Error, "quarantined after 2") {
-		t.Fatalf("error = %q", j.Error)
+	if got := reg.Snapshot().CounterValue("mcchecker_serve_jobs_total", "result", "failed"); got != 1 {
+		t.Fatalf("jobs_total{result=failed} = %d, want 1", got)
 	}
-	snap := reg.Snapshot()
-	if got := snap.CounterValue("mcchecker_serve_retries_total"); got != 1 {
-		t.Fatalf("retries_total = %d, want 1", got)
+	j2, err := s.Submit(&Submission{Traces: uploads(t, conflictSet())})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := snap.CounterValue("mcchecker_serve_jobs_total", "result", "quarantined"); got != 1 {
-		t.Fatalf("jobs_total{result=quarantined} = %d, want 1", got)
+	if j2 = waitDone(t, s, j2.ID); j2.Status != StatusDone {
+		t.Fatalf("job after a failed one: status = %s (%q)", j2.Status, j2.Error)
 	}
 }
 
 func TestServeWatchdogCancelsStuckJob(t *testing.T) {
-	s := newTestServer(t, Config{
-		Workers: 1, JobTimeout: 30 * time.Millisecond,
-		MaxAttempts: 1, RetryBackoff: time.Millisecond,
-	})
-	// The hook wedges until the watchdog fires; the attempt then sees a
-	// dead context and fails rather than holding the worker forever.
+	s := newTestServer(t, Config{Workers: 1, JobTimeout: 30 * time.Millisecond})
+	// The hook wedges until the watchdog fires; the run then sees a dead
+	// context and fails rather than holding the worker forever.
 	s.testHook = func(ctx context.Context, _ *Submission) { <-ctx.Done() }
 	j, err := s.Submit(&Submission{Traces: uploads(t, conflictSet())})
 	if err != nil {
 		t.Fatal(err)
 	}
 	j = waitDone(t, s, j.ID)
-	if j.Status != StatusQuarantined {
-		t.Fatalf("status = %s (error %q), want quarantined", j.Status, j.Error)
+	if j.Status != StatusFailed {
+		t.Fatalf("status = %s (error %q), want failed", j.Status, j.Error)
 	}
 	if !strings.Contains(j.Error, "deadline exceeded") {
 		t.Fatalf("error = %q, want a deadline-exceeded chain", j.Error)
@@ -301,34 +300,53 @@ func TestServeDrainFinishesInFlight(t *testing.T) {
 	}
 }
 
-func TestServeDrainAbandonsRetryWait(t *testing.T) {
-	s := newTestServer(t, Config{
-		Workers: 1, MaxAttempts: 3, RetryBackoff: time.Hour,
-	})
-	j, err := s.Submit(&Submission{TraceDir: filepath.Join(t.TempDir(), "missing")})
-	if err != nil {
-		t.Fatal(err)
+// Drain closes the queue while several goroutines submit: every admitted
+// job is done once Drain returns, and every other submission is refused
+// with ErrOverloaded or ErrDraining, never sent on the closed queue.
+func TestServeDrainDuringSubmits(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 2, QueueBudget: 4})
+	sub := &Submission{Traces: uploads(t, conflictSet())}
+	var (
+		mu       sync.Mutex
+		admitted []string
+		wg       sync.WaitGroup
+	)
+	busy := make(chan struct{})
+	var once sync.Once
+	for c := 0; c < 4; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				j, err := s.Submit(sub)
+				switch {
+				case err == nil:
+					mu.Lock()
+					admitted = append(admitted, j.ID)
+					if len(admitted) >= 8 {
+						once.Do(func() { close(busy) })
+					}
+					mu.Unlock()
+				case errors.Is(err, ErrDraining):
+					return
+				case !errors.Is(err, ErrOverloaded):
+					t.Errorf("submit: %v", err)
+					return
+				}
+			}
+		}()
 	}
-	// Wait for the first failure to park the job in retry-wait.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		jj, _ := s.Job(j.ID)
-		if jj.Status == StatusRetryWait {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job never reached retry-wait (status %s)", jj.Status)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	<-busy
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := s.Drain(ctx); err != nil {
-		t.Fatalf("drain with a parked retry: %v", err)
+		t.Fatalf("drain: %v", err)
 	}
-	jj, _ := s.Job(j.ID)
-	if jj.Status != StatusFailed || !strings.Contains(jj.Error, "draining") {
-		t.Fatalf("parked job after drain: status = %s error = %q", jj.Status, jj.Error)
+	wg.Wait()
+	for _, id := range admitted {
+		if j, _ := s.Job(id); j.Status != StatusDone {
+			t.Errorf("admitted job %s after drain: status = %s (%q)", id, j.Status, j.Error)
+		}
 	}
 }
 

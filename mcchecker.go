@@ -152,10 +152,14 @@ func Check(set *trace.Set) (*Report, error) {
 // regions are analyzed while the program is still running, onViolation
 // fires as soon as each distinct violation is found, and analyzed events
 // are discarded so memory stays bounded by the largest region. The final
-// report is equivalent to Run's.
+// report is equivalent to Run's. No trace set is ever collected, so
+// Config.TraceDir must be empty.
 func RunOnline(cfg Config, body func(p *mpi.Proc) error, onViolation func(v *Violation)) (*Report, error) {
 	if cfg.Ranks <= 0 {
 		return nil, fmt.Errorf("mcchecker: Config.Ranks must be positive")
+	}
+	if cfg.TraceDir != "" {
+		return nil, fmt.Errorf("mcchecker: RunOnline writes no trace files (Config.TraceDir %q)", cfg.TraceDir)
 	}
 	var reg *obs.Registry
 	if cfg.CollectStats {

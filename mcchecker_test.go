@@ -177,6 +177,9 @@ func TestRunOnline(t *testing.T) {
 	if _, err := RunOnline(Config{}, buggyBody, nil); err == nil {
 		t.Error("zero ranks must error")
 	}
+	if _, err := RunOnline(Config{Ranks: 2, TraceDir: t.TempDir()}, buggyBody, nil); err == nil {
+		t.Error("a trace directory must error: the online path writes no trace files")
+	}
 }
 
 func TestStaticAnalyzeFacade(t *testing.T) {

@@ -9,7 +9,7 @@
 //
 //	mcchecker run -app NAME [-fixed] [-ranks N] [-trace DIR] [-full] [-intra-only]
 //	              [-online] [-json] [-stats] [-stats-format text|prom|json]
-//	              [-faults PLAN] [-failstop] [-timeout D] [-soak N]
+//	              [-faults PLAN] [-timeout D] [-soak N]
 //	    Run an application on the simulated MPI with the Profiler attached
 //	    and analyze the trace. By default the buggy variant runs with the
 //	    application's ST-Analyzer instrumentation set; -full instruments
@@ -22,9 +22,10 @@
 //
 //	    -faults injects a deterministic fault plan, e.g.
 //	    "seed=7,crash=1@120,trunc=0.5,reorder,yield=20" (see internal/faults).
-//	    Crashes default to the fault-tolerant survival model (-failstop
-//	    selects job-wide abort instead); truncated or crash-shortened traces
-//	    are analyzed in degraded mode, and the report lists what was lost.
+//	    A crash kills only its rank, and a survivor whose blocking call
+//	    depends on a dead rank fails in turn; truncated or crash-shortened
+//	    traces are analyzed in degraded mode, and the report lists what was
+//	    lost.
 //	    -timeout adjusts the deadlock watchdog. -soak N repeats the run N
 //	    times under seed-varied perturbations and fails on any report
 //	    divergence.
@@ -153,7 +154,7 @@ func commands() []command {
 			summary: "run one application with the Profiler attached and analyze the trace",
 			synopsis: []string{
 				"mcchecker run -app NAME [-fixed] [-ranks N] [-trace DIR|timeline.json] [-full] [-intra-only] [-online] [-json] [-stats] [-stats-format text|prom|json]",
-				"              [-faults PLAN] [-failstop] [-timeout D] [-soak N] [-stats-listen ADDR]",
+				"              [-faults PLAN] [-timeout D] [-soak N] [-stats-listen ADDR]",
 			},
 			run: runCmd,
 		},
@@ -162,7 +163,7 @@ func commands() []command {
 			summary: "sweep the schedule space and deduplicate violations by signature",
 			synopsis: []string{
 				"mcchecker explore -app NAME [-fixed] [-n N] [-schedules N] [-jobs K] [-budget D] [-seed N]",
-				"              [-minimize] [-minimize-runs N] [-static-seed] [-full] [-intra-only] [-json] [-stats] [-stats-format text|prom|json] [-timeout D]",
+				"              [-minimize] [-static-seed] [-full] [-intra-only] [-json] [-stats] [-stats-format text|prom|json] [-timeout D]",
 				"              [-trace timeline.json] [-stats-listen ADDR]",
 			},
 			run: exploreCmd,
@@ -290,7 +291,6 @@ type runConfig struct {
 	rel       profiler.Relevance
 	intraOnly bool
 	plan      *faults.Plan
-	failstop  bool
 	timeout   time.Duration
 	traceDir  string
 	tl        *timeline
@@ -312,10 +312,12 @@ func runCmd(args []string) error {
 	stats := fs.Bool("stats", false, "collect and print run metrics")
 	statsFormat := fs.String("stats-format", "text", "stats output format: text, prom, or json")
 	faultsFlag := fs.String("faults", "", `deterministic fault plan, e.g. "seed=7,crash=1@120,trunc=0.5"`)
-	failstop := fs.Bool("failstop", false, "abort the whole job on an injected crash (default: fault-tolerant survival)")
 	timeout := fs.Duration("timeout", 0, "deadlock watchdog (0 = default 2m)")
 	soak := fs.Int("soak", 0, "repeat the run N times under seed-varied perturbations, failing on report divergence")
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if err := nonNegative(fs, "ranks", "soak", "timeout"); err != nil {
 		return err
 	}
 	reg, err := statsRegistry(*stats, *statsFormat)
@@ -371,7 +373,7 @@ func runCmd(args []string) error {
 	defer closeStats()
 	cfg := runConfig{
 		body: body, n: n, rel: rel, intraOnly: *intraOnly,
-		plan: plan, failstop: *failstop, timeout: *timeout,
+		plan: plan, timeout: *timeout,
 		traceDir: outDir, tl: tl, reg: reg, progress: progress,
 	}
 
@@ -402,7 +404,7 @@ func runCmd(args []string) error {
 			fmt.Fprintf(progress, "[online] %s\n", v)
 		})
 		sc.SetObs(reg)
-		sc.SetTolerant(cfg.tolerant())
+		sc.SetTolerant(plan.HasCrash())
 		pr := profiler.NewObs(sc, rel, reg)
 		var notes []string
 		if err := mpi.Run(n, cfg.mpiOptions(pr), body); err != nil {
@@ -410,7 +412,7 @@ func runCmd(args []string) error {
 				return fmt.Errorf("run failed: %w", err)
 			}
 			fmt.Fprintf(progress, "warning: run degraded: %v\n", err)
-			notes = flattenErrs(err)
+			notes = explore.FlattenErrs(err)
 		}
 		rep, err := sc.Finish()
 		if err != nil {
@@ -432,16 +434,26 @@ func runCmd(args []string) error {
 	return printReport(rep, *jsonOut, printReg, *statsFormat)
 }
 
-// tolerant reports whether injected crashes use the survival model.
-func (cfg *runConfig) tolerant() bool {
-	return cfg.plan.HasCrash() && !cfg.failstop
+func (cfg *runConfig) mpiOptions(hook mpi.Hook) mpi.Options {
+	return mpi.Options{Hook: hook, Obs: cfg.reg, Timeout: cfg.timeout, Faults: cfg.plan}
 }
 
-func (cfg *runConfig) mpiOptions(hook mpi.Hook) mpi.Options {
-	return mpi.Options{
-		Hook: hook, Obs: cfg.reg, Timeout: cfg.timeout,
-		Faults: cfg.plan, FaultTolerant: cfg.tolerant(),
+// nonNegative returns an error naming the first of the given int or
+// duration flags whose value is negative.
+func nonNegative(fs *flag.FlagSet, names ...string) error {
+	for _, name := range names {
+		var neg bool
+		switch v := fs.Lookup(name).Value.(flag.Getter).Get().(type) {
+		case int:
+			neg = v < 0
+		case time.Duration:
+			neg = v < 0
+		}
+		if neg {
+			return fmt.Errorf("-%s %s: must not be negative", name, fs.Lookup(name).Value)
+		}
 	}
+	return nil
 }
 
 // exploreCmd sweeps the schedule space of one application with
@@ -457,7 +469,6 @@ func exploreCmd(args []string) error {
 	budget := fs.Duration("budget", 0, "wall-clock budget for the sweep (0 = unlimited)")
 	seed := fs.Uint64("seed", 1, "base seed the schedules derive from (the sweep's schedule i runs under seed+i)")
 	minimize := fs.Bool("minimize", true, "ddmin-minimize each finding's schedule")
-	minimizeRuns := fs.Int("minimize-runs", 64, "max extra runs spent minimizing each finding")
 	staticSeed := fs.Bool("static-seed", false, "seed the sweep from static-checker diagnostics (delay the ranks they name first)")
 	full := fs.Bool("full", false, "instrument every buffer (no static analysis)")
 	intraOnly := fs.Bool("intra-only", false, "intra-epoch detection only (SyncChecker baseline)")
@@ -468,6 +479,9 @@ func exploreCmd(args []string) error {
 	tracePath := fs.String("trace", "", "record a per-schedule timeline to this Chrome trace JSON file")
 	statsListen := fs.String("stats-listen", "", "serve /metrics and /debug/pprof on this address while exploring (e.g. :6060)")
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if err := nonNegative(fs, "n", "budget", "timeout"); err != nil {
 		return err
 	}
 	reg, err := statsRegistry(*stats, *statsFormat)
@@ -529,15 +543,14 @@ func exploreCmd(args []string) error {
 			Body: body, Ranks: n, Rel: rel,
 			Timeout: *timeout, IntraOnly: *intraOnly, Obs: reg,
 		},
-		Hints:        hints,
-		Schedules:    *schedules,
-		Jobs:         *jobs,
-		Budget:       *budget,
-		Seed:         *seed,
-		Minimize:     *minimize,
-		MinimizeRuns: *minimizeRuns,
-		Progress:     progress,
-		Trace:        tl.recorder(),
+		Hints:     hints,
+		Schedules: *schedules,
+		Jobs:      *jobs,
+		Budget:    *budget,
+		Seed:      *seed,
+		Minimize:  *minimize,
+		Progress:  progress,
+		Trace:     tl.recorder(),
 	})
 	if err != nil {
 		return err
@@ -775,8 +788,7 @@ func printExplore(res *explore.Result, appName string, asJSON bool, reg *obs.Reg
 func (cfg *runConfig) runner() *explore.Runner {
 	r := &explore.Runner{
 		Body: cfg.body, Ranks: cfg.n, Rel: cfg.rel,
-		Timeout: cfg.timeout, Failstop: cfg.failstop,
-		IntraOnly: cfg.intraOnly, Obs: cfg.reg,
+		Timeout: cfg.timeout, IntraOnly: cfg.intraOnly, Obs: cfg.reg,
 		Trace: cfg.tl.recorder(),
 	}
 	if cfg.traceDir != "" {
@@ -807,21 +819,6 @@ func runOffline(cfg runConfig) (*core.Report, error) {
 		fmt.Fprintf(cfg.progress, "warning: run degraded: %s\n", note)
 	}
 	return rep, nil
-}
-
-// flattenErrs splits a joined error tree into one note per leaf.
-func flattenErrs(err error) []string {
-	if err == nil {
-		return nil
-	}
-	if j, ok := err.(interface{ Unwrap() []error }); ok {
-		var notes []string
-		for _, sub := range j.Unwrap() {
-			notes = append(notes, flattenErrs(sub)...)
-		}
-		return notes
-	}
-	return []string{err.Error()}
 }
 
 // truncateTraceFiles applies the plan's truncation faults to the on-disk

@@ -211,8 +211,7 @@ func TestRunCmdFaultsDeterministic(t *testing.T) {
 	}
 }
 
-// An injected crash under the fault-tolerant model still yields a report,
-// marked degraded.
+// An injected crash still yields a report, marked degraded.
 func TestRunCmdCrashFaultDegrades(t *testing.T) {
 	out := captureStdout(t, func() error {
 		return runCmd([]string{"-app", "emulate", "-fixed", "-faults", "seed=1,crash=0@10"})
@@ -274,6 +273,14 @@ func TestRunCmdFlagValidation(t *testing.T) {
 	}
 	if err := runCmd([]string{"-app", "emulate", "-fixed", "-online", "-faults", "trunc=0.3@1"}); err == nil {
 		t.Error("-online with a truncation fault must be rejected")
+	}
+	// A negative count or duration is an error naming the flag, not the
+	// default value (nor, for -timeout, a watchdog that has already fired).
+	for _, args := range [][]string{{"-ranks", "-3"}, {"-soak", "-2"}, {"-timeout", "-5s"}} {
+		err := runCmd(append([]string{"-app", "emulate", "-fixed"}, args...))
+		if err == nil || !strings.HasPrefix(err.Error(), args[0]+" ") {
+			t.Errorf("run %s %s: err = %v, want an error naming %s", args[0], args[1], err, args[0])
+		}
 	}
 }
 
@@ -376,6 +383,12 @@ func TestExploreCmdValidation(t *testing.T) {
 	}
 	if err := exploreCmd([]string{"-app", "schedrace", "-schedules", "0"}); err == nil {
 		t.Error("zero schedules must be rejected")
+	}
+	for _, args := range [][]string{{"-n", "-2"}, {"-budget", "-1s"}, {"-timeout", "-1s"}} {
+		err := exploreCmd(append([]string{"-app", "schedrace", "-fixed", "-schedules", "2"}, args...))
+		if err == nil || !strings.HasPrefix(err.Error(), args[0]+" ") {
+			t.Errorf("explore %s %s: err = %v, want an error naming %s", args[0], args[1], err, args[0])
+		}
 	}
 }
 

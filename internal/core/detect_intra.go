@@ -98,7 +98,7 @@ func (a *Analyzer) flushTarget(ev *trace.Event) (tw int32, all bool, err error) 
 	if ev.Target < 0 {
 		return 0, true, nil
 	}
-	tw, err = lockTargetWorld(a.m, ev)
+	tw, err = a.m.TargetWorld(ev)
 	return tw, false, err
 }
 

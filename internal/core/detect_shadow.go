@@ -99,11 +99,10 @@ type shadowTables struct {
 }
 
 func newShadowTables(a *Analyzer) *shadowTables {
-	depot := shadow.NewDepot()
 	return &shadowTables{
 		a:          a,
-		st:         shadow.NewStore(depot),
-		depot:      depot,
+		st:         shadow.NewStore(),
+		depot:      shadow.NewDepot(),
 		opIndex:    map[string]int32{},
 		classIdx:   map[opClassKey]int32{},
 		pairRules:  map[[2]trace.Kind]int32{},

@@ -169,7 +169,7 @@ func (x *epochExtractor) extractRank(t *trace.Trace) error {
 			}
 			w.fence = x.begin(EpochFence, rank, ev.Win, -1, seq)
 		case trace.KindWinLock:
-			tw, err := lockTargetWorld(x.m, ev)
+			tw, err := x.m.TargetWorld(ev)
 			if err != nil {
 				return err
 			}
@@ -184,7 +184,7 @@ func (x *epochExtractor) extractRank(t *trace.Trace) error {
 			}
 			w.locks = append(w.locks, x.begin(kind, rank, ev.Win, tw, seq))
 		case trace.KindWinUnlock:
-			tw, err := lockTargetWorld(x.m, ev)
+			tw, err := x.m.TargetWorld(ev)
 			if err != nil {
 				return err
 			}
@@ -282,16 +282,4 @@ func (x *epochExtractor) cutOps() {
 		e := &x.epochs[op.epoch]
 		e.Ops = append(e.Ops, op.id)
 	}
-}
-
-func lockTargetWorld(m *model.Model, ev *trace.Event) (int32, error) {
-	wi, err := m.Win(ev.Win)
-	if err != nil {
-		return 0, err
-	}
-	ci, err := m.Comm(wi.Comm)
-	if err != nil {
-		return 0, err
-	}
-	return ci.World(ev.Target)
 }

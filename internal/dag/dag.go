@@ -35,8 +35,6 @@ import (
 // happen-before this point, or -1 if none.
 type VC []int64
 
-func (vc VC) clone() VC { return append(VC(nil), vc...) }
-
 // join sets vc to the elementwise max of vc and o.
 func (vc VC) join(o VC) {
 	for i, v := range o {
@@ -392,11 +390,6 @@ func (d *DAG) Regions() []Region { return d.regions }
 // diagnostics.
 func (d *DAG) Segments(rank int32) int { return d.first[rank+1] - d.first[rank] }
 
-// Clock returns a copy of the vector clock in effect for an event.
-func (d *DAG) Clock(id trace.ID) VC {
-	return d.ClockRef(id).clone()
-}
-
 // ClockRef returns the vector clock in effect for an event without
 // copying: the clock of the segment the event belongs to. The returned
 // slice is owned by the DAG and must be treated as read-only. This is
@@ -404,7 +397,7 @@ func (d *DAG) Clock(id trace.ID) VC {
 // concurrent-range searches on; along one rank's program order the
 // returned clocks are elementwise monotone non-decreasing (segments
 // only ever join in more knowledge), which is what makes binary search
-// over per-rank access lists sound. Use Clock for a safe mutable copy.
+// over per-rank access lists sound.
 func (d *DAG) ClockRef(id trace.ID) VC {
 	return d.clock(id.Rank, d.segOf[id.Rank][id.Seq])
 }

@@ -263,11 +263,11 @@ func TestClock(t *testing.T) {
 	s := b.Add(0, trace.Event{Kind: trace.KindSend, Comm: 0, Peer: 1, Tag: 0})
 	r := b.Add(1, trace.Event{Kind: trace.KindRecv, Comm: 0, Peer: 0, Tag: 0})
 	d := buildDAG(t, b)
-	vc := d.Clock(r)
+	vc := d.ClockRef(r)
 	if vc[0] != s.Seq {
 		t.Errorf("recv clock[0] = %d, want %d", vc[0], s.Seq)
 	}
-	if d.Clock(s)[1] != -1 {
+	if d.ClockRef(s)[1] != -1 {
 		t.Error("send must not know receiver")
 	}
 }

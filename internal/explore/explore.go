@@ -51,8 +51,6 @@ type Runner struct {
 	Rel profiler.Relevance
 	// Timeout is the per-run deadlock watchdog (0 = simulator default).
 	Timeout time.Duration
-	// Failstop aborts a run on an injected crash instead of surviving it.
-	Failstop bool
 	// IntraOnly disables cross-process detection (SyncChecker baseline).
 	IntraOnly bool
 	// Obs receives run metrics; nil disables the accounting.
@@ -103,10 +101,7 @@ func (r *Runner) Run(plan *faults.Plan) (*core.Report, error) {
 	}()
 	pr := profiler.NewObs(sink, r.Rel, r.Obs)
 	var notes []string
-	err := mpi.Run(r.Ranks, mpi.Options{
-		Hook: pr, Obs: r.Obs, Timeout: r.Timeout,
-		Faults: plan, FaultTolerant: plan.HasCrash() && !r.Failstop,
-	}, r.Body)
+	err := mpi.Run(r.Ranks, mpi.Options{Hook: pr, Obs: r.Obs, Timeout: r.Timeout, Faults: plan}, r.Body)
 	if err != nil {
 		if !mpi.Degraded(err) {
 			// A deadlock watchdog return leaves rank goroutines alive and
@@ -114,7 +109,7 @@ func (r *Runner) Run(plan *faults.Plan) (*core.Report, error) {
 			recycle = false
 			return nil, fmt.Errorf("run failed: %w", err)
 		}
-		notes = flattenErrs(err)
+		notes = FlattenErrs(err)
 	}
 	set := padSet(sink.TakeSet(), r.Ranks)
 	if r.OnTrace != nil {
@@ -151,20 +146,26 @@ func padSet(s *trace.Set, n int) *trace.Set {
 	return out
 }
 
-// flattenErrs splits a joined error tree into one note per leaf.
-func flattenErrs(err error) []string {
+// FlattenErrs splits a joined error tree into one note per leaf: the
+// degraded notes of a run whose ranks crashed or failed.
+func FlattenErrs(err error) []string {
 	if err == nil {
 		return nil
 	}
 	if j, ok := err.(interface{ Unwrap() []error }); ok {
 		var notes []string
 		for _, sub := range j.Unwrap() {
-			notes = append(notes, flattenErrs(sub)...)
+			notes = append(notes, FlattenErrs(sub)...)
 		}
 		return notes
 	}
 	return []string{err.Error()}
 }
+
+// minimizeRuns caps the extra runs ddmin spends on one finding. A sweep's
+// plans hold at most two schedule clauses, which ddmin settles in at most
+// six runs.
+const minimizeRuns = 64
 
 // Config parameterizes one exploration.
 type Config struct {
@@ -184,9 +185,8 @@ type Config struct {
 	// sweep runs under seed Seed+i.
 	Seed uint64
 	// Minimize runs ddmin on each finding's first schedule, capped at
-	// MinimizeRuns extra runs per finding.
-	Minimize     bool
-	MinimizeRuns int
+	// minimizeRuns extra runs per finding.
+	Minimize bool
 	// Progress, when non-nil, receives a live one-line progress display
 	// (schedules/sec, distinct violations) and a final summary line.
 	Progress io.Writer
@@ -401,13 +401,9 @@ feed:
 	})
 
 	if cfg.Minimize {
-		budget := cfg.MinimizeRuns
-		if budget <= 0 {
-			budget = 64
-		}
 		minTotal := reg.Counter("mcchecker_explore_minimize_runs_total")
 		for _, f := range res.Findings {
-			min, runs, err := Minimize(cfg.Runner, f.FirstPlan, f.Signature, budget)
+			min, runs, err := Minimize(cfg.Runner, f.FirstPlan, f.Signature, minimizeRuns)
 			f.MinimizeRuns = runs
 			minTotal.Add(int64(runs))
 			if err != nil {

@@ -23,9 +23,6 @@ func Minimize(r *Runner, plan *faults.Plan, sig string, maxRuns int) (*faults.Pl
 	if plan == nil {
 		return nil, 0, fmt.Errorf("explore: cannot minimize a nil plan")
 	}
-	if maxRuns <= 0 {
-		maxRuns = 64
-	}
 	runs := 0
 	var firstErr error
 	// test reports whether the plan rebuilt from atoms still produces a

@@ -134,11 +134,10 @@ func TestMinimizeFlakyFinding(t *testing.T) {
 // minimized replayable string on the finding.
 func TestExploreWithMinimize(t *testing.T) {
 	res, err := Explore(Config{
-		Runner:       schedRunner(t, true),
-		Schedules:    32,
-		Seed:         1,
-		Minimize:     true,
-		MinimizeRuns: 32,
+		Runner:    schedRunner(t, true),
+		Schedules: 32,
+		Seed:      1,
+		Minimize:  true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -150,8 +149,8 @@ func TestExploreWithMinimize(t *testing.T) {
 	if f.Minimized == "" {
 		t.Fatal("finding has no minimized plan")
 	}
-	if f.MinimizeRuns == 0 || f.MinimizeRuns > 32 {
-		t.Errorf("MinimizeRuns = %d, want 1..32", f.MinimizeRuns)
+	if f.MinimizeRuns == 0 || f.MinimizeRuns > 6 {
+		t.Errorf("MinimizeRuns = %d, want 1..6 (two schedule clauses)", f.MinimizeRuns)
 	}
 	plan, err := faults.Parse(f.Minimized)
 	if err != nil {

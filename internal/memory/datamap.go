@@ -148,24 +148,6 @@ func (dm DataMap) TileBytes(count int) uint64 {
 	return dm.Size() * uint64(count)
 }
 
-// Offsets returns, element by element, the flattened byte offsets (relative
-// to the access base) touched by count elements, in transfer order. The
-// transfer order of MPI pack/unpack is segment order within each element.
-// The result has length TileBytes(count). Intended for small datatypes;
-// the simulator uses it to move bytes between packed and typed layouts.
-func (dm DataMap) Offsets(count int) []uint64 {
-	out := make([]uint64, 0, dm.TileBytes(count))
-	for e := 0; e < count; e++ {
-		origin := uint64(e) * dm.Extent
-		for _, s := range dm.Segments {
-			for b := uint64(0); b < s.Len; b++ {
-				out = append(out, origin+s.Disp+b)
-			}
-		}
-	}
-	return out
-}
-
 func (dm DataMap) String() string {
 	var b strings.Builder
 	b.WriteByte('{')
@@ -177,25 +159,4 @@ func (dm DataMap) String() string {
 	}
 	fmt.Fprintf(&b, "} ext=%d", dm.Extent)
 	return b.String()
-}
-
-// TilesOverlap reports whether the byte sets of (a at baseA × countA) and
-// (b at baseB × countB) intersect, and returns the first overlapping
-// interval pair's intersection if so.
-func TilesOverlap(a DataMap, baseA uint64, countA int, b DataMap, baseB uint64, countB int) (Interval, bool) {
-	ivA := a.Tile(baseA, countA)
-	ivB := b.Tile(baseB, countB)
-	// Merge-scan the two sorted interval lists.
-	i, j := 0, 0
-	for i < len(ivA) && j < len(ivB) {
-		if x, ok := ivA[i].Intersect(ivB[j]); ok {
-			return x, true
-		}
-		if ivA[i].Hi <= ivB[j].Hi {
-			i++
-		} else {
-			j++
-		}
-	}
-	return Interval{}, false
 }

@@ -67,64 +67,33 @@ func TestDataMapTileCoalesces(t *testing.T) {
 	}
 }
 
-func TestDataMapOffsets(t *testing.T) {
-	dm := DataMap{Segments: []Segment{{0, 2}, {4, 1}}, Extent: 8}
-	got := dm.Offsets(2)
-	want := []uint64{0, 1, 4, 8, 9, 12}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("Offsets = %v, want %v", got, want)
-	}
-	if uint64(len(got)) != dm.TileBytes(2) {
-		t.Error("Offsets length must equal TileBytes")
-	}
-}
-
-func TestTilesOverlap(t *testing.T) {
-	a := Contig(4)
-	// Same base: must overlap.
-	if _, ok := TilesOverlap(a, 100, 1, a, 100, 1); !ok {
-		t.Error("identical tiles must overlap")
-	}
-	// Disjoint bases.
-	if _, ok := TilesOverlap(a, 100, 1, a, 104, 1); ok {
-		t.Error("adjacent tiles must not overlap")
-	}
-	// Interleaved strided types that never touch: {0,4} ext 8 vs {4,4} ext 8.
-	x := DataMap{Segments: []Segment{{0, 4}}, Extent: 8}
-	y := DataMap{Segments: []Segment{{4, 4}}, Extent: 8}
-	if _, ok := TilesOverlap(x, 0, 10, y, 0, 10); ok {
-		t.Error("interleaved disjoint tiles must not overlap")
-	}
-	// Shift y by 2 bytes: now they collide.
-	if iv, ok := TilesOverlap(x, 0, 10, y, 2, 10); !ok || iv.Empty() {
-		t.Error("shifted interleave must overlap")
-	}
-}
-
-// Property: TilesOverlap agrees with a naive byte-set comparison.
-func TestTilesOverlapMatchesModel(t *testing.T) {
-	f := func(baseA, baseB uint8, extA, extB uint8, lenA, lenB uint8, cA, cB uint8) bool {
-		a := DataMap{Segments: []Segment{{0, uint64(lenA%8) + 1}}, Extent: uint64(extA%8) + uint64(lenA%8) + 1}
-		b := DataMap{Segments: []Segment{{0, uint64(lenB%8) + 1}}, Extent: uint64(extB%8) + uint64(lenB%8) + 1}
-		countA, countB := int(cA%6)+1, int(cB%6)+1
-		bytesOf := func(dm DataMap, base uint64, count int) map[uint64]bool {
-			m := map[uint64]bool{}
-			for _, off := range dm.Offsets(count) {
-				m[base+off] = true
-			}
-			return m
-		}
-		ma := bytesOf(a, uint64(baseA), countA)
-		mb := bytesOf(b, uint64(baseB), countB)
-		want := false
-		for k := range ma {
-			if mb[k] {
-				want = true
-				break
+// Property: Tile's intervals cover exactly the bytes a byte-by-byte walk
+// of the elements' segments touches, whatever the segment order, extent
+// or overlap between elements.
+func TestTileMatchesByteModel(t *testing.T) {
+	f := func(disp1, len1, disp2, len2, ext uint8, base uint16, count uint8) bool {
+		dm := DataMap{Segments: []Segment{{uint64(disp1 % 24), uint64(len1%8 + 1)}, {uint64(disp2 % 24), uint64(len2%8 + 1)}},
+			Extent: uint64(ext % 32)}
+		n := int(count % 6)
+		want := map[uint64]bool{}
+		for e := 0; e < n; e++ {
+			origin := uint64(base) + uint64(e)*dm.Extent
+			for _, s := range dm.Segments {
+				for b := uint64(0); b < s.Len; b++ {
+					want[origin+s.Disp+b] = true
+				}
 			}
 		}
-		_, got := TilesOverlap(a, uint64(baseA), countA, b, uint64(baseB), countB)
-		return got == want
+		got := map[uint64]bool{}
+		for _, iv := range dm.Tile(uint64(base), n) {
+			for b := iv.Lo; b < iv.Hi; b++ {
+				if got[b] {
+					return false // intervals overlap
+				}
+				got[b] = true
+			}
+		}
+		return reflect.DeepEqual(got, want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Error(err)
@@ -159,7 +128,7 @@ func TestTileInvariant(t *testing.T) {
 			if i > 0 && iv.Lo < prev.Hi {
 				return false
 			}
-			total += iv.Len()
+			total += iv.Hi - iv.Lo
 			prev = iv
 		}
 		return total == dm.TileBytes(n)
@@ -179,9 +148,6 @@ func TestAppendTileOrdersUnsortedMaps(t *testing.T) {
 	want := []Interval{Iv(0x500, 4), Iv(0x508, 8), Iv(0x514, 4)}
 	if got := narrow.Tile(0x500, 2); !reflect.DeepEqual(got, want) {
 		t.Errorf("narrow extent: Tile = %v, want %v", got, want)
-	}
-	if _, ok := TilesOverlap(narrow, 0x500, 2, Contig(4), 0x508, 1); !ok {
-		t.Error("narrow extent: the overlap at 0x508 is missed")
 	}
 
 	reversed := DataMap{Segments: []Segment{{8, 4}, {0, 2}}, Extent: 16}

@@ -1,9 +1,6 @@
 package memory
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Interval is a half-open byte range [Lo, Hi) in a simulated address space.
 // The zero Interval is empty.
@@ -17,31 +14,9 @@ func Iv(lo, size uint64) Interval { return Interval{Lo: lo, Hi: lo + size} }
 // Empty reports whether the interval contains no bytes.
 func (iv Interval) Empty() bool { return iv.Hi <= iv.Lo }
 
-// Len returns the number of bytes in the interval.
-func (iv Interval) Len() uint64 {
-	if iv.Empty() {
-		return 0
-	}
-	return iv.Hi - iv.Lo
-}
-
 // Overlaps reports whether iv and o share at least one byte.
 func (iv Interval) Overlaps(o Interval) bool {
 	return !iv.Empty() && !o.Empty() && iv.Lo < o.Hi && o.Lo < iv.Hi
-}
-
-// Contains reports whether o is entirely inside iv. The empty interval is
-// contained in everything.
-func (iv Interval) Contains(o Interval) bool {
-	if o.Empty() {
-		return true
-	}
-	return iv.Lo <= o.Lo && o.Hi <= iv.Hi
-}
-
-// ContainsAddr reports whether the single byte at addr lies inside iv.
-func (iv Interval) ContainsAddr(addr uint64) bool {
-	return iv.Lo <= addr && addr < iv.Hi
 }
 
 // Intersect returns the overlap of iv and o and whether it is non-empty.
@@ -70,67 +45,3 @@ func min64(a, b uint64) uint64 {
 	}
 	return b
 }
-
-// IntervalSet is a collection of intervals supporting overlap queries.
-// It keeps intervals sorted and coalesced, so both Add and Overlaps run in
-// O(log n) amortized. The zero value is an empty set ready to use.
-type IntervalSet struct {
-	ivs []Interval // sorted by Lo, pairwise disjoint, non-adjacent
-}
-
-// Add inserts iv into the set, merging with neighbours as needed.
-func (s *IntervalSet) Add(iv Interval) {
-	if iv.Empty() {
-		return
-	}
-	// Find the first existing interval whose Hi >= iv.Lo: everything from
-	// there that starts at or before iv.Hi merges with iv.
-	i := sort.Search(len(s.ivs), func(i int) bool { return s.ivs[i].Hi >= iv.Lo })
-	j := i
-	for j < len(s.ivs) && s.ivs[j].Lo <= iv.Hi {
-		iv.Lo = min64(iv.Lo, s.ivs[j].Lo)
-		iv.Hi = max64(iv.Hi, s.ivs[j].Hi)
-		j++
-	}
-	s.ivs = append(s.ivs[:i], append([]Interval{iv}, s.ivs[j:]...)...)
-}
-
-// Overlaps reports whether iv shares a byte with any interval in the set.
-func (s *IntervalSet) Overlaps(iv Interval) bool {
-	_, ok := s.FirstOverlap(iv)
-	return ok
-}
-
-// FirstOverlap returns the first stored interval overlapping iv.
-func (s *IntervalSet) FirstOverlap(iv Interval) (Interval, bool) {
-	if iv.Empty() {
-		return Interval{}, false
-	}
-	i := sort.Search(len(s.ivs), func(i int) bool { return s.ivs[i].Hi > iv.Lo })
-	if i < len(s.ivs) && s.ivs[i].Lo < iv.Hi {
-		return s.ivs[i], true
-	}
-	return Interval{}, false
-}
-
-// Len returns the number of disjoint stored intervals.
-func (s *IntervalSet) Len() int { return len(s.ivs) }
-
-// TotalBytes returns the number of distinct bytes covered by the set.
-func (s *IntervalSet) TotalBytes() uint64 {
-	var n uint64
-	for _, iv := range s.ivs {
-		n += iv.Len()
-	}
-	return n
-}
-
-// Intervals returns a copy of the coalesced intervals in ascending order.
-func (s *IntervalSet) Intervals() []Interval {
-	out := make([]Interval, len(s.ivs))
-	copy(out, s.ivs)
-	return out
-}
-
-// Reset empties the set, retaining capacity.
-func (s *IntervalSet) Reset() { s.ivs = s.ivs[:0] }

@@ -32,9 +32,6 @@ type Access struct {
 	Func string // routine containing the access
 }
 
-// Interval returns the byte range touched by the access.
-func (a Access) Interval() Interval { return Iv(a.Addr, a.Size) }
-
 // Observer receives program loads/stores performed through a Buffer's
 // accessor methods. Accesses are reported from the goroutine performing
 // them; an Observer shared across buffers of one rank sees them in program
@@ -54,7 +51,6 @@ func (f ObserverFunc) ObserveAccess(b *Buffer, a Access) { f(b, a) }
 type AddressSpace struct {
 	mu   sync.Mutex
 	next uint64
-	bufs []*Buffer
 }
 
 // spaceBase leaves low addresses unused so that a zero address is never a
@@ -76,29 +72,15 @@ func (as *AddressSpace) Alloc(size uint64, name string) *Buffer {
 	as.mu.Lock()
 	defer as.mu.Unlock()
 	b := &Buffer{
-		space: as,
-		base:  as.next,
-		data:  make([]byte, size),
-		name:  name,
+		base: as.next,
+		data: make([]byte, size),
+		name: name,
 	}
 	as.next += (size + allocAlign - 1) / allocAlign * allocAlign
 	if size == 0 {
 		as.next += allocAlign
 	}
-	as.bufs = append(as.bufs, b)
 	return b
-}
-
-// FindBuffer returns the buffer containing the simulated address, if any.
-func (as *AddressSpace) FindBuffer(addr uint64) (*Buffer, bool) {
-	as.mu.Lock()
-	defer as.mu.Unlock()
-	for _, b := range as.bufs {
-		if b.Interval().ContainsAddr(addr) {
-			return b, true
-		}
-	}
-	return nil, false
 }
 
 // Buffer is a tracked allocation in a simulated address space. Accessor
@@ -113,7 +95,6 @@ func (as *AddressSpace) FindBuffer(addr uint64) (*Buffer, bool) {
 // without hiding it (interleaving between lock acquisitions stays
 // arbitrary, so buggy programs still compute corrupted results).
 type Buffer struct {
-	space    *AddressSpace
 	base     uint64
 	mu       sync.Mutex // guards data
 	data     []byte

@@ -28,24 +28,6 @@ func TestAddressSpaceAllocDisjoint(t *testing.T) {
 	}
 }
 
-func TestFindBuffer(t *testing.T) {
-	as := NewAddressSpace()
-	a := as.Alloc(10, "a")
-	b := as.Alloc(10, "b")
-	if got, ok := as.FindBuffer(a.Addr(5)); !ok || got != a {
-		t.Error("FindBuffer missed buffer a")
-	}
-	if got, ok := as.FindBuffer(b.Addr(0)); !ok || got != b {
-		t.Error("FindBuffer missed buffer b")
-	}
-	if _, ok := as.FindBuffer(a.Addr(10) + 1); ok && a.Addr(11) < b.Base() {
-		t.Error("FindBuffer matched padding gap")
-	}
-	if _, ok := as.FindBuffer(0); ok {
-		t.Error("address 0 must not be mapped")
-	}
-}
-
 func TestBufferTypedAccessors(t *testing.T) {
 	as := NewAddressSpace()
 	b := as.Alloc(64, "buf")
@@ -137,11 +119,7 @@ func TestBufferOutOfRangePanics(t *testing.T) {
 	b.SetInt64(0, 1) // 8 bytes into a 4-byte buffer
 }
 
-func TestAccessInterval(t *testing.T) {
-	a := Access{Kind: Store, Addr: 100, Size: 8}
-	if a.Interval() != Iv(100, 8) {
-		t.Errorf("Access.Interval = %v", a.Interval())
-	}
+func TestAccessKindString(t *testing.T) {
 	if Load.String() != "load" || Store.String() != "store" {
 		t.Error("AccessKind.String wrong")
 	}

@@ -23,9 +23,6 @@ type CommInfo struct {
 	Members []int32
 }
 
-// Size returns the number of member processes.
-func (c *CommInfo) Size() int { return len(c.Members) }
-
 // World translates a communicator-relative rank to a world rank.
 func (c *CommInfo) World(rel int32) (int32, error) {
 	if rel < 0 || int(rel) >= len(c.Members) {
@@ -41,9 +38,6 @@ type WinLocal struct {
 	Size     uint64
 	DispUnit uint32
 }
-
-// Interval returns the window buffer's simulated address range.
-func (wl WinLocal) Interval() memory.Interval { return memory.Iv(wl.Base, wl.Size) }
 
 // WinInfo describes one RMA window across all participating ranks.
 type WinInfo struct {

@@ -26,7 +26,7 @@ func TestBuildRegistries(t *testing.T) {
 
 	// Implicit world communicator.
 	world, err := m.Comm(0)
-	if err != nil || world.Size() != 3 {
+	if err != nil || len(world.Members) != 3 {
 		t.Fatalf("world comm: %v %v", world, err)
 	}
 	w2, err := world.World(2)

@@ -105,7 +105,7 @@ func (cs *collState) rendezvous(p *Proc, size, rel int, op string, deposit any, 
 			cs.mu.Unlock()
 			panic(abortPanic{})
 		}
-		// Fault-tolerant mode: a collective over a dead member can never
+		// After an injected crash: a collective over a dead member can never
 		// complete — deliver the failure instead of blocking forever.
 		if cs.world.anyFailed() {
 			if fr := cs.world.failedOf(cs.group.Ranks()); fr >= 0 {

@@ -10,25 +10,21 @@ import (
 	"repro/internal/faults"
 )
 
-// Fault injection and the fault-tolerant abort model.
+// Fault injection and the crash model.
 //
-// The simulator supports two models for a dying rank:
+// A rank that fails on its own (a usage error, a panic, or a body
+// returning an error) aborts the whole job, like MPI_Abort: every blocked
+// rank unwinds via the abort machinery and Run returns the root-cause
+// error. An injected crash is ULFM-flavored instead: it kills only its own
+// rank. A surviving rank learns of the death when — and only when — one of
+// its blocking calls *depends* on the dead rank (a collective over a
+// communicator containing it, a receive from it, a lock it holds, a PSCW
+// partner). That call then raises a RankFailure instead of blocking
+// forever, unwinding the survivor, whose own death cascades to its
+// dependents in turn. Ranks with no dependency on any dead rank run to
+// completion and emit complete traces.
 //
-//   - Fail-stop (the default, matching MPI_Abort): any rank death aborts
-//     the whole job; every blocked rank unwinds via the abort machinery
-//     and Run returns the root-cause error.
-//
-//   - Fault-tolerant (Options.FaultTolerant, ULFM-flavored): an injected
-//     crash kills only its own rank. A surviving rank learns of the death
-//     when — and only when — one of its blocking calls *depends* on the
-//     dead rank (a collective over a communicator containing it, a
-//     receive from it, a lock it holds, a PSCW partner). That call then
-//     raises a RankFailure instead of blocking forever, unwinding the
-//     survivor, whose own death cascades to its dependents in turn. Ranks
-//     with no dependency on any dead rank run to completion and emit
-//     complete traces.
-//
-// Dependency-awareness is what keeps fault-tolerant runs deterministic:
+// Dependency-awareness is what keeps crashed runs deterministic:
 // everything a rank did before its crash (eager message deliveries, lock
 // releases, PSCW posts/completes, collective deposits) happens-before its
 // failure flag is published, and every blocking wait re-checks its
@@ -51,7 +47,7 @@ func (e *CrashError) Error() string {
 }
 
 // RankFailure is the ULFM-flavored error delivered to a surviving rank
-// whose blocking call depended on a failed peer (fault-tolerant mode).
+// whose blocking call depended on a failed peer.
 type RankFailure struct {
 	Rank   int    // the surviving rank receiving the error
 	Call   string // the MPI call that observed the failure
@@ -64,8 +60,8 @@ func (e *RankFailure) Error() string {
 
 // Degraded reports whether err — an error tree returned by Run — consists
 // entirely of injected crashes and the rank failures they induced. Such a
-// run completed under the fault-tolerant model with partial results: the
-// surviving ranks' traces are intact and worth analyzing in salvage mode.
+// run completed with partial results: the surviving ranks' traces are
+// intact and worth analyzing in salvage mode.
 func Degraded(err error) bool {
 	if err == nil {
 		return false
@@ -104,8 +100,7 @@ type rankFailurePanic struct{ err *RankFailure }
 // faultState is the world's fault-injection state; nil when no plan is
 // configured, making every check a cheap pointer test.
 type faultState struct {
-	plan     *faults.Plan
-	tolerant bool
+	plan *faults.Plan
 
 	mu sync.Mutex
 	// failed maps each world rank that has died to the crashed rank its
@@ -114,11 +109,11 @@ type faultState struct {
 	any    bool // fast path: len(failed) > 0, read under mu only on slow path
 }
 
-func newFaultState(plan *faults.Plan, tolerant bool) *faultState {
-	if plan == nil && !tolerant {
+func newFaultState(plan *faults.Plan) *faultState {
+	if plan == nil {
 		return nil
 	}
-	return &faultState{plan: plan, tolerant: tolerant, failed: make(map[int]int)}
+	return &faultState{plan: plan, failed: make(map[int]int)}
 }
 
 // markFailed records the death of rank, cascaded from the crashed rank
@@ -151,10 +146,10 @@ func (w *World) markFailed(rank, root int) {
 }
 
 // anyFailed is the fast path for the blocking-wait loops: false unless
-// the world runs fault-tolerant and at least one rank has died.
+// a fault plan is configured and at least one rank has died.
 func (w *World) anyFailed() bool {
 	fs := w.faults
-	if fs == nil || !fs.tolerant {
+	if fs == nil {
 		return false
 	}
 	fs.mu.Lock()
@@ -244,7 +239,7 @@ func (p *Proc) injectFaults() {
 // setupFaults arms the per-rank fault state from the world's plan.
 func (p *Proc) setupFaults() {
 	fs := p.world.faults
-	if fs == nil || fs.plan == nil {
+	if fs == nil {
 		return
 	}
 	pf := &procFaults{}
@@ -269,7 +264,7 @@ func (p *Proc) setupFaults() {
 // state, so a schedule replays exactly.
 func (w *World) scheduleBatch(winID int32, batch int, ops []*rmaOp) {
 	fs := w.faults
-	if fs == nil || fs.plan == nil || len(ops) < 2 {
+	if fs == nil || len(ops) < 2 {
 		return
 	}
 	plan := fs.plan

@@ -21,10 +21,10 @@ func mustPlan(t *testing.T, dsl string) *faults.Plan {
 	return p
 }
 
-// A fault-tolerant crash kills only its rank; a survivor blocked on the
-// dead rank receives a RankFailure instead of hanging or aborting.
+// An injected crash kills only its rank; a survivor blocked on the dead
+// rank receives a RankFailure instead of hanging or aborting.
 func TestFaultTolerantCrashDeliversRankFailure(t *testing.T) {
-	err := Run(2, Options{Faults: mustPlan(t, "crash=1@5"), FaultTolerant: true}, func(p *Proc) error {
+	err := Run(2, Options{Faults: mustPlan(t, "crash=1@5")}, func(p *Proc) error {
 		for i := 0; i < 10; i++ {
 			p.Barrier(p.CommWorld())
 		}
@@ -46,10 +46,9 @@ func TestFaultTolerantCrashDeliversRankFailure(t *testing.T) {
 	}
 }
 
-// Ranks with no dependency on the dead rank run to completion under the
-// fault-tolerant model.
+// Ranks with no dependency on the dead rank run to completion.
 func TestFaultTolerantIndependentRanksComplete(t *testing.T) {
-	err := Run(3, Options{Faults: mustPlan(t, "crash=2@1"), FaultTolerant: true}, func(p *Proc) error {
+	err := Run(3, Options{Faults: mustPlan(t, "crash=2@1")}, func(p *Proc) error {
 		c := p.CommWorld()
 		buf := p.AllocFloat64(1, "b")
 		switch p.Rank() {
@@ -72,58 +71,49 @@ func TestFaultTolerantIndependentRanksComplete(t *testing.T) {
 	}
 }
 
-// A crash mid-PSCW epoch must unwind the partner promptly in both abort
-// models: the exposed rank blocked in Win_wait may not ride out the
-// deadlock watchdog.
+// A crash mid-PSCW epoch must unwind the partner promptly: the exposed
+// rank blocked in Win_wait may not ride out the deadlock watchdog.
 func TestPSCWCrashUnwindsPartners(t *testing.T) {
-	for _, tolerant := range []bool{false, true} {
-		name := "failstop"
-		if tolerant {
-			name = "tolerant"
-		}
-		t.Run(name, func(t *testing.T) {
-			// Rank 0 crashes at its 4th MPI call — Win_complete, after
-			// Win_create(1), Win_start(2), Put(3) — leaving rank 1's
-			// exposure epoch forever open.
-			start := time.Now()
-			err := Run(2, Options{
-				Faults:        mustPlan(t, "crash=0@4"),
-				FaultTolerant: tolerant,
-				Timeout:       30 * time.Second,
-			}, func(p *Proc) error {
-				buf := p.AllocFloat64(4, "buf")
-				w := p.WinCreate(buf, 8, p.CommWorld())
-				peer := 1 - p.Rank()
-				g := NewGroup([]int{peer})
-				if p.Rank() == 0 {
-					w.Start(g)
-					w.Put(buf, 0, 1, Float64, 1, 0, 1, Float64)
-					w.Complete()
-				} else {
-					w.Post(g)
-					w.WaitEpoch()
-				}
-				w.Free()
-				return nil
-			})
-			if elapsed := time.Since(start); elapsed > 10*time.Second {
-				t.Fatalf("partners unwound only after %v", elapsed)
+	// Survivors tolerate the crash and report a RankFailure.
+	t.Run("tolerant", func(t *testing.T) {
+		// Rank 0 crashes at its 4th MPI call — Win_complete, after
+		// Win_create(1), Win_start(2), Put(3) — leaving rank 1's exposure
+		// epoch forever open.
+		start := time.Now()
+		err := Run(2, Options{
+			Faults:  mustPlan(t, "crash=0@4"),
+			Timeout: 30 * time.Second,
+		}, func(p *Proc) error {
+			buf := p.AllocFloat64(4, "buf")
+			w := p.WinCreate(buf, 8, p.CommWorld())
+			peer := 1 - p.Rank()
+			g := NewGroup([]int{peer})
+			if p.Rank() == 0 {
+				w.Start(g)
+				w.Put(buf, 0, 1, Float64, 1, 0, 1, Float64)
+				w.Complete()
+			} else {
+				w.Post(g)
+				w.WaitEpoch()
 			}
-			if err == nil || strings.Contains(err.Error(), "deadlocked") {
-				t.Fatalf("want prompt crash error, got %v", err)
-			}
-			var ce *CrashError
-			if !errors.As(err, &ce) || ce.Rank != 0 {
-				t.Fatalf("want CrashError for rank 0 in %v", err)
-			}
-			var rf *RankFailure
-			if tolerant {
-				if !errors.As(err, &rf) || rf.Rank != 1 || rf.Call != "Win_wait" {
-					t.Fatalf("want RankFailure{Rank:1, Call:Win_wait} in %v", err)
-				}
-			}
+			w.Free()
+			return nil
 		})
-	}
+		if elapsed := time.Since(start); elapsed > 10*time.Second {
+			t.Fatalf("partners unwound only after %v", elapsed)
+		}
+		if err == nil || strings.Contains(err.Error(), "deadlocked") {
+			t.Fatalf("want prompt crash error, got %v", err)
+		}
+		var ce *CrashError
+		if !errors.As(err, &ce) || ce.Rank != 0 {
+			t.Fatalf("want CrashError for rank 0 in %v", err)
+		}
+		var rf *RankFailure
+		if !errors.As(err, &rf) || rf.Rank != 1 || rf.Call != "Win_wait" {
+			t.Fatalf("want RankFailure{Rank:1, Call:Win_wait} in %v", err)
+		}
+	})
 }
 
 // The deadlock watchdog's report names each stuck rank and the call it is
@@ -212,7 +202,7 @@ func TestReorderDeterminism(t *testing.T) {
 func TestCrashCallNotObserved(t *testing.T) {
 	var calls [2]int
 	hook := countingHook{onCall: func(rank int32) { calls[rank]++ }}
-	err := Run(2, Options{Hook: hook, Faults: mustPlan(t, "crash=1@3"), FaultTolerant: true}, func(p *Proc) error {
+	err := Run(2, Options{Hook: hook, Faults: mustPlan(t, "crash=1@3")}, func(p *Proc) error {
 		for i := 0; i < 5; i++ {
 			p.Barrier(p.CommWorld())
 		}

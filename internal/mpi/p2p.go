@@ -77,7 +77,7 @@ func (mb *mailbox) receive(p *Proc, c *Comm, src, tag int, call string) *message
 		if mb.world.abortedNow() {
 			panic(abortPanic{}) // deferred unlock releases the mutex
 		}
-		// Fault-tolerant mode: a receive from a dead rank can never match.
+		// After an injected crash: a receive from a dead rank can never match.
 		// A wildcard receive fails as soon as any communicator member has
 		// died (ULFM's MPI_ERR_PROC_FAILED_PENDING) — the failed source
 		// might have been the matching sender.

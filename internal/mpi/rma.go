@@ -63,7 +63,7 @@ type postRecord struct {
 
 // lockState implements the passive-target lock of one target rank.
 // Holder world ranks are tracked so that a waiter can detect a holder
-// that died without releasing (fault-tolerant mode).
+// that died of an injected crash without releasing.
 type lockState struct {
 	world   *World
 	mu      sync.Mutex

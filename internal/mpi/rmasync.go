@@ -134,7 +134,7 @@ func (w *Win) Start(group *Group) {
 				w.s.pscwMu.Unlock()
 				panic(abortPanic{})
 			}
-			// Fault-tolerant mode: a dead target will never post.
+			// After an injected crash: a dead target will never post.
 			if p.world.anyFailed() && p.world.rankIsFailed(tw) {
 				w.s.pscwMu.Unlock()
 				p.failPeer("Win_start", tw)
@@ -191,7 +191,7 @@ func (w *Win) WaitEpoch() {
 			w.s.pscwMu.Unlock()
 			panic(abortPanic{})
 		}
-		// Fault-tolerant mode: an origin that died before Win_complete
+		// After an injected crash: an origin that died before Win_complete
 		// will never close its access epoch.
 		if p.world.anyFailed() {
 			for _, orig := range rec.origins.Ranks() {

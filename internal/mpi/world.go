@@ -37,7 +37,8 @@ type Options struct {
 	// (the "native" configuration of the paper's overhead experiments).
 	Hook Hook
 
-	// Timeout breaks deadlocked runs; zero means DefaultTimeout.
+	// Timeout breaks deadlocked runs; zero means DefaultTimeout, and a
+	// negative value is an error.
 	Timeout time.Duration
 
 	// Obs, when non-nil, receives the simulator's runtime metrics
@@ -49,15 +50,11 @@ type Options struct {
 	// Faults, when non-nil, injects the plan's simulator-level faults:
 	// rank crashes at a fixed MPI-call ordinal, seeded scheduler yields,
 	// and legal cross-origin reordering of RMA completion batches. All
-	// injection is deterministic in the plan's seed.
+	// injection is deterministic in the plan's seed. A crash kills only
+	// its rank: surviving ranks receive a RankFailure from blocking calls
+	// that depend on the dead rank, and the run completes with the
+	// survivors' traces (see internal/mpi/faults.go for the model).
 	Faults *faults.Plan
-
-	// FaultTolerant selects the ULFM-flavored abort model for injected
-	// crashes: instead of aborting the job, a crash kills only its rank,
-	// and surviving ranks receive a RankFailure from blocking calls that
-	// depend on the dead rank. The run completes and emits the surviving
-	// ranks' traces. See internal/mpi/faults.go for the model.
-	FaultTolerant bool
 }
 
 // DefaultTimeout bounds a run when Options.Timeout is zero. Buggy MPI
@@ -83,8 +80,8 @@ type World struct {
 	abortMu sync.Mutex
 	conds   []*sync.Cond
 
-	// faults holds the injection plan and the failed-rank set of the
-	// fault-tolerant model; nil when no plan is configured.
+	// faults holds the injection plan and the failed-rank set; nil when
+	// no plan is configured.
 	faults *faultState
 }
 
@@ -126,11 +123,14 @@ func Run(n int, opts Options, body func(p *Proc) error) error {
 	if n <= 0 {
 		return fmt.Errorf("mpi: world size %d must be positive", n)
 	}
+	if opts.Timeout < 0 {
+		return fmt.Errorf("mpi: timeout %v must not be negative", opts.Timeout)
+	}
 	if err := opts.Faults.CheckRanks(n); err != nil {
 		return err
 	}
 	w := &World{hook: opts.Hook, metrics: newSimMetrics(opts.Obs), nextCommID: 1} // comm id 0 is the world
-	w.faults = newFaultState(opts.Faults, opts.FaultTolerant)
+	w.faults = newFaultState(opts.Faults)
 	w.procs = make([]*Proc, n)
 	worldGroup := identityGroup(n)
 	worldComm := newComm(w, 0, worldGroup)
@@ -170,13 +170,9 @@ func Run(n int, opts Options, body func(p *Proc) error) error {
 						// the aborting rank.
 						errc <- rankErr{p.rank, nil}
 					case crashPanic:
-						// Injected crash fault. Fault-tolerant: only this rank
-						// dies, dependents learn of it through markFailed.
-						// Fail-stop: the whole job aborts, like MPI_Abort.
+						// Injected crash fault: only this rank dies, and its
+						// dependents learn of it through markFailed.
 						w.markFailed(p.rank, p.rank)
-						if w.faults == nil || !w.faults.tolerant {
-							w.abort()
-						}
 						errc <- rankErr{p.rank, &CrashError{Rank: p.rank, Call: v.call}}
 					case rankFailurePanic:
 						// This rank's blocking call depended on a dead peer and

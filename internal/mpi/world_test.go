@@ -4,6 +4,7 @@ import (
 	"errors"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -76,6 +77,22 @@ func TestRunBasics(t *testing.T) {
 func TestRunRejectsBadSize(t *testing.T) {
 	if err := Run(0, Options{}, func(*Proc) error { return nil }); err == nil {
 		t.Error("size 0 must error")
+	}
+}
+
+// A negative timeout is rejected before any rank starts, rather than
+// arming a watchdog that has already fired.
+func TestRunRejectsNegativeTimeout(t *testing.T) {
+	var ran atomic.Bool
+	err := Run(2, Options{Timeout: -5 * time.Second}, func(*Proc) error {
+		ran.Store(true)
+		return nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "timeout") {
+		t.Errorf("err = %v, want a timeout error", err)
+	}
+	if ran.Load() {
+		t.Error("body ran despite the negative timeout")
 	}
 }
 

@@ -96,7 +96,7 @@ var helpText = map[string]metricHelp{
 	"mcchecker_sim_messages_total": {kindCounter,
 		"Point-to-point messages through the simulator, per rank, labeled by direction."},
 	"mcchecker_sim_rank_failures_total": {kindCounter,
-		"Simulated rank crashes (fail-stop fault injection)."},
+		"Simulated rank deaths: injected crashes and the failures they cascade to."},
 	"mcchecker_sim_rma_ops_total": {kindCounter,
 		"RMA operations issued in the simulator, labeled deferred (queued per rank) or applied."},
 	"mcchecker_static_diagnostics_total": {kindCounter,
@@ -108,9 +108,7 @@ var helpText = map[string]metricHelp{
 	"mcchecker_static_functions_summarized_total": {kindCounter,
 		"Function summaries computed for interprocedural static analysis."},
 	"mcchecker_stream_boundaries_total": {kindCounter,
-		"Global synchronization boundaries detected by the streaming checker."},
-	"mcchecker_stream_coalesced_regions_total": {kindCounter,
-		"Adjacent slabs coalesced into one concurrent region by the streaming checker."},
+		"Global synchronization boundaries detected by the streaming checker, labeled clean (the slab is flushed) or unclean (the slab extends to the next boundary)."},
 	"mcchecker_stream_peak_buffered_events": {kindGauge,
 		"Peak number of events buffered by the streaming checker."},
 	"mcchecker_stream_slab_events": {kindHistogram,

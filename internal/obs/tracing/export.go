@@ -128,74 +128,6 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 	return err
 }
 
-// WriteText renders the recording as a plain-text tree: tracks, lanes,
-// and spans nested by containment, with instants as leaf lines. The
-// same ordering rules as the Chrome export apply, so the text form of a
-// deterministic recording is reproducible too.
-func (r *Recorder) WriteText(w io.Writer) error {
-	var events []event
-	unit := "µs"
-	if r != nil {
-		events = r.snapshot()
-		if r.det {
-			unit = "t" // logical ticks
-		}
-	}
-	sort.Slice(events, func(i, j int) bool {
-		a, b := &events[i], &events[j]
-		if a.track != b.track {
-			return naturalLess(a.track, b.track)
-		}
-		if a.lane != b.lane {
-			return naturalLess(a.lane, b.lane)
-		}
-		if a.ts != b.ts {
-			return a.ts < b.ts
-		}
-		if a.dur != b.dur {
-			return a.dur > b.dur
-		}
-		return a.seq < b.seq
-	})
-
-	var sb strings.Builder
-	curTrack, curLane := "", ""
-	type open struct{ end int64 }
-	var stack []open
-	for i := range events {
-		ev := &events[i]
-		if ev.track != curTrack {
-			fmt.Fprintf(&sb, "== %s ==\n", ev.track)
-			curTrack, curLane = ev.track, ""
-			stack = stack[:0]
-		}
-		if ev.lane != curLane {
-			fmt.Fprintf(&sb, "  -- %s --\n", ev.lane)
-			curLane = ev.lane
-			stack = stack[:0]
-		}
-		for len(stack) > 0 && ev.ts >= stack[len(stack)-1].end {
-			stack = stack[:len(stack)-1]
-		}
-		indent := strings.Repeat("  ", 2+len(stack))
-		if ev.dur < 0 {
-			fmt.Fprintf(&sb, "%s@%d%s %s", indent, ev.ts, unit, ev.name)
-		} else {
-			fmt.Fprintf(&sb, "%s%s [%d%s +%d%s]", indent, ev.name, ev.ts, unit, ev.dur, unit)
-			stack = append(stack, open{end: ev.ts + ev.dur})
-		}
-		for k := 0; k+1 < len(ev.args); k += 2 {
-			fmt.Fprintf(&sb, " %s=%s", ev.args[k], ev.args[k+1])
-		}
-		sb.WriteByte('\n')
-	}
-	if len(events) == 0 {
-		sb.WriteString("(no spans recorded)\n")
-	}
-	_, err := io.WriteString(w, sb.String())
-	return err
-}
-
 // Summary describes a validated Chrome trace for smoke checks.
 type Summary struct {
 	Events   int // span + instant events (metadata excluded)

@@ -1,7 +1,6 @@
 // Package tracing is the causal-tracing layer of the MC-Checker
 // reproduction: a low-overhead span recorder whose timelines export to
-// Chrome trace-event JSON (loadable in Perfetto or chrome://tracing) and
-// to a plain-text tree.
+// Chrome trace-event JSON (loadable in Perfetto or chrome://tracing).
 //
 // Where internal/obs aggregates (counters, histograms, total phase
 // times), this package keeps *individual* timed events with their track
@@ -103,10 +102,6 @@ func NewWithConfig(cfg Config) *Recorder {
 	r.start = clock()
 	return r
 }
-
-// Deterministic reports whether the recorder is in deterministic mode.
-// A nil recorder reports false.
-func (r *Recorder) Deterministic() bool { return r != nil && r.det }
 
 // Lane selects the lane for a unit of work: the worker's lane in wall
 // mode (so pool occupancy and idle time are visible), the scope's lane in
@@ -216,19 +211,6 @@ func (r *Recorder) AddSpanAt(track, lane, name string, ts, dur int64, kv ...stri
 	if dur < 0 {
 		dur = 0
 	}
-	r.addAt(track, lane, name, ts, dur, kv)
-}
-
-// AddInstantAt records a point event with an explicit timestamp. No-op on
-// a nil recorder.
-func (r *Recorder) AddInstantAt(track, lane, name string, ts int64, kv ...string) {
-	if r == nil {
-		return
-	}
-	r.addAt(track, lane, name, ts, -1, kv)
-}
-
-func (r *Recorder) addAt(track, lane, name string, ts, dur int64, kv []string) {
 	r.mu.Lock()
 	ls := r.laneLocked(track, lane)
 	r.events = append(r.events, event{

@@ -30,12 +30,8 @@ func TestNilRecorderIsInert(t *testing.T) {
 	sp.End()
 	r.Instant("track", "lane", "note")
 	r.AddSpanAt("track", "lane", "x", 0, 1)
-	r.AddInstantAt("track", "lane", "y", 0)
 	if r.Len() != 0 {
 		t.Fatal("nil recorder recorded something")
-	}
-	if r.Deterministic() {
-		t.Fatal("nil recorder claims determinism")
 	}
 	if got := r.Lane("worker 3", "scope"); got != "worker 3" {
 		t.Fatalf("nil Lane = %q, want worker", got)
@@ -153,23 +149,6 @@ func TestChromeTraceShape(t *testing.T) {
 	for i := range want {
 		if laneNames[i] != want[i] {
 			t.Fatalf("lane order = %v, want %v (natural sort)", laneNames, want)
-		}
-	}
-}
-
-func TestWriteTextTree(t *testing.T) {
-	r := NewDeterministic()
-	outer := r.Start("detect_cross", "region 0", "region 0")
-	r.Start("detect_cross", "region 0", "inner").End()
-	outer.End()
-	var sb strings.Builder
-	if err := r.WriteText(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{"detect_cross", "region 0", "inner"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("text export missing %q:\n%s", want, out)
 		}
 	}
 }

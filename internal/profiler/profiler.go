@@ -40,16 +40,9 @@ import (
 // It is the runtime form of the ST-Analyzer report.
 type Relevance func(bufferName string) bool
 
-// All instruments every tracked buffer — the "no static analysis"
-// configuration. It is equivalent to passing a nil Relevance, but explicit:
-// note that FromNames(nil) is the opposite (an empty relevant set that
-// instruments nothing), so callers wanting full instrumentation should use
-// All rather than rebuilding the every-buffer predicate by hand.
-var All Relevance = func(string) bool { return true }
-
 // FromNames builds a Relevance from an explicit set of variable names, the
 // shape of the report ST-Analyzer produces. An empty or nil list yields a
-// predicate that accepts nothing; use All (or nil) for full
+// predicate that accepts nothing; pass a nil Relevance for full
 // instrumentation.
 func FromNames(names []string) Relevance {
 	set := make(map[string]bool, len(names))
@@ -95,7 +88,7 @@ type paddedCounter struct {
 
 var _ mpi.Hook = (*Profiler)(nil)
 
-// New returns a profiler writing to sink. relevant may be nil (or All) to
+// New returns a profiler writing to sink. relevant may be nil to
 // instrument all buffers (full instrumentation, no static analysis).
 func New(sink trace.Sink, relevant Relevance) *Profiler {
 	return NewObs(sink, relevant, nil)

@@ -295,17 +295,15 @@ func (v *vector) cover(iv memory.Interval, g, id int32) {
 // between regions, so the arena, query scratch and vector slices are
 // allocated once and reused.
 type Store struct {
-	depot   *Depot
 	vectors map[VectorKey]*vector
 	arena   []member
 	scratch []int32
 	qstamp  uint64
 }
 
-// NewStore returns an empty store. depot may be nil when the caller does
-// its own site bookkeeping.
-func NewStore(depot *Depot) *Store {
-	return &Store{depot: depot, vectors: make(map[VectorKey]*vector)}
+// NewStore returns an empty store.
+func NewStore() *Store {
+	return &Store{vectors: make(map[VectorKey]*vector)}
 }
 
 // Reset empties the store, keeping its allocations for the next region:
@@ -325,9 +323,6 @@ func (s *Store) Reset() {
 func (s *Store) Grow(n int) {
 	s.arena = slices.Grow(s.arena, n)
 }
-
-// Depot returns the depot the store was built with (may be nil).
-func (s *Store) Depot() *Depot { return s.depot }
 
 // Members returns the total number of inserted accesses.
 func (s *Store) Members() int { return len(s.arena) }

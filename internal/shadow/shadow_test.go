@@ -51,7 +51,7 @@ func TestDepotInternDense(t *testing.T) {
 // Two accesses from different ranks, concurrent, overlapping: the query
 // sees the stored one through a cell.
 func TestQueryOverlapBasic(t *testing.T) {
-	st := NewStore(nil)
+	st := NewStore()
 	key := VectorKey{Win: 1, Target: 2}
 	st.Insert(key, Access{Payload: 7, Rank: 0, Class: 0, Seq: 5,
 		Clock: clock(-1, -1, -1), Target: []memory.Interval{{Lo: 100, Hi: 200}}})
@@ -73,7 +73,7 @@ func TestQueryOverlapBasic(t *testing.T) {
 
 // Happens-before in either direction suppresses the match.
 func TestQueryHappensBeforeSuppresses(t *testing.T) {
-	st := NewStore(nil)
+	st := NewStore()
 	key := VectorKey{Win: 1, Target: 2}
 	st.Insert(key, Access{Payload: 1, Rank: 0, Class: 0, Seq: 5,
 		Clock: clock(-1, -1, -1), Target: []memory.Interval{{Lo: 0, Hi: 64}}})
@@ -104,7 +104,7 @@ func TestQueryHappensBeforeSuppresses(t *testing.T) {
 // ModeAll matches concurrent members regardless of byte overlap,
 // including members with empty footprints; ModeSkip matches nothing.
 func TestQueryModeAllAndSkip(t *testing.T) {
-	st := NewStore(nil)
+	st := NewStore()
 	key := VectorKey{Win: 3, Target: 0}
 	st.Insert(key, Access{Payload: 10, Rank: 1, Class: 0, Seq: 2,
 		Clock: clock(-1, -1), Target: []memory.Interval{{Lo: 0, Hi: 8}}})
@@ -125,7 +125,7 @@ func TestQueryModeAllAndSkip(t *testing.T) {
 // A member spanning several cells is emitted once per query, and matches
 // arrive in insertion order even when cells are visited out of order.
 func TestQueryDedupAcrossCellsAndOrder(t *testing.T) {
-	st := NewStore(nil)
+	st := NewStore()
 	key := VectorKey{Win: 1, Target: 0}
 	// Member A covers [0,100); B covers [50,150) — splits A's cell.
 	st.Insert(key, Access{Payload: 0, Rank: 1, Class: 0, Seq: 1,
@@ -153,7 +153,7 @@ func TestQueryDedupAcrossCellsAndOrder(t *testing.T) {
 // The solo→list spill: the second same-(rank,class) member on the same
 // bytes grows the inlined entry, and both match.
 func TestCellGroupSpill(t *testing.T) {
-	st := NewStore(nil)
+	st := NewStore()
 	key := VectorKey{Win: 1, Target: 0}
 	for i := int32(0); i < 3; i++ {
 		st.Insert(key, Access{Payload: i, Rank: 1, Class: 0, Seq: int64(i),
@@ -175,7 +175,7 @@ func TestCellGroupSpill(t *testing.T) {
 // After a split, appending to one half must not clobber the other
 // (the cloneEntries capacity cap on copied spilled lists).
 func TestCellSplitAliasing(t *testing.T) {
-	st := NewStore(nil)
+	st := NewStore()
 	key := VectorKey{Win: 1, Target: 0}
 	// Two members of one group share a cell → a spilled member list.
 	st.Insert(key, Access{Payload: 0, Rank: 1, Class: 0, Seq: 0,
@@ -206,7 +206,7 @@ func TestCellSplitAliasing(t *testing.T) {
 // 1000 up), queried and Reset, so a test can check that a reset store
 // answers like a fresh one.
 func usedStore() *Store {
-	st := NewStore(nil)
+	st := NewStore()
 	key := VectorKey{Win: 1, Target: 0}
 	for i := int32(0); i < 6; i++ {
 		st.Insert(key, Access{Payload: 1000 + i, Rank: 1 + i%2, Class: i % 3, Seq: int64(3 * i),
@@ -223,7 +223,7 @@ func usedStore() *Store {
 // concurrentRange against a brute-force reference over random-ish
 // monotone clock histories, on a fresh store and on a reset one.
 func TestConcurrentRangeMatchesBruteForce(t *testing.T) {
-	for _, st := range []*Store{NewStore(nil), usedStore()} {
+	for _, st := range []*Store{NewStore(), usedStore()} {
 		key := VectorKey{Win: 1, Target: 0}
 		// Rank 1's history: clocks (knowledge of rank 0) only grow.
 		type m struct {
@@ -315,7 +315,7 @@ func randomAccesses(rng *rand.Rand, n int, base int32) []randomAccess {
 // that come and go.
 func TestResetMatchesFreshStore(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	reused := NewStore(nil)
+	reused := NewStore()
 	for cycle := 0; cycle < 5; cycle++ {
 		stale := int32(100000 * (cycle + 1))
 		for _, ra := range randomAccesses(rng, 20+rng.Intn(60), stale) {
@@ -328,7 +328,7 @@ func TestResetMatchesFreshStore(t *testing.T) {
 			t.Fatalf("cycle %d: %d members after Reset", cycle, reused.Members())
 		}
 
-		fresh := NewStore(nil)
+		fresh := NewStore()
 		for _, ra := range randomAccesses(rng, 10+rng.Intn(80), 0) {
 			fresh.Insert(ra.key, ra.acc)
 			reused.Insert(ra.key, ra.acc)
@@ -368,7 +368,7 @@ func TestResetMatchesFreshStore(t *testing.T) {
 // Gap-filling and boundary splits keep cells sorted, disjoint, and
 // covering exactly the inserted footprints.
 func TestCoverInvariants(t *testing.T) {
-	st := NewStore(nil)
+	st := NewStore()
 	key := VectorKey{Win: 1, Target: 0}
 	ivs := [][]memory.Interval{
 		{{Lo: 40, Hi: 60}},
@@ -462,7 +462,7 @@ func TestCoverInvariants(t *testing.T) {
 // classify must be called at most once per group per query even when the
 // group appears in many probed cells.
 func TestClassifyOncePerGroup(t *testing.T) {
-	st := NewStore(nil)
+	st := NewStore()
 	key := VectorKey{Win: 1, Target: 0}
 	// One group spread over several cells.
 	st.Insert(key, Access{Payload: 0, Rank: 1, Class: 0, Seq: 0,
@@ -499,7 +499,7 @@ func TestRefillAfterResetAllocatesNothing(t *testing.T) {
 	for i, w := range order {
 		fps[i] = []memory.Interval{memory.Iv(uint64(8*w), 8)}
 	}
-	st := NewStore(nil)
+	st := NewStore()
 	fill := func() {
 		for i, fp := range fps {
 			st.Insert(key, Access{Payload: int32(i), Rank: 1, Seq: int64(i), Clock: clk, Target: fp})

@@ -26,8 +26,6 @@ type span struct {
 	max int64
 }
 
-func exactSpan(lo, size int64) span { return span{lo: lo, min: size, max: size} }
-
 const (
 	ovDisjoint = iota
 	ovMaybe

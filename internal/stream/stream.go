@@ -117,7 +117,6 @@ type Checker struct {
 	mSlabEvents   *obs.Histogram
 	mBoundClean   *obs.Counter
 	mBoundUnclean *obs.Counter
-	mCoalesced    *obs.Counter
 	mPeakBuffered *obs.Gauge
 }
 
@@ -175,7 +174,6 @@ func (c *Checker) SetObs(reg *obs.Registry) {
 	c.mSlabEvents = reg.Histogram("mcchecker_stream_slab_events")
 	c.mBoundClean = reg.Counter("mcchecker_stream_boundaries_total", "result", "clean")
 	c.mBoundUnclean = reg.Counter("mcchecker_stream_boundaries_total", "result", "unclean")
-	c.mCoalesced = reg.Counter("mcchecker_stream_coalesced_regions_total")
 	c.mPeakBuffered = reg.Gauge("mcchecker_stream_peak_buffered_events")
 }
 
@@ -345,7 +343,6 @@ func (c *Checker) maybeAnalyze() {
 		// boundary and retry at the next one.
 		if !c.clean() {
 			c.mBoundUnclean.Inc()
-			c.mCoalesced.Inc()
 			for r := 0; r < c.ranks; r++ {
 				c.globalPos[r] = c.globalPos[r][1:]
 			}

@@ -143,16 +143,6 @@ func (k Kind) IsAccFamily() bool {
 	return false
 }
 
-// ReadsTarget reports whether the operation reads target window memory
-// (Get and the fetching accumulate-family calls).
-func (k Kind) ReadsTarget() bool {
-	switch k {
-	case KindGet, KindGetAccumulate, KindFetchOp, KindCompareSwap:
-		return true
-	}
-	return false
-}
-
 // IsRMASync reports whether k is a one-sided synchronization call.
 func (k Kind) IsRMASync() bool {
 	switch k {
@@ -396,11 +386,10 @@ func (e *Event) String() string {
 	}
 }
 
-// Predefined datatype ids. User-defined datatype ids start at TypeUserBase.
-// The data-maps of predefined types are fixed and known to both the
-// simulator and the analyzer.
+// Predefined datatype ids; 0 names no type. User-defined datatype ids
+// start at TypeUserBase. The data-maps of predefined types are fixed and
+// known to both the simulator and the analyzer.
 const (
-	TypeInvalid int32 = 0
 	TypeByte    int32 = 1
 	TypeInt32   int32 = 2
 	TypeInt64   int32 = 3

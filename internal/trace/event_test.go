@@ -124,8 +124,8 @@ func TestPredefinedTypes(t *testing.T) {
 	if _, ok := PredefinedType(TypeUserBase); ok {
 		t.Error("user type ids must not be predefined")
 	}
-	if IsPredefinedType(TypeInvalid) {
-		t.Error("TypeInvalid must not be predefined")
+	if IsPredefinedType(0) {
+		t.Error("type id 0 must not be predefined")
 	}
 }
 

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -12,9 +11,6 @@ type Trace struct {
 	Rank   int32
 	Events []Event
 }
-
-// Len returns the number of events in the trace.
-func (t *Trace) Len() int { return len(t.Events) }
 
 // Set holds the traces of all ranks of one run, indexed by world rank.
 type Set struct {
@@ -281,45 +277,4 @@ func (c *CountingSink) Stats() Stats {
 		Collect:   c.collect.Load(),
 		Other:     c.other.Load(),
 	}
-}
-
-// Merge combines per-rank partial sets (e.g. loaded from separate files)
-// into one Set. Ranks must not repeat across parts.
-func Merge(parts ...*Trace) (*Set, error) {
-	maxRank := int32(-1)
-	for _, p := range parts {
-		if p.Rank > maxRank {
-			maxRank = p.Rank
-		}
-	}
-	s := &Set{Traces: make([]*Trace, maxRank+1)}
-	for _, p := range parts {
-		if s.Traces[p.Rank] != nil {
-			return nil, fmt.Errorf("trace: duplicate trace for rank %d", p.Rank)
-		}
-		s.Traces[p.Rank] = p
-	}
-	for r, t := range s.Traces {
-		if t == nil {
-			return nil, fmt.Errorf("trace: missing trace for rank %d", r)
-		}
-	}
-	return s, s.Validate()
-}
-
-// SortedKinds returns the distinct event kinds present in the set, sorted;
-// useful in tests and reports.
-func (s *Set) SortedKinds() []Kind {
-	seen := map[Kind]bool{}
-	for _, t := range s.Traces {
-		for i := range t.Events {
-			seen[t.Events[i].Kind] = true
-		}
-	}
-	out := make([]Kind, 0, len(seen))
-	for k := range seen {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

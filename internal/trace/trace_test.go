@@ -138,19 +138,6 @@ func TestCountingSink(t *testing.T) {
 	}
 }
 
-func TestMergeErrors(t *testing.T) {
-	if _, err := Merge(&Trace{Rank: 0}, &Trace{Rank: 0}); err == nil {
-		t.Error("duplicate rank must error")
-	}
-	if _, err := Merge(&Trace{Rank: 1}); err == nil {
-		t.Error("missing rank 0 must error")
-	}
-	s, err := Merge(&Trace{Rank: 1}, &Trace{Rank: 0})
-	if err != nil || s.Ranks() != 2 {
-		t.Errorf("merge failed: %v", err)
-	}
-}
-
 func TestWriteReadDir(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "traces")
 	rng := rand.New(rand.NewSource(2))
@@ -180,19 +167,5 @@ func TestWriteReadDir(t *testing.T) {
 func TestReadDirEmpty(t *testing.T) {
 	if _, err := ReadDir(t.TempDir()); err == nil {
 		t.Error("empty dir must error")
-	}
-}
-
-func TestSortedKinds(t *testing.T) {
-	s := NewSet(1)
-	s.Traces[0].Events = []Event{
-		{Kind: KindStore, Rank: 0, Seq: 0},
-		{Kind: KindLoad, Rank: 0, Seq: 1},
-		{Kind: KindStore, Rank: 0, Seq: 2},
-	}
-	got := s.SortedKinds()
-	want := []Kind{KindLoad, KindStore}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("SortedKinds = %v, want %v", got, want)
 	}
 }

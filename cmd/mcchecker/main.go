@@ -481,8 +481,11 @@ func exploreCmd(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if err := nonNegative(fs, "n", "budget", "timeout"); err != nil {
+	if err := nonNegative(fs, "n", "schedules", "jobs", "budget", "timeout"); err != nil {
 		return err
+	}
+	if *schedules == 0 {
+		return fmt.Errorf("-schedules 0: must be positive")
 	}
 	reg, err := statsRegistry(*stats, *statsFormat)
 	if err != nil {
@@ -584,6 +587,9 @@ func corpusCmd(args []string) error {
 	if fs.NArg() > 0 {
 		return fmt.Errorf("corpus takes no positional arguments")
 	}
+	if err := nonNegative(fs, "programs", "clean", "schedules"); err != nil {
+		return err
+	}
 	progress := io.Writer(os.Stdout)
 	if *jsonOut {
 		progress = os.Stderr
@@ -633,6 +639,9 @@ func fixCmd(args []string) error {
 	}
 	if fs.NArg() > 0 {
 		return fmt.Errorf("fix takes no positional arguments")
+	}
+	if err := nonNegative(fs, "schedules"); err != nil {
+		return err
 	}
 	cases := apps.CorpusCases()
 	if *appName != "" {
@@ -1128,6 +1137,12 @@ func dumpCmd(args []string) error {
 	}
 	if *format != "text" && *format != "jsonl" {
 		return fmt.Errorf("-format must be text or jsonl, not %q", *format)
+	}
+	if *rank < -1 {
+		return fmt.Errorf("-rank %d: must be a rank, or -1 for all", *rank)
+	}
+	if err := nonNegative(fs, "limit"); err != nil {
+		return err
 	}
 	set, err := trace.ReadDir(*traceDir)
 	if err != nil {

@@ -381,10 +381,8 @@ func TestExploreCmdValidation(t *testing.T) {
 	if err := exploreCmd([]string{"-app", "nope"}); err == nil {
 		t.Error("unknown app must be rejected")
 	}
-	if err := exploreCmd([]string{"-app", "schedrace", "-schedules", "0"}); err == nil {
-		t.Error("zero schedules must be rejected")
-	}
-	for _, args := range [][]string{{"-n", "-2"}, {"-budget", "-1s"}, {"-timeout", "-1s"}} {
+	for _, args := range [][]string{{"-n", "-2"}, {"-budget", "-1s"}, {"-timeout", "-1s"},
+		{"-schedules", "-3"}, {"-schedules", "0"}, {"-jobs", "-1"}} {
 		err := exploreCmd(append([]string{"-app", "schedrace", "-fixed", "-schedules", "2"}, args...))
 		if err == nil || !strings.HasPrefix(err.Error(), args[0]+" ") {
 			t.Errorf("explore %s %s: err = %v, want an error naming %s", args[0], args[1], err, args[0])
@@ -457,6 +455,28 @@ func TestDumpCmd(t *testing.T) {
 	}
 	if err := dumpCmd([]string{}); err == nil {
 		t.Error("missing -trace must error")
+	}
+	// A negative limit or a rank below -1 is an error naming the flag, not
+	// a dump of everything.
+	for _, args := range [][]string{{"-limit", "-1"}, {"-rank", "-5"}} {
+		err := dumpCmd(append([]string{"-trace", dir}, args...))
+		if err == nil || !strings.HasPrefix(err.Error(), args[0]+" ") {
+			t.Errorf("dump %s %s: err = %v, want an error naming %s", args[0], args[1], err, args[0])
+		}
+	}
+}
+
+// TestServeCmdValidation: a negative pool width, queue budget or timeout
+// is an error naming the flag, given before the daemon listens. The
+// address cannot be listened on, so a command that got past the check
+// fails on it instead of serving.
+func TestServeCmdValidation(t *testing.T) {
+	for _, args := range [][]string{{"-workers", "-1"}, {"-queue", "-2"},
+		{"-job-timeout", "-1s"}, {"-drain-timeout", "-1s"}} {
+		err := serveCmd(append([]string{"-addr", "127.0.0.1:-1"}, args...))
+		if err == nil || !strings.HasPrefix(err.Error(), args[0]+" ") {
+			t.Errorf("serve %s %s: err = %v, want an error naming %s", args[0], args[1], err, args[0])
+		}
 	}
 }
 
@@ -645,6 +665,12 @@ func TestCorpusCmdGate(t *testing.T) {
 	if err := corpusCmd([]string{"-programs", "2", "-clean", "3", "-schedules", "4", "extra"}); err == nil {
 		t.Error("positional arguments must be rejected")
 	}
+	for _, args := range [][]string{{"-programs", "-1"}, {"-clean", "-1"}, {"-schedules", "-1"}} {
+		err := corpusCmd(append([]string{"-programs", "2", "-clean", "3", "-schedules", "4"}, args...))
+		if err == nil || !strings.HasPrefix(err.Error(), args[0]+" ") {
+			t.Errorf("corpus %s %s: err = %v, want an error naming %s", args[0], args[1], err, args[0])
+		}
+	}
 }
 
 // TestFixCmdJSON runs the repair CLI on one case: the JSON result is
@@ -673,6 +699,10 @@ func TestFixCmdJSON(t *testing.T) {
 	}
 	if want := "--- a/internal/apps/corpus.go\n+++ b/internal/apps/corpus.go\n"; !strings.HasPrefix(string(patch), want) {
 		t.Errorf("patch header does not name internal/apps/corpus.go:\n%s", patch)
+	}
+	if err := fixCmd([]string{"-app", "stride-overlap", "-schedules", "-1"}); err == nil ||
+		!strings.HasPrefix(err.Error(), "-schedules ") {
+		t.Errorf("fix -schedules -1: err = %v, want an error naming -schedules", err)
 	}
 }
 

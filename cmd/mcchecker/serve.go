@@ -31,6 +31,9 @@ func serveCmd(args []string) error {
 	if fs.NArg() > 0 {
 		return fmt.Errorf("serve takes no positional arguments")
 	}
+	if err := nonNegative(fs, "workers", "queue", "job-timeout", "drain-timeout"); err != nil {
+		return err
+	}
 
 	reg := obs.NewRegistry()
 	srv := serve.New(serve.Config{

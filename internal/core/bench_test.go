@@ -14,7 +14,8 @@ import (
 )
 
 // crossInput is one trace's prebuilt pipeline: every phase's input, up to
-// what the detectors read. enc and ms are set only by amplifiedCorpus.
+// what the detectors read, and the report they give. enc, ms and rep are
+// set only by amplifiedCorpus.
 type crossInput struct {
 	enc     [][]byte // each rank's trace, as trace.EncodeTrace writes it
 	set     *trace.Set
@@ -23,12 +24,14 @@ type crossInput struct {
 	d       *dag.DAG
 	epochs  []*Epoch
 	opEpoch map[trace.ID]*Epoch
+	rep     *Report // the trace's report under DefaultOptions
 }
 
 // amplifiedCorpus simulates every registry case but schedrace, buggy and
 // fixed, with each body repeated 8 times and ranks capped at 8 — the
 // shape of the benchmark's bugcorpus workload — and builds each trace's
-// pipeline up to the detectors, keeping every phase's input.
+// pipeline up to the detectors, keeping every phase's input and the
+// trace's report.
 func amplifiedCorpus(tb testing.TB) []crossInput {
 	tb.Helper()
 	cases, err := testutil.CaseTraces(8, 8)
@@ -65,7 +68,11 @@ func amplifiedCorpus(tb testing.TB) []crossInput {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		out = append(out, crossInput{enc: enc, set: set, m: m, ms: ms, d: d, epochs: epochs, opEpoch: opEpoch})
+		rep, err := AnalyzeWith(set, DefaultOptions())
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out = append(out, crossInput{enc: enc, set: set, m: m, ms: ms, d: d, epochs: epochs, opEpoch: opEpoch, rep: rep})
 	}
 	return out
 }
@@ -121,8 +128,8 @@ type phase struct {
 	run  func(in crossInput) error
 }
 
-// phases lists every analysis phase from decode to detect_cross, in
-// pipeline order, each reading only inputs amplifiedCorpus prebuilt.
+// phases lists every analysis phase from decode to render, in pipeline
+// order, each reading only inputs amplifiedCorpus prebuilt.
 var phases = []phase{
 	{"decode", func(in crossInput) error {
 		for _, buf := range in.enc {
@@ -138,6 +145,7 @@ var phases = []phase{
 	{"epochs", func(in crossInput) error { _, _, err := ExtractEpochs(in.m); return err }},
 	{"detect_intra", detector(Options{IntraEpoch: true})},
 	{"detect_cross", detector(Options{CrossProcess: true})},
+	{"render", func(in crossInput) error { _ = in.rep.String(); return nil }},
 }
 
 // detector runs the detectors opts enables on one prebuilt input.
@@ -175,6 +183,20 @@ func BenchmarkFrontEnd(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkRender measures the text renderer alone: one op is one
+// Report.String of each amplified-corpus trace's report.
+func BenchmarkRender(b *testing.B) {
+	inputs := amplifiedCorpus(b)
+	render := phases[len(phases)-1] // render is the last phase
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := runPhase(render, inputs); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

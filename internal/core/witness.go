@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 
 	"repro/internal/dag"
 	"repro/internal/obs/tracing"
@@ -30,27 +30,26 @@ type WitnessStep struct {
 	Ev trace.Event
 }
 
-func (s WitnessStep) String() string {
-	marker := "[sync]"
+func (s WitnessStep) String() string { return string(s.appendText(nil)) }
+
+// appendText appends the step's text rendering to b, the line
+// Violation.String gives each step of its witness chain.
+func (s *WitnessStep) appendText(b []byte) []byte {
 	switch s.Side {
 	case 1:
-		marker = " [1]  "
+		b = append(b, " [1]  "...)
 	case 2:
-		marker = " [2]  "
+		b = append(b, " [2]  "...)
+	default:
+		b = append(b, "[sync]"...)
 	}
-	return fmt.Sprintf("%s rank %d seq %d: %s at %s (%s) — %s",
-		marker, s.Ev.Rank, s.Ev.Seq, s.Ev.Kind, s.Ev.Loc(), shortFunc(s.Ev.Func), s.Role)
-}
-
-// witnessString renders the chain as the indented block String() appends.
-func witnessString(steps []WitnessStep) string {
-	var sb strings.Builder
-	sb.WriteString("  witness (happens-before chain left open):")
-	for _, s := range steps {
-		sb.WriteString("\n    ")
-		sb.WriteString(s.String())
-	}
-	return sb.String()
+	b = append(b, " rank "...)
+	b = strconv.AppendInt(b, int64(s.Ev.Rank), 10)
+	b = append(b, " seq "...)
+	b = strconv.AppendInt(b, s.Ev.Seq, 10)
+	b = appendCall(b, &s.Ev)
+	b = append(b, " — "...)
+	return append(b, s.Role...)
 }
 
 // addIntra records a within-epoch violation with its witness chain

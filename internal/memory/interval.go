@@ -1,6 +1,6 @@
 package memory
 
-import "fmt"
+import "strconv"
 
 // Interval is a half-open byte range [Lo, Hi) in a simulated address space.
 // The zero Interval is empty.
@@ -28,8 +28,15 @@ func (iv Interval) Intersect(o Interval) (Interval, bool) {
 	return r, true
 }
 
-func (iv Interval) String() string {
-	return fmt.Sprintf("[0x%x,0x%x)", iv.Lo, iv.Hi)
+func (iv Interval) String() string { return string(iv.Append(nil)) }
+
+// Append appends the interval as String renders it, "[0xlo,0xhi)", to b.
+func (iv Interval) Append(b []byte) []byte {
+	b = append(b, "[0x"...)
+	b = strconv.AppendUint(b, iv.Lo, 16)
+	b = append(b, ",0x"...)
+	b = strconv.AppendUint(b, iv.Hi, 16)
+	return append(b, ')')
 }
 
 func max64(a, b uint64) uint64 {

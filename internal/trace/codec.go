@@ -9,6 +9,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -251,18 +252,30 @@ func (d *decoder) byte1() byte {
 	return 0
 }
 
+// The readers of varints and string ids each have a fast path and a slow
+// one. The fast path decodes a one-byte varint, which nearly every field
+// of a record is, without a further call. The slow path is the whole
+// reader: the fast path hands it everything else (longer varints, the end
+// of the stream, a decoder that has already failed), so every check and
+// error text is the slow path's.
+
 // uvarint reads an unsigned varint. Its errors are binary.ReadUvarint's:
 // io.EOF when nothing is left, io.ErrUnexpectedEOF when the varint is cut
 // short, and an overflow past 64 bits.
 func (d *decoder) uvarint() uint64 {
+	if d.off < len(d.buf) && d.buf[d.off] < 0x80 && d.err == nil {
+		d.off++
+		return uint64(d.buf[d.off-1])
+	}
+	return d.uvarintSlow()
+}
+
+// uvarintSlow is uvarint for anything but a one-byte varint.
+func (d *decoder) uvarintSlow() uint64 {
 	if d.err != nil {
 		return 0
 	}
 	rest := d.buf[d.off:]
-	if len(rest) > 0 && rest[0] < 0x80 {
-		d.off++
-		return uint64(rest[0])
-	}
 	v, n := binary.Uvarint(rest)
 	switch {
 	case n > 0:
@@ -290,6 +303,16 @@ func (d *decoder) varint() int64 {
 
 // varint32 reads a signed varint that must fit an int32.
 func (d *decoder) varint32() int32 {
+	if d.off < len(d.buf) && d.buf[d.off] < 0x80 && d.err == nil {
+		b := int32(d.buf[d.off])
+		d.off++
+		return b>>1 ^ -(b & 1) // zig-zag
+	}
+	return d.varint32Slow()
+}
+
+// varint32Slow is varint32 for anything but a one-byte varint.
+func (d *decoder) varint32Slow() int32 {
 	v := d.varint()
 	if v < math.MinInt32 || v > math.MaxInt32 {
 		d.fail(fmt.Errorf("trace: field value %d overflows int32", v))
@@ -300,6 +323,17 @@ func (d *decoder) varint32() int32 {
 
 // str reads a string id and returns its interned string.
 func (d *decoder) str() string {
+	if d.off < len(d.buf) && d.err == nil {
+		if id := d.buf[d.off]; id < 0x80 && int(id) < len(d.strs) {
+			d.off++
+			return d.strs[id]
+		}
+	}
+	return d.strSlow()
+}
+
+// strSlow is str for anything but a one-byte id of a defined string.
+func (d *decoder) strSlow() string {
 	id := d.uvarint()
 	if d.err == nil && id >= uint64(len(d.strs)) {
 		d.err = fmt.Errorf("undefined string id %d", id)
@@ -396,13 +430,19 @@ func (d *decoder) decode(data []byte) (*Trace, SalvageResult, error) {
 				return stop(err, "bad string definition: %v", err)
 			}
 		case recEvent:
+			// The record is decoded in its slot. A slot past the slice's
+			// length is zero: make and append zero it, and a record that
+			// fails to decode ends the read with its slot zeroed again.
 			n := len(t.Events)
-			ev := Event{Rank: rank, Seq: int64(n)}
-			if err := d.event(&ev); err != nil {
+			t.Events = slices.Grow(t.Events, 1)[:n+1]
+			ev := &t.Events[n]
+			ev.Rank, ev.Seq = rank, int64(n)
+			if err := d.event(ev); err != nil {
+				*ev = Event{}
+				t.Events = t.Events[:n]
 				return stop(fmt.Errorf("trace: rank %d event %d: %w", rank, n, err),
 					"event %d undecodable: %v", n, err)
 			}
-			t.Events = append(t.Events, ev)
 		default:
 			return stop(fmt.Errorf("trace: unknown record tag %#x", tag), "unknown record tag %#x", tag)
 		}

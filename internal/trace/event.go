@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"path"
+	"strconv"
 
 	"repro/internal/memory"
 )
@@ -337,11 +338,17 @@ func (e *Event) DispUnit() uint32 { return e.def().DispUnit }
 
 // Loc returns a compact "file:line" for diagnostics, using only the base
 // name of the file.
-func (e *Event) Loc() string {
+func (e *Event) Loc() string { return string(e.AppendLoc(nil)) }
+
+// AppendLoc appends Loc's rendering to b: "file:line", or "?" for an event
+// without a file.
+func (e *Event) AppendLoc(b []byte) []byte {
 	if e.File == "" {
-		return "?"
+		return append(b, '?')
 	}
-	return fmt.Sprintf("%s:%d", path.Base(e.File), e.Line)
+	b = append(b, path.Base(e.File)...)
+	b = append(b, ':')
+	return strconv.AppendInt(b, int64(e.Line), 10)
 }
 
 // ID identifies an event globally as (rank, seq).

@@ -41,6 +41,9 @@ func WriteDirObs(dir string, s *Set, reg *obs.Registry) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
+	if err := removeStaleTraceFiles(dir, s); err != nil {
+		return err
+	}
 	for _, t := range s.Traces {
 		f, err := os.Create(filepath.Join(dir, FileName(t.Rank)))
 		if err != nil {
@@ -56,6 +59,34 @@ func WriteDirObs(dir string, s *Set, reg *obs.Registry) error {
 		if m != nil {
 			m.encodedEvents.Add(int64(len(t.Events)))
 			m.encodedBytes.Add(n)
+		}
+	}
+	return nil
+}
+
+// removeStaleTraceFiles removes each regular file in dir that ReadDir
+// would read as a trace file, unless writing s overwrites it: the higher
+// ranks of an earlier, wider run, or a name such as trace.01.bin that
+// sorts before trace.1.bin and would shadow it. Without it, ReadDir mixes
+// the two runs. It lists dir once and stats no file.
+func removeStaleTraceFiles(dir string, s *Set) error {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return err
+	}
+	regular := entries[:0]
+	for _, e := range entries {
+		if e.Type().IsRegular() {
+			regular = append(regular, e)
+		}
+	}
+	for _, nr := range traceFileNames(regular) {
+		if nr.rank < len(s.Traces) && s.Traces[nr.rank].Rank == int32(nr.rank) &&
+			nr.name == FileName(int32(nr.rank)) {
+			continue // overwritten below
+		}
+		if err := os.Remove(filepath.Join(dir, nr.name)); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -145,6 +145,50 @@ func TestWriteDirCreateFailure(t *testing.T) {
 	}
 }
 
+// TestWriteDirRemovesStaleTraceFiles: writing a 2-rank set into the
+// directory of a 4-rank run leaves nothing of that run for ReadDir to
+// read: not its ranks 2 and 3, and not a trace.01.bin, which sorts before
+// trace.1.bin and would supply rank 1.
+func TestWriteDirRemovesStaleTraceFiles(t *testing.T) {
+	dir := t.TempDir()
+	rng := rand.New(rand.NewSource(3))
+	set := func(ranks int) *Set {
+		s := NewSet(ranks)
+		for r := range s.Traces {
+			s.Traces[r].Events = sampleEvents(int32(r), 10+r, rng)
+		}
+		return s
+	}
+	if err := WriteDir(dir, set(4)); err != nil {
+		t.Fatal(err)
+	}
+	stale, _ := buildTrace(t, 1, 9, 98)
+	if err := os.WriteFile(filepath.Join(dir, "trace.01.bin"), stale, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want := set(2)
+	if err := WriteDir(dir, want); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Ranks() != want.Ranks() {
+		t.Fatalf("ReadDir read %d ranks, want %d", got.Ranks(), want.Ranks())
+	}
+	for r, tr := range want.Traces {
+		if len(got.Traces[r].Events) != len(tr.Events) {
+			t.Fatalf("rank %d: read %d events, want %d", r, len(got.Traces[r].Events), len(tr.Events))
+		}
+		for i := range tr.Events {
+			if !reflect.DeepEqual(normalize(tr.Events[i]), normalize(got.Traces[r].Events[i])) {
+				t.Fatalf("rank %d event %d differs", r, i)
+			}
+		}
+	}
+}
+
 // TestReadDirSalvageGoldenNotes pins every degradation note a directory
 // read can produce, in order, with each rank's recovered event count: the
 // salvage corpus's truncated and missing ranks, a zero-byte file, a file

@@ -1148,6 +1148,9 @@ func dumpCmd(args []string) error {
 	if err != nil {
 		return err
 	}
+	if *rank >= set.Ranks() {
+		return fmt.Errorf("-rank %d: the trace has %d rank(s), 0 to %d", *rank, set.Ranks(), set.Ranks()-1)
+	}
 	var shown trace.Set // the selected ranks, each cut to the limit
 	for _, t := range set.Traces {
 		if *rank >= 0 && int(t.Rank) != *rank {

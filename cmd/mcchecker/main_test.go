@@ -10,6 +10,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -81,6 +82,17 @@ func TestAnalyzeCmdCleanTrace(t *testing.T) {
 // what it printed.
 func captureStdout(t *testing.T, f func() error) string {
 	t.Helper()
+	out, err := captureStdoutErr(t, f)
+	if err != nil {
+		t.Fatalf("command failed: %v\noutput:\n%s", err, out)
+	}
+	return out
+}
+
+// captureStdoutErr runs f with stdout captured and returns what f printed
+// and the error it returned.
+func captureStdoutErr(t *testing.T, f func() error) (string, error) {
+	t.Helper()
 	old := os.Stdout
 	r, w, err := os.Pipe()
 	if err != nil {
@@ -98,10 +110,7 @@ func captureStdout(t *testing.T, f func() error) string {
 	w.Close()
 	out := <-done
 	r.Close()
-	if ferr != nil {
-		t.Fatalf("command failed: %v\noutput:\n%s", ferr, out)
-	}
-	return out
+	return out, ferr
 }
 
 func TestRunCmdStats(t *testing.T) {
@@ -462,6 +471,20 @@ func TestDumpCmd(t *testing.T) {
 		err := dumpCmd(append([]string{"-trace", dir}, args...))
 		if err == nil || !strings.HasPrefix(err.Error(), args[0]+" ") {
 			t.Errorf("dump %s %s: err = %v, want an error naming %s", args[0], args[1], err, args[0])
+		}
+	}
+	// A rank at or past the trace's rank count is an error naming -rank
+	// and the count, given before any output, not an empty dump.
+	count := fmt.Sprintf("%d rank", set.Ranks())
+	for _, rank := range []string{strconv.Itoa(set.Ranks()), "7"} {
+		for _, format := range []string{"text", "jsonl"} {
+			out, err := captureStdoutErr(t, func() error {
+				return dumpCmd([]string{"-trace", dir, "-rank", rank, "-format", format})
+			})
+			if err == nil || !strings.HasPrefix(err.Error(), "-rank ") || !strings.Contains(err.Error(), count) || out != "" {
+				t.Errorf("dump -rank %s -format %s: err = %v, output %q; want an error naming -rank and %q, and no output",
+					rank, format, err, out, count)
+			}
 		}
 	}
 }

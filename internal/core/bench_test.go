@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -102,7 +104,12 @@ func fatEpochInput(tb testing.TB) crossInput {
 		b.Add(r, trace.Event{Kind: trace.KindWinUnlock, Win: 1, Target: 0, File: "fat.go", Line: 3})
 	}
 	b.Barrier()
-	set := b.Set()
+	return builtInput(tb, b.Set())
+}
+
+// builtInput builds set's pipeline up to the detectors.
+func builtInput(tb testing.TB, set *trace.Set) crossInput {
+	tb.Helper()
 	m, err := model.Build(set)
 	if err != nil {
 		tb.Fatal(err)
@@ -120,6 +127,79 @@ func fatEpochInput(tb testing.TB) crossInput {
 		tb.Fatal(err)
 	}
 	return crossInput{m: m, d: d, epochs: epochs, opEpoch: opEpoch}
+}
+
+// medianCorpus is the middle half of the amplified corpus by event count:
+// the traces that set the benchmark's bugcorpus job_ms_p50. A pass over
+// the whole corpus is dominated by its five largest traces.
+func medianCorpus(tb testing.TB) []crossInput {
+	in := amplifiedCorpus(tb)
+	slices.SortStableFunc(in, func(x, y crossInput) int {
+		return cmp.Compare(x.set.TotalEvents(), y.set.TotalEvents())
+	})
+	return in[len(in)/4 : len(in)-len(in)/4]
+}
+
+// wideInput is one concurrent region over many vectors: ranks 1–3 each
+// lock (shared), Put one float64 into and unlock each of rank 0's 4,000
+// windows, each rank into its own word, so no pair conflicts. A region
+// holds 4,000 (window, target) vectors, and a lookup linear in them costs
+// the detector about four times its time.
+func wideInput(tb testing.TB) crossInput {
+	tb.Helper()
+	const ranks, windows, word = 4, 4000, 8
+	const base, src = 0x10000, 0x900000
+	b := testutil.NewTraceBuilder(ranks)
+	for w := int32(1); w <= windows; w++ {
+		b.WinCreate(w, base+uint64(w)*64, (ranks-1)*word)
+	}
+	b.Barrier()
+	for r := int32(1); r < ranks; r++ {
+		for w := int32(1); w <= windows; w++ {
+			b.Add(r, trace.Event{Kind: trace.KindWinLock, Win: w, Target: 0, Lock: trace.LockShared, File: "wide.go", Line: 1})
+			b.Add(r, trace.Event{Kind: trace.KindPut, Win: w, Target: 0,
+				OriginAddr: src, OriginType: trace.TypeFloat64, OriginCount: 1,
+				TargetDisp: uint64(r-1) * word, TargetType: trace.TypeFloat64, TargetCount: 1,
+				File: "wide.go", Line: 2})
+			b.Add(r, trace.Event{Kind: trace.KindWinUnlock, Win: w, Target: 0, File: "wide.go", Line: 3})
+		}
+	}
+	b.Barrier()
+	return builtInput(tb, b.Set())
+}
+
+// manyGroupsInput is one vector of many (rank, class) groups: each of
+// ranks 1–63 issues, eight times in one shared lock epoch on rank 0, a
+// Put, a Get and an Accumulate under each of SUM and MAX, every operation
+// into its own word from its own source word. That is 252 groups of 8
+// members each, none conflicting, so a lookup linear in a vector's groups
+// shows.
+func manyGroupsInput(tb testing.TB) crossInput {
+	tb.Helper()
+	const ranks, reps, word = 64, 8, 8
+	const base, src = 0x10000, 0x900000
+	kinds := []struct {
+		kind trace.Kind
+		op   trace.AccOp
+	}{{trace.KindPut, trace.OpNone}, {trace.KindGet, trace.OpNone},
+		{trace.KindAccumulate, trace.OpSum}, {trace.KindAccumulate, trace.OpMax}}
+	per := reps * len(kinds) // words per origin
+	b := testutil.NewTraceBuilder(ranks)
+	b.WinCreate(1, base, uint64((ranks-1)*per*word))
+	b.Barrier()
+	for r := int32(1); r < ranks; r++ {
+		b.Add(r, trace.Event{Kind: trace.KindWinLock, Win: 1, Target: 0, Lock: trace.LockShared, File: "groups.go", Line: 1})
+		for i := 0; i < per; i++ {
+			k := kinds[i%len(kinds)]
+			b.Add(r, trace.Event{Kind: k.kind, AccOp: k.op, Win: 1, Target: 0,
+				OriginAddr: src + uint64(i)*word, OriginType: trace.TypeFloat64, OriginCount: 1,
+				TargetDisp: uint64((int(r)-1)*per+i) * word, TargetType: trace.TypeFloat64, TargetCount: 1,
+				File: "groups.go", Line: int32(2 + i%len(kinds))})
+		}
+		b.Add(r, trace.Event{Kind: trace.KindWinUnlock, Win: 1, Target: 0, File: "groups.go", Line: 9})
+	}
+	b.Barrier()
+	return builtInput(tb, b.Set())
 }
 
 // phase is one pipeline phase run alone on one prebuilt input.
@@ -200,31 +280,41 @@ func BenchmarkRender(b *testing.B) {
 	}
 }
 
+// benchInputs is one named input set of a detector benchmark.
+type benchInputs struct {
+	name   string
+	inputs func(testing.TB) []crossInput
+}
+
+// one wraps a single-input builder as an input set.
+func one(name string, build func(testing.TB) crossInput) benchInputs {
+	return benchInputs{name, func(tb testing.TB) []crossInput { return []crossInput{build(tb)} }}
+}
+
 // BenchmarkDetectCross measures the cross-process detector alone with
 // every earlier phase prebuilt: corpus is one pass over the amplified
-// corpus, fat one pass over fatEpochInput, whose Puts all land in one
-// (window, target) vector of one concurrent region.
+// corpus and median over its middle half; fat is one pass over
+// fatEpochInput, whose Puts all land in one (window, target) vector of
+// one concurrent region, wide over wideInput and many-groups over
+// manyGroupsInput.
 func BenchmarkDetectCross(b *testing.B) {
-	benchDetector(b, Options{CrossProcess: true}, "fat")
+	benchDetector(b, Options{CrossProcess: true},
+		one("fat", fatEpochInput), one("wide", wideInput), one("many-groups", manyGroupsInput))
 }
 
 // BenchmarkDetectIntra measures the within-epoch detector alone with
 // every earlier phase prebuilt: corpus is one pass over the amplified
-// corpus, fat-epoch one pass over fatEpochInput.
+// corpus, median over its middle half and fat-epoch over fatEpochInput.
 func BenchmarkDetectIntra(b *testing.B) {
-	benchDetector(b, Options{IntraEpoch: true}, "fat-epoch")
+	benchDetector(b, Options{IntraEpoch: true}, one("fat-epoch", fatEpochInput))
 }
 
-// benchDetector runs the detectors opts enables as two sub-benchmarks,
-// corpus and fat (named fatName), one op being one pass over the inputs.
-func benchDetector(b *testing.B, opts Options, fatName string) {
-	for _, bc := range []struct {
-		name   string
-		inputs func(testing.TB) []crossInput
-	}{
-		{"corpus", amplifiedCorpus},
-		{fatName, func(tb testing.TB) []crossInput { return []crossInput{fatEpochInput(tb)} }},
-	} {
+// benchDetector runs the detectors opts enables as sub-benchmarks, corpus
+// and median and then each of extra, one op being one pass over the
+// inputs.
+func benchDetector(b *testing.B, opts Options, extra ...benchInputs) {
+	sets := append([]benchInputs{{"corpus", amplifiedCorpus}, {"median", medianCorpus}}, extra...)
+	for _, bc := range sets {
 		b.Run(bc.name, func(b *testing.B) {
 			inputs := bc.inputs(b)
 			run := phase{"detect", detector(opts)}

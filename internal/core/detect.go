@@ -54,6 +54,10 @@ type Analyzer struct {
 	// (indexEpochs) before it walks the regions.
 	epochOf [][]*Epoch
 
+	// operands names the access sites of both detectors' fold keys,
+	// created on the first conflict of the analysis.
+	operands *operandTable
+
 	report *Report
 	vindex map[string]*Violation
 }
@@ -187,10 +191,12 @@ type collector struct {
 	report *Report
 	vindex map[string]*Violation
 
-	// fold maps the interned identity of each cross-process violation the
-	// shadow engine reported into this collector to its survivor in
-	// vindex, so a repeated occurrence is counted without being built.
-	fold map[crossKey]*Violation
+	// fold maps the interned identity of each violation a detector
+	// reported into this collector to its survivor in vindex, so a
+	// repeated occurrence is counted without being built. It is nil in
+	// the reference scans (pairwise.go), which fold by Key() alone, so the
+	// differential tests hold the interned fold to an independent one.
+	fold map[foldKey]*Violation
 	// shadow is the shadow engine's tables (detect_shadow.go) and intra
 	// the within-epoch detector's index (detect_intra.go), each created on
 	// first use and kept for every later scope of the analysis.
@@ -208,7 +214,7 @@ func (c *collector) add(v *Violation) { c.report.add(c.vindex, v) }
 func (a *Analyzer) eachScope(n int, track string, scope func(i int) string,
 	check func(i int, col *collector) error) error {
 	tr := a.opts.Trace
-	col := &collector{report: a.report, vindex: a.vindex}
+	col := &collector{report: a.report, vindex: a.vindex, fold: map[foldKey]*Violation{}}
 	for i := 0; i < n; i++ {
 		if err := a.opts.ctxErr(); err != nil {
 			return err
@@ -319,8 +325,9 @@ func (a *Analyzer) forEachWindow(fp model.Footprint, visit func(win int32)) {
 
 // The rule table shared by the cross-process detectors: the shadow engine,
 // the pairwise reference (pairwise.go) and the all-pairs baseline
-// (quadratic.go) decide and name every conflict through these three
-// functions, so they cannot drift apart on a Table I cell or a rule text.
+// (quadratic.go) decide and name every conflict through localMode,
+// rmaRuleText and localRuleText, so they cannot drift apart on a Table I
+// cell or a rule text.
 
 // localMode decides, from Table I, how a local access of class cls
 // conflicts with a concurrent remote operation of kind remote on the same
@@ -357,6 +364,130 @@ func localRuleText(cls Op, remote trace.Kind, win int32, noOverlap bool) string 
 			cls, win, remote)
 	}
 	return fmt.Sprintf("local %s at the target process conflicts with a concurrent remote %s", cls, remote)
+}
+
+// A rule names a conflict rule's text without rendering it: the template
+// in the top byte, then the kind, class and role arguments the template
+// renders. A kind is kept as its byte value, so no two kinds share a
+// number. The window, which localRuleText renders for a conflict without
+// overlap, sits beside the rule in the fold key instead: two rules of one
+// window are equal exactly when their texts are
+// (TestRuleNumbersNameOneText). The text is rendered only when a
+// violation is first built.
+type rule uint32
+
+// The rule templates, in the top byte of a rule.
+const (
+	rmaRule            rule = iota + 1 // rmaRuleText(k1, k2)
+	localRule                          // localRuleText(Op(x), k2, win, false)
+	localNoOverlapRule                 // localRuleText(Op(x), k2, win, true)
+	intraLocalRule                     // local k1 overlaps the bufRole(x) buffer of a pending k2
+	intraSidesRule                     // bufRole(x>>1) buffer of k1 overlaps the bufRole(x&1) buffer of k2
+	intraTargetRule                    // k1 and k2 to overlapping target regions
+)
+
+func makeRule(template rule, k1, k2 trace.Kind, x uint8) rule {
+	return template<<24 | rule(k1)<<16 | rule(k2)<<8 | rule(x)
+}
+
+// rmaPairRule is the rule of a conflict between concurrent remote
+// operations of kinds prev and cur.
+func rmaPairRule(prev, cur trace.Kind) rule { return makeRule(rmaRule, prev, cur, 0) }
+
+// localPairRule is the rule of a conflict between a local access of class
+// cls and a concurrent remote operation of kind remote; noOverlap selects
+// the MPI-2.2 store rule's wording.
+func localPairRule(cls Op, remote trace.Kind, noOverlap bool) rule {
+	if noOverlap {
+		return makeRule(localNoOverlapRule, 0, remote, uint8(cls))
+	}
+	return makeRule(localRule, 0, remote, uint8(cls))
+}
+
+// text renders the rule as it fires on window win.
+func (r rule) text(win int32) string {
+	k1, k2, x := trace.Kind(r>>16), trace.Kind(r>>8), uint8(r)
+	switch r >> 24 {
+	case rmaRule:
+		return rmaRuleText(k1, k2)
+	case localRule:
+		return localRuleText(Op(x), k2, win, false)
+	case localNoOverlapRule:
+		return localRuleText(Op(x), k2, win, true)
+	}
+	return intraRuleText(r>>24, k1, k2, x)
+}
+
+// foldKey is a violation's dedup identity over interned numbers: the
+// unordered operand pair (lower ID first), the rule and the window. Two
+// foldKeys are equal exactly when the violations' Key() strings are.
+type foldKey struct {
+	opLo, opHi int32
+	rule       rule
+	win        int32
+}
+
+func newFoldKey(x, y int32, r rule, win int32) foldKey {
+	if y < x {
+		x, y = y, x
+	}
+	return foldKey{opLo: x, opHi: y, rule: r, win: win}
+}
+
+// seen counts one more occurrence of k if col already reported it.
+func (col *collector) seen(k foldKey) bool {
+	if v := col.fold[k]; v != nil {
+		v.Count++
+		return true
+	}
+	return false
+}
+
+// remember maps k, whose first occurrence v col has just recorded, to the
+// survivor v folded into.
+func (col *collector) remember(k foldKey, v *Violation) {
+	col.fold[k] = col.vindex[v.Key()]
+}
+
+// identify gives v, the first occurrence of the violation k names, its
+// rule text and its dedup key, rendered from k and the interned operand
+// strings, and returns v.
+func (a *Analyzer) identify(v *Violation, k foldKey) *Violation {
+	v.Rule = k.rule.text(k.win)
+	presetKey(v, a.operands.text[k.opLo], a.operands.text[k.opHi])
+	return v
+}
+
+// operandTable interns the operand strings of access sites for the fold
+// keys of both detectors: each site's operand string (operandString,
+// short=false) is rendered once and given a dense ID, so two events share
+// an ID exactly when their operand strings are equal.
+type operandTable struct {
+	depot  *shadow.Depot
+	siteOp []int32          // operand ID per SiteID
+	index  map[string]int32 // operand string → operand ID
+	text   []string         // operand ID → operand string
+}
+
+// operandOf returns the operand ID of ev's access site.
+func (a *Analyzer) operandOf(ev *trace.Event) int32 {
+	o := a.operands
+	if o == nil {
+		o = &operandTable{depot: shadow.NewDepot(), index: map[string]int32{}}
+		a.operands = o
+	}
+	site, fresh := o.depot.Intern(uint8(ev.Kind), ev.File, ev.Line, ev.Func)
+	if fresh {
+		op := operandString(ev, false)
+		id, ok := o.index[op]
+		if !ok {
+			id = int32(len(o.text))
+			o.index[op] = id
+			o.text = append(o.text, op)
+		}
+		o.siteOp = append(o.siteOp, id)
+	}
+	return o.siteOp[site]
 }
 
 // rmaPairSeverity downgrades conflicts serialized by exclusive locks to

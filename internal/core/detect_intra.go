@@ -8,7 +8,9 @@ package core
 // reference scan (pairwise.go); checkEpoch runs them only on the pending
 // operations an address index says can overlap, visiting them in program
 // order, so its reports are byte-identical to the reference's while its
-// cost follows the overlapping pairs instead of all pending pairs.
+// cost follows the overlapping pairs instead of all pending pairs. A
+// conflict folds by interned key before anything is built (reportIntra),
+// so a repeat costs a count.
 import (
 	"fmt"
 	"slices"
@@ -44,13 +46,28 @@ func (a *Analyzer) detectIntraEpoch() error {
 	})
 }
 
+// bufRole names which of an issued operation's local buffers a side is.
+type bufRole uint8
+
+const (
+	originBuf bufRole = iota
+	resultBuf
+)
+
+func (r bufRole) String() string {
+	if r == resultBuf {
+		return "result"
+	}
+	return "origin"
+}
+
 // localSide is one origin-process buffer an issued operation touches: the
 // origin buffer (read by Put/Acc-family, written by Get) and, for fetching
 // atomics, the result buffer (written at completion).
 type localSide struct {
 	fp    model.Footprint
 	write bool
-	role  string // "origin" or "result", for diagnostics
+	role  bufRole
 }
 
 // pendingOp is one issued operation of an epoch.
@@ -76,13 +93,13 @@ func (a *Analyzer) newPendingOp(ev *trace.Event, arena []memory.Interval) (pendi
 		return pendingOp{}, arena, err
 	}
 	o := pendingOp{ev: ev, nsides: 1}
-	o.sides[0] = localSide{fp: origin, write: ev.Kind == trace.KindGet, role: "origin"}
+	o.sides[0] = localSide{fp: origin, write: ev.Kind == trace.KindGet, role: originBuf}
 	if ev.ResultCount > 0 {
 		var result model.Footprint
 		if result, arena, err = a.m.AppendResultFootprint(arena, ev); err != nil {
 			return pendingOp{}, arena, err
 		}
-		o.sides[1] = localSide{fp: result, write: true, role: "result"}
+		o.sides[1] = localSide{fp: result, write: true, role: resultBuf}
 		o.nsides = 2
 	}
 	if o.target, arena, err = a.m.AppendTargetFootprint(arena, ev); err != nil {
@@ -102,6 +119,64 @@ func (a *Analyzer) flushTarget(ev *trace.Event) (tw int32, all bool, err error) 
 	return tw, false, err
 }
 
+// The within-epoch rules, numbered as detect.go numbers the
+// cross-process ones.
+
+// localSideRule is the rule of a local access of kind local overlapping
+// the side buffer of a pending operation of kind pending.
+func localSideRule(local trace.Kind, side bufRole, pending trace.Kind) rule {
+	return makeRule(intraLocalRule, local, pending, uint8(side))
+}
+
+// sidesRule is the rule of the nSide buffer of a newly issued operation of
+// kind n overlapping the oSide buffer of a pending one of kind o.
+func sidesRule(nSide bufRole, n trace.Kind, oSide bufRole, o trace.Kind) rule {
+	return makeRule(intraSidesRule, n, o, uint8(nSide)<<1|uint8(oSide))
+}
+
+// targetsRule is the rule of a pending operation of kind o and a newly
+// issued one of kind n overlapping at their target.
+func targetsRule(o, n trace.Kind) rule { return makeRule(intraTargetRule, o, n, 0) }
+
+// intraRuleText renders a within-epoch rule from its template and
+// arguments (see rule.text).
+func intraRuleText(template rule, k1, k2 trace.Kind, x uint8) string {
+	switch template {
+	case intraLocalRule:
+		return fmt.Sprintf("local %s overlaps the %s buffer of a pending %s in the same epoch",
+			k1, bufRole(x), k2)
+	case intraSidesRule:
+		return fmt.Sprintf("%s buffer of %s overlaps the %s buffer of %s within one epoch",
+			bufRole(x>>1), k1, bufRole(x&1), k2)
+	case intraTargetRule:
+		return fmt.Sprintf("%s and %s to overlapping target regions within one epoch", k1, k2)
+	}
+	panic(fmt.Sprintf("core: rule template %d", template))
+}
+
+// reportIntra records one within-epoch conflict by rule r between the
+// pending operation's event and the later event, overlapping at iv. A
+// repeat of a reported conflict is only counted; the first occurrence
+// builds the Violation. A reference scan's collector has no fold map and
+// folds every occurrence by Key().
+func (a *Analyzer) reportIntra(col *collector, e *Epoch, r rule, pending, later *trace.Event, iv memory.Interval) {
+	var k foldKey
+	if col.fold != nil {
+		k = newFoldKey(a.operandOf(pending), a.operandOf(later), r, e.Win)
+		if col.seen(k) {
+			return
+		}
+	}
+	v := &Violation{Severity: SevError, Class: WithinEpoch, A: *pending, B: *later, Win: e.Win, Overlap: iv}
+	if col.fold == nil {
+		v.Rule = r.text(e.Win)
+		a.addIntra(col, e, v)
+		return
+	}
+	a.addIntra(col, e, a.identify(v, k))
+	col.remember(k, v)
+}
+
 // checkLocalVsPending is the within-epoch rule for a local load or store
 // ev, with footprint acc, against the pending operation o: it conflicts
 // with every local side of o it overlaps, unless both only read or a
@@ -116,13 +191,7 @@ func (a *Analyzer) checkLocalVsPending(col *collector, e *Epoch, ev *trace.Event
 		if !overlap || (!accWrite && !side.write) {
 			continue
 		}
-		a.addIntra(col, e, &Violation{
-			Severity: SevError,
-			Class:    WithinEpoch,
-			Rule: fmt.Sprintf("local %s overlaps the %s buffer of a pending %s in the same epoch",
-				ev.Kind, side.role, o.ev.Kind),
-			A: *o.ev, B: *ev, Win: e.Win, Overlap: iv,
-		})
+		a.reportIntra(col, e, localSideRule(ev.Kind, side.role, o.ev.Kind), o.ev, ev, iv)
 	}
 }
 
@@ -139,13 +208,7 @@ func (a *Analyzer) checkOpVsPending(col *collector, e *Epoch, n, o *pendingOp) {
 					continue
 				}
 				if iv, ok := ns.fp.Overlaps(os.fp); ok {
-					a.addIntra(col, e, &Violation{
-						Severity: SevError,
-						Class:    WithinEpoch,
-						Rule: fmt.Sprintf("%s buffer of %s overlaps the %s buffer of %s within one epoch",
-							ns.role, n.ev.Kind, os.role, o.ev.Kind),
-						A: *o.ev, B: *n.ev, Win: e.Win, Overlap: iv,
-					})
+					a.reportIntra(col, e, sidesRule(ns.role, n.ev.Kind, os.role, o.ev.Kind), o.ev, n.ev, iv)
 				}
 			}
 		}
@@ -153,13 +216,7 @@ func (a *Analyzer) checkOpVsPending(col *collector, e *Epoch, n, o *pendingOp) {
 	if o.tw == n.tw {
 		if iv, ok := n.target.Overlaps(o.target); ok {
 			if EffectiveCompat(o.ev, n.ev) != Both {
-				a.addIntra(col, e, &Violation{
-					Severity: SevError,
-					Class:    WithinEpoch,
-					Rule: fmt.Sprintf("%s and %s to overlapping target regions within one epoch",
-						o.ev.Kind, n.ev.Kind),
-					A: *o.ev, B: *n.ev, Win: e.Win, Overlap: iv,
-				})
+				a.reportIntra(col, e, targetsRule(o.ev.Kind, n.ev.Kind), o.ev, n.ev, iv)
 			}
 		}
 	}

@@ -30,9 +30,15 @@ package core
 //     the surviving representative fields and witness — identical to
 //     the pairwise reference;
 //   - dedup runs before a Violation exists: each match folds through a
-//     map keyed by interned operand and rule IDs (crossKey), so a repeat
-//     of an already reported pair costs one integer-keyed lookup and a
-//     count, and only the first occurrence builds the Violation.
+//     map keyed by interned operand IDs and a rule number (foldKey), so a
+//     repeat of an already reported pair costs one integer-keyed lookup
+//     and a count, and only the first occurrence renders its rule text
+//     and builds the Violation. A stored operation's operand is resolved
+//     only when it is first matched;
+//   - what cannot match costs nothing past the footprint: a local access
+//     at a rank no stored operation of the region targets skips the
+//     window lookup and the probe, and the store answers a probe of a
+//     vector with nothing stored before doing any work.
 import (
 	"slices"
 
@@ -51,63 +57,31 @@ type opClassKey struct {
 	targetType int32
 }
 
-// localRuleKey caches the step-2 rule IDs per (local class, remote kind);
-// the no-overlap variant additionally names the window (window IDs start
-// at 0, so the variant needs its own flag, not a sentinel).
-type localRuleKey struct {
-	cls       Op
-	kind      trace.Kind
-	win       int32
-	noOverlap bool
-}
-
-// crossKey is a cross-process violation's dedup identity over interned
-// IDs: the unordered operand pair (lower ID first), the rule and the
-// window. Operands and rules are interned by their rendered text, so two
-// crossKeys are equal exactly when the violations' Key() strings are.
-type crossKey struct {
-	opLo, opHi, rule, win int32
-}
-
 // shadowTables is the shadow engine's state. The store, the stored-op
-// arena and the footprint buffers are reset between regions but keep
-// their capacity; the interning tables (access sites, operand strings,
-// operation classes, rule texts) keep growing. One table set serves the
-// whole analysis, so every site, class and rule is interned and rendered
-// at most once.
+// arena, the footprint buffers and the targeted ranks are reset between
+// regions but keep their capacity; the operation classes keep growing.
+// One table set serves the whole analysis, so every class is interned at
+// most once.
 type shadowTables struct {
 	a  *Analyzer
 	st *shadow.Store
 
-	ops    []storedOp        // arena: Access.Payload indexes this
-	opSite []shadow.SiteID   // site of each stored op, parallel to ops
-	tgt    []memory.Interval // the region's target footprints, which ops point into
-	local  []memory.Interval // forEachLocalAccess's footprint buffer
-
-	depot   *shadow.Depot
-	siteOp  []int32          // operand ID per SiteID
-	opIndex map[string]int32 // operand string (operandString short=false) → operand ID
-	opText  []string         // operand ID → operand string
+	ops      []storedOp        // arena: Access.Payload indexes this
+	operand  []int32           // operand ID of each stored op once first matched, else -1; parallel to ops
+	tgt      []memory.Interval // the region's target footprints, which ops point into
+	local    []memory.Interval // forEachLocalAccess's footprint buffer
+	targeted []bool            // targeted[r]: a stored op of the region targets world rank r
 
 	classIdx map[opClassKey]int32
 	classRep []*trace.Event // representative event per class
-
-	pairRules  map[[2]trace.Kind]int32
-	localRules map[localRuleKey]int32
-	ruleIndex  map[string]int32 // rule text → rule ID
-	ruleText   []string         // rule ID → rule text
 }
 
 func newShadowTables(a *Analyzer) *shadowTables {
 	return &shadowTables{
-		a:          a,
-		st:         shadow.NewStore(),
-		depot:      shadow.NewDepot(),
-		opIndex:    map[string]int32{},
-		classIdx:   map[opClassKey]int32{},
-		pairRules:  map[[2]trace.Kind]int32{},
-		localRules: map[localRuleKey]int32{},
-		ruleIndex:  map[string]int32{},
+		a:        a,
+		st:       shadow.NewStore(),
+		targeted: make([]bool, a.m.Set.Ranks()),
+		classIdx: map[opClassKey]int32{},
 	}
 }
 
@@ -116,25 +90,9 @@ func (t *shadowTables) reset() {
 	t.st.Reset()
 	clear(t.ops)
 	t.ops = t.ops[:0]
-	t.opSite = t.opSite[:0]
+	t.operand = t.operand[:0]
 	t.tgt = t.tgt[:0]
-}
-
-// siteOf interns an event's access site, rendering and interning its
-// operand string (shared by dedup keys and witness/report rendering) once.
-func (t *shadowTables) siteOf(ev *trace.Event) shadow.SiteID {
-	id, fresh := t.depot.Intern(uint8(ev.Kind), ev.File, ev.Line, ev.Func)
-	if fresh {
-		op := operandString(ev, false)
-		opID, ok := t.opIndex[op]
-		if !ok {
-			opID = int32(len(t.opText))
-			t.opIndex[op] = opID
-			t.opText = append(t.opText, op)
-		}
-		t.siteOp = append(t.siteOp, opID)
-	}
-	return id
+	clear(t.targeted)
 }
 
 // classOf interns an event's operation class.
@@ -149,69 +107,13 @@ func (t *shadowTables) classOf(ev *trace.Event) int32 {
 	return id
 }
 
-// internRule returns the ID of a rule text.
-func (t *shadowTables) internRule(r string) int32 {
-	if id, ok := t.ruleIndex[r]; ok {
-		return id
+// operandAt returns the operand ID of the stored op at payload, resolving
+// it on the op's first match.
+func (t *shadowTables) operandAt(payload int32) int32 {
+	if t.operand[payload] < 0 {
+		t.operand[payload] = t.a.operandOf(t.ops[payload].ev)
 	}
-	id := int32(len(t.ruleText))
-	t.ruleIndex[r] = id
-	t.ruleText = append(t.ruleText, r)
-	return id
-}
-
-func (t *shadowTables) pairRule(prev, cur trace.Kind) int32 {
-	k := [2]trace.Kind{prev, cur}
-	if r, ok := t.pairRules[k]; ok {
-		return r
-	}
-	r := t.internRule(rmaRuleText(prev, cur))
-	t.pairRules[k] = r
-	return r
-}
-
-func (t *shadowTables) localRule(cls Op, kind trace.Kind, win int32, noOverlap bool) int32 {
-	k := localRuleKey{cls: cls, kind: kind, noOverlap: noOverlap}
-	if noOverlap {
-		k.win = win
-	}
-	if r, ok := t.localRules[k]; ok {
-		return r
-	}
-	r := t.internRule(localRuleText(cls, kind, win, noOverlap))
-	t.localRules[k] = r
-	return r
-}
-
-// keyOf interns the identity of a violation between the stored op at
-// payload and an event of site cur.
-func (t *shadowTables) keyOf(payload int32, cur shadow.SiteID, rule, win int32) crossKey {
-	a, b := t.siteOp[t.opSite[payload]], t.siteOp[cur]
-	if b < a {
-		a, b = b, a
-	}
-	return crossKey{opLo: a, opHi: b, rule: rule, win: win}
-}
-
-// seen counts one more occurrence of k if col already reported it.
-func (col *collector) seen(k crossKey) bool {
-	if v := col.fold[k]; v != nil {
-		v.Count++
-		return true
-	}
-	return false
-}
-
-// report records the first occurrence of k: v gets its dedup key preset
-// from the interned operand strings and its witness attached, and the
-// survivor it folds into is remembered under k.
-func (t *shadowTables) report(col *collector, k crossKey, rg dag.Region, aEpoch, bEpoch *Epoch, v *Violation) {
-	presetKey(v, t.opText[k.opLo], t.opText[k.opHi])
-	t.a.addCross(col, rg, aEpoch, bEpoch, v)
-	if col.fold == nil {
-		col.fold = map[crossKey]*Violation{}
-	}
-	col.fold[k] = col.vindex[v.Key()]
+	return t.operand[payload]
 }
 
 func (t *shadowTables) checkRegion(rg dag.Region, col *collector) error {
@@ -250,7 +152,7 @@ func (t *shadowTables) matchRMA(rg dag.Region, col *collector) error {
 		}
 	}
 	t.ops = slices.Grow(t.ops, n)
-	t.opSite = slices.Grow(t.opSite, n)
+	t.operand = slices.Grow(t.operand, n)
 	t.st.Grow(n)
 
 	for r := 0; r < a.m.Set.Ranks(); r++ {
@@ -272,8 +174,9 @@ func (t *shadowTables) matchRMA(rg dag.Region, col *collector) error {
 			id := ev.ID()
 			key := shadow.VectorKey{Win: ev.Win, Target: target.Rank}
 			cur := storedOp{ev: ev, target: target, epoch: a.epochOf[id.Rank][id.Seq]}
-			curSite := t.siteOf(ev)
+			curOperand := int32(-1)
 			clock := a.d.ClockRef(id)
+			t.targeted[target.Rank] = true
 
 			t.st.Query(key, shadow.Query{Rank: ev.Rank, Seq: id.Seq, Clock: clock},
 				target.Intervals,
@@ -289,22 +192,26 @@ func (t *shadowTables) matchRMA(rg dag.Region, col *collector) error {
 				},
 				func(payload int32) {
 					prev := &t.ops[payload]
-					k := t.keyOf(payload, curSite, t.pairRule(prev.ev.Kind, ev.Kind), ev.Win)
+					if curOperand < 0 {
+						curOperand = a.operandOf(ev)
+					}
+					k := newFoldKey(t.operandAt(payload), curOperand, rmaPairRule(prev.ev.Kind, ev.Kind), ev.Win)
 					if col.seen(k) {
 						return
 					}
 					iv, _ := target.Overlaps(prev.target)
-					t.report(col, k, rg, prev.epoch, cur.epoch, &Violation{
+					v := a.identify(&Violation{
 						Severity: a.rmaPairSeverity(prev, &cur),
 						Class:    AcrossProcesses,
-						Rule:     t.ruleText[k.rule],
 						A:        *prev.ev, B: *ev, Win: ev.Win, Overlap: iv, Region: rg.Index,
-					})
+					}, k)
+					a.addCross(col, rg, prev.epoch, cur.epoch, v)
+					col.remember(k, v)
 				})
 
 			payload := int32(len(t.ops))
 			t.ops = append(t.ops, cur)
-			t.opSite = append(t.opSite, curSite)
+			t.operand = append(t.operand, curOperand)
 			t.st.Insert(key, shadow.Access{
 				Payload: payload, Rank: ev.Rank, Class: t.classOf(ev),
 				Seq: id.Seq, Clock: clock, Target: target.Intervals,
@@ -316,15 +223,19 @@ func (t *shadowTables) matchRMA(rg dag.Region, col *collector) error {
 
 // checkLocal checks one local access against the store: one query per
 // distinct window the footprint touches, probing with the full footprint
-// as the pairwise reference's conflict test does. It keeps nothing of fp
-// after it returns.
+// as the pairwise reference's conflict test does. An access at a rank no
+// stored op of the region targets can match nothing and returns at once.
+// It keeps nothing of fp after it returns.
 func (t *shadowTables) checkLocal(rg dag.Region, ev *trace.Event, cls Op,
 	fp model.Footprint, storeRule bool, col *collector) {
+	if !t.targeted[fp.Rank] {
+		return
+	}
 	a := t.a
 	id := ev.ID()
 	evEpoch := a.epochOf[id.Rank][id.Seq]
 	q := shadow.Query{Rank: ev.Rank, Seq: id.Seq, Clock: a.d.ClockRef(id)}
-	evSite := shadow.SiteID(-1)
+	evOperand := int32(-1)
 
 	a.forEachWindow(fp, func(win int32) {
 		t.st.Query(shadow.VectorKey{Win: win, Target: fp.Rank}, q, fp.Intervals,
@@ -337,21 +248,22 @@ func (t *shadowTables) checkLocal(rg dag.Region, ev *trace.Event, cls Op,
 			func(payload int32) {
 				op := &t.ops[payload]
 				overlapIv, _ := fp.Overlaps(op.target)
-				if evSite < 0 {
-					evSite = t.siteOf(ev)
+				if evOperand < 0 {
+					evOperand = a.operandOf(ev)
 				}
 				// A ModeOverlap match proves overlap, so an empty one comes
 				// from a ModeAll group: the no-overlap store rule.
-				k := t.keyOf(payload, evSite, t.localRule(cls, op.ev.Kind, win, overlapIv.Empty()), win)
+				k := newFoldKey(t.operandAt(payload), evOperand, localPairRule(cls, op.ev.Kind, overlapIv.Empty()), win)
 				if col.seen(k) {
 					return
 				}
-				t.report(col, k, rg, op.epoch, evEpoch, &Violation{
+				v := a.identify(&Violation{
 					Severity: a.localPairSeverity(op),
 					Class:    AcrossProcesses,
-					Rule:     t.ruleText[k.rule],
 					A:        *op.ev, B: *ev, Win: win, Overlap: overlapIv, Region: rg.Index,
-				})
+				}, k)
+				a.addCross(col, rg, op.epoch, evEpoch, v)
+				col.remember(k, v)
 			})
 	})
 }

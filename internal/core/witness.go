@@ -75,12 +75,17 @@ func (a *Analyzer) addCross(col *collector, rg dag.Region, aEpoch, bEpoch *Epoch
 func (a *Analyzer) witnessIntra(e *Epoch, v *Violation) func() []WitnessStep {
 	return func() []WitnessStep {
 		t := a.m.Set.Traces[e.Rank]
-		steps := []WitnessStep{
-			{Side: 0, Role: fmt.Sprintf("epoch open (%s)", e.Kind), Ev: t.Events[e.Start]},
-			{Side: 1, Role: "conflicting access (1), still pending", Ev: v.A},
-			{Side: 2, Role: "conflicting access (2), before the close", Ev: v.B},
+		closed := e.End < int64(len(t.Events))
+		n := 3
+		if closed {
+			n++
 		}
-		if e.End < int64(len(t.Events)) {
+		steps := make([]WitnessStep, 0, n)
+		steps = append(steps,
+			WitnessStep{Side: 0, Role: "epoch open (" + e.Kind.String() + ")", Ev: t.Events[e.Start]},
+			WitnessStep{Side: 1, Role: "conflicting access (1), still pending", Ev: v.A},
+			WitnessStep{Side: 2, Role: "conflicting access (2), before the close", Ev: v.B})
+		if closed {
 			steps = append(steps, WitnessStep{
 				Side: 0, Role: "epoch close — first point ordering the pair", Ev: t.Events[e.End],
 			})
@@ -128,37 +133,51 @@ func AddWitnessTracks(tr *tracing.Recorder, rep *Report) {
 // pair is unordered.
 func (a *Analyzer) witnessCross(rg dag.Region, aEpoch, bEpoch *Epoch, v *Violation) func() []WitnessStep {
 	return func() []WitnessStep {
-		var steps []WitnessStep
 		ta := a.m.Set.Traces[v.A.Rank]
 		tb := a.m.Set.Traces[v.B.Rank]
-		if open := rg.Start[v.A.Rank] - 1; open >= 0 {
+		open := rg.Start[v.A.Rank] - 1
+		end := int64(-1)
+		if rg.Index < len(a.d.Regions())-1 {
+			end = rg.End[v.B.Rank] - 1
+		}
+		closes := end >= 0 && end < int64(len(tb.Events))
+		n := 2
+		for _, ok := range [...]bool{open >= 0, aEpoch != nil, bEpoch != nil, closes} {
+			if ok {
+				n++
+			}
+		}
+		region := strconv.Itoa(rg.Index)
+		steps := make([]WitnessStep, 0, n)
+		if open >= 0 {
 			steps = append(steps, WitnessStep{
-				Side: 0, Role: fmt.Sprintf("region %d opens — ranks unordered past here", rg.Index),
+				Side: 0, Role: "region " + region + " opens — ranks unordered past here",
 				Ev: ta.Events[open],
 			})
 		}
 		if aEpoch != nil {
 			steps = append(steps, WitnessStep{
-				Side: 1, Role: fmt.Sprintf("epoch open (%s) on rank %d", aEpoch.Kind, v.A.Rank),
-				Ev: ta.Events[aEpoch.Start],
+				Side: 1, Role: epochOpenRole(aEpoch, v.A.Rank), Ev: ta.Events[aEpoch.Start],
 			})
 		}
 		steps = append(steps, WitnessStep{Side: 1, Role: "conflicting access (1)", Ev: v.A})
 		if bEpoch != nil {
 			steps = append(steps, WitnessStep{
-				Side: 2, Role: fmt.Sprintf("epoch open (%s) on rank %d", bEpoch.Kind, v.B.Rank),
-				Ev: tb.Events[bEpoch.Start],
+				Side: 2, Role: epochOpenRole(bEpoch, v.B.Rank), Ev: tb.Events[bEpoch.Start],
 			})
 		}
 		steps = append(steps, WitnessStep{Side: 2, Role: "conflicting access (2)", Ev: v.B})
-		if rg.Index < len(a.d.Regions())-1 {
-			if end := rg.End[v.B.Rank] - 1; end >= 0 && end < int64(len(tb.Events)) {
-				steps = append(steps, WitnessStep{
-					Side: 0, Role: fmt.Sprintf("region %d closes — first global order after the pair", rg.Index),
-					Ev: tb.Events[end],
-				})
-			}
+		if closes {
+			steps = append(steps, WitnessStep{
+				Side: 0, Role: "region " + region + " closes — first global order after the pair",
+				Ev: tb.Events[end],
+			})
 		}
 		return steps
 	}
+}
+
+// epochOpenRole is the role of the step opening epoch e on rank.
+func epochOpenRole(e *Epoch, rank int32) string {
+	return "epoch open (" + e.Kind.String() + ") on rank " + strconv.Itoa(int(rank))
 }

@@ -2,9 +2,8 @@ package shadow
 
 // SiteID names one interned access site (call kind + source location).
 // IDs are dense and start at 0, so callers can keep parallel slices of
-// per-site data (the cross-process detector keeps the rendered operand
-// string of each site there, shared between the store's members and the
-// violation/witness rendering).
+// per-site data (the detectors keep each site's operand ID there, which
+// names the site in their fold keys).
 type SiteID int32
 
 type siteKey struct {
@@ -14,13 +13,11 @@ type siteKey struct {
 	fn   string
 }
 
-// Depot interns access sites so a shadow member carries a 4-byte site ID
-// instead of three strings, and so everything derived from a site (its
+// Depot interns access sites so everything derived from a site (its
 // rendered operand string, per-site statistics) is computed at most once
-// per depot. The cross-process detector keeps one depot for a whole
-// analysis (one per worker when regions run in parallel), so a site seen
-// in many regions is interned once. The zero Depot is not ready; use
-// NewDepot.
+// per depot. The analyzer keeps one depot for a whole analysis, shared by
+// both detectors, so a site seen in many regions and epochs is interned
+// once. The zero Depot is not ready; use NewDepot.
 type Depot struct {
 	index map[siteKey]SiteID
 }

@@ -27,8 +27,11 @@
 //     its entries in one arena, each cell chains its own through int32
 //     links, and a group spills to a list in the vector's spill table.
 //     Inserting a cell shifts plain memory the garbage collector never
-//     scans, and a fresh cell allocates nothing once Reset has kept the
-//     arenas of an earlier region;
+//     scans;
+//   - vectors live in reused slots: a region's vectors take the store's
+//     slots in order of first insert, so once an earlier region has grown
+//     as many slots, a fresh vector and its cells allocate nothing,
+//     whatever (window, target) key it has;
 //   - sites are interned in a Depot (see depot.go) so per-site work is
 //     done once.
 //
@@ -291,11 +294,15 @@ func (v *vector) cover(iv memory.Interval, g, id int32) {
 
 // Store is the shadow map of one concurrent region: every vector's cell
 // partition plus a shared member arena. Not safe for concurrent use. The
-// detector keeps one store per analysis (or per worker) and calls Reset
-// between regions, so the arena, query scratch and vector slices are
-// allocated once and reused.
+// detector keeps one store per analysis and calls Reset between regions,
+// so the arena, query scratch and vector slots are allocated once and
+// reused.
 type Store struct {
-	vectors map[VectorKey]*vector
+	// slots holds every vector the store has grown. The current region's
+	// vectors are slots[:len(index)], in order of first insert, and index
+	// maps each of their keys to its slot.
+	slots   []vector
+	index   map[VectorKey]int32
 	arena   []member
 	scratch []int32
 	qstamp  uint64
@@ -303,19 +310,29 @@ type Store struct {
 
 // NewStore returns an empty store.
 func NewStore() *Store {
-	return &Store{vectors: make(map[VectorKey]*vector)}
+	return &Store{index: make(map[VectorKey]int32)}
 }
 
 // Reset empties the store, keeping its allocations for the next region:
-// the member arena, the query scratch, and each vector with its cell,
-// entry and group slices. Members inserted before Reset are never
-// emitted again.
+// the member arena, the query scratch, and each slot the region used with
+// its cell, entry and group slices and its group map. Members inserted
+// before Reset are never emitted again.
 func (s *Store) Reset() {
 	clear(s.arena) // drop the clock references
 	s.arena = s.arena[:0]
-	for _, v := range s.vectors {
-		v.reset()
+	for i := range len(s.index) {
+		s.slots[i].reset()
 	}
+	clear(s.index)
+}
+
+// vector returns the current region's vector under key, or nil if the
+// region stored nothing there.
+func (s *Store) vector(key VectorKey) *vector {
+	if i, ok := s.index[key]; ok {
+		return &s.slots[i]
+	}
+	return nil
 }
 
 // Grow makes room for n more inserted accesses in the member arena, so a
@@ -329,7 +346,7 @@ func (s *Store) Members() int { return len(s.arena) }
 
 // Cells returns the number of shadow cells of one vector.
 func (s *Store) Cells(key VectorKey) int {
-	if v := s.vectors[key]; v != nil {
+	if v := s.vector(key); v != nil {
 		return len(v.cells)
 	}
 	return 0
@@ -337,7 +354,7 @@ func (s *Store) Cells(key VectorKey) int {
 
 // Groups returns the number of (rank, class) groups of one vector.
 func (s *Store) Groups(key VectorKey) int {
-	if v := s.vectors[key]; v != nil {
+	if v := s.vector(key); v != nil {
 		return len(v.groups)
 	}
 	return 0
@@ -348,11 +365,15 @@ func (s *Store) Groups(key VectorKey) int {
 // would have scanned them (rank-major, ascending seq within a rank):
 // Query reproduces exactly that order on match.
 func (s *Store) Insert(key VectorKey, a Access) {
-	v := s.vectors[key]
-	if v == nil {
-		v = &vector{gindex: make(map[groupKey]int32)}
-		s.vectors[key] = v
+	i, ok := s.index[key]
+	if !ok {
+		i = int32(len(s.index))
+		s.index[key] = i
+		if int(i) == len(s.slots) {
+			s.slots = append(s.slots, vector{gindex: make(map[groupKey]int32)})
+		}
 	}
+	v := &s.slots[i]
 	g := v.group(a.Rank, a.Class)
 	id := int32(len(s.arena))
 	s.arena = append(s.arena, member{payload: a.Payload, seq: a.Seq, clock: a.Clock})
@@ -392,7 +413,7 @@ func (s *Store) concurrentRange(list []int32, rank int32, q Query) (int, int) {
 // own footprint slice passed at insert time; it is only read.
 func (s *Store) Query(key VectorKey, q Query, fp []memory.Interval,
 	classify func(rank, class int32) Mode, emit func(payload int32)) {
-	v := s.vectors[key]
+	v := s.vector(key)
 	if v == nil {
 		return
 	}

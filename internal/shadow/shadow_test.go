@@ -381,7 +381,7 @@ func TestCoverInvariants(t *testing.T) {
 		st.Insert(key, Access{Payload: int32(i), Rank: int32(i % 3), Class: 0,
 			Seq: int64(i), Clock: clock(-1, -1, -1), Target: fp})
 	}
-	v := st.vectors[key]
+	v := st.vector(key)
 	// Every entry belongs to exactly one cell's chain, and a cell holds
 	// at most one entry per group.
 	owner := make([]int, len(v.ents))
@@ -488,32 +488,48 @@ func TestClassifyOncePerGroup(t *testing.T) {
 }
 
 // A reset store refills a region of fresh cells without allocating: the
-// cells, their entries, the member arena and the group lists are all
-// kept by Reset.
+// cells, their entries, the member arena, the group lists and the group
+// map are all kept by Reset. That holds when the refill uses the same
+// (window, target) key and when each refill uses a key the store has
+// never seen: the new key takes the slot the old one left.
 func TestRefillAfterResetAllocatesNothing(t *testing.T) {
 	const n = 4096
-	key := VectorKey{Win: 1, Target: 0}
 	order := rand.New(rand.NewSource(1)).Perm(n)
 	clk := clock(-1, -1)
 	fps := make([][]memory.Interval, n)
 	for i, w := range order {
 		fps[i] = []memory.Interval{memory.Iv(uint64(8*w), 8)}
 	}
-	st := NewStore()
-	fill := func() {
-		for i, fp := range fps {
-			st.Insert(key, Access{Payload: int32(i), Rank: 1, Seq: int64(i), Clock: clk, Target: fp})
-		}
-	}
-	fill()
-	if got := st.Cells(key); got != n {
-		t.Fatalf("cells=%d, want %d", got, n)
-	}
-	allocs := testing.AllocsPerRun(3, func() {
-		st.Reset()
-		fill()
-	})
-	if allocs != 0 {
-		t.Fatalf("refilling a reset store allocated %.0f times, want 0", allocs)
+	for _, tc := range []struct {
+		name string
+		next func(VectorKey) VectorKey // the key of the next refill
+	}{
+		{"same key", func(k VectorKey) VectorKey { return k }},
+		{"new key", func(k VectorKey) VectorKey { return VectorKey{Win: k.Win + 1, Target: k.Target} }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			key := VectorKey{Win: 1, Target: 0}
+			st := NewStore()
+			fill := func() {
+				for i, fp := range fps {
+					st.Insert(key, Access{Payload: int32(i), Rank: 1, Seq: int64(i), Clock: clk, Target: fp})
+				}
+			}
+			fill()
+			if got := st.Cells(key); got != n {
+				t.Fatalf("cells=%d, want %d", got, n)
+			}
+			allocs := testing.AllocsPerRun(3, func() {
+				st.Reset()
+				key = tc.next(key)
+				fill()
+			})
+			if allocs != 0 {
+				t.Fatalf("refilling a reset store allocated %.0f times, want 0", allocs)
+			}
+			if got := st.Cells(key); got != n {
+				t.Fatalf("cells=%d after the refills, want %d", got, n)
+			}
+		})
 	}
 }

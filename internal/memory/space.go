@@ -93,7 +93,11 @@ func (as *AddressSpace) Alloc(size uint64, name string) *Buffer {
 // concurrently access the same buffer. That concurrency is the very race
 // MC-Checker detects; the mutex keeps it from also being a Go data race
 // without hiding it (interleaving between lock acquisitions stays
-// arbitrary, so buggy programs still compute corrupted results).
+// arbitrary, so buggy programs still compute corrupted results). The
+// simulator takes it once per contiguous byte run of a transfer, so a
+// run lands atomically with respect to the owner's own loads and stores,
+// as one real transfer of contiguous data would; MPI leaves such a race
+// undefined, and either order is a legal outcome of it.
 type Buffer struct {
 	base     uint64
 	mu       sync.Mutex // guards data

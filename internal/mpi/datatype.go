@@ -178,32 +178,56 @@ func (p *Proc) TypeStruct(blocklens []int, byteDisps []uint64, types []*Datatype
 	return p.registerType(dm, elem)
 }
 
+// eachRun calls fn once for each maximal contiguous byte run of count
+// elements of dm laid out from byte offset base, in packed order: off is
+// the run's offset in the buffer, pos its offset in the packed bytes and
+// n its length. A segment that starts where the run before it ended joins
+// that run, so a transfer takes one buffer lock per run, not per element.
+// A map whose only segment fills its extent (every predefined type, and
+// TypeContiguous of one) is one run, found without visiting its elements.
+func eachRun(dm memory.DataMap, base uint64, count int, fn func(off, pos, n uint64)) {
+	if count <= 0 {
+		return
+	}
+	if s := dm.Segments; len(s) == 1 && s[0].Disp == 0 && s[0].Len == dm.Extent {
+		fn(base, 0, uint64(count)*dm.Extent)
+		return
+	}
+	var start, n, pos uint64
+	for e := 0; e < count; e++ {
+		origin := base + uint64(e)*dm.Extent
+		for _, s := range dm.Segments {
+			if at := origin + s.Disp; at != start+n {
+				if n > 0 {
+					fn(start, pos, n)
+					pos += n
+				}
+				start, n = at, 0
+			}
+			n += s.Len
+		}
+	}
+	if n > 0 {
+		fn(start, pos, n)
+	}
+}
+
 // pack reads count elements of type d from buf starting at byte offset off
 // into a contiguous byte slice, using untracked runtime reads.
 func pack(buf *memory.Buffer, off uint64, d *Datatype, count int) []byte {
 	out := make([]byte, d.dm.TileBytes(count))
-	pos := 0
-	for e := 0; e < count; e++ {
-		origin := off + uint64(e)*d.dm.Extent
-		for _, s := range d.dm.Segments {
-			buf.ReadRaw(origin+s.Disp, out[pos:pos+int(s.Len)])
-			pos += int(s.Len)
-		}
-	}
+	eachRun(d.dm, off, count, func(at, pos, n uint64) {
+		buf.ReadRaw(at, out[pos:pos+n])
+	})
 	return out
 }
 
 // unpack writes packed contiguous bytes into count elements of type d in
 // buf starting at byte offset off, using untracked runtime writes.
 func unpack(buf *memory.Buffer, off uint64, d *Datatype, count int, packed []byte) {
-	pos := 0
-	for e := 0; e < count; e++ {
-		origin := off + uint64(e)*d.dm.Extent
-		for _, s := range d.dm.Segments {
-			buf.WriteRaw(origin+s.Disp, packed[pos:pos+int(s.Len)])
-			pos += int(s.Len)
-		}
-	}
+	eachRun(d.dm, off, count, func(at, pos, n uint64) {
+		buf.WriteRaw(at, packed[pos:pos+n])
+	})
 }
 
 // combine applies dst[i] = dst[i] OP src[i] lane-wise for the predefined

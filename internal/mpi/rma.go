@@ -309,20 +309,7 @@ func (w *Win) Accumulate(origin *memory.Buffer, originOff uint64, originCount in
 	target int, targetDisp uint64, targetCount int, targetType *Datatype, op trace.AccOp) {
 	w.validateTransfer("Accumulate", target, originType, originCount, targetType, targetCount)
 	w.checkTargetRange("Accumulate", target, targetDisp, targetType, targetCount)
-	if op == trace.OpNone {
-		w.p.errorf("Accumulate", "missing reduction operation")
-	}
-	if op != trace.OpReplace {
-		if originType.elem == 0 || originType.elem != targetType.elem {
-			w.p.errorf("Accumulate", "origin and target datatypes must share a predefined base type")
-		}
-		es := elemSize(originType.elem)
-		for _, s := range originType.dm.Segments {
-			if s.Len%es != 0 {
-				w.p.errorf("Accumulate", "datatype segment of %d bytes not a multiple of element size %d", s.Len, es)
-			}
-		}
-	}
+	w.checkAccumulate("Accumulate", op, originType, targetType)
 	w.p.emit(trace.Event{
 		Kind: trace.KindAccumulate, Win: w.s.id, Target: int32(target), AccOp: op,
 		OriginAddr: origin.Addr(originOff), OriginType: originType.id, OriginCount: int32(originCount),
@@ -334,6 +321,33 @@ func (w *Win) Accumulate(origin *memory.Buffer, originOff uint64, originCount in
 		target: target, targetDisp: targetDisp, targetType: targetType, targetCount: targetCount,
 		op: op,
 	})
+}
+
+// checkAccumulate rejects a reduction the simulator cannot apply lane by
+// lane. types lists the origin and target types, then the result type of
+// a fetching call. The op must be given; an arithmetic op also needs the
+// origin and target to share a predefined base type, and every segment of
+// every listed type to be a whole number of base elements: combine skips
+// a partial lane, so such a segment would leave bytes uncombined.
+func (w *Win) checkAccumulate(call string, op trace.AccOp, types ...*Datatype) {
+	if op == trace.OpNone {
+		w.p.errorf(call, "missing reduction operation")
+	}
+	if op == trace.OpReplace {
+		return
+	}
+	elem := types[0].elem
+	if elem == 0 || types[1].elem != elem {
+		w.p.errorf(call, "origin and target datatypes must share a predefined base type")
+	}
+	es := elemSize(elem)
+	for _, d := range types {
+		for _, s := range d.dm.Segments {
+			if s.Len%es != 0 {
+				w.p.errorf(call, "datatype segment of %d bytes not a multiple of element size %d", s.Len, es)
+			}
+		}
+	}
 }
 
 func (w *Win) checkTargetRange(call string, target int, disp uint64, tt *Datatype, tc int) {
@@ -366,24 +380,26 @@ func (s *winShared) apply(op *rmaOp) {
 		packed := pack(tl.buf, byteOff, op.targetType, op.targetCount)
 		unpack(op.originBuf, op.originOff, op.originType, op.originCount, packed)
 	case trace.KindAccumulate:
-		packed := pack(op.originBuf, op.originOff, op.originType, op.originCount)
-		if op.op == trace.OpReplace {
-			unpack(tl.buf, byteOff, op.targetType, op.targetCount, packed)
-			return
-		}
-		// Read-modify-write each target segment under the buffer lock.
-		pos := 0
-		for e := 0; e < op.targetCount; e++ {
-			origin := byteOff + uint64(e)*op.targetType.dm.Extent
-			for _, seg := range op.targetType.dm.Segments {
-				chunk := packed[pos : pos+int(seg.Len)]
-				tl.buf.UpdateRaw(origin+seg.Disp, seg.Len, func(data []byte) {
-					combine(data, chunk, op.targetType.elem, op.op)
-				})
-				pos += int(seg.Len)
-			}
-		}
+		s.accumulate(op, pack(op.originBuf, op.originOff, op.originType, op.originCount), nil)
 	}
+}
+
+// accumulate combines the packed origin bytes into the operation's target
+// elements with its op, one read-modify-write under the buffer lock per
+// contiguous run. A non-nil old first receives the target's prior bytes,
+// in packed order. checkAccumulate has made every segment whole base
+// elements, so a run's lanes line up with its segments' lanes.
+func (s *winShared) accumulate(op *rmaOp, packed, old []byte) {
+	buf := s.locals[op.target].buf
+	base := s.targetByteOff(op.target, op.targetDisp)
+	eachRun(op.targetType.dm, base, op.targetCount, func(off, pos, n uint64) {
+		buf.UpdateRaw(off, n, func(data []byte) {
+			if old != nil {
+				copy(old[pos:pos+n], data)
+			}
+			combine(data, packed[pos:pos+n], op.targetType.elem, op.op)
+		})
+	})
 }
 
 // applyAll applies ops in deterministic (origin rank, issue seq) order.

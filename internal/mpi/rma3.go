@@ -146,12 +146,7 @@ func (w *Win) GetAccumulate(origin *memory.Buffer, originOff uint64, originCount
 			resultType.dm.TileBytes(resultCount), targetType.dm.TileBytes(targetCount))
 	}
 	w.checkTargetRange("Get_accumulate", target, targetDisp, targetType, targetCount)
-	if op == trace.OpNone {
-		w.p.errorf("Get_accumulate", "missing reduction operation")
-	}
-	if op != trace.OpReplace && (originType.elem == 0 || originType.elem != targetType.elem) {
-		w.p.errorf("Get_accumulate", "origin and target datatypes must share a predefined base type")
-	}
+	w.checkAccumulate("Get_accumulate", op, originType, targetType, resultType)
 	w.p.emit(trace.Event{
 		Kind: trace.KindGetAccumulate, Win: w.s.id, Target: int32(target), AccOp: op,
 		OriginAddr: origin.Addr(originOff), OriginType: originType.id, OriginCount: int32(originCount),
@@ -173,12 +168,7 @@ func (w *Win) FetchAndOp(origin *memory.Buffer, originOff uint64,
 	target int, targetDisp uint64, dtype *Datatype, op trace.AccOp) {
 	w.validateTransfer("Fetch_and_op", target, dtype, 1, dtype, 1)
 	w.checkTargetRange("Fetch_and_op", target, targetDisp, dtype, 1)
-	if op == trace.OpNone {
-		w.p.errorf("Fetch_and_op", "missing reduction operation")
-	}
-	if op != trace.OpReplace && dtype.elem == 0 {
-		w.p.errorf("Fetch_and_op", "datatype must have a predefined base type")
-	}
+	w.checkAccumulate("Fetch_and_op", op, dtype, dtype)
 	w.p.emit(trace.Event{
 		Kind: trace.KindFetchOp, Win: w.s.id, Target: int32(target), AccOp: op,
 		OriginAddr: origin.Addr(originOff), OriginType: dtype.id, OriginCount: 1,
@@ -229,27 +219,8 @@ func (s *winShared) applyFetching(op *rmaOp) {
 	size := op.targetType.dm.TileBytes(op.targetCount)
 	switch op.kind {
 	case trace.KindGetAccumulate, trace.KindFetchOp:
-		packed := pack(op.originBuf, op.originOff, op.originType, op.originCount)
 		old := make([]byte, size)
-		// Read-modify-write the whole tile under one lock per segment run:
-		// fetch old value, then combine.
-		pos := 0
-		for e := 0; e < op.targetCount; e++ {
-			origin := byteOff + uint64(e)*op.targetType.dm.Extent
-			for _, seg := range op.targetType.dm.Segments {
-				chunk := packed[pos : pos+int(seg.Len)]
-				oldChunk := old[pos : pos+int(seg.Len)]
-				tl.buf.UpdateRaw(origin+seg.Disp, seg.Len, func(data []byte) {
-					copy(oldChunk, data)
-					if op.op == trace.OpReplace {
-						copy(data, chunk)
-					} else {
-						combine(data, chunk, op.targetType.elem, op.op)
-					}
-				})
-				pos += int(seg.Len)
-			}
-		}
+		s.accumulate(op, pack(op.originBuf, op.originOff, op.originType, op.originCount), old)
 		unpack(op.resultBuf, op.resultOff, op.resultType, op.resultCount, old)
 	case trace.KindCompareSwap:
 		newVal := pack(op.originBuf, op.originOff, op.originType, 1)

@@ -370,6 +370,12 @@ func (s *Store) Insert(key VectorKey, a Access) {
 		i = int32(len(s.index))
 		s.index[key] = i
 		if int(i) == len(s.slots) {
+			// Double when full: past 256 slots append grows about 1.25×
+			// a step, so a region with thousands of vectors would
+			// allocate several times the final slice in discarded copies.
+			if len(s.slots) == cap(s.slots) {
+				s.slots = slices.Grow(s.slots, len(s.slots))
+			}
 			s.slots = append(s.slots, vector{gindex: make(map[groupKey]int32)})
 		}
 	}

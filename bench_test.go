@@ -84,6 +84,33 @@ func BenchmarkFig8(b *testing.B) {
 	}
 }
 
+// BenchmarkAnalyzeFig8 analyses the profiled trace of each Figure 8 app
+// at fig8Ranks ranks and scale 1, the trace an app-check job of the
+// repository benchmark reads back: the analysis half of that job, per app.
+func BenchmarkAnalyzeFig8(b *testing.B) {
+	for _, wl := range apps.Workloads() {
+		sink := trace.NewMemorySink()
+		pr := profiler.New(sink, profiler.FromNames(wl.RelevantBuffers))
+		if err := mpi.Run(fig8Ranks, mpi.Options{Hook: pr}, wl.Body(1)); err != nil {
+			b.Fatal(err)
+		}
+		set := sink.Set()
+		b.Run(wl.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rep, err := core.AnalyzeWith(set, core.DefaultOptions())
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(rep.Violations) != 0 {
+					b.Fatalf("%s: %d violations in a correct app", wl.Name, len(rep.Violations))
+				}
+			}
+			b.ReportMetric(float64(set.TotalEvents()), "events/op")
+		})
+	}
+}
+
 // --- Figure 9/10: LU strong scaling --------------------------------------
 
 func BenchmarkFig9LU(b *testing.B) {

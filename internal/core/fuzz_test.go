@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/testutil"
@@ -17,10 +18,12 @@ import (
 // into a Bcast whose root is outside the communicator on every rank is
 // one such input, and it takes both changes, since no bug case has a
 // rooted collective. Values fall in a small range around the valid ones,
-// so a count stays at most 19. That cap works around a known defect,
-// open in ROADMAP.md: memory.DataMap.AppendTile reserves count × segments
-// intervals before it coalesces them, so a count near 2^31 makes the
-// analysis ask for tens of GB.
+// except that a count of a predefined type ranges over all of int32: such
+// a type fills its extent, so its footprint is one interval at any count.
+// A count of a derived type stays at most 19. That cap works around a
+// known defect, open in ROADMAP.md: memory.DataMap.AppendTile reserves
+// count × segments intervals for a type with gaps and visits every
+// element, so a count near 2^31 makes the analysis ask for tens of GB.
 func FuzzFrontEnd(f *testing.F) {
 	cases, err := testutil.CaseTraces(1, 8)
 	if err != nil {
@@ -28,6 +31,9 @@ func FuzzFrontEnd(f *testing.F) {
 	}
 	for i := range cases {
 		f.Add(uint8(i), uint16(37*i), i%2 == 1, uint8(i), int32(i), uint8(10), int32(0))
+		if at := firstOfKind(cases[i].Set, trace.KindPut); at >= 0 {
+			f.Add(uint8(i), uint16(at), true, uint8(8), int32(math.MaxInt32), uint8(10), int32(0))
+		}
 	}
 	f.Fuzz(func(t *testing.T, pick uint8, event uint16, all bool, field1 uint8, value1 int32, field2 uint8, value2 int32) {
 		set := cloneSet(cases[int(pick)%len(cases)].Set)
@@ -74,6 +80,21 @@ func eventAt(set *trace.Set, i int) *trace.Event {
 	return nil
 }
 
+// firstOfKind returns the index, counting rank by rank as eventAt does,
+// of the set's first event of kind, or -1.
+func firstOfKind(set *trace.Set, kind trace.Kind) int {
+	i := 0
+	for _, tr := range set.Traces {
+		for _, ev := range tr.Events {
+			if ev.Kind == kind {
+				return i
+			}
+			i++
+		}
+	}
+	return -1
+}
+
 // kindOrdinal returns how many events of the same kind precede event seq.
 func kindOrdinal(tr *trace.Trace, seq int64) int {
 	n := 0
@@ -103,7 +124,8 @@ func nthOfKind(tr *trace.Trace, kind trace.Kind, ordinal int) *trace.Event {
 // (any of the KindCount values, the invalid one included); the
 // communicator, peer, tag, window or target, to a small id from −4 to 19;
 // the lock type; the members, to up to three ranks from −2 to 13; the
-// origin and target counts; the target displacement, to any value; or
+// origin and target counts, to any value for a predefined type and from
+// −4 to 19 for any other; the target displacement, to any value; or
 // none.
 func mutate(ev *trace.Event, field uint8, value int32) {
 	small := int32(uint32(value)%24) - 4
@@ -135,6 +157,12 @@ func mutate(ev *trace.Event, field uint8, value int32) {
 		ev.Def = &def
 	case 8:
 		ev.OriginCount, ev.TargetCount = small, small
+		if trace.IsPredefinedType(ev.OriginType) {
+			ev.OriginCount = value
+		}
+		if trace.IsPredefinedType(ev.TargetType) {
+			ev.TargetCount = value
+		}
 	case 9:
 		ev.TargetDisp = uint64(int64(value))
 	}

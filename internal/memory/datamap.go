@@ -92,14 +92,19 @@ func (dm DataMap) Tile(base uint64, count int) []Interval {
 
 // AppendTile appends the byte intervals of count elements of the datatype
 // at simulated address base to dst and returns the extended slice. The
-// appended intervals are in ascending order: intervals of adjacent
-// elements are coalesced when contiguous, and a map whose segments are
-// out of order, or whose extent is smaller than its span, is sorted and
-// merged so that no appended interval starts below the end of the one
-// before it.
+// appended intervals are in ascending order: the tile is walked by
+// contiguous run, a segment that starts where the run before it ended
+// joining that run, and a map whose segments are out of order, or whose
+// extent is smaller than its span, is sorted and merged so that no
+// appended interval starts below the end of the one before it. A map
+// whose joined segments fill its extent, as every predefined type's do,
+// tiles into one interval for any count, without visiting the elements.
 func (dm DataMap) AppendTile(dst []Interval, base uint64, count int) []Interval {
 	if count <= 0 || len(dm.Segments) == 0 {
 		return dst
+	}
+	if dm.FillsExtent() {
+		return append(dst, Iv(base, uint64(count)*dm.Extent))
 	}
 	start := len(dst)
 	dst = slices.Grow(dst, count*len(dm.Segments))
@@ -110,7 +115,7 @@ func (dm DataMap) AppendTile(dst []Interval, base uint64, count int) []Interval 
 			iv := Iv(origin+s.Disp, s.Len)
 			if n := len(dst); n > start {
 				if prev := &dst[n-1]; prev.Hi == iv.Lo {
-					prev.Hi = iv.Hi // coalesce
+					prev.Hi = iv.Hi // joins the run
 					continue
 				} else if iv.Lo < prev.Hi {
 					ordered = false
@@ -123,6 +128,21 @@ func (dm DataMap) AppendTile(dst []Interval, base uint64, count int) []Interval 
 		dst = dst[:start+len(mergeSorted(dst[start:]))]
 	}
 	return dst
+}
+
+// FillsExtent reports whether the segments, joined in order, form one
+// run from 0 to a non-zero extent: each starts where the one before it
+// ended. Then every element's run starts where the one before it ended,
+// and count elements are one contiguous run of count × extent bytes.
+func (dm DataMap) FillsExtent() bool {
+	var end uint64
+	for _, s := range dm.Segments {
+		if s.Disp != end {
+			return false
+		}
+		end += s.Len
+	}
+	return end == dm.Extent && end > 0
 }
 
 // mergeSorted sorts ivs by start and merges overlapping or adjacent

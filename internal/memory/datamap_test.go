@@ -1,7 +1,9 @@
 package memory
 
 import (
+	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -184,5 +186,97 @@ func TestAppendTileMatchesTile(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// refAppendTile is the per-element tiling AppendTile replaced, kept as its
+// reference: every segment of every element in turn, each joining the
+// interval before it when it starts where that one ends, then a sort and
+// merge when some interval started below the end of the one before it.
+func refAppendTile(dst []Interval, dm DataMap, base uint64, count int) []Interval {
+	if count <= 0 || len(dm.Segments) == 0 {
+		return dst
+	}
+	start := len(dst)
+	ordered := true
+	for e := 0; e < count; e++ {
+		origin := base + uint64(e)*dm.Extent
+		for _, s := range dm.Segments {
+			iv := Iv(origin+s.Disp, s.Len)
+			if n := len(dst); n > start {
+				if prev := &dst[n-1]; prev.Hi == iv.Lo {
+					prev.Hi = iv.Hi
+					continue
+				} else if iv.Lo < prev.Hi {
+					ordered = false
+				}
+			}
+			dst = append(dst, iv)
+		}
+	}
+	if !ordered {
+		dst = dst[:start+len(mergeSorted(dst[start:]))]
+	}
+	return dst
+}
+
+// FuzzTileRuns holds AppendTile to the per-element reference on segment
+// lists no constructor makes (unsorted, overlapping, empty or joined
+// segments, any extent, maps that fill their extent and maps that do
+// not), at counts up to 4,096 and at bases near 2^64, where a tile wraps.
+// A spec byte of 128 or more starts its segment where the one before it
+// ended; an extent of 0x8000 or more is the end of the last segment.
+func FuzzTileRuns(f *testing.F) {
+	f.Add([]byte{0, 8}, uint16(0x8000), uint16(4096), false, uint16(0))
+	f.Add([]byte{0, 4, 128, 4}, uint16(0x8000), uint16(7), true, uint16(5))
+	f.Add([]byte{0, 4, 12, 4}, uint16(16), uint16(3), false, uint16(1000))
+	f.Add([]byte{0, 4, 12, 4}, uint16(8), uint16(2), true, uint16(0))
+	f.Add([]byte{8, 4, 0, 2}, uint16(16), uint16(2), false, uint16(0))
+	f.Add([]byte{0, 0, 128, 0}, uint16(0x8000), uint16(3), true, uint16(1))
+	f.Add([]byte{0, 255, 128, 255}, uint16(0x8000), uint16(4096), true, uint16(100))
+	f.Fuzz(func(t *testing.T, spec []byte, extent, count uint16, high bool, base uint16) {
+		var dm DataMap
+		var end uint64
+		for i := 0; i+1 < len(spec) && len(dm.Segments) < 8; i += 2 {
+			disp := uint64(spec[i] % 128)
+			if spec[i] >= 128 {
+				disp = end
+			}
+			dm.Segments = append(dm.Segments, Segment{Disp: disp, Len: uint64(spec[i+1])})
+			end = disp + uint64(spec[i+1])
+		}
+		dm.Extent = uint64(extent % 512)
+		if extent >= 0x8000 {
+			dm.Extent = end
+		}
+		n := int(count % 4097)
+		at := uint64(base)
+		if high {
+			at = math.MaxUint64 - uint64(base)
+		}
+		prefix := []Interval{Iv(7, 3)}
+		got := dm.AppendTile(slices.Clone(prefix), at, n)
+		want := refAppendTile(slices.Clone(prefix), dm, at, n)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%v ×%d at %#x:\n got %v\nwant %v", dm, n, at, got, want)
+		}
+	})
+}
+
+// A predefined type tiles into one interval at any count, without the
+// per-element loop or a reservation of count intervals: a count of
+// 2^31-1, as a damaged trace may carry, appends one interval and grows
+// dst by no more.
+func TestTileContiguousAnyCount(t *testing.T) {
+	const count = math.MaxInt32
+	for _, dm := range []DataMap{
+		Contig(8),
+		{Segments: []Segment{{0, 4}, {4, 4}}, Extent: 8}, // joined segments fill the extent too
+	} {
+		dst := make([]Interval, 1, 2)
+		got := dm.AppendTile(dst, 0x1000, count)
+		if want := []Interval{{}, Iv(0x1000, 8*count)}; !slices.Equal(got, want) || cap(got) != 2 {
+			t.Errorf("%v ×%d: AppendTile = %v (cap %d), want %v in the same array", dm, count, got, cap(got), want)
+		}
 	}
 }

@@ -72,9 +72,10 @@ func (as *AddressSpace) Alloc(size uint64, name string) *Buffer {
 	as.mu.Lock()
 	defer as.mu.Unlock()
 	b := &Buffer{
-		base: as.next,
-		data: make([]byte, size),
-		name: name,
+		base:  as.next,
+		data:  make([]byte, size),
+		name:  name,
+		space: as,
 	}
 	as.next += (size + allocAlign - 1) / allocAlign * allocAlign
 	if size == 0 {
@@ -88,22 +89,29 @@ func (as *AddressSpace) Alloc(size uint64, name string) *Buffer {
 // (ReadRaw, WriteRaw, UpdateRaw) are for the simulator runtime moving data
 // at epoch close and are not reported — they are not program loads/stores.
 //
-// The data mutex exists because the MPI simulator completes one-sided
-// operations from the *origin* rank's goroutine while the target rank may
-// concurrently access the same buffer. That concurrency is the very race
-// MC-Checker detects; the mutex keeps it from also being a Go data race
-// without hiding it (interleaving between lock acquisitions stays
-// arbitrary, so buggy programs still compute corrupted results). The
-// simulator takes it once per contiguous byte run of a transfer, so a
-// run lands atomically with respect to the owner's own loads and stores,
-// as one real transfer of contiguous data would; MPI leaves such a race
-// undefined, and either order is a legal outcome of it.
+// A buffer belongs to the goroutine of the rank that allocated it, and
+// until Share marks it shared only that goroutine touches its data, so
+// no method takes the data mutex. The MPI simulator shares a buffer
+// before another rank's goroutine can reach it: when the buffer backs a
+// window, or is the origin or result buffer of a queued one-sided
+// operation, which completes from whichever goroutine closes the epoch
+// while the target rank may concurrently access the same buffer. That
+// concurrency is the very race MC-Checker detects; the mutex keeps it
+// from also being a Go data race without hiding it (interleaving between
+// lock acquisitions stays arbitrary, so buggy programs still compute
+// corrupted results). Once shared, every accessor takes the mutex, and
+// the simulator takes it once per contiguous byte run of a transfer, so
+// a run lands atomically with respect to the owner's own loads and
+// stores, as one real transfer of contiguous data would; MPI leaves such
+// a race undefined, and either order is a legal outcome of it.
 type Buffer struct {
 	base     uint64
-	mu       sync.Mutex // guards data
+	mu       sync.Mutex // guards data once shared is set
+	shared   bool       // written only by the owner, before any other goroutine reaches data
 	data     []byte
 	name     string
 	observer Observer
+	space    *AddressSpace // the space Alloc carved the buffer from
 }
 
 // Name returns the diagnostic label given at allocation.
@@ -133,32 +141,63 @@ func (b *Buffer) Observer() Observer { return b.observer }
 // run; concurrent contexts must use the raw methods instead.
 func (b *Buffer) Bytes() []byte { return b.data }
 
-// ReadRaw copies len(dst) bytes starting at off into dst under the data
-// lock, without reporting an access.
+// Share marks the buffer as reachable from goroutines other than its
+// owner's, so that from now on every access takes the data mutex. It
+// must be called from the owner's goroutine before the buffer is handed
+// to another one; owner is the caller's address space, and Share reports
+// false, marking nothing, when the buffer was allocated from another.
+// So the owner is the only writer of the mark, and it writes it once.
+func (b *Buffer) Share(owner *AddressSpace) bool {
+	if b.space != owner {
+		return false
+	}
+	if !b.shared {
+		b.shared = true
+	}
+	return true
+}
+
+// lock takes the data mutex if the buffer is shared; unlock releases it.
+// Only the owner sets shared, and never while it holds the mutex.
+func (b *Buffer) lock() {
+	if b.shared {
+		b.mu.Lock()
+	}
+}
+
+func (b *Buffer) unlock() {
+	if b.shared {
+		b.mu.Unlock()
+	}
+}
+
+// ReadRaw copies len(dst) bytes starting at off into dst, without
+// reporting an access. Like every method, it takes the data lock only
+// once the buffer is shared.
 func (b *Buffer) ReadRaw(off uint64, dst []byte) {
 	b.check(off, uint64(len(dst)))
-	b.mu.Lock()
+	b.lock()
 	copy(dst, b.data[off:])
-	b.mu.Unlock()
+	b.unlock()
 }
 
-// WriteRaw copies src into the buffer at off under the data lock, without
-// reporting an access.
+// WriteRaw copies src into the buffer at off, without reporting an
+// access.
 func (b *Buffer) WriteRaw(off uint64, src []byte) {
 	b.check(off, uint64(len(src)))
-	b.mu.Lock()
+	b.lock()
 	copy(b.data[off:], src)
-	b.mu.Unlock()
+	b.unlock()
 }
 
-// UpdateRaw applies fn to the byte window [off, off+size) under the data
-// lock, without reporting an access. It is the read-modify-write primitive
-// used by accumulate.
+// UpdateRaw applies fn to the byte window [off, off+size), without
+// reporting an access. It is the read-modify-write primitive used by
+// accumulate; on a shared buffer fn runs under the data lock.
 func (b *Buffer) UpdateRaw(off, size uint64, fn func(data []byte)) {
 	b.check(off, size)
-	b.mu.Lock()
+	b.lock()
 	fn(b.data[off : off+size])
-	b.mu.Unlock()
+	b.unlock()
 }
 
 func (b *Buffer) check(off, size uint64) {
@@ -187,9 +226,9 @@ func (b *Buffer) LoadBytes(off, size uint64) []byte {
 	b.check(off, size)
 	b.observe(Load, off, size, 1)
 	out := make([]byte, size)
-	b.mu.Lock()
+	b.lock()
 	copy(out, b.data[off:off+size])
-	b.mu.Unlock()
+	b.unlock()
 	return out
 }
 
@@ -197,9 +236,9 @@ func (b *Buffer) LoadBytes(off, size uint64) []byte {
 func (b *Buffer) StoreBytes(off uint64, p []byte) {
 	b.check(off, uint64(len(p)))
 	b.observe(Store, off, uint64(len(p)), 1)
-	b.mu.Lock()
+	b.lock()
 	copy(b.data[off:], p)
-	b.mu.Unlock()
+	b.unlock()
 }
 
 // Fill stores the byte v into every position of [off, off+size),
@@ -207,20 +246,20 @@ func (b *Buffer) StoreBytes(off uint64, p []byte) {
 func (b *Buffer) Fill(off, size uint64, v byte) {
 	b.check(off, size)
 	b.observe(Store, off, size, 1)
-	b.mu.Lock()
+	b.lock()
 	for i := off; i < off+size; i++ {
 		b.data[i] = v
 	}
-	b.mu.Unlock()
+	b.unlock()
 }
 
 // Uint8At loads the byte at off.
 func (b *Buffer) Uint8At(off uint64) byte {
 	b.check(off, 1)
 	b.observe(Load, off, 1, 1)
-	b.mu.Lock()
+	b.lock()
 	v := b.data[off]
-	b.mu.Unlock()
+	b.unlock()
 	return v
 }
 
@@ -228,18 +267,18 @@ func (b *Buffer) Uint8At(off uint64) byte {
 func (b *Buffer) SetUint8(off uint64, v byte) {
 	b.check(off, 1)
 	b.observe(Store, off, 1, 1)
-	b.mu.Lock()
+	b.lock()
 	b.data[off] = v
-	b.mu.Unlock()
+	b.unlock()
 }
 
 // Int32At loads a little-endian int32 at off.
 func (b *Buffer) Int32At(off uint64) int32 {
 	b.check(off, 4)
 	b.observe(Load, off, 4, 1)
-	b.mu.Lock()
+	b.lock()
 	v := binary.LittleEndian.Uint32(b.data[off:])
-	b.mu.Unlock()
+	b.unlock()
 	return int32(v)
 }
 
@@ -247,18 +286,18 @@ func (b *Buffer) Int32At(off uint64) int32 {
 func (b *Buffer) SetInt32(off uint64, v int32) {
 	b.check(off, 4)
 	b.observe(Store, off, 4, 1)
-	b.mu.Lock()
+	b.lock()
 	binary.LittleEndian.PutUint32(b.data[off:], uint32(v))
-	b.mu.Unlock()
+	b.unlock()
 }
 
 // Int64At loads a little-endian int64 at off.
 func (b *Buffer) Int64At(off uint64) int64 {
 	b.check(off, 8)
 	b.observe(Load, off, 8, 1)
-	b.mu.Lock()
+	b.lock()
 	v := binary.LittleEndian.Uint64(b.data[off:])
-	b.mu.Unlock()
+	b.unlock()
 	return int64(v)
 }
 
@@ -266,18 +305,18 @@ func (b *Buffer) Int64At(off uint64) int64 {
 func (b *Buffer) SetInt64(off uint64, v int64) {
 	b.check(off, 8)
 	b.observe(Store, off, 8, 1)
-	b.mu.Lock()
+	b.lock()
 	binary.LittleEndian.PutUint64(b.data[off:], uint64(v))
-	b.mu.Unlock()
+	b.unlock()
 }
 
 // Float64At loads a little-endian float64 at off.
 func (b *Buffer) Float64At(off uint64) float64 {
 	b.check(off, 8)
 	b.observe(Load, off, 8, 1)
-	b.mu.Lock()
+	b.lock()
 	v := binary.LittleEndian.Uint64(b.data[off:])
-	b.mu.Unlock()
+	b.unlock()
 	return math.Float64frombits(v)
 }
 
@@ -285,9 +324,9 @@ func (b *Buffer) Float64At(off uint64) float64 {
 func (b *Buffer) SetFloat64(off uint64, v float64) {
 	b.check(off, 8)
 	b.observe(Store, off, 8, 1)
-	b.mu.Lock()
+	b.lock()
 	binary.LittleEndian.PutUint64(b.data[off:], math.Float64bits(v))
-	b.mu.Unlock()
+	b.unlock()
 }
 
 // Float64SliceAt loads n consecutive float64 values starting at off,
@@ -298,11 +337,11 @@ func (b *Buffer) Float64SliceAt(off uint64, n int) []float64 {
 	b.check(off, size)
 	b.observe(Load, off, size, 1)
 	out := make([]float64, n)
-	b.mu.Lock()
+	b.lock()
 	for i := range out {
 		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b.data[off+uint64(i)*8:]))
 	}
-	b.mu.Unlock()
+	b.unlock()
 	return out
 }
 
@@ -312,11 +351,11 @@ func (b *Buffer) SetFloat64Slice(off uint64, vs []float64) {
 	size := uint64(len(vs)) * 8
 	b.check(off, size)
 	b.observe(Store, off, size, 1)
-	b.mu.Lock()
+	b.lock()
 	for i, v := range vs {
 		binary.LittleEndian.PutUint64(b.data[off+uint64(i)*8:], math.Float64bits(v))
 	}
-	b.mu.Unlock()
+	b.unlock()
 }
 
 func (b *Buffer) String() string {

@@ -182,14 +182,15 @@ func (p *Proc) TypeStruct(blocklens []int, byteDisps []uint64, types []*Datatype
 // elements of dm laid out from byte offset base, in packed order: off is
 // the run's offset in the buffer, pos its offset in the packed bytes and
 // n its length. A segment that starts where the run before it ended joins
-// that run, so a transfer takes one buffer lock per run, not per element.
-// A map whose only segment fills its extent (every predefined type, and
+// that run, so a transfer of a shared buffer takes one buffer lock per
+// run, not per element.
+// A map whose segments fill its extent (every predefined type, and
 // TypeContiguous of one) is one run, found without visiting its elements.
 func eachRun(dm memory.DataMap, base uint64, count int, fn func(off, pos, n uint64)) {
 	if count <= 0 {
 		return
 	}
-	if s := dm.Segments; len(s) == 1 && s[0].Disp == 0 && s[0].Len == dm.Extent {
+	if dm.FillsExtent() {
 		fn(base, 0, uint64(count)*dm.Extent)
 		return
 	}

@@ -167,6 +167,7 @@ func (p *Proc) WinCreate(buf *memory.Buffer, dispUnit uint32, c *Comm) *Win {
 	if dispUnit == 0 {
 		p.errorf("Win_create", "displacement unit must be positive")
 	}
+	p.share("Win_create", buf)
 	type deposit struct {
 		buf  *memory.Buffer
 		unit uint32
@@ -203,6 +204,15 @@ func (p *Proc) WinCreate(buf *memory.Buffer, dispUnit uint32, c *Comm) *Win {
 	}
 }
 
+// share marks buf shared before call hands it to other ranks'
+// goroutines (memory.Buffer.Share). A buffer another rank allocated is a
+// usage error, so that no goroutine but the owner's writes the mark.
+func (p *Proc) share(call string, buf *memory.Buffer) {
+	if !buf.Share(p.space) {
+		p.errorf(call, "buffer %q belongs to another rank", buf.Name())
+	}
+}
+
 // ID returns the window id as it appears in the trace.
 func (w *Win) ID() int32 { return w.s.id }
 
@@ -227,8 +237,15 @@ func (w *Win) Free() {
 }
 
 // queue classifies the operation into the rank's open epoch and defers it.
+// The epoch may close from another rank's goroutine (a fence applies
+// every rank's operations from the last rank to arrive), so the origin
+// and result buffers are shared first.
 func (w *Win) queue(call string, op *rmaOp) {
 	p := w.p
+	p.share(call, op.originBuf)
+	if op.resultBuf != nil {
+		p.share(call, op.resultBuf)
+	}
 	op.origin = p.rank
 	op.seq = w.issueSeq
 	w.issueSeq++
@@ -347,6 +364,16 @@ func (w *Win) checkAccumulate(call string, op trace.AccOp, types ...*Datatype) {
 				w.p.errorf(call, "datatype segment of %d bytes not a multiple of element size %d", s.Len, es)
 			}
 		}
+	}
+}
+
+// checkPredefined rejects a derived datatype in the single-element
+// atomics, which MPI restricts to predefined types: Compare_and_swap
+// compares and swaps the contiguous bytes from the displacement, so a
+// type with a gap would compare and overwrite the gap.
+func (w *Win) checkPredefined(call string, d *Datatype) {
+	if !trace.IsPredefinedType(d.id) {
+		w.p.errorf(call, "datatype %d is not a predefined type", d.id)
 	}
 }
 

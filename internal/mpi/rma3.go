@@ -163,11 +163,13 @@ func (w *Win) GetAccumulate(origin *memory.Buffer, originOff uint64, originCount
 }
 
 // FetchAndOp is the single-element Get_accumulate (MPI_Fetch_and_op).
+// dtype must be a predefined type.
 func (w *Win) FetchAndOp(origin *memory.Buffer, originOff uint64,
 	result *memory.Buffer, resultOff uint64,
 	target int, targetDisp uint64, dtype *Datatype, op trace.AccOp) {
 	w.validateTransfer("Fetch_and_op", target, dtype, 1, dtype, 1)
 	w.checkTargetRange("Fetch_and_op", target, targetDisp, dtype, 1)
+	w.checkPredefined("Fetch_and_op", dtype)
 	w.checkAccumulate("Fetch_and_op", op, dtype, dtype)
 	w.p.emit(trace.Event{
 		Kind: trace.KindFetchOp, Win: w.s.id, Target: int32(target), AccOp: op,
@@ -186,13 +188,14 @@ func (w *Win) FetchAndOp(origin *memory.Buffer, originOff uint64,
 
 // CompareAndSwap atomically replaces the target element with the origin
 // value when it equals the compare value, returning the prior value in
-// result (MPI_Compare_and_swap).
+// result (MPI_Compare_and_swap). dtype must be a predefined type.
 func (w *Win) CompareAndSwap(origin *memory.Buffer, originOff uint64,
 	compare *memory.Buffer, compareOff uint64,
 	result *memory.Buffer, resultOff uint64,
 	target int, targetDisp uint64, dtype *Datatype) {
 	w.validateTransfer("Compare_and_swap", target, dtype, 1, dtype, 1)
 	w.checkTargetRange("Compare_and_swap", target, targetDisp, dtype, 1)
+	w.checkPredefined("Compare_and_swap", dtype)
 	w.p.emit(trace.Event{
 		Kind: trace.KindCompareSwap, Win: w.s.id, Target: int32(target),
 		OriginAddr: origin.Addr(originOff), OriginType: dtype.id, OriginCount: 1,

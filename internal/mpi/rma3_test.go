@@ -303,3 +303,42 @@ func TestFlushLocalAllowsOriginReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestAtomicsRejectDerivedTypes: MPI allows only predefined types in
+// Fetch_and_op and Compare_and_swap. Through a struct of two int64 with an
+// 8-byte gap, Compare_and_swap would compare and swap the 24 contiguous
+// bytes from the displacement, gap included; both calls must fail by name
+// before anything is traced or queued.
+func TestAtomicsRejectDerivedTypes(t *testing.T) {
+	for _, call := range []string{"Fetch_and_op", "Compare_and_swap"} {
+		h := newRecordingHook()
+		err := Run(1, Options{Hook: h}, func(p *Proc) error {
+			gap := p.TypeStruct([]int{1, 1}, []uint64{0, 16}, []*Datatype{Int64, Int64})
+			w, win := p.WinAllocate(32, 1, p.CommWorld(), "win")
+			for i, v := range []int64{1, 99, 2} {
+				win.SetInt64(uint64(i)*8, v)
+			}
+			src, cmp, res := p.Alloc(24, "src"), p.Alloc(24, "cmp"), p.Alloc(24, "res")
+			cmp.SetInt64(0, 1)
+			cmp.SetInt64(8, 2)
+			w.Fence(AssertNone)
+			if call == "Fetch_and_op" {
+				w.FetchAndOp(src, 0, res, 0, 0, 0, gap, trace.OpReplace)
+			} else {
+				w.CompareAndSwap(src, 0, cmp, 0, res, 0, 0, 0, gap)
+			}
+			w.Fence(AssertNone)
+			return nil
+		})
+		var ue *UsageError
+		if !errors.As(err, &ue) || ue.Call != call {
+			t.Errorf("%s through a derived type: err = %v, want a usage error from %s", call, err, call)
+			continue
+		}
+		for _, k := range []trace.Kind{trace.KindFetchOp, trace.KindCompareSwap} {
+			if n := len(h.eventsOf(0, k)); n > 0 {
+				t.Errorf("%s: %d %v events traced for a rejected call", call, n, k)
+			}
+		}
+	}
+}

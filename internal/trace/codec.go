@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -12,6 +11,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/memory"
 )
@@ -48,21 +48,122 @@ const (
 )
 
 // EncodeTrace renders one rank's trace in the binary stream format, with
-// the event count in the header so decoders preallocate.
+// the event count in the header so decoders preallocate. The stream is
+// encoded into pooled chunks, then copied once into a result of its
+// exact size.
 func EncodeTrace(t *Trace) ([]byte, error) {
-	var buf bytes.Buffer
-	if _, err := encodeTrace(&buf, t); err != nil {
+	e := getEncoder(nil)
+	defer e.release()
+	if err := e.encode(t); err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	out := make([]byte, 0, e.n)
+	for _, c := range e.full {
+		out = append(out, c...)
+	}
+	return out, nil
 }
 
-// encodeTrace writes t to w as one complete stream: the header with the
-// event count, then each event's new string definitions and its event
-// record, then the end record. Event i must be (t.Rank, i), the rule
-// Set.Validate checks. It returns the number of bytes written.
+// encodeTrace writes t to w as one complete stream, in chunks of at least
+// chunkSize bytes but the last, each written whole. It returns the number
+// of bytes written.
 func encodeTrace(w io.Writer, t *Trace) (int64, error) {
-	e := encoder{w: bufio.NewWriter(w), strs: map[string]uint64{"": 0}}
+	e := getEncoder(w)
+	defer e.release()
+	err := e.encode(t)
+	return e.n, err
+}
+
+const (
+	// chunkSize is how many bytes the encoder gathers before it writes
+	// them, so that a rank file takes one write per 32 KB, not one per
+	// record or per 4 KB.
+	chunkSize = 32 << 10
+	// chunkCap leaves room past chunkSize for the record that crosses
+	// it; only a record longer than the room (a datatype of hundreds of
+	// segments) makes a chunk grow.
+	chunkCap = chunkSize + 4<<10
+)
+
+// encoder is the state of one stream's encoding. Records are appended to
+// buf, a chunk that is written whole (or, for EncodeTrace, kept in full)
+// once it holds chunkSize bytes. Encoders and chunks are pooled, so
+// writing a stream allocates nothing in proportion to its size, and an
+// event whose strings are already interned is encoded without
+// allocating.
+type encoder struct {
+	buf  []byte
+	w    io.Writer         // where a full chunk is written; nil keeps it in full
+	full [][]byte          // EncodeTrace's chunks, in stream order
+	n    int64             // bytes written to w or kept in full
+	strs map[string]uint64 // string ids in order of first occurrence; "" is 0
+	// seen caches the ids of recent strings by data pointer and length, in
+	// front of strs: an event's file and function names come from a
+	// site cache, so a repeated name is the same string, found without
+	// hashing it.
+	seen [64]seenStr
+}
+
+type seenStr struct {
+	data *byte
+	n    int
+	id   uint64
+}
+
+var (
+	encoderPool sync.Pool // of *encoder
+	chunkPool   sync.Pool // of *[chunkCap]byte
+)
+
+// newChunk returns an empty chunk of capacity chunkCap.
+func newChunk() []byte {
+	if c, ok := chunkPool.Get().(*[chunkCap]byte); ok {
+		return c[:0]
+	}
+	return make([]byte, 0, chunkCap)
+}
+
+// putChunk recycles a chunk that has not grown past chunkCap.
+func putChunk(c []byte) {
+	if cap(c) == chunkCap {
+		chunkPool.Put((*[chunkCap]byte)(c[:chunkCap]))
+	}
+}
+
+// getEncoder returns an encoder writing to w, or keeping its chunks when
+// w is nil.
+func getEncoder(w io.Writer) *encoder {
+	e, _ := encoderPool.Get().(*encoder)
+	if e == nil {
+		e = &encoder{buf: newChunk(), strs: map[string]uint64{"": 0}}
+	}
+	e.w = w
+	return e
+}
+
+// release recycles the encoder and EncodeTrace's chunks. Clearing the
+// string tables keeps the pool from pinning the stream's strings.
+func (e *encoder) release() {
+	for _, c := range e.full {
+		putChunk(c)
+	}
+	clear(e.full)
+	e.full = e.full[:0]
+	if cap(e.buf) != chunkCap {
+		e.buf = newChunk()
+	}
+	e.buf, e.w, e.n = e.buf[:0], nil, 0
+	clear(e.strs)
+	e.strs[""] = 0
+	clear(e.seen[:])
+	encoderPool.Put(e)
+}
+
+// encode encodes t as one complete stream: the header with the event
+// count, then each event's new string definitions and its event record,
+// then the end record. Event i must be (t.Rank, i), the rule Set.Validate
+// checks.
+func (e *encoder) encode(t *Trace) error {
 	e.buf = append(e.buf, codecMagic...)
 	e.buf = append(e.buf, codecVersion)
 	e.varint(int64(t.Rank))
@@ -70,55 +171,68 @@ func encodeTrace(w io.Writer, t *Trace) (int64, error) {
 	for i := range t.Events {
 		ev := &t.Events[i]
 		if ev.Rank != t.Rank || ev.Seq != int64(i) {
-			return e.n, fmt.Errorf("trace: event %v out of order for rank %d writer (want seq %d)",
+			return fmt.Errorf("trace: event %v out of order for rank %d writer (want seq %d)",
 				ev.ID(), t.Rank, i)
 		}
 		e.event(ev)
-		if err := e.flush(); err != nil {
-			return e.n, err
+		if len(e.buf) >= chunkSize {
+			if err := e.flush(); err != nil {
+				return err
+			}
 		}
 	}
 	e.buf = append(e.buf, recEnd)
-	if err := e.flush(); err != nil {
-		return e.n, err
-	}
-	return e.n, e.w.Flush()
+	return e.flush()
 }
 
-// encoder is encodeTrace's state. Records are appended to buf, which is
-// handed to the buffered writer once per event and reused, so an event
-// whose strings are already interned is encoded without allocating.
-type encoder struct {
-	w    *bufio.Writer
-	n    int64 // bytes handed to w
-	buf  []byte
-	strs map[string]uint64
-}
-
-// flush hands the encoded bytes to w and empties buf, keeping its
-// capacity.
+// flush writes the chunk whole and empties it, or hands it to full and
+// takes a fresh one.
 func (e *encoder) flush() error {
+	if e.w == nil {
+		e.n += int64(len(e.buf))
+		e.full = append(e.full, e.buf)
+		e.buf = newChunk()
+		return nil
+	}
 	m, err := e.w.Write(e.buf)
 	e.n += int64(m)
 	e.buf = e.buf[:0]
 	return err
 }
 
-func (e *encoder) uvarint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
-func (e *encoder) varint(v int64)   { e.buf = binary.AppendVarint(e.buf, v) }
+// uvarint and varint append a varint; a value below 0x80, nearly every
+// field of a record, takes one append without a further call.
+func (e *encoder) uvarint(v uint64) {
+	if v < 0x80 {
+		e.buf = append(e.buf, byte(v))
+		return
+	}
+	e.buf = binary.AppendUvarint(e.buf, v)
+}
+
+func (e *encoder) varint(v int64) { e.uvarint(uint64(v)<<1 ^ uint64(v>>63)) } // zig-zag
 
 // str returns s's string id, appending its definition record the first
 // time s is seen.
 func (e *encoder) str(s string) uint64 {
-	if id, ok := e.strs[s]; ok {
-		return id
+	if len(s) == 0 {
+		return 0
 	}
-	id := uint64(len(e.strs))
-	e.strs[s] = id
-	e.buf = append(e.buf, recStrDef)
-	e.uvarint(id)
-	e.uvarint(uint64(len(s)))
-	e.buf = append(e.buf, s...)
+	data := unsafe.StringData(s)
+	c := &e.seen[uintptr(unsafe.Pointer(data))>>3%uintptr(len(e.seen))]
+	if c.data == data && c.n == len(s) {
+		return c.id
+	}
+	id, ok := e.strs[s]
+	if !ok {
+		id = uint64(len(e.strs))
+		e.strs[s] = id
+		e.buf = append(e.buf, recStrDef)
+		e.uvarint(id)
+		e.uvarint(uint64(len(s)))
+		e.buf = append(e.buf, s...)
+	}
+	*c = seenStr{data: data, n: len(s), id: id}
 	return id
 }
 

@@ -111,13 +111,20 @@ serve-bench:
 microbench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Fuzz the trace codec: the strict decoder, the salvage decoder, and the
-# encode/decode round trip. -fuzz takes one target per run, so each name
-# is anchored.
+# Fuzz the trace codec (the encode/decode round trip, the strict decoder
+# and the salvage decoder), the front end, the fault-plan parser, the
+# datatype runs and footprint tiling, each for FUZZTIME. CI's fuzz step is
+# `make fuzz FUZZTIME=20s`, so a new fuzz target is listed here only.
+# -fuzz takes one target per run, so each name is anchored.
+FUZZTIME ?= 30s
 fuzz:
-	$(GO) test -run '^$$' -fuzz '^FuzzReadTrace$$' -fuzztime 30s ./internal/trace
-	$(GO) test -run '^$$' -fuzz '^FuzzReadTraceSalvage$$' -fuzztime 30s ./internal/trace
-	$(GO) test -run '^$$' -fuzz '^FuzzRoundTrip$$' -fuzztime 30s ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzReadTrace$$' -fuzztime $(FUZZTIME) ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzReadTraceSalvage$$' -fuzztime $(FUZZTIME) ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzFrontEnd$$' -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzParsePlan$$' -fuzztime $(FUZZTIME) ./internal/faults
+	$(GO) test -run '^$$' -fuzz '^FuzzRuns$$' -fuzztime $(FUZZTIME) ./internal/mpi
+	$(GO) test -run '^$$' -fuzz '^FuzzTileRuns$$' -fuzztime $(FUZZTIME) ./internal/memory
 
 # Fuzz the seeded RMA program generator: any seed must yield a program
 # that simulates without deadlock and round-trips the trace codec.

@@ -16,7 +16,10 @@ import (
 // FileName returns the trace file name for a rank.
 func FileName(rank int32) string { return fmt.Sprintf("trace.%d.bin", rank) }
 
-// WriteDir writes each rank's trace into dir (created if needed).
+// WriteDir writes each rank's trace into dir (created if needed), one
+// file per rank, replacing the trace files of an earlier run. Trace i of s
+// must be present and labelled rank i; a set that is not fails before dir
+// is touched.
 func WriteDir(dir string, s *Set) error {
 	return WriteDirObs(dir, s, nil)
 }

@@ -1,9 +1,11 @@
 package trace
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"syscall"
 
 	"repro/internal/obs"
 )
@@ -37,6 +39,11 @@ func newCodecMetrics(reg *obs.Registry) *codecMetrics {
 // WriteDirObs is WriteDir with codec metrics recorded into reg (events and
 // bytes encoded per rank file). reg may be nil, which is exactly WriteDir.
 func WriteDirObs(dir string, s *Set, reg *obs.Registry) error {
+	for r := range s.Traces {
+		if err := s.validateLabel(r); err != nil {
+			return err
+		}
+	}
 	m := newCodecMetrics(reg)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -45,7 +52,7 @@ func WriteDirObs(dir string, s *Set, reg *obs.Registry) error {
 		return err
 	}
 	for _, t := range s.Traces {
-		f, err := os.Create(filepath.Join(dir, FileName(t.Rank)))
+		f, err := openRankFile(filepath.Join(dir, FileName(t.Rank)))
 		if err != nil {
 			return err
 		}
@@ -62,6 +69,34 @@ func WriteDirObs(dir string, s *Set, reg *obs.Registry) error {
 		}
 	}
 	return nil
+}
+
+// openRankFile opens the rank file at path for writing from offset 0,
+// creating it if needed, and cuts it to one byte.
+//
+// The cut is to one byte because on ext4 closing a file that was
+// truncated to zero, as O_TRUNC does, starts its writeback at once
+// (auto_da_alloc), which made a rewrite several times dearer
+// (EXPERIMENTS.md, "Rewriting a rank file"). The byte an old trace file
+// keeps is the M that every stream starts with, and the encoder's first
+// write covers it; a stream is at least 8 bytes long, so the file ends
+// where the new stream ends. At every moment the file holds a prefix of
+// the new stream, so a writer that stops part way leaves what O_TRUNC
+// left, never new records in front of old bytes.
+//
+// A destination that is not a regular file, such as a rank name linked to
+// /dev/null, cannot be cut (EINVAL) and is written as it is. Nothing is
+// synced: a trace directory is not made durable.
+func openRankFile(path string) (*os.File, error) {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE, 0o666)
+	if err != nil {
+		return nil, err
+	}
+	if err := f.Truncate(1); err != nil && !errors.Is(err, syscall.EINVAL) {
+		f.Close()
+		return nil, err
+	}
+	return f, nil
 }
 
 // removeStaleTraceFiles removes each regular file in dir that ReadDir
@@ -81,8 +116,7 @@ func removeStaleTraceFiles(dir string, s *Set) error {
 		}
 	}
 	for _, nr := range traceFileNames(regular) {
-		if nr.rank < len(s.Traces) && s.Traces[nr.rank].Rank == int32(nr.rank) &&
-			nr.name == FileName(int32(nr.rank)) {
+		if nr.rank < len(s.Traces) && nr.name == FileName(int32(nr.rank)) {
 			continue // overwritten below
 		}
 		if err := os.Remove(filepath.Join(dir, nr.name)); err != nil {

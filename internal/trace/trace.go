@@ -57,13 +57,10 @@ func (s *Set) Validate() error {
 }
 
 func (s *Set) validateRank(r int) error {
+	if err := s.validateLabel(r); err != nil {
+		return err
+	}
 	t := s.Traces[r]
-	if t == nil {
-		return fmt.Errorf("trace: missing trace for rank %d", r)
-	}
-	if t.Rank != int32(r) {
-		return fmt.Errorf("trace: trace at index %d labelled rank %d", r, t.Rank)
-	}
 	for i := range t.Events {
 		ev := &t.Events[i]
 		if ev.Rank != int32(r) {
@@ -75,6 +72,19 @@ func (s *Set) validateRank(r int) error {
 		if ev.Kind == KindInvalid || ev.Kind >= kindMax {
 			return fmt.Errorf("trace: rank %d event %d has invalid kind %d", r, i, ev.Kind)
 		}
+	}
+	return nil
+}
+
+// validateLabel checks that index r holds a trace labelled rank r, without
+// looking at its events.
+func (s *Set) validateLabel(r int) error {
+	t := s.Traces[r]
+	if t == nil {
+		return fmt.Errorf("trace: missing trace for rank %d", r)
+	}
+	if t.Rank != int32(r) {
+		return fmt.Errorf("trace: trace at index %d labelled rank %d", r, t.Rank)
 	}
 	return nil
 }

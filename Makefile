@@ -112,15 +112,17 @@ microbench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Fuzz the trace codec (the encode/decode round trip, the strict decoder
-# and the salvage decoder), the front end, the fault-plan parser, the
-# datatype runs and footprint tiling, each for FUZZTIME. CI's fuzz step is
-# `make fuzz FUZZTIME=20s`, so a new fuzz target is listed here only.
+# and the salvage decoder), the in-memory trace sink, the front end, the
+# fault-plan parser, the datatype runs and footprint tiling, each for
+# FUZZTIME. CI's fuzz step is `make fuzz FUZZTIME=20s`, so a new fuzz
+# target is listed here only.
 # -fuzz takes one target per run, so each name is anchored.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzReadTrace$$' -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzReadTraceSalvage$$' -fuzztime $(FUZZTIME) ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzMemorySink$$' -fuzztime $(FUZZTIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzFrontEnd$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePlan$$' -fuzztime $(FUZZTIME) ./internal/faults
 	$(GO) test -run '^$$' -fuzz '^FuzzRuns$$' -fuzztime $(FUZZTIME) ./internal/mpi

@@ -214,9 +214,15 @@ func eachRun(dm memory.DataMap, base uint64, count int, fn func(off, pos, n uint
 }
 
 // pack reads count elements of type d from buf starting at byte offset off
-// into a contiguous byte slice, using untracked runtime reads.
+// into a new contiguous byte slice, using untracked runtime reads.
 func pack(buf *memory.Buffer, off uint64, d *Datatype, count int) []byte {
-	out := make([]byte, d.dm.TileBytes(count))
+	return packInto(make([]byte, d.dm.TileBytes(count)), buf, off, d, count)
+}
+
+// packInto is pack into the front of dst, whose capacity must hold the
+// packed bytes; it returns that part of dst.
+func packInto(dst []byte, buf *memory.Buffer, off uint64, d *Datatype, count int) []byte {
+	out := dst[:d.dm.TileBytes(count)]
 	eachRun(d.dm, off, count, func(at, pos, n uint64) {
 		buf.ReadRaw(at, out[pos:pos+n])
 	})

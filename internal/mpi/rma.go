@@ -389,25 +389,38 @@ func (w *Win) checkTargetRange(call string, target int, disp uint64, tt *Datatyp
 	}
 }
 
-// apply performs the deferred data movement of one operation. It runs in
-// whichever goroutine closes the epoch; buffer raw methods provide the
+// scratchBytes is the scratch apply needs for op: its packed data, and
+// for a fetching operation the target's prior bytes after it.
+func (op *rmaOp) scratchBytes() uint64 {
+	switch op.kind {
+	case trace.KindPut, trace.KindAccumulate:
+		return op.originType.dm.TileBytes(op.originCount)
+	case trace.KindGet:
+		return op.targetType.dm.TileBytes(op.targetCount)
+	}
+	return op.originType.dm.TileBytes(op.originCount) + op.targetType.dm.TileBytes(op.targetCount)
+}
+
+// apply performs the deferred data movement of one operation, packing
+// through scratch, which holds at least op.scratchBytes() bytes. It runs
+// in whichever goroutine closes the epoch; buffer raw methods provide the
 // byte-level synchronization.
-func (s *winShared) apply(op *rmaOp) {
+func (s *winShared) apply(op *rmaOp, scratch []byte) {
 	if op.kind.IsAccFamily() && op.kind != trace.KindAccumulate {
-		s.applyFetching(op)
+		s.applyFetching(op, scratch)
 		return
 	}
 	tl := s.locals[op.target]
 	byteOff := s.targetByteOff(op.target, op.targetDisp)
 	switch op.kind {
 	case trace.KindPut:
-		packed := pack(op.originBuf, op.originOff, op.originType, op.originCount)
+		packed := packInto(scratch, op.originBuf, op.originOff, op.originType, op.originCount)
 		unpack(tl.buf, byteOff, op.targetType, op.targetCount, packed)
 	case trace.KindGet:
-		packed := pack(tl.buf, byteOff, op.targetType, op.targetCount)
+		packed := packInto(scratch, tl.buf, byteOff, op.targetType, op.targetCount)
 		unpack(op.originBuf, op.originOff, op.originType, op.originCount, packed)
 	case trace.KindAccumulate:
-		s.accumulate(op, pack(op.originBuf, op.originOff, op.originType, op.originCount), nil)
+		s.accumulate(op, packInto(scratch, op.originBuf, op.originOff, op.originType, op.originCount), nil)
 	}
 }
 
@@ -448,7 +461,12 @@ func (s *winShared) applyAll(ops []*rmaOp) {
 		return ops[i].seq < ops[j].seq
 	})
 	s.comm.world.scheduleBatch(s.id, batch, ops)
+	var size uint64
 	for _, op := range ops {
-		s.apply(op)
+		size = max(size, op.scratchBytes())
+	}
+	scratch := make([]byte, size)
+	for _, op := range ops {
+		s.apply(op, scratch)
 	}
 }

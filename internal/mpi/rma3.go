@@ -215,19 +215,22 @@ func (w *Win) CompareAndSwap(origin *memory.Buffer, originOff uint64,
 }
 
 // applyFetching executes the deferred fetching atomics; called from
-// winShared.apply.
-func (s *winShared) applyFetching(op *rmaOp) {
+// winShared.apply with its scratch. The packed origin goes at the front of
+// scratch and the target's prior bytes after it; both are written whole
+// before they are read.
+func (s *winShared) applyFetching(op *rmaOp, scratch []byte) {
 	tl := s.locals[op.target]
 	byteOff := s.targetByteOff(op.target, op.targetDisp)
 	size := op.targetType.dm.TileBytes(op.targetCount)
 	switch op.kind {
 	case trace.KindGetAccumulate, trace.KindFetchOp:
-		old := make([]byte, size)
-		s.accumulate(op, pack(op.originBuf, op.originOff, op.originType, op.originCount), old)
+		packed := packInto(scratch, op.originBuf, op.originOff, op.originType, op.originCount)
+		old := scratch[len(packed):][:size]
+		s.accumulate(op, packed, old)
 		unpack(op.resultBuf, op.resultOff, op.resultType, op.resultCount, old)
 	case trace.KindCompareSwap:
-		newVal := pack(op.originBuf, op.originOff, op.originType, 1)
-		old := make([]byte, size)
+		newVal := packInto(scratch, op.originBuf, op.originOff, op.originType, 1)
+		old := scratch[len(newVal):][:size]
 		tl.buf.UpdateRaw(byteOff, size, func(data []byte) {
 			copy(old, data)
 			if bytes.Equal(data, op.compare) {

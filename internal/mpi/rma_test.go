@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/trace"
 )
@@ -36,6 +37,59 @@ func TestFencePutGet(t *testing.T) {
 			}
 		} else {
 			w.Fence(AssertNone)
+		}
+		w.Free()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFenceBatchScratchFitsLargestOp: a fence batch packs every operation
+// through one scratch buffer, which must hold the largest of them though
+// it is not first in the batch: rank 0's one-element Put applies before
+// rank 1's 32-element Put and its Get_accumulate, which also fetches the
+// target's prior values.
+func TestFenceBatchScratchFitsLargestOp(t *testing.T) {
+	const n = 32
+	err := Run(3, Options{Timeout: 10 * time.Second}, func(p *Proc) error {
+		win := p.AllocFloat64(2*n+1, "win")
+		w := p.WinCreate(win, 8, p.CommWorld())
+		src := p.AllocFloat64(n, "src")
+		res := p.AllocFloat64(n, "res")
+		for i := 0; i < n; i++ {
+			src.SetFloat64(uint64(8*i), float64(100*(p.Rank()+1)+i))
+			win.SetFloat64(uint64(8*(n+1+i)), 1)
+		}
+		w.Fence(AssertNone)
+		switch p.Rank() {
+		case 0:
+			w.Put(src, 0, 1, Float64, 2, 0, 1, Float64)
+		case 1:
+			w.Put(src, 0, n, Float64, 2, 1, n, Float64)
+			w.GetAccumulate(src, 0, n, Float64, res, 0, n, Float64, 2, n+1, n, Float64, trace.OpSum)
+		}
+		w.Fence(AssertNone)
+		switch p.Rank() {
+		case 1:
+			for i := 0; i < n; i++ {
+				if got := res.Float64At(uint64(8 * i)); got != 1 {
+					t.Errorf("fetched word %d = %g, want 1", i, got)
+				}
+			}
+		case 2:
+			if got := win.Float64At(0); got != 100 {
+				t.Errorf("word 0 = %g, want rank 0's 100", got)
+			}
+			for i := 0; i < n; i++ {
+				if got := win.Float64At(uint64(8 * (1 + i))); got != float64(200+i) {
+					t.Errorf("put word %d = %g, want %d", i, got, 200+i)
+				}
+				if got := win.Float64At(uint64(8 * (n + 1 + i))); got != float64(201+i) {
+					t.Errorf("accumulated word %d = %g, want %d", i, got, 201+i)
+				}
+			}
 		}
 		w.Free()
 		return nil

@@ -105,12 +105,14 @@ func checkRuns(t *testing.T, d *Datatype, count int, off uint64) {
 			target, result := randomBuffer(rng, size, "target"), randomBuffer(rng, size, "result")
 			wantTarget, wantResult := cloneBuffer(target), cloneBuffer(result)
 			s := &winShared{locals: []winLocal{{buf: target, dispUnit: 1}}}
-			s.apply(&rmaOp{
+			rop := &rmaOp{
 				kind: kind, op: op,
 				originBuf: origin, originOff: off, originType: d, originCount: count,
 				targetDisp: off, targetType: d, targetCount: count,
 				resultBuf: result, resultOff: off, resultType: d, resultCount: count,
-			})
+			}
+			scratch := bytes.Repeat([]byte{0xa5}, int(rop.scratchBytes())) // stale bytes of a batch's earlier op
+			s.apply(rop, scratch)
 			old := refAccumulate(wantTarget.Bytes(), off, d, count, refPack(origin.Bytes(), off, d.dm, count), op)
 			if kind != trace.KindAccumulate {
 				refUnpack(wantResult.Bytes(), off, d.dm, count, old)

@@ -51,16 +51,10 @@ func WriteDirObs(dir string, s *Set, reg *obs.Registry) error {
 	if err := removeStaleTraceFiles(dir, s); err != nil {
 		return err
 	}
-	for _, t := range s.Traces {
-		f, err := openRankFile(filepath.Join(dir, FileName(t.Rank)))
+	for r, t := range s.Traces {
+		n, err := writeRankFile(filepath.Join(dir, FileName(t.Rank)), t)
 		if err != nil {
-			return err
-		}
-		n, err := encodeTrace(f, t)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
+			cutRankFiles(dir, s.Traces[r+1:])
 			return err
 		}
 		if m != nil {
@@ -69,6 +63,37 @@ func WriteDirObs(dir string, s *Set, reg *obs.Registry) error {
 		}
 	}
 	return nil
+}
+
+// writeRankFile writes t's stream to the rank file at path and returns
+// the bytes written.
+func writeRankFile(path string, t *Trace) (int64, error) {
+	f, err := openRankFile(path)
+	if err != nil {
+		return 0, err
+	}
+	n, err := encodeTrace(f, t)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return n, err
+}
+
+// cutRankFiles cuts the existing rank file of each of traces to one byte,
+// as openRankFile does, after the write of an earlier rank failed. Left
+// alone, these files would hold an earlier run's complete traces beside
+// the new run's, and a salvage read would take the mix for one run; cut,
+// each reads as lost entirely, under its own name. The cut is best
+// effort: the caller returns the write's own error.
+func cutRankFiles(dir string, traces []*Trace) {
+	for _, t := range traces {
+		f, err := os.OpenFile(filepath.Join(dir, FileName(t.Rank)), os.O_WRONLY, 0)
+		if err != nil {
+			continue // no file to cut
+		}
+		_ = f.Truncate(1)
+		_ = f.Close()
+	}
 }
 
 // openRankFile opens the rank file at path for writing from offset 0,

@@ -171,6 +171,54 @@ func TestWriteDirRejectsMislabelledSet(t *testing.T) {
 	}
 }
 
+// TestWriteDirFailsPartWay: a rewrite that fails at one rank leaves no
+// complete file of the earlier run after it. Rank 2's name is a link to a
+// missing directory, so its open fails; rank 3's old file is cut, and a
+// salvage read keeps all four ranks, names ranks 2 and 3 and reads no
+// event of the earlier run.
+func TestWriteDirFailsPartWay(t *testing.T) {
+	dir := t.TempDir()
+	rng := rand.New(rand.NewSource(39))
+	if err := WriteDir(dir, sampleSet(rng, 10, 10, 10, 10)); err != nil {
+		t.Fatal(err)
+	}
+	rank2 := filepath.Join(dir, FileName(2))
+	if err := os.Remove(rank2); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Symlink(filepath.Join(dir, "missing", FileName(2)), rank2); err != nil {
+		t.Skip(err)
+	}
+	fresh := sampleSet(rng, 50, 50, 50, 50)
+	if err := WriteDir(dir, fresh); err == nil {
+		t.Fatal("WriteDir through a dangling link returned no error")
+	}
+	set, notes, err := ReadDirSalvage(dir, obs.Scope{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if set.Ranks() != 4 {
+		t.Fatalf("salvage read %d ranks, want 4", set.Ranks())
+	}
+	for r := 0; r < 2; r++ {
+		eventsEqual(t, set.Traces[r].Events, fresh.Traces[r].Events)
+	}
+	for r := 2; r < 4; r++ {
+		if n := len(set.Traces[r].Events); n != 0 {
+			t.Errorf("rank %d: salvaged %d events, want none", r, n)
+		}
+	}
+	wantNotes := []string{"trace.2.bin: unreadable", "trace.3.bin: lost entirely", "rank 2: no events recovered", "rank 3: no events recovered"}
+	if len(notes) != len(wantNotes) {
+		t.Fatalf("notes %q, want %d starting %q", notes, len(wantNotes), wantNotes)
+	}
+	for i, want := range wantNotes {
+		if !strings.HasPrefix(notes[i], want) {
+			t.Errorf("note %d = %q, want one starting %q", i, notes[i], want)
+		}
+	}
+}
+
 var errStopped = errors.New("write stopped")
 
 // stopWriter passes the first left bytes written through to w, then fails,

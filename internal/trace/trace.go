@@ -2,7 +2,6 @@ package trace
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 )
 
@@ -95,127 +94,6 @@ type Sink interface {
 	// emitting. Emit is called from the rank's own goroutine; a Sink shared
 	// across ranks must be safe for concurrent use.
 	Emit(ev Event)
-}
-
-// MemorySink collects events in memory, one stream per rank. It is safe
-// for concurrent emission from multiple ranks; each rank's stream has its
-// own lock, so ranks do not contend with each other on the hot path.
-type MemorySink struct {
-	// streams indexes the rank streams by rank, nil for ranks that have
-	// not emitted. Emit reads the table through the atomic pointer
-	// without locking; a rank's first event replaces the table under mu,
-	// which also serializes Set, TakeSet and Reset with that growth.
-	streams atomic.Pointer[[]*rankStream]
-	mu      sync.Mutex
-}
-
-type rankStream struct {
-	mu  sync.Mutex
-	evs []Event
-}
-
-// NewMemorySink returns an empty in-memory sink.
-func NewMemorySink() *MemorySink {
-	return &MemorySink{}
-}
-
-// table returns the current stream table.
-func (m *MemorySink) table() []*rankStream {
-	if t := m.streams.Load(); t != nil {
-		return *t
-	}
-	return nil
-}
-
-func (m *MemorySink) stream(rank int32) *rankStream {
-	if t := m.table(); rank >= 0 && int(rank) < len(t) && t[rank] != nil {
-		return t[rank]
-	}
-	return m.addStream(rank)
-}
-
-// addStream publishes a copy of the table that holds a new stream for
-// rank, so the table always ends at the highest rank seen. A negative
-// rank panics: no Set can hold it.
-func (m *MemorySink) addStream(rank int32) *rankStream {
-	if rank < 0 {
-		panic(fmt.Sprintf("trace: MemorySink: event from negative rank %d", rank))
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	old := m.table()
-	if int(rank) < len(old) && old[rank] != nil {
-		return old[rank] // added while this call waited for the lock
-	}
-	t := make([]*rankStream, max(len(old), int(rank)+1))
-	copy(t, old)
-	t[rank] = &rankStream{}
-	m.streams.Store(&t)
-	return t[rank]
-}
-
-// Emit implements Sink.
-func (m *MemorySink) Emit(ev Event) {
-	rs := m.stream(ev.Rank)
-	rs.mu.Lock()
-	rs.evs = append(rs.evs, ev)
-	rs.mu.Unlock()
-}
-
-// Set returns the collected events and empties the sink. The returned
-// Set covers ranks [0, n), where n is one past the highest rank seen (0
-// for a sink that never saw an event). Each rank's event slice is handed
-// over, not copied: the sink forgets it, so later emits start a fresh
-// slice and the returned Set stays valid for as long as the caller keeps
-// it. Call Set once, after the run; a second call returns only the events
-// emitted since the first.
-func (m *MemorySink) Set() *Set {
-	return m.assemble(true)
-}
-
-// TakeSet returns the collected events without emptying the sink: the
-// returned Set's per-rank event slices alias the sink's buffers. It exists
-// for run-recycling callers (internal/explore) that analyze the set, keep
-// only value copies of events out of it, and then Reset the sink for the
-// next run, which reuses the buffers and so invalidates the aliased
-// slices. Use Set when the result must outlive the sink.
-func (m *MemorySink) TakeSet() *Set {
-	return m.assemble(false)
-}
-
-func (m *MemorySink) assemble(handOver bool) *Set {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	t := m.table()
-	s := NewSet(len(t))
-	for r, rs := range t {
-		if rs == nil {
-			continue
-		}
-		rs.mu.Lock()
-		s.Traces[r].Events = rs.evs
-		if handOver {
-			rs.evs = nil
-		}
-		rs.mu.Unlock()
-	}
-	return s
-}
-
-// Reset clears the sink for reuse, keeping the per-rank buffers' capacity
-// so a recycled sink re-collects a comparable run without reallocating.
-// Any Set previously obtained through TakeSet is invalidated.
-func (m *MemorySink) Reset() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, rs := range m.table() {
-		if rs == nil {
-			continue
-		}
-		rs.mu.Lock()
-		rs.evs = rs.evs[:0]
-		rs.mu.Unlock()
-	}
 }
 
 // CountingSink wraps another sink and tallies events by class with atomic
